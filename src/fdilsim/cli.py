@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/config error, 2 invariant violation
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -88,12 +89,12 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad --lambda list: {exc}") from exc
     if not grid:
         raise _UsageError("empty --lambda list")
+    if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+        raise _UsageError("lambda values must be finite and >= 0")
 
     root = args.out if args.out else base.output_dir
     lines = ["lambda,acc,bwt"]
     for lam in grid:
-        if lam < 0:
-            raise _UsageError("lambda values must be >= 0")
         sub_dir = os.path.join(root, f"lambda_{fmt(lam)}")
         effective = serialize_config(with_lambda(base, lam, sub_dir))
         artifacts = run_experiment(effective)

@@ -106,11 +106,16 @@ class TaskSequence:
 
 @dataclass
 class ClientShard:
-    """The slice of one task's train pool owned by one client."""
+    """The slice of one task's train pool owned by one client.
+
+    ``pool_indices`` are the sorted rows of the train pool that make up
+    ``data``; shards built by hand rather than cut from a pool have none.
+    """
 
     task_index: int
     client_index: int
     data: Minibatch
+    pool_indices: np.ndarray | None = None
 
 
 def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
@@ -238,9 +243,7 @@ def partition_task(task: TaskData, part: PartitionSpec, seed: int) -> list[Clien
     shards = []
     for client in range(m):
         idx = np.sort(np.array(assigned[client], dtype=np.int64))
-        shards.append(
-            ClientShard(task_index=task.task_index, client_index=client, data=pool.take(idx))
-        )
+        shards.append(ClientShard(task.task_index, client, pool.take(idx), idx))
     return shards
 
 
@@ -277,20 +280,14 @@ def export_sequence(sequence: TaskSequence, path, shards: list[list[ClientShard]
     if shards:
         for task_shards in shards:
             for shard in task_shards:
-                train = sequence.task(shard.task_index).train
-                idx = _recover_indices(train, shard.data)
+                if shard.pool_indices is None:
+                    raise ValueError("only shards cut from a task pool can be exported")
                 lines.append(
                     f"shard {shard.task_index} {shard.client_index} "
-                    + " ".join(str(i) for i in idx)
+                    + " ".join(str(i) for i in shard.pool_indices)
                 )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _recover_indices(pool: Minibatch, shard: Minibatch) -> list[int]:
-    """Match shard rows back to pool row indices (rows are unique draws)."""
-    lookup = {pool.inputs[i].tobytes(): i for i in range(len(pool))}
-    return [lookup[row.tobytes()] for row in shard.inputs]
 
 
 def load_sequence(path) -> tuple[TaskSequence, list[list[ClientShard]] | None]:
@@ -341,6 +338,6 @@ def load_sequence(path) -> tuple[TaskSequence, list[list[ClientShard]] | None]:
         task_index, client = int(parts[1]), int(parts[2])
         idx = np.array([int(v) for v in parts[3:]], dtype=np.int64)
         shards[task_index - 1].append(
-            ClientShard(task_index, client, sequence.task(task_index).train.take(idx))
+            ClientShard(task_index, client, sequence.task(task_index).train.take(idx), idx)
         )
     return sequence, shards

@@ -7,9 +7,13 @@ task finished and the end of the run.  Both are computed in exact rational
 arithmetic over the stored entries so values recomputed from a persisted
 matrix match bit for bit.
 
-The joint-objective helpers evaluate the summed training objective over every
-task's full shards.  They are simulator-side instrumentation with full data
-access and are never consulted by the client/server update paths.
+The joint objective is the sum over tasks of each task's client-averaged
+full-shard training objective.  :func:`joint_objective_grad` is its single
+pass: one kernel call per (task, client) shard, returning each task's
+(loss, gradient).  Callers sum the entries in task order, so the joint
+objective over every prefix of the tasks (the earlier tasks alone, or all of
+them) comes from the same pass.  This is simulator-side instrumentation with
+full data access and is never consulted by the client/server update paths.
 """
 
 from __future__ import annotations
@@ -80,44 +84,17 @@ def client_objective_grad(
     return loss_and_grad(spec, params, shard.data)
 
 
-def task_objective_grad(
-    spec: ModelSpec, params: np.ndarray, task_shards: list[ClientShard]
-) -> tuple[float, np.ndarray]:
-    """Task objective: the client average (1/M) sum_m f_{task,m}."""
-    m = len(task_shards)
-    loss_total = 0.0
-    grad_total = np.zeros_like(params)
-    for shard in task_shards:
-        loss, grad = client_objective_grad(spec, params, shard)
-        loss_total += loss
-        grad_total += grad
-    return loss_total / m, grad_total / m
-
-
 def joint_objective_grad(
     spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> tuple[float, np.ndarray]:
-    """Summed objective over all given tasks and its gradient."""
-    loss_total = 0.0
-    grad_total = np.zeros_like(params)
+) -> list[tuple[float, np.ndarray]]:
+    """Per-task objective (1/M) sum_m f_{task,m} and its gradient, in task order."""
+    per_task = []
     for task_shards in shards_by_task:
-        loss, grad = task_objective_grad(spec, params, task_shards)
-        loss_total += loss
-        grad_total += grad
-    return loss_total, grad_total
-
-
-def joint_grad_norm_sq(
-    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> float:
-    """Squared norm of the summed-objective gradient over the given tasks."""
-    _, grad = joint_objective_grad(spec, params, shards_by_task)
-    return float(grad @ grad)
-
-
-def joint_loss(
-    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> float:
-    """Summed objective value over the given tasks."""
-    loss, _ = joint_objective_grad(spec, params, shards_by_task)
-    return loss
+        loss_total = 0.0
+        grad_total = np.zeros_like(params)
+        for shard in task_shards:
+            loss, grad = client_objective_grad(spec, params, shard)
+            loss_total += loss
+            grad_total += grad
+        per_task.append((loss_total / len(task_shards), grad_total / len(task_shards)))
+    return per_task

@@ -53,7 +53,11 @@ class ModelSpec:
 
 @dataclass
 class Minibatch:
-    """A batch of inputs and integer class labels."""
+    """A batch of inputs and integer class labels.
+
+    The constructor validates data that enters the program; the kernels
+    below trust it and do not check again.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -69,12 +73,18 @@ class Minibatch:
             raise ValueError("batch must contain at least one sample")
         if self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
+        if not np.isfinite(self.inputs).all():
+            raise ValueError("non-finite batch inputs")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
     def take(self, indices: np.ndarray) -> "Minibatch":
-        return Minibatch(self.inputs[indices], self.labels[indices])
+        """Rows ``indices`` of this already-validated batch, not checked again."""
+        subset = object.__new__(Minibatch)
+        subset.inputs = self.inputs[indices]
+        subset.labels = self.labels[indices]
+        return subset
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -89,19 +99,22 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, scale: float = 0.01) 
     return scale * rng.standard_normal(param_count(spec))
 
 
-def _check_inputs(spec: ModelSpec, params: np.ndarray, batch: Minibatch) -> None:
+def check_params(spec: ModelSpec, params: np.ndarray) -> None:
+    """Reject a parameter vector of the wrong length or with non-finite values."""
     if params.shape != (param_count(spec),):
         raise ValueError(
             f"params length {params.shape} does not match model size {param_count(spec)}"
         )
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise ValueError("batch input dimension does not match the model")
-    if batch.labels.max() >= spec.num_classes:
-        raise ValueError("label out of range for num_classes")
     if not np.isfinite(params).all():
         raise ValueError("non-finite parameter values")
-    if not np.isfinite(batch.inputs).all():
-        raise ValueError("non-finite batch inputs")
+
+
+def check_data(spec: ModelSpec, data: Minibatch) -> None:
+    """Reject data whose input width or labels do not fit ``spec``."""
+    if data.inputs.shape[1] != spec.input_dim:
+        raise ValueError("batch input dimension does not match the model")
+    if data.labels.max() >= spec.num_classes:
+        raise ValueError("label out of range for num_classes")
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -136,8 +149,9 @@ def loss_and_grad(
 
     Rows are accumulated in the order they appear in the batch; callers that
     need order-independence must present samples in a canonical order.
+    Nothing is validated here: callers pass data and parameters that
+    :func:`check_data` and :func:`check_params` accepted at their boundary.
     """
-    _check_inputs(spec, params, batch)
     xa = _augment(batch.inputs)
     n = xa.shape[0]
     rows = np.arange(n)
@@ -178,6 +192,5 @@ def accuracy(spec: ModelSpec, params: np.ndarray, dataset: Minibatch) -> float:
 
     Argmax ties break toward the lowest class index.
     """
-    _check_inputs(spec, params, dataset)
     predictions = np.argmax(logits(spec, params, dataset.inputs), axis=1)
     return float(np.mean(predictions == dataset.labels))

@@ -11,15 +11,12 @@ result with the previous task's final model:
 which is the exact minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2.
 With lambda = 0 every round reduces to plain FedAvg.
 
-Rounds may execute their local updates on a thread pool (``FDILSIM_THREADS``)
-without changing any result: per-client random streams are derived from
-(seed, task, round, client) and aggregation order is canonical.
+Data is checked against the model once, when a run starts; the new global
+model is checked for non-finite values once per round.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +24,8 @@ import numpy as np
 from . import rng as rngmod
 from .client import ClientUpdate, LocalConfig, local_update
 from .datagen import ClientShard, TaskSequence
-from .metrics import AccuracyMatrix, joint_loss, joint_objective_grad
-from .models import ModelSpec, accuracy, init_params
+from .metrics import AccuracyMatrix, joint_objective_grad
+from .models import ModelSpec, accuracy, check_data, check_params, init_params
 
 ALGORITHMS = ("special", "special_c", "fedavg")
 SCHEDULES = ("constant", "task_decay")
@@ -181,12 +178,19 @@ def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.
     return theta_bar / (1.0 + lam) + (lam / (1.0 + lam)) * anchor
 
 
-def _worker_count() -> int:
-    value = os.environ.get("FDILSIM_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+def _joint_prefixes(
+    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
+) -> list[tuple[float, np.ndarray]]:
+    """Joint objective and gradient over the first 1, 2, ... given tasks.
+
+    One pass over every shard; entry j sums tasks 1..j+1 in task order.
+    """
+    loss, grad = 0.0, np.zeros_like(params)
+    prefixes = []
+    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task):
+        loss, grad = loss + task_loss, grad + task_grad
+        prefixes.append((loss, grad))
+    return prefixes
 
 
 def _run_clients(
@@ -196,21 +200,16 @@ def _run_clients(
     cfg: LocalConfig,
     hp: HyperParams,
     selected: tuple[int, ...],
-    workers: int,
 ) -> list[tuple[int, ClientUpdate]]:
-    def one(client: int) -> tuple[int, ClientUpdate]:
+    """Local updates of the selected clients, in the (ascending) order given."""
+    results = []
+    for client in selected:
         stream = rngmod.derive_stream(
             hp.master_seed,
             (rngmod.LOCAL_TRAINING, state.task_index, state.round_index, client),
         )
-        return client, local_update(spec, state.params, shards[client], cfg, stream)
-
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, selected))
-    else:
-        results = [one(client) for client in selected]
-    return sorted(results, key=lambda item: item[0])
+        results.append((client, local_update(spec, state.params, shards[client], cfg, stream)))
+    return results
 
 
 def run_round(
@@ -218,10 +217,10 @@ def run_round(
     state: ServerState,
     shards: list[ClientShard],
     hp: HyperParams,
-    workers: int = 1,
 ) -> tuple[ServerState, np.ndarray, float, float, tuple[int, ...]]:
     """Execute one round in place.
 
+    Raises ValueError if the new global model has a non-finite entry.
     Returns (state, aggregated delta, max grad norm, mean squared grad norm,
     selected client ids).
     """
@@ -243,7 +242,7 @@ def run_round(
             epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size
         )
 
-    results = _run_clients(spec, state, shards, cfg, hp, selected, workers)
+    results = _run_clients(spec, state, shards, cfg, hp, selected)
     delta = aggregate([(client, update.delta) for client, update in results])
     theta_bar = state.params + hp.gamma_g(i) * delta
 
@@ -253,6 +252,7 @@ def run_round(
     else:
         state.params = theta_bar
         state.last_blend_anchor = None
+    check_params(spec, state.params)
     state.round_index += 1
 
     grad_norm_max = max(update.grad_norm_max for _, update in results)
@@ -271,7 +271,6 @@ def run_task(
     task_index: int,
     eval_cfg: EvalConfig,
     log: RunLog,
-    workers: int,
 ) -> ServerState:
     """Run the T rounds of one task, logging a record per round."""
     state.task_index = task_index
@@ -281,23 +280,18 @@ def run_task(
     shards = shards_by_task[task_index - 1]
 
     for t in range(hp.rounds_per_task):
-        state, delta, gmax, gsq_mean, selected = run_round(
-            spec, state, shards, hp, workers
-        )
+        state, delta, gmax, gsq_mean, selected = run_round(spec, state, shards, hp)
         diff = state.params - state.task_start
         drift_sq = float(diff @ diff)
 
         joint_grad_sq = None
         prev_loss = None
         if eval_cfg.joint_grad_every and (t + 1) % eval_cfg.joint_grad_every == 0:
-            loss_joint, grad_joint = joint_objective_grad(
-                spec, state.params, shards_by_task[:task_index]
-            )
+            prefixes = _joint_prefixes(spec, state.params, shards_by_task[:task_index])
+            loss_joint, grad_joint = prefixes[-1]
             joint_grad_sq = float(grad_joint @ grad_joint)
             if task_index >= 2:
-                prev_loss = joint_loss(
-                    spec, state.params, shards_by_task[: task_index - 1]
-                )
+                prev_loss = prefixes[-2][0]
             if task_index == sequence.num_tasks and task_index >= 2:
                 best = log.stats.best_joint_loss
                 log.stats.best_joint_loss = (
@@ -332,10 +326,16 @@ def run_sequence(
     hp: HyperParams,
     eval_cfg: EvalConfig = EvalConfig(),
 ) -> RunLog:
-    """Run the whole K-task protocol and assemble the trajectory log."""
+    """Run the whole K-task protocol and assemble the trajectory log.
+
+    Every shard and test pool is checked against ``spec`` here, once.
+    """
     if sequence.num_tasks != len(shards_by_task):
         raise ValueError("sequence and shards disagree on the number of tasks")
-    workers = _worker_count()
+    for task, task_shards in zip(sequence.tasks, shards_by_task):
+        check_data(spec, task.test)
+        for shard in task_shards:
+            check_data(spec, shard.data)
     k = sequence.num_tasks
 
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
@@ -351,20 +351,19 @@ def run_sequence(
 
     for i in range(1, k + 1):
         if i == k and k >= 2:
-            f_prev, g_prev = joint_objective_grad(spec, state.params, shards_by_task[: k - 1])
+            prefixes = _joint_prefixes(spec, state.params, shards_by_task)
+            f_prev, g_prev = prefixes[-2]
             log.stats.grad_norm_prev_sq = float(g_prev @ g_prev)
             log.stats.f_prev_start = f_prev
-            log.stats.f_joint_start = joint_loss(spec, state.params, shards_by_task)
+            log.stats.f_joint_start = prefixes[-1][0]
             log.stats.best_joint_loss = log.stats.f_joint_start
 
-        state = run_task(
-            spec, state, sequence, shards_by_task, hp, i, eval_cfg, log, workers
-        )
+        state = run_task(spec, state, sequence, shards_by_task, hp, i, eval_cfg, log)
 
         log.task_params.append(state.params.copy())
         for j in range(1, i + 1):
             log.accuracy.set(i, j, accuracy(spec, state.params, sequence.task(j).test))
         if i == k and k >= 2:
-            final_joint = joint_loss(spec, state.params, shards_by_task)
+            final_joint = _joint_prefixes(spec, state.params, shards_by_task)[-1][0]
             log.stats.best_joint_loss = min(log.stats.best_joint_loss, final_joint)
     return log

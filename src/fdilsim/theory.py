@@ -27,7 +27,7 @@ from . import rng as rngmod
 from .client import draw_batch
 from .datagen import ClientShard, TaskSequence
 from .metrics import client_objective_grad
-from .models import ModelSpec, loss_and_grad, param_count
+from .models import ModelSpec, check_data, check_params, loss_and_grad, param_count
 from .server import HyperParams
 
 
@@ -118,11 +118,17 @@ def estimate_constants(
     from the full-shard gradient; sigma_G / sigma_T the largest
     client-to-task / task-to-task gradient gaps (as norms); the epsilons are
     the smallest cosines over the corresponding gradient pairs (1.0 when no
-    pair exists).
+    pair exists).  The probe points and every shard are checked against
+    ``spec`` once, here.
     """
     points = _probe_points(spec, probe_cfg, seed, checkpoints)
     if len(points) < 2:
         raise ValueError("smoothness estimation requires at least 2 probe points")
+    for theta in points:
+        check_params(spec, theta)
+    for task_shards in shards_by_task:
+        for shard in task_shards:
+            check_data(spec, shard.data)
 
     k = sequence.num_tasks
     num_clients = len(shards_by_task[0])
@@ -249,7 +255,7 @@ def psi_residual(
     """The constant residual of the task-uniform convergence bound.
 
     Evaluated term by term; at N = M every partial-participation
-    term vanishes and the value equals :func:`psi_full_participation` exactly.
+    term vanishes exactly, leaving the full-participation residual.
     """
     m, n = hp.num_clients, hp.participants_per_round
     if n > m:
@@ -283,35 +289,6 @@ def psi_residual(
         * s_t ** 2
     )
     bracket = term_b + term_sg + term_mid + term_sl + term_st + grad_norm_prev ** 2
-    return 2.0 / (1.0 - 1.0 / k) * bracket
-
-
-def psi_full_participation(
-    consts: ConstantEstimates, hp: HyperParams, k: int, grad_norm_prev: float
-) -> float:
-    """The residual in the full-participation case (every client aggregated)."""
-    m = hp.num_clients
-    gg, gl = hp.gamma_g(k), hp.local_lr
-    e, lam = hp.local_epochs, hp.prox_lambda
-    l_s, b = consts.L, consts.B
-    s_l, s_g, s_t = consts.sigma_l, consts.sigma_g, consts.sigma_t
-
-    if lam > 0.0:
-        drift_b = gl ** 2 * e ** 2 * l_s ** 2 * b ** 2 / lam ** 2
-    elif gl * e * l_s * b == 0.0:
-        drift_b = 0.0
-    else:
-        drift_b = math.inf
-    term_b = drift_b + k * b ** 2
-    term_mid = (5.0 * gl ** 2 * k * e * l_s ** 2) * (s_l ** 2 + 6.0 * e * s_g ** 2)
-    term_sl = 3.0 * gg * gl * l_s * s_l ** 2 / (2.0 * m * (1.0 + lam))
-    term_st = (
-        ((k - 1) ** 2 * e / k)
-        * (3.0 * gg * gl * l_s / (1.0 + lam))
-        * 0.5
-        * s_t ** 2
-    )
-    bracket = term_b + term_mid + term_sl + term_st + grad_norm_prev ** 2
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fdilsim import DomainShiftSpec, PartitionSpec, generate_sequence, partition_task
+from fdilsim import (
+    DomainShiftSpec,
+    Minibatch,
+    PartitionSpec,
+    TaskData,
+    TaskSequence,
+    generate_sequence,
+    partition_task,
+)
 from fdilsim.datagen import export_sequence, load_sequence, partition_sequence, task_class_means
 
 TRIANGLE = ((0.0, 2.0), (-1.7320508075688772, -1.0), (1.7320508075688772, -1.0))
@@ -206,3 +214,36 @@ def test_export_roundtrip(tmp_path):
         for shard_a, shard_b in zip(task_a, task_b):
             assert shard_a.client_index == shard_b.client_index
             assert np.array_equal(shard_a.data.inputs, shard_b.data.inputs)
+            assert np.array_equal(shard_a.data.labels, shard_b.data.labels)
+            assert np.array_equal(shard_a.pool_indices, shard_b.pool_indices)
+
+
+def test_partition_records_pool_indices():
+    sequence = generate_sequence(make_shift(train=60, test=30), seed=8)
+    shards = partition_task(sequence.task(1), PartitionSpec(num_clients=3, dirichlet_alpha=0.7), seed=8)
+    pool = sequence.task(1).train
+    for shard in shards:
+        assert np.array_equal(shard.pool_indices, np.sort(shard.pool_indices))
+        assert np.array_equal(shard.data.inputs, pool.inputs[shard.pool_indices])
+        assert np.array_equal(shard.data.labels, pool.labels[shard.pool_indices])
+
+
+def test_export_roundtrip_keeps_labels_of_duplicate_inputs(tmp_path):
+    # Two pool rows share their inputs but not their labels; the reloaded
+    # shard must keep each row's own label.
+    inputs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    labels = np.array([0, 1, 2, 1, 2])
+    task = TaskData(
+        task_index=1,
+        class_means=np.zeros((3, 2)),
+        cov_scale=0.5,
+        train=Minibatch(inputs, labels),
+        test=Minibatch(inputs[:3], labels[:3]),
+    )
+    sequence = TaskSequence([task])
+    shards = [partition_task(task, PartitionSpec(num_clients=1, dirichlet_alpha=1.0), seed=0)]
+    assert shards[0][0].data.labels.tolist() == [0, 1, 2, 1, 2]
+    path = tmp_path / "dataset.txt"
+    export_sequence(sequence, path, shards)
+    _, loaded = load_sequence(path)
+    assert loaded[0][0].data.labels.tolist() == [0, 1, 2, 1, 2]

@@ -11,7 +11,7 @@ from fdilsim import (
     ModelSpec,
     acc,
     bwt,
-    joint_grad_norm_sq,
+    joint_objective_grad,
     loss_and_grad,
     param_count,
 )
@@ -108,6 +108,28 @@ SPEC = ModelSpec("logreg", 1, 2)
 
 def shard(inputs, labels, task=1, client=0):
     return ClientShard(task, client, Minibatch(np.array(inputs), np.array(labels)))
+
+
+def joint_grad_norm_sq(spec, params, shards_by_task):
+    """Squared norm of the joint gradient: per-task gradients summed in order."""
+    grad = np.zeros_like(params)
+    for _, task_grad in joint_objective_grad(spec, params, shards_by_task):
+        grad = grad + task_grad
+    return float(grad @ grad)
+
+
+def test_joint_pass_returns_one_entry_per_task():
+    a = shard([[0.5], [-1.0]], [0, 1], client=0)
+    b = shard([[2.0], [0.3]], [1, 0], client=1)
+    params = np.array([0.3, -0.2, 0.1, 0.4])
+    per_task = joint_objective_grad(SPEC, params, [[a, b], [b]])
+    assert len(per_task) == 2
+    loss_a, grad_a = loss_and_grad(SPEC, params, a.data)
+    loss_b, grad_b = loss_and_grad(SPEC, params, b.data)
+    assert per_task[0][0] == (0.0 + loss_a + loss_b) / 2
+    assert np.array_equal(per_task[0][1], (grad_a + grad_b) / 2)
+    assert per_task[1][0] == loss_b
+    assert np.array_equal(per_task[1][1], grad_b)
 
 
 def test_joint_grad_single_task_single_client_is_full_batch():

@@ -3,8 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdilsim import Minibatch, ModelSpec, accuracy, loss_and_grad, param_count
+from fdilsim import (
+    Minibatch,
+    ModelSpec,
+    PartitionSpec,
+    ProbeConfig,
+    accuracy,
+    estimate_constants,
+    generate_sequence,
+    loss_and_grad,
+    param_count,
+    partition_sequence,
+    run_sequence,
+)
+from fdilsim.models import check_data, check_params
 from helpers import central_difference_grad
+from test_datagen import make_shift
+from test_server import make_hp
 
 LOGREG = ModelSpec("logreg", 2, 3)
 MLP = ModelSpec("mlp1", 2, 3, hidden_dim=4)
@@ -68,27 +83,61 @@ def test_gradients_match_central_differences(spec):
 
 
 def test_dimension_mismatch_rejected():
+    # Parameter length and input width are checked once, where a run or the
+    # estimator starts, not inside the kernel.
     batch = Minibatch(np.zeros((2, 2)), np.array([0, 1]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGREG, np.zeros(8), batch)
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGREG, np.zeros(9), Minibatch(np.zeros((1, 3)), np.array([0])))
+    with pytest.raises(ValueError, match="params length"):
+        check_params(LOGREG, np.zeros(8))
+    with pytest.raises(ValueError, match="input dimension"):
+        check_data(LOGREG, Minibatch(np.zeros((1, 3)), np.array([0])))
+    check_params(LOGREG, np.zeros(9))
+    check_data(LOGREG, batch)
+
+    sequence = generate_sequence(make_shift(), seed=1)
+    shards = partition_sequence(sequence, PartitionSpec(num_clients=2, dirichlet_alpha=1.0), seed=1)
+    wide = ModelSpec("logreg", 3, 3)
+    with pytest.raises(ValueError, match="input dimension"):
+        run_sequence(wide, sequence, shards, make_hp(num_clients=2, participants_per_round=2))
+    with pytest.raises(ValueError, match="input dimension"):
+        estimate_constants(wide, sequence, shards, ProbeConfig(num_random_probes=2), seed=1)
+    with pytest.raises(ValueError, match="params length"):
+        estimate_constants(
+            LOGREG, sequence, shards, ProbeConfig(num_random_probes=2), seed=1,
+            checkpoints=(np.zeros(8),),
+        )
 
 
 def test_nonfinite_inputs_rejected():
     params = np.zeros(param_count(LOGREG))
     params[0] = np.nan
-    batch = Minibatch(np.zeros((1, 2)), np.array([0]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGREG, params, batch)
-    bad = Minibatch(np.array([[np.inf, 0.0]]), np.array([0]))
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGREG, np.zeros(9), bad)
+    with pytest.raises(ValueError, match="non-finite parameter"):
+        check_params(LOGREG, params)
+    with pytest.raises(ValueError, match="non-finite batch inputs"):
+        Minibatch(np.array([[np.inf, 0.0]]), np.array([0]))
+    with pytest.raises(ValueError, match="non-finite batch inputs"):
+        Minibatch(np.array([[0.0, np.nan]]), np.array([0]))
 
 
 def test_label_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        loss_and_grad(LOGREG, np.zeros(9), Minibatch(np.zeros((1, 2)), np.array([3])))
+    with pytest.raises(ValueError, match="label out of range"):
+        check_data(LOGREG, Minibatch(np.zeros((1, 2)), np.array([3])))
+    sequence = generate_sequence(make_shift(), seed=1)
+    shards = partition_sequence(sequence, PartitionSpec(num_clients=2, dirichlet_alpha=1.0), seed=1)
+    two_class = ModelSpec("logreg", 2, 2)
+    with pytest.raises(ValueError, match="label out of range"):
+        run_sequence(two_class, sequence, shards, make_hp(num_clients=2, participants_per_round=2))
+    with pytest.raises(ValueError, match="label out of range"):
+        estimate_constants(two_class, sequence, shards, ProbeConfig(num_random_probes=2), seed=1)
+
+
+def test_take_returns_rows_without_revalidating():
+    rng = np.random.default_rng(2)
+    batch = random_batch(rng, LOGREG, size=6)
+    subset = batch.take(np.array([1, 1, 4]))
+    assert np.array_equal(subset.inputs, batch.inputs[[1, 1, 4]])
+    assert np.array_equal(subset.labels, batch.labels[[1, 1, 4]])
+    assert subset.inputs.flags.c_contiguous and subset.inputs.dtype == np.float64
+    assert subset.labels.dtype == np.int64
 
 
 def test_permutation_roundtrip_is_bit_identical():

@@ -14,7 +14,9 @@ from fdilsim import (
     run_sequence,
     sample_clients,
 )
+from fdilsim import server
 from fdilsim.client import LocalConfig, local_update
+from fdilsim.metrics import client_objective_grad
 from fdilsim.server import ServerState, run_round, run_task
 from test_datagen import make_shift
 from helpers import gradient_descent_minimize
@@ -228,7 +230,7 @@ def test_anchor_chain_is_previous_task_model():
     )
     finals = []
     for i in (1, 2, 3):
-        state = run_task(SPEC, state, sequence, shards, hp, i, EvalConfig(), log, 1)
+        state = run_task(SPEC, state, sequence, shards, hp, i, EvalConfig(), log)
         finals.append(state.params.copy())
         anchors_seen.append(state.anchor.copy())
 
@@ -273,6 +275,84 @@ def test_full_participation_matches_reference_loop():
             theta_bar = theta + hp.gamma_g(i) * delta
             theta = proximal_blend(theta_bar, anchor, hp.prox_lambda) if i >= 2 else theta_bar
         assert np.array_equal(theta, log.task_params[i - 1])
+
+
+def test_server_step_overflow_fails_the_round():
+    # Finite client deltas (one huge local step) times a huge global rate
+    # overflow only at the server step; the per-round check must catch it.
+    hp = make_hp(
+        local_epochs=1, local_lr=1e300, global_lr_schedule="constant", global_lr=1e10
+    )
+    sequence, shards, _ = make_problem(hp=hp)
+    theta0 = np.zeros(9)
+    state = ServerState(
+        task_index=1, round_index=0, params=theta0, anchor=theta0, task_start=theta0
+    )
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite parameter values"):
+            run_round(SPEC, state, shards[0], hp)
+        with pytest.raises(ValueError, match="non-finite parameter values"):
+            run_sequence(SPEC, sequence, shards, hp, EvalConfig(eval_every=1))
+
+
+def test_nan_parameters_fail_in_local_training():
+    sequence, shards, hp = make_problem()
+    theta = np.full(9, np.nan)
+    state = ServerState(task_index=1, round_index=0, params=theta, anchor=theta, task_start=theta)
+    with pytest.raises(ValueError, match="diverged"):
+        run_round(SPEC, state, shards[0], hp)
+
+
+def _oracle_prefixes(params, shards_by_task):
+    """Joint objective over tasks 1..j for every j, from one kernel call per
+    shard: the client mean within each task, then an in-order sum."""
+    loss_sum, grad_sum = 0.0, np.zeros_like(params)
+    prefixes = []
+    for task_shards in shards_by_task:
+        task_loss, task_grad = 0.0, np.zeros_like(params)
+        for shard in task_shards:
+            loss, grad = client_objective_grad(SPEC, params, shard)
+            task_loss += loss
+            task_grad += grad
+        loss_sum = loss_sum + task_loss / len(task_shards)
+        grad_sum = grad_sum + task_grad / len(task_shards)
+        prefixes.append((loss_sum, grad_sum))
+    return prefixes
+
+
+def test_joint_pass_matches_per_shard_oracle(monkeypatch):
+    sequence, shards, hp = make_problem(num_tasks=3, hp=make_hp(rounds_per_task=4))
+    round_params = []
+    real_run_round = server.run_round
+
+    def recording_run_round(*args):
+        result = real_run_round(*args)
+        round_params.append(result[0].params.copy())
+        return result
+
+    monkeypatch.setattr(server, "run_round", recording_run_round)
+    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=1))
+    assert len(round_params) == len(log.records) == 12
+
+    best = None
+    for record, params in zip(log.records, round_params):
+        prefixes = _oracle_prefixes(params, shards[: record.task])
+        grad = prefixes[-1][1]
+        assert record.joint_grad_sq == float(grad @ grad)
+        if record.task == 1:
+            assert record.prev_task_loss is None
+        else:
+            assert record.prev_task_loss == prefixes[-2][0]
+        if record.task == 3:
+            best = prefixes[-1][0] if best is None else min(best, prefixes[-1][0])
+
+    start = _oracle_prefixes(log.task_params[1], shards)
+    f_prev, g_prev = start[1]
+    assert log.stats.f_prev_start == f_prev
+    assert log.stats.grad_norm_prev_sq == float(g_prev @ g_prev)
+    assert log.stats.f_joint_start == start[2][0]
+    final = _oracle_prefixes(log.task_params[2], shards)[2][0]
+    assert log.stats.best_joint_loss == min(start[2][0], best, final)
 
 
 def test_huge_lambda_pins_model_to_anchor():

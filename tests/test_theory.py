@@ -18,12 +18,12 @@ from fdilsim import (
     estimate_constants,
     generate_sequence,
     partition_sequence,
-    psi_full_participation,
     psi_residual,
     sigma_t_alignment_bounds,
 )
 from fdilsim.datagen import TaskData
 from test_datagen import make_shift
+from helpers import psi_full_participation
 
 SPEC = ModelSpec("logreg", 2, 3)
 
