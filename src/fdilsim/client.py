@@ -71,16 +71,21 @@ def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
 
 
+def draw_indices(n: int, batch_size: int, stream: np.random.Generator) -> np.ndarray:
+    """Sorted uniform-with-replacement row indices of a batch below ``n`` rows."""
+    return np.sort(stream.integers(0, n, size=batch_size))
+
+
 def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -> Minibatch:
     """Uniform-with-replacement minibatch in canonical (sorted-index) order.
 
-    Batches at least as large as the shard use the whole shard instead.
+    Batches at least as large as the shard use the whole shard instead and
+    draw nothing from ``stream``.
     """
     n = len(shard)
     if batch_size >= n:
         return shard
-    idx = np.sort(stream.integers(0, n, size=batch_size))
-    return shard.take(idx)
+    return shard.take(draw_indices(n, batch_size, stream))
 
 
 def local_update(

@@ -81,10 +81,19 @@ class Minibatch:
 
     def take(self, indices: np.ndarray) -> "Minibatch":
         """Rows ``indices`` of this already-validated batch, not checked again."""
-        subset = object.__new__(Minibatch)
-        subset.inputs = self.inputs[indices]
-        subset.labels = self.labels[indices]
-        return subset
+        return Minibatch.stack(self.inputs[indices], self.labels[indices])
+
+    @staticmethod
+    def stack(inputs: np.ndarray, labels: np.ndarray) -> "Minibatch":
+        """Wrap rows of already-validated data without checking them again.
+
+        ``inputs`` may carry leading stack dimensions, ``(..., n, D)`` with
+        labels ``(..., n)``, for a stacked :func:`loss_and_grad` call.
+        """
+        batch = object.__new__(Minibatch)
+        batch.inputs = inputs
+        batch.labels = labels
+        return batch
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -118,16 +127,21 @@ def check_data(spec: ModelSpec, data: Minibatch) -> None:
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
+    lead = params.shape[:-1]
     if spec.kind == "logreg":
-        return (params.reshape(spec.input_dim + 1, spec.num_classes),)
+        return (params.reshape(lead + (spec.input_dim + 1, spec.num_classes)),)
     n1 = (spec.input_dim + 1) * spec.hidden_dim
-    w1 = params[:n1].reshape(spec.input_dim + 1, spec.hidden_dim)
-    w2 = params[n1:].reshape(spec.hidden_dim + 1, spec.num_classes)
+    w1 = params[..., :n1].reshape(lead + (spec.input_dim + 1, spec.hidden_dim))
+    w2 = params[..., n1:].reshape(lead + (spec.hidden_dim + 1, spec.num_classes))
     return w1, w2
+
+
+def _activate(spec: ModelSpec, z1: np.ndarray) -> np.ndarray:
+    return np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
 
 
 def logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -137,15 +151,23 @@ def logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarra
         (w,) = _unpack(spec, params)
         return xa @ w
     w1, w2 = _unpack(spec, params)
-    z1 = xa @ w1
-    h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
-    return _augment(h) @ w2
+    return _augment(_activate(spec, xa @ w1)) @ w2
 
 
 def loss_and_grad(
     spec: ModelSpec, params: np.ndarray, batch: Minibatch
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
+
+    The plain call takes params ``(d,)``, inputs ``(n, D)`` and labels
+    ``(n,)`` and returns ``(float, (d,) gradient)``.  The same body also
+    takes leading stack dimensions: inputs ``(..., n, D)`` with labels
+    ``(..., n)``, and params either ``(..., d)`` with the same stack
+    dimensions or ``(d,)`` shared by the whole stack.  It then returns losses
+    ``(...)`` and gradients ``(..., d)``.  Each slice of a stacked call
+    equals the plain call on that slice bit for bit, provided the stacked
+    inputs are a contiguous array (a stride-0 broadcast view of a one-row
+    batch can take a different BLAS path).
 
     Rows are accumulated in the order they appear in the batch; callers that
     need order-independence must present samples in a canonical order.
@@ -153,38 +175,43 @@ def loss_and_grad(
     :func:`check_data` and :func:`check_params` accepted at their boundary.
     """
     xa = _augment(batch.inputs)
-    n = xa.shape[0]
-    rows = np.arange(n)
-
+    n = xa.shape[-2]
     if spec.kind == "logreg":
         (w,) = _unpack(spec, params)
         z = xa @ w
-        zs = z - z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(zs).sum(axis=1))
-        loss = float(np.mean(log_norm - zs[rows, batch.labels]))
-        p = np.exp(zs)
-        p /= p.sum(axis=1, keepdims=True)
-        p[rows, batch.labels] -= 1.0
-        grad = (xa.T @ p) / n
-        return loss, grad.ravel()
+    else:
+        w1, w2 = _unpack(spec, params)
+        z1 = xa @ w1
+        h = _activate(spec, z1)
+        ha = _augment(h)
+        z = ha @ w2
 
-    w1, w2 = _unpack(spec, params)
-    z1 = xa @ w1
-    h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
-    ha = _augment(h)
-    z = ha @ w2
-    zs = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(zs).sum(axis=1))
-    loss = float(np.mean(log_norm - zs[rows, batch.labels]))
+    # Label terms by flat fancy indexing on a (rows, classes) view, at any
+    # stack depth; take_along_axis would slow the plain call by about a third.
+    rows = np.arange(z.size // spec.num_classes)
+    labels = batch.labels.reshape(-1)
+    zs = z - z.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(zs).sum(axis=-1))
+    picked = zs.reshape(-1, spec.num_classes)[rows, labels].reshape(log_norm.shape)
+    loss = (log_norm - picked).sum(axis=-1) / n  # np.mean's sum and division, without its overhead
     p = np.exp(zs)
-    p /= p.sum(axis=1, keepdims=True)
-    p[rows, batch.labels] -= 1.0
-    p /= n
-    grad_w2 = ha.T @ p
-    dh = p @ w2[:-1].T
-    dz1 = dh * (1.0 - h * h) if spec.activation == "tanh" else dh * (z1 > 0.0)
-    grad_w1 = xa.T @ dz1
-    return loss, np.concatenate([grad_w1.ravel(), grad_w2.ravel()])
+    p /= p.sum(axis=-1, keepdims=True)
+    p.reshape(-1, spec.num_classes)[rows, labels] -= 1.0
+
+    lead = z.shape[:-2]
+    if spec.kind == "logreg":
+        grad = (xa.swapaxes(-1, -2) @ p) / n
+        grad = grad.reshape(lead + (-1,))
+    else:
+        p /= n
+        grad_w2 = ha.swapaxes(-1, -2) @ p
+        dh = p @ w2[..., :-1, :].swapaxes(-1, -2)
+        dz1 = dh * (1.0 - h * h) if spec.activation == "tanh" else dh * (z1 > 0.0)
+        grad_w1 = xa.swapaxes(-1, -2) @ dz1
+        grad = np.concatenate(
+            [grad_w1.reshape(lead + (-1,)), grad_w2.reshape(lead + (-1,))], axis=-1
+        )
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, dataset: Minibatch) -> float:

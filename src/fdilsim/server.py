@@ -337,6 +337,8 @@ def run_sequence(
         for shard in task_shards:
             check_data(spec, shard.data)
     k = sequence.num_tasks
+    every = eval_cfg.joint_grad_every
+    last_round_tracked = every > 0 and hp.rounds_per_task % every == 0
 
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
     theta0 = init_params(spec, init_stream)
@@ -363,7 +365,9 @@ def run_sequence(
         log.task_params.append(state.params.copy())
         for j in range(1, i + 1):
             log.accuracy.set(i, j, accuracy(spec, state.params, sequence.task(j).test))
-        if i == k and k >= 2:
+        # The last tracked round already folded the joint loss at these
+        # parameters into best_joint_loss when the cadence divides T.
+        if i == k and k >= 2 and not last_round_tracked:
             final_joint = _joint_prefixes(spec, state.params, shards_by_task)[-1][0]
             log.stats.best_joint_loss = min(log.stats.best_joint_loss, final_joint)
     return log

@@ -8,15 +8,27 @@ caller supplies.  By construction every estimate is a lower bound on the true
 supremum (or an upper bound on the true infimum for the epsilons), and
 enlarging the probe set can only move an estimate toward the truth.
 
+The estimator works in stacked passes.  Full-shard gradients at every probe
+point take one stacked kernel call per shard; the minibatch draws of all
+clients at one (probe, task) go through one stacked pass, each client still
+drawing from its own stream; a shard no larger than the batch is used whole,
+so its full-shard gradient is reused.  The reductions vectorise sums of
+squares and cosines over clients and tasks only to shortlist the candidates
+near each extreme, and recompute those with the scalar norm/dot expressions.
+A maximum or minimum of exact values does not depend on the order they are
+visited in, so every estimate equals that of a plain loop over probes,
+tasks, clients and draws bit for bit.
+
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
-term by term.  Bounds are always reported as "holds under
-the estimated constants": nothing here enforces an assumption, it only
-measures.
+term by term; one whose float evaluation overflows is reported as inf
+(vacuous).  Bounds are always reported as "holds under the estimated
+constants": nothing here enforces an assumption, it only measures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,11 +36,20 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
-from .client import draw_batch
+from .client import draw_indices
 from .datagen import ClientShard, TaskSequence
-from .metrics import client_objective_grad
-from .models import ModelSpec, check_data, check_params, loss_and_grad, param_count
+from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count
 from .server import HyperParams
+
+# Rows per stacked kernel call.  It bounds the temporaries of one call: mlp1
+# holds about six rows x hidden_dim float arrays at once, so 512 rows at
+# hidden 32 stay under 1 MB, where 1024 rows raised peak memory by 2 MB.
+STACK_ROWS = 512
+# Shortlist margins for the vectorised reductions: relative for the maxima of
+# sums of squares and norm ratios, absolute for the minima of cosines.  Both
+# are far above the last-bit differences between einsum and a scalar dot.
+SHORTLIST_REL = 1e-9
+SHORTLIST_COS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,6 +123,122 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def _sum_sq(a: np.ndarray) -> np.ndarray:
+    """Vectorised squared norms over the last axis (last bits may differ from a dot)."""
+    return np.einsum("...d,...d->...", a, a)
+
+
+def _fold_max(best: float, approx: np.ndarray, exact) -> float:
+    """``max(best, exact(j) for every j)`` from the few ``j`` that can set it.
+
+    ``approx`` holds vectorised values that differ from ``exact(j)`` in the
+    last bits only, so entries more than a relative ``SHORTLIST_REL`` below
+    the larger of ``best`` and their block's top cannot be the maximum.
+    The maximum of exact values does not depend on their order.
+    """
+    approx = approx.ravel()
+    if approx.size == 0:
+        return best
+    floor = max(best, approx.max()) * (1.0 - SHORTLIST_REL)
+    for j in np.flatnonzero((approx >= floor) & (approx > 0.0)):
+        best = max(best, exact(j))
+    return best
+
+
+def _fold_min_cosine(best: float, approx: np.ndarray, exact) -> float:
+    """Running minimum of the exact cosines ``exact(j)`` (None = skipped).
+
+    Shortlists entries within ``SHORTLIST_COS`` of the smallest approximate
+    cosine, plus any whose approximation is not finite, and visits them in
+    index order, so the result equals the scalar loop's.
+    """
+    approx = approx.ravel()
+    if approx.size == 0:
+        return best
+    ceiling = min(best, approx.min()) + SHORTLIST_COS
+    for j in np.flatnonzero(~(approx > ceiling) | ~np.isfinite(approx)):
+        cos = exact(j)
+        if cos is not None:
+            best = min(best, cos)
+    return best
+
+
+def _approx_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.einsum("...d,...d->...", u, v) / np.sqrt(_sum_sq(u) * _sum_sq(v))
+
+
+def _mean_sq_deviation(grads: np.ndarray, full: np.ndarray) -> float:
+    """Mean of ||g - full||^2 over the rows g of ``grads``, summed in row order."""
+    total = 0.0
+    for g in grads:
+        diff = g - full
+        total += float(diff @ diff)
+    return total / len(grads)
+
+
+def _full_shard_grads(
+    spec: ModelSpec, thetas: np.ndarray, shards_by_task: list[list[ClientShard]]
+) -> np.ndarray:
+    """Gradient of every client objective at every probe, ``(P, K, M, d)``.
+
+    One stacked kernel call per shard covers as many probe points as fit in
+    ``STACK_ROWS`` rows.  The stack is a contiguous copy of the shard.
+    """
+    num_points = thetas.shape[0]
+    grads = np.empty(
+        (num_points, len(shards_by_task), len(shards_by_task[0]), thetas.shape[1])
+    )
+    for i, task_shards in enumerate(shards_by_task):
+        for m, shard in enumerate(task_shards):
+            width = min(num_points, max(1, STACK_ROWS // len(shard.data)))
+            inputs = np.repeat(shard.data.inputs[None], width, axis=0)
+            labels = np.repeat(shard.data.labels[None], width, axis=0)
+            for lo in range(0, num_points, width):
+                hi = min(lo + width, num_points)
+                batch = Minibatch.stack(inputs[: hi - lo], labels[: hi - lo])
+                _, grads[lo:hi, i, m] = loss_and_grad(spec, thetas[lo:hi], batch)
+    return grads
+
+
+def _minibatch_grads(
+    spec: ModelSpec,
+    theta: np.ndarray,
+    task_shards: list[ClientShard],
+    clients: list[int],
+    probe_cfg: ProbeConfig,
+    seed: int,
+    probe: int,
+    task: int,
+) -> np.ndarray:
+    """Stochastic gradients ``(len(clients), draws, d)`` at one probe and task.
+
+    Each client draws its batches from its own ``(PROBE_BATCH, probe, task,
+    client)`` stream, one ``draw_indices`` call per draw as in local
+    training; the rows of all of them go through stacked kernel calls of at
+    most ``STACK_ROWS`` rows.
+    """
+    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
+    sampled = [task_shards[m].data for m in clients]
+    offsets = np.cumsum([0] + [len(data) for data in sampled])
+    idx = np.empty((len(clients), draws, size), dtype=np.intp)
+    for r, (m, data) in enumerate(zip(clients, sampled)):
+        stream = rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m))
+        for k in range(draws):
+            idx[r, k] = draw_indices(len(data), size, stream)
+        idx[r] += offsets[r]
+    idx = idx.reshape(-1, size)
+    inputs = np.concatenate([data.inputs for data in sampled])[idx]
+    targets = np.concatenate([data.labels for data in sampled])[idx]
+
+    grads = np.empty((idx.shape[0], theta.shape[0]))
+    width = max(1, STACK_ROWS // size)
+    for lo in range(0, idx.shape[0], width):
+        batch = Minibatch.stack(inputs[lo : lo + width], targets[lo : lo + width])
+        _, grads[lo : lo + width] = loss_and_grad(spec, theta, batch)
+    return grads.reshape(len(clients), draws, -1)
+
+
 def estimate_constants(
     spec: ModelSpec,
     sequence: TaskSequence,
@@ -120,6 +257,21 @@ def estimate_constants(
     the smallest cosines over the corresponding gradient pairs (1.0 when no
     pair exists).  The probe points and every shard are checked against
     ``spec`` once, here.
+
+    The work is done in stacked passes:
+
+    * full-shard gradients, one stacked kernel call per (task, client) over
+      the probe points, into a ``(P, K, M, d)`` tensor;
+    * minibatch gradients, one stacked pass per (probe, task) over every
+      client's draws.  A shard no larger than the batch is used whole and
+      draws nothing, so its stochastic gradient is its full-shard gradient
+      (deviation exactly 0) and is not computed again;
+    * reductions: vectorised sums of squares and cosines shortlist the
+      candidates near each block's extreme (a block is one probe for B,
+      sigma_L, sigma_G and eps_bkt, one probe pair for L, and all probes for
+      the task pairs of sigma_T and eps_corr); only those are recomputed
+      with the scalar ``np.linalg.norm``/dot expressions, so each maximum or
+      minimum is exactly the scalar loop's.
     """
     points = _probe_points(spec, probe_cfg, seed, checkpoints)
     if len(points) < 2:
@@ -132,70 +284,84 @@ def estimate_constants(
 
     k = sequence.num_tasks
     num_clients = len(shards_by_task[0])
-
-    # Full-shard gradients, cached per (probe, task, client).
-    client_grads = np.empty((len(points), k, num_clients, param_count(spec)))
-    for p, theta in enumerate(points):
-        for i in range(k):
-            for m, shard in enumerate(shards_by_task[i]):
-                _, grad = client_objective_grad(spec, theta, shard)
-                client_grads[p, i, m] = grad
+    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
+    thetas = np.stack(points)
+    client_grads = _full_shard_grads(spec, thetas, shards_by_task)
     task_grads = client_grads.mean(axis=2)
+    # Row j of flat[p] is client j % M of task j // M: the same memory.
+    flat = client_grads.reshape(len(points), k * num_clients, -1)
 
+    whole = [[m for m, s in enumerate(ts) if len(s.data) <= size] for ts in shards_by_task]
+    sampled = [[m for m, s in enumerate(ts) if len(s.data) > size] for ts in shards_by_task]
     b_max = 0.0
     sigma_l_sq = 0.0
-    draws = 0
-    for p, theta in enumerate(points):
-        for i in range(k):
-            for m, shard in enumerate(shards_by_task[i]):
-                stream = rngmod.derive_stream(
-                    seed, (rngmod.PROBE_BATCH, p, i, m)
-                )
-                deviation_sq = 0.0
-                for _ in range(probe_cfg.minibatch_draws):
-                    batch = draw_batch(shard.data, probe_cfg.batch_size, stream)
-                    _, g = loss_and_grad(spec, theta, batch)
-                    b_max = max(b_max, float(np.linalg.norm(g)))
-                    diff = g - client_grads[p, i, m]
-                    deviation_sq += float(diff @ diff)
-                    draws += 1
-                sigma_l_sq = max(sigma_l_sq, deviation_sq / probe_cfg.minibatch_draws)
+    for p, theta in enumerate(thetas):
+        for i, task_shards in enumerate(shards_by_task):
+            full, used, drawn = client_grads[p, i], whole[i], sampled[i]
+            b_max = _fold_max(
+                b_max, np.sqrt(_sum_sq(full[used])),
+                lambda j: float(np.linalg.norm(full[used[j]])),
+            )
+            if not drawn:
+                continue
+            g = _minibatch_grads(spec, theta, task_shards, drawn, probe_cfg, seed, p, i)
+            b_max = _fold_max(
+                b_max, np.sqrt(_sum_sq(g)),
+                lambda j: float(np.linalg.norm(g[j // draws, j % draws])),
+            )
+            approx = _sum_sq(g - full[drawn][:, None, :]).sum(axis=1) / draws
+            sigma_l_sq = _fold_max(
+                sigma_l_sq, approx, lambda r: _mean_sq_deviation(g[r], full[drawn[r]])
+            )
 
     l_max = 0.0
-    for (p, theta_p), (q, theta_q) in combinations(enumerate(points), 2):
-        gap = float(np.linalg.norm(theta_p - theta_q))
+    for p, q in combinations(range(len(points)), 2):
+        gap = float(np.linalg.norm(points[p] - points[q]))
         if gap == 0.0:
             continue
-        for i in range(k):
-            for m in range(num_clients):
-                diff = float(np.linalg.norm(client_grads[p, i, m] - client_grads[q, i, m]))
-                l_max = max(l_max, diff / gap)
+        l_max = _fold_max(
+            l_max, np.sqrt(_sum_sq(flat[p] - flat[q])) / gap,
+            lambda j: float(np.linalg.norm(flat[p, j] - flat[q, j])) / gap,
+        )
+
+    def spread_sq(p, j):
+        diff = flat[p, j] - task_grads[p, j // num_clients]
+        return float(diff @ diff)
 
     sigma_g_sq = 0.0
     for p in range(len(points)):
-        for i in range(k):
-            for m in range(num_clients):
-                diff = client_grads[p, i, m] - task_grads[p, i]
-                sigma_g_sq = max(sigma_g_sq, float(diff @ diff))
+        approx = _sum_sq(client_grads[p] - task_grads[p][:, None, :])
+        sigma_g_sq = _fold_max(sigma_g_sq, approx, lambda j: spread_sq(p, j))
 
-    sigma_t_sq = 0.0
-    eps_corr = 1.0
-    for p in range(len(points)):
-        for i, j in combinations(range(k), 2):
-            diff = task_grads[p, i] - task_grads[p, j]
-            sigma_t_sq = max(sigma_t_sq, float(diff @ diff))
-            cos = _cosine(task_grads[p, i], task_grads[p, j])
-            if cos is not None:
-                eps_corr = min(eps_corr, cos)
+    # Task pairs, probe-major: entry j is probe j // len(pairs), pair j % len(pairs).
+    pairs = list(combinations(range(k), 2))
+    first = task_grads[:, [a for a, _ in pairs]]
+    second = task_grads[:, [b for _, b in pairs]]
+
+    def task_pair(j):
+        p, pair = divmod(j, len(pairs))
+        a, b = pairs[pair]
+        return task_grads[p, a], task_grads[p, b]
+
+    def gap_sq(j):
+        u, v = task_pair(j)
+        diff = u - v
+        return float(diff @ diff)
+
+    sigma_t_sq = _fold_max(0.0, _sum_sq(first - second), gap_sq)
+    eps_corr = _fold_min_cosine(
+        1.0, _approx_cosines(first, second), lambda j: _cosine(*task_pair(j))
+    )
 
     eps_bkt = 1.0
     if k >= 2:
         for p in range(len(points)):
             prev_grad = task_grads[p, : k - 1].sum(axis=0)
-            for m in range(num_clients):
-                cos = _cosine(prev_grad, client_grads[p, k - 1, m])
-                if cos is not None:
-                    eps_bkt = min(eps_bkt, cos)
+            last = client_grads[p, k - 1]
+            eps_bkt = _fold_min_cosine(
+                eps_bkt, _approx_cosines(prev_grad, last),
+                lambda m: _cosine(prev_grad, last[m]),
+            )
 
     return ConstantEstimates(
         B=b_max,
@@ -206,14 +372,29 @@ def estimate_constants(
         eps_bkt=eps_bkt,
         eps_corr=eps_corr,
         num_probe_points=len(points),
-        num_minibatch_draws=draws,
+        num_minibatch_draws=len(points) * k * num_clients * draws,
     )
 
 
+def _inf_on_overflow(bound):
+    """Report a bound whose float evaluation overflows as infinite (vacuous)."""
+
+    @functools.wraps(bound)
+    def evaluate(*args, **kwargs):
+        try:
+            return bound(*args, **kwargs)
+        except OverflowError:
+            return math.inf
+
+    return evaluate
+
+
+@_inf_on_overflow
 def drift_bound(gamma_g: float, gamma_l: float, epochs: int, b: float, lam: float) -> float:
     """Cap on ||theta_i^t - theta_i^0||^2 under the server anchor.
 
-    A zero lambda makes the bound vacuous (infinite).
+    A zero lambda makes the bound vacuous (infinite), as does a value too
+    large for a float.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -222,6 +403,7 @@ def drift_bound(gamma_g: float, gamma_l: float, epochs: int, b: float, lam: floa
     return (gamma_g ** 2) * (gamma_l ** 2) * (epochs ** 2) * (b ** 2) / (lam ** 2)
 
 
+@_inf_on_overflow
 def bkt_bound(
     eps: float,
     sigma_l: float,
@@ -237,7 +419,7 @@ def bkt_bound(
     """Vanishing correction of the backward-transfer bound at round t.
 
     The caller adds the earlier-task loss at the task start to obtain the full
-    right-hand side.
+    right-hand side.  A term too large for a float makes it infinite.
     """
     if k < 2:
         raise ValueError("backward transfer needs at least two tasks")
@@ -249,13 +431,15 @@ def bkt_bound(
     return 2.0 * eps ** 2 * sigma_l ** 2 * grad_norm_prev ** 2 / denom
 
 
+@_inf_on_overflow
 def psi_residual(
     consts: ConstantEstimates, hp: HyperParams, k: int, grad_norm_prev: float
 ) -> float:
     """The constant residual of the task-uniform convergence bound.
 
     Evaluated term by term; at N = M every partial-participation
-    term vanishes exactly, leaving the full-participation residual.
+    term vanishes exactly, leaving the full-participation residual.  A term
+    too large for a float makes it infinite.
     """
     m, n = hp.num_clients, hp.participants_per_round
     if n > m:
@@ -320,7 +504,8 @@ def check_step_sizes(
     """Evaluate every learning-rate condition at round ``t``.
 
     The backward-transfer local-rate cap shrinks with t, so callers wanting
-    the strictest value over a run should pass the final round.
+    the strictest value over a run should pass the final round.  A cap too
+    large for a float is infinite.
     """
     gg, gl = hp.gamma_g(k), hp.local_lr
     e, lam = hp.local_epochs, hp.prox_lambda
@@ -332,12 +517,15 @@ def check_step_sizes(
     conv_prod_cap = (1.0 + lam) / (3.0 * e * l_s) if l_s > 0 else math.inf
 
     if lam > 0 and l_s > 0 and consts.B > 0 and consts.eps_bkt > 0 and k >= 2 and t >= 1:
-        bkt_gl_cap = (
-            2.0
-            * consts.eps_bkt
-            * grad_norm_prev
-            / (consts.B * l_s * e * t * math.sqrt(m * e / (lam ** 2 + 2.0 * lam)))
-        )
+        try:
+            bkt_gl_cap = (
+                2.0
+                * consts.eps_bkt
+                * grad_norm_prev
+                / (consts.B * l_s * e * t * math.sqrt(m * e / (lam ** 2 + 2.0 * lam)))
+            )
+        except OverflowError:  # lambda ** 2 beyond a float: the cap has no finite value
+            bkt_gl_cap = math.inf
     else:
         # No anchor, no curvature, or a failed alignment premise admits no
         # positive local rate.

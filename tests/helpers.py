@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from fdilsim import ConstantEstimates, HyperParams, Minibatch, ModelSpec, loss_and_grad
+from fdilsim import (
+    ClientShard,
+    ConstantEstimates,
+    HyperParams,
+    Minibatch,
+    ModelSpec,
+    ProbeConfig,
+    TaskSequence,
+    loss_and_grad,
+    param_count,
+)
+from fdilsim import rng as rngmod
+from fdilsim.client import draw_batch
 
 
 def central_difference_grad(
@@ -64,3 +77,108 @@ def psi_full_participation(
     )
     bracket = term_b + term_mid + term_sl + term_st + grad_norm_prev ** 2
     return 2.0 / (1.0 - 1.0 / k) * bracket
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return None
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def estimate_constants_loop(
+    spec: ModelSpec,
+    sequence: TaskSequence,
+    shards_by_task: list[list[ClientShard]],
+    probe_cfg: ProbeConfig,
+    seed: int,
+    checkpoints: tuple[np.ndarray, ...] = (),
+) -> ConstantEstimates:
+    """The probe estimator as one scalar loop per constant.
+
+    One kernel call per (probe, task, client) shard and per minibatch draw,
+    and one ``np.linalg.norm``/dot per compared gradient, in probe-major
+    order.  ``estimate_constants`` must return equal values.
+    """
+    d = param_count(spec)
+    center = probe_cfg.probe_center if probe_cfg.probe_center is not None else np.zeros(d)
+    points = [np.asarray(c, dtype=np.float64) for c in checkpoints]
+    for p in range(probe_cfg.num_random_probes):
+        stream = rngmod.derive_stream(seed, (rngmod.PROBE_POINT, p))
+        points.append(center + probe_cfg.probe_scale * stream.standard_normal(d))
+
+    k = sequence.num_tasks
+    num_clients = len(shards_by_task[0])
+
+    client_grads = np.empty((len(points), k, num_clients, d))
+    for p, theta in enumerate(points):
+        for i in range(k):
+            for m, shard in enumerate(shards_by_task[i]):
+                _, grad = loss_and_grad(spec, theta, shard.data)
+                client_grads[p, i, m] = grad
+    task_grads = client_grads.mean(axis=2)
+
+    b_max = 0.0
+    sigma_l_sq = 0.0
+    draws = 0
+    for p, theta in enumerate(points):
+        for i in range(k):
+            for m, shard in enumerate(shards_by_task[i]):
+                stream = rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, p, i, m))
+                deviation_sq = 0.0
+                for _ in range(probe_cfg.minibatch_draws):
+                    batch = draw_batch(shard.data, probe_cfg.batch_size, stream)
+                    _, g = loss_and_grad(spec, theta, batch)
+                    b_max = max(b_max, float(np.linalg.norm(g)))
+                    diff = g - client_grads[p, i, m]
+                    deviation_sq += float(diff @ diff)
+                    draws += 1
+                sigma_l_sq = max(sigma_l_sq, deviation_sq / probe_cfg.minibatch_draws)
+
+    l_max = 0.0
+    for (p, theta_p), (q, theta_q) in combinations(enumerate(points), 2):
+        gap = float(np.linalg.norm(theta_p - theta_q))
+        if gap == 0.0:
+            continue
+        for i in range(k):
+            for m in range(num_clients):
+                diff = float(np.linalg.norm(client_grads[p, i, m] - client_grads[q, i, m]))
+                l_max = max(l_max, diff / gap)
+
+    sigma_g_sq = 0.0
+    for p in range(len(points)):
+        for i in range(k):
+            for m in range(num_clients):
+                diff = client_grads[p, i, m] - task_grads[p, i]
+                sigma_g_sq = max(sigma_g_sq, float(diff @ diff))
+
+    sigma_t_sq = 0.0
+    eps_corr = 1.0
+    for p in range(len(points)):
+        for i, j in combinations(range(k), 2):
+            diff = task_grads[p, i] - task_grads[p, j]
+            sigma_t_sq = max(sigma_t_sq, float(diff @ diff))
+            cos = _cosine(task_grads[p, i], task_grads[p, j])
+            if cos is not None:
+                eps_corr = min(eps_corr, cos)
+
+    eps_bkt = 1.0
+    if k >= 2:
+        for p in range(len(points)):
+            prev_grad = task_grads[p, : k - 1].sum(axis=0)
+            for m in range(num_clients):
+                cos = _cosine(prev_grad, client_grads[p, k - 1, m])
+                if cos is not None:
+                    eps_bkt = min(eps_bkt, cos)
+
+    return ConstantEstimates(
+        B=b_max,
+        L=l_max,
+        sigma_l=math.sqrt(sigma_l_sq),
+        sigma_g=math.sqrt(sigma_g_sq),
+        sigma_t=math.sqrt(sigma_t_sq),
+        eps_bkt=eps_bkt,
+        eps_corr=eps_corr,
+        num_probe_points=len(points),
+        num_minibatch_draws=draws,
+    )

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from fdilsim.cli import main
@@ -116,3 +119,23 @@ def test_shipped_default_profile_runs(tmp_path):
     assert main(["run", str(profile), "--out", str(tmp_path / "default")]) == 0
     assert (tmp_path / "default" / ROUNDS_FILE).exists()
     assert main(["verify", str(tmp_path / "default")]) == 0
+
+
+def test_overflowing_local_lr_runs_and_verifies_without_traceback(tmp_path):
+    # Bound formulas that overflow a float report inf instead of raising.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    config = tmp_path / "huge_lr.ini"
+    config.write_text(text.replace("local_lr = 0.001", "local_lr = 1e300"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "run"
+    codes = []
+    for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
+        )
+        codes.append(proc.returncode)
+        assert "Traceback" not in proc.stdout + proc.stderr
+    assert codes[0] == 0 and codes[1] in (0, 2)  # documented exit codes
+    report = (out / "bound_report.csv").read_text(encoding="utf-8")
+    assert "drift_cap_task_2,inf," in report

@@ -199,3 +199,33 @@ def test_accuracy_hand_built_two_thirds():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "spec", [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")]
+)
+def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
+    rng = np.random.default_rng(13)
+    d = param_count(spec)
+    for n in range(1, 41):
+        # Probe axis: one batch, a contiguous copy per parameter vector.
+        thetas = rng.standard_normal((5, d))
+        batch = random_batch(rng, spec, size=n)
+        stacked = Minibatch.stack(
+            np.repeat(batch.inputs[None], 5, axis=0), np.repeat(batch.labels[None], 5, axis=0)
+        )
+        losses, grads = loss_and_grad(spec, thetas, stacked)
+        assert losses.shape == (5,) and grads.shape == (5, d)
+        for theta, loss, grad in zip(thetas, losses, grads):
+            plain_loss, plain_grad = loss_and_grad(spec, theta, batch)
+            assert isinstance(plain_loss, float) and plain_grad.shape == (d,)
+            assert loss == plain_loss and np.array_equal(grad, plain_grad)
+
+        # Batch axis: one parameter vector shared by a stack of batches.
+        inputs = rng.standard_normal((2, 3, n, spec.input_dim))
+        labels = rng.integers(0, spec.num_classes, size=(2, 3, n))
+        losses, grads = loss_and_grad(spec, thetas[0], Minibatch.stack(inputs, labels))
+        assert losses.shape == (2, 3) and grads.shape == (2, 3, d)
+        for idx in np.ndindex(2, 3):
+            plain_loss, plain_grad = loss_and_grad(spec, thetas[0], Minibatch(inputs[idx], labels[idx]))
+            assert losses[idx] == plain_loss and np.array_equal(grads[idx], plain_grad)

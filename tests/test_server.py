@@ -355,6 +355,26 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
     assert log.stats.best_joint_loss == min(start[2][0], best, final)
 
 
+@pytest.mark.parametrize("rounds, every", [(4, 2), (4, 4), (5, 2), (5, 3)])
+def test_joint_passes_per_run(monkeypatch, rounds, every):
+    # One pass per tracked round plus the pass at the start of the last task;
+    # the end-of-run pass runs only when the last round was not tracked.
+    sequence, shards, hp = make_problem(num_tasks=3, hp=make_hp(rounds_per_task=rounds))
+    calls = []
+    real_pass = server.joint_objective_grad
+
+    def counting_pass(*args):
+        calls.append(len(args[2]))
+        return real_pass(*args)
+
+    monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
+    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    tracked = sum(r.joint_grad_sq is not None for r in log.records)
+    assert tracked == 3 * (rounds // every)
+    extra = 1 if rounds % every == 0 else 2
+    assert len(calls) == tracked + extra
+
+
 def test_huge_lambda_pins_model_to_anchor():
     hp = make_hp(prox_lambda=1e6, rounds_per_task=8)
     sequence, shards, _ = make_problem(hp=hp)

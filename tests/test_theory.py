@@ -22,8 +22,9 @@ from fdilsim import (
     sigma_t_alignment_bounds,
 )
 from fdilsim.datagen import TaskData
+from fdilsim.models import param_count
 from test_datagen import make_shift
-from helpers import psi_full_participation
+from helpers import estimate_constants_loop, psi_full_participation
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -80,6 +81,14 @@ def test_drift_bound_lambda_scaling():
     lams = [0.25, 0.5, 1.0, 2.0]
     values = [drift_bound(1.0, 0.1, 5, 2.0, lam) for lam in lams]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_bound_calculators_report_overflow_as_inf():
+    assert drift_bound(1.0, 1e300, 5, 2.0, 0.5) == math.inf
+    assert bkt_bound(0.5, 1e300, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == math.inf
+    assert psi_residual(unit_consts(), make_hp(local_lr=1e300), 2, 1.0) == math.inf
+    report = check_step_sizes(make_hp(prox_lambda=1e300), unit_consts(), 2, 100, 1.0)
+    assert report.bkt_gamma_l_cap == math.inf and report.bkt_gamma_l_ok
 
 
 # --- backward-transfer correction -------------------------------------------
@@ -302,3 +311,57 @@ def test_smoothness_estimate_stable_near_quadratic_region():
         seed=11,
     )
     assert abs(large.L - small.L) / large.L <= 0.2
+
+
+# --- stacked estimator against the scalar loop --------------------------------
+
+MLP_RELU = ModelSpec("mlp1", 2, 3, hidden_dim=6, activation="relu")
+
+
+def probe_problem(seed, num_tasks=3, num_clients=6, min_samples=2, train=150, alpha=0.3):
+    sequence = generate_sequence(make_shift(num_tasks=num_tasks, rotation=0.5, train=train), seed)
+    part = PartitionSpec(num_clients=num_clients, dirichlet_alpha=alpha, min_samples_per_client=min_samples)
+    return sequence, partition_sequence(sequence, part, seed)
+
+
+def assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints=()):
+    stacked = estimate_constants(spec, sequence, shards, cfg, seed, checkpoints)
+    loop = estimate_constants_loop(spec, sequence, shards, cfg, seed, checkpoints)
+    assert stacked == loop
+    assert repr(stacked) == repr(loop)
+    return stacked
+
+
+@pytest.mark.parametrize("seed", [1, 7, 25, 1234])
+@pytest.mark.parametrize("spec", [SPEC, MLP_RELU, ModelSpec("mlp1", 2, 3, hidden_dim=5)])
+def test_estimator_equals_scalar_loop(seed, spec):
+    sequence, shards = probe_problem(seed)
+    cfg = ProbeConfig(num_random_probes=5, minibatch_draws=3, batch_size=8)
+    rng = np.random.default_rng(seed)
+    checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(2))
+    assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints)
+
+
+@pytest.mark.parametrize("spec", [SPEC, MLP_RELU])
+def test_estimator_equals_scalar_loop_on_one_row_shards(spec):
+    sequence, shards = probe_problem(3, num_clients=24, min_samples=1, train=60, alpha=0.1)
+    assert min(len(shard.data) for task in shards for shard in task) == 1
+    for batch_size in (1, 4, 1000):  # 1000 covers every shard whole
+        cfg = ProbeConfig(num_random_probes=4, minibatch_draws=2, batch_size=batch_size)
+        assert_matches_loop(spec, sequence, shards, cfg, seed=3)
+
+
+def test_estimator_equals_scalar_loop_for_a_single_task():
+    sequence, shards = probe_problem(5, num_tasks=1)
+    consts = assert_matches_loop(SPEC, sequence, shards, ProbeConfig(num_random_probes=4), 5)
+    assert consts.eps_bkt == 1.0 and consts.eps_corr == 1.0 and consts.sigma_t == 0.0
+
+
+def test_estimator_equals_scalar_loop_with_repeated_or_only_checkpoints():
+    sequence, shards = probe_problem(9)
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal(9), rng.standard_normal(9)
+    # Zero-gap pairs of a repeated checkpoint are skipped by the L estimate.
+    assert_matches_loop(SPEC, sequence, shards, ProbeConfig(num_random_probes=3), 9, (a, a, b))
+    only = assert_matches_loop(SPEC, sequence, shards, ProbeConfig(num_random_probes=0), 9, (a, b))
+    assert only.num_probe_points == 2
