@@ -8,7 +8,8 @@ Subcommands::
     fdilsim compare <run-dir-a> <run-dir-b>
 
 Exit codes: 0 success, 1 usage/config error, 2 invariant violation
-(verify failures or compare differences), 3 I/O error.
+(verify failures or compare differences), 3 I/O error, 4 training diverged
+to a non-finite update or model (no run directory is written for it).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 
+from .client import DivergenceError
 from .config import ConfigError, parse_config_text, serialize_config, with_lambda
 from .experiment import run_experiment
 from .metrics import acc, bwt
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_IO = 3
+EXIT_DIVERGED = 4
 
 
 class _UsageError(Exception):
@@ -151,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (OSError, FileNotFoundError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

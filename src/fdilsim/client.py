@@ -1,11 +1,20 @@
-"""Local training on one client's shard for one communication round.
+"""Local training of the round's sampled clients, stepped in lockstep.
 
 A "local epoch" is a single SGD step on one minibatch drawn uniformly with
 replacement from the shard (the per-step sample of the protocol), not a full
 pass over the shard.  When the configured batch size reaches the shard size
 the whole shard is used per step, which makes E=1 exactly one full-batch
-step.  Drawn sample indices are sorted before the gradient is computed so
-results never depend on draw order.
+step, and nothing is drawn.  Drawn sample indices are sorted before the
+gradient is computed so results never depend on draw order.
+
+All N sampled clients run their E steps together.  Clients are grouped by
+effective batch: the shards that draw (more rows than the batch) form one
+group, and the shards used whole form one group per shard size.  Each step
+is one stacked :func:`loss_and_grad` call per group, and the update, the
+proximal step and the gradient statistics are elementwise over the stack.
+A drawing client takes its indices from its own stream, in the same order
+as when it runs alone; a client that never draws needs no stream.  Every
+client's result equals running it alone, bit for bit.
 
 Two modes:
 
@@ -54,14 +63,22 @@ class LocalConfig:
                 raise ValueError("client_prox mode requires an anchor")
 
 
+class DivergenceError(ValueError):
+    """Training reached a non-finite update or model."""
+
+
 @dataclass
 class ClientUpdate:
-    """The update vector sent to the server plus local gradient statistics."""
+    """The clients' update vectors plus their local gradient statistics.
+
+    ``delta`` is ``(N, d)`` and the statistics are ``(N,)``, one row per
+    client; ``steps_taken`` counts the local steps of all N clients.
+    """
 
     delta: np.ndarray
     steps_taken: int
-    grad_norm_max: float
-    grad_norm_sq_mean: float
+    grad_norm_max: np.ndarray
+    grad_norm_sq_mean: np.ndarray
 
 
 def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
@@ -88,32 +105,84 @@ def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -
     return shard.take(draw_indices(n, batch_size, stream))
 
 
+def _groups(sizes: list[int], batch_size: int) -> list[list[int]]:
+    """Client positions grouped by (effective batch, draws), in first-seen order.
+
+    A shard of at most ``batch_size`` rows is used whole and draws nothing,
+    so one of exactly ``batch_size`` rows never shares a group with shards
+    that draw.
+    """
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for j, n in enumerate(sizes):
+        groups.setdefault((min(n, batch_size), n > batch_size), []).append(j)
+    return list(groups.values())
+
+
 def local_update(
     spec: ModelSpec,
     global_params: np.ndarray,
-    shard: ClientShard,
+    shards: list[ClientShard],
     cfg: LocalConfig,
-    stream: np.random.Generator,
+    streams: list[np.random.Generator | None],
 ) -> ClientUpdate:
-    """Run E local steps from ``global_params`` and return the update."""
-    theta = global_params.copy()
-    grad_norm_max = 0.0
-    grad_sq_sum = 0.0
-    for _ in range(cfg.epochs):
-        batch = draw_batch(shard.data, cfg.batch_size, stream)
-        _, grad = loss_and_grad(spec, theta, batch)
-        norm_sq = float(grad @ grad)
-        grad_norm_max = max(grad_norm_max, float(np.sqrt(norm_sq)))
-        grad_sq_sum += norm_sq
-        theta = theta - cfg.local_lr * grad
-        if cfg.mode == "client_prox":
-            theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
-    delta = theta - global_params
+    """Run E local steps from ``global_params`` on every given client at once.
+
+    ``shards`` and ``streams`` are the selected clients' shards and minibatch
+    streams, in ascending client-id order.  A client whose shard has at most
+    ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
+    Each group of clients with the same effective batch makes one stacked
+    :func:`loss_and_grad` call per step on its own rows; a drawing client
+    takes ``draw_indices`` from its own stream once per step.  Row ``j`` of
+    the result equals running client ``j`` alone, bit for bit.
+
+    Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
+    ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
+    if any delta has a non-finite entry.
+    """
+    b = cfg.batch_size
+    sizes = [len(shard.data) for shard in shards]
+    delta = np.empty((len(shards), global_params.shape[0]))
+    grad_norm_max = np.empty(len(shards))
+    grad_sq_sum = np.empty(len(shards))
+    for members in _groups(sizes, b):
+        data = [shards[j].data for j in members]
+        draws = sizes[members[0]] > b
+        if draws:
+            # Every member's rows in one pool; a step gathers each member's
+            # drawn rows through its offset into one (g, b, D) stack.
+            pool_inputs = np.concatenate([x.inputs for x in data])
+            pool_labels = np.concatenate([x.labels for x in data])
+            offsets = np.cumsum([0] + [sizes[j] for j in members[:-1]])[:, None]
+            rows = np.empty((len(members), b), dtype=np.int64)
+        else:
+            batch = Minibatch.stack(
+                np.stack([x.inputs for x in data]), np.stack([x.labels for x in data])
+            )
+        theta = np.tile(global_params, (len(members), 1))
+        gmax = np.zeros(len(members))
+        gsq = np.zeros(len(members))
+        for _ in range(cfg.epochs):
+            if draws:
+                for r, j in enumerate(members):
+                    rows[r] = draw_indices(sizes[j], b, streams[j])
+                idx = rows + offsets
+                batch = Minibatch.stack(pool_inputs[idx], pool_labels[idx])
+            _, grad = loss_and_grad(spec, theta, batch)
+            # A stacked (1, d) @ (d, 1) product is the same dot as grad @ grad.
+            norm_sq = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+            gmax = np.maximum(gmax, np.sqrt(norm_sq))
+            gsq = gsq + norm_sq
+            theta = theta - cfg.local_lr * grad
+            if cfg.mode == "client_prox":
+                theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
+        delta[members] = theta - global_params
+        grad_norm_max[members] = gmax
+        grad_sq_sum[members] = gsq
     if not np.isfinite(delta).all():
-        raise ValueError("local training diverged to a non-finite update")
+        raise DivergenceError("local training diverged to a non-finite update")
     return ClientUpdate(
         delta=delta,
-        steps_taken=cfg.epochs,
+        steps_taken=len(shards) * cfg.epochs,
         grad_norm_max=grad_norm_max,
         grad_norm_sq_mean=grad_sq_sum / cfg.epochs,
     )

@@ -17,6 +17,7 @@ equivalent configurations can be checked for equality).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 from dataclasses import dataclass
@@ -54,8 +55,13 @@ def params_checksum(params: np.ndarray) -> str:
 
 
 def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
-    """Write the five run files into ``out_dir`` (created if needed)."""
+    """Write the five run files into ``out_dir`` (created if needed).
+
+    The files appear together: if writing any of them fails, none of them
+    is created or replaced.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    files = {}
     log = artifacts.log
     k = artifacts.config.shift.num_tasks
 
@@ -83,12 +89,12 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
                 + accs
             )
         )
-    _write(out_dir, ROUNDS_FILE, lines)
+    files[ROUNDS_FILE] = "\n".join(lines) + "\n"
 
     lines = ["after_task,eval_task,accuracy"]
     for i, j, value in log.accuracy.entries():
         lines.append(f"{i},{j},{fmt(value)}")
-    _write(out_dir, MATRIX_FILE, lines)
+    files[MATRIX_FILE] = "\n".join(lines) + "\n"
 
     lines = ["key,value"]
     lines.append(f"num_tasks,{k}")
@@ -112,7 +118,7 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
     lines.append(f"const_eps_corr,{fmt(c.eps_corr)}")
     lines.append(f"probe_points,{c.num_probe_points}")
     lines.append(f"minibatch_draws,{c.num_minibatch_draws}")
-    _write(out_dir, SUMMARY_FILE, lines)
+    files[SUMMARY_FILE] = "\n".join(lines) + "\n"
 
     lines = ["name,analytical,empirical,satisfied,inputs"]
     for report in artifacts.reports:
@@ -127,15 +133,34 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
                 ]
             )
         )
-    _write(out_dir, BOUNDS_FILE, lines)
+    files[BOUNDS_FILE] = "\n".join(lines) + "\n"
 
-    with open(os.path.join(out_dir, CONFIG_FILE), "w", encoding="utf-8", newline="") as fh:
-        fh.write(artifacts.config_text)
+    files[CONFIG_FILE] = artifacts.config_text
+    _write_all(out_dir, files)
 
 
-def _write(out_dir, name: str, lines: list[str]) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_all(out_dir, files: dict[str, str]) -> None:
+    """Write every file under a temporary name, then rename them all into place.
+
+    A failure while writing leaves no new run file in ``out_dir``, and no
+    temporary file survives the call.
+    """
+    temps = []
+    try:
+        for name, text in files.items():
+            temps.append(os.path.join(out_dir, f".{name}.tmp"))
+            _write(temps[-1], text)
+        for temp, name in zip(temps, files):
+            os.replace(temp, os.path.join(out_dir, name))
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """The protocol engine: client sampling, aggregation, and the task loop.
 
 Each round the server samples N of M clients uniformly without replacement,
-collects their local update vectors, averages them in ascending client-id
-order, applies the global step ``theta_bar = theta + gamma_G * delta``, and,
+runs their local updates together in one lockstep call, averages the update
+vectors in ascending client-id order, applies the global step
+``theta_bar = theta + gamma_G * delta``, and,
 from the second task on under the server-anchored algorithm, blends the
 result with the previous task's final model:
 
@@ -11,8 +12,14 @@ result with the previous task's final model:
 which is the exact minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2.
 With lambda = 0 every round reduces to plain FedAvg.
 
+A client's minibatch stream is derived from (seed, task, round, client) only
+when its shard is larger than the batch; a client that uses its whole shard
+never draws, so no stream is made for it.  Skipping a stream perturbs no
+other client's draws.
+
 Data is checked against the model once, when a run starts; the new global
-model is checked for non-finite values once per round.
+model is checked for non-finite values once per round, and a non-finite
+update or model raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .client import ClientUpdate, LocalConfig, local_update
+from .client import DivergenceError, LocalConfig, local_update
 from .datagen import ClientShard, TaskSequence
 from .metrics import AccuracyMatrix, joint_objective_grad
-from .models import ModelSpec, accuracy, check_data, check_params, init_params
+from .models import ModelSpec, accuracy, check_data, init_params
 
 ALGORITHMS = ("special", "special_c", "fedavg")
 SCHEDULES = ("constant", "task_decay")
@@ -193,23 +200,19 @@ def _joint_prefixes(
     return prefixes
 
 
-def _run_clients(
-    spec: ModelSpec,
-    state: ServerState,
-    shards: list[ClientShard],
-    cfg: LocalConfig,
-    hp: HyperParams,
-    selected: tuple[int, ...],
-) -> list[tuple[int, ClientUpdate]]:
-    """Local updates of the selected clients, in the (ascending) order given."""
-    results = []
-    for client in selected:
-        stream = rngmod.derive_stream(
+def _local_streams(
+    hp: HyperParams, state: ServerState, shards: list[ClientShard], selected: tuple[int, ...]
+) -> list[np.random.Generator | None]:
+    """Minibatch streams of the selected clients; ``None`` for those that never draw."""
+    return [
+        rngmod.derive_stream(
             hp.master_seed,
             (rngmod.LOCAL_TRAINING, state.task_index, state.round_index, client),
         )
-        results.append((client, local_update(spec, state.params, shards[client], cfg, stream)))
-    return results
+        if len(shards[client].data) > hp.batch_size
+        else None
+        for client in selected
+    ]
 
 
 def run_round(
@@ -220,7 +223,8 @@ def run_round(
 ) -> tuple[ServerState, np.ndarray, float, float, tuple[int, ...]]:
     """Execute one round in place.
 
-    Raises ValueError if the new global model has a non-finite entry.
+    Raises DivergenceError if a client update or the new global model has a
+    non-finite entry.
     Returns (state, aggregated delta, max grad norm, mean squared grad norm,
     selected client ids).
     """
@@ -242,8 +246,14 @@ def run_round(
             epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size
         )
 
-    results = _run_clients(spec, state, shards, cfg, hp, selected)
-    delta = aggregate([(client, update.delta) for client, update in results])
+    update = local_update(
+        spec,
+        state.params,
+        [shards[client] for client in selected],
+        cfg,
+        _local_streams(hp, state, shards, selected),
+    )
+    delta = aggregate(list(zip(selected, update.delta)))
     theta_bar = state.params + hp.gamma_g(i) * delta
 
     if hp.algorithm == "special" and i >= 2:
@@ -252,13 +262,12 @@ def run_round(
     else:
         state.params = theta_bar
         state.last_blend_anchor = None
-    check_params(spec, state.params)
+    if not np.isfinite(state.params).all():
+        raise DivergenceError("non-finite parameter values")
     state.round_index += 1
 
-    grad_norm_max = max(update.grad_norm_max for _, update in results)
-    grad_sq_mean = float(
-        np.mean([update.grad_norm_sq_mean for _, update in results])
-    )
+    grad_norm_max = float(np.max(update.grad_norm_max))
+    grad_sq_mean = float(np.mean(update.grad_norm_sq_mean))
     return state, delta, grad_norm_max, grad_sq_mean, selected
 
 

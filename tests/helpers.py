@@ -9,8 +9,10 @@ import numpy as np
 
 from fdilsim import (
     ClientShard,
+    ClientUpdate,
     ConstantEstimates,
     HyperParams,
+    LocalConfig,
     Minibatch,
     ModelSpec,
     ProbeConfig,
@@ -19,7 +21,7 @@ from fdilsim import (
     param_count,
 )
 from fdilsim import rng as rngmod
-from fdilsim.client import draw_batch
+from fdilsim.client import DivergenceError, draw_batch, prox_map
 
 
 def central_difference_grad(
@@ -77,6 +79,41 @@ def psi_full_participation(
     )
     bracket = term_b + term_mid + term_sl + term_st + grad_norm_prev ** 2
     return 2.0 / (1.0 - 1.0 / k) * bracket
+
+
+def local_update_loop(
+    spec: ModelSpec,
+    global_params: np.ndarray,
+    shard: ClientShard,
+    cfg: LocalConfig,
+    stream: np.random.Generator,
+) -> ClientUpdate:
+    """One client's E local steps, one plain kernel call per step.
+
+    The lockstep ``local_update`` must give each client exactly this delta
+    and these gradient statistics, as scalars here.
+    """
+    theta = global_params.copy()
+    grad_norm_max = 0.0
+    grad_sq_sum = 0.0
+    for _ in range(cfg.epochs):
+        batch = draw_batch(shard.data, cfg.batch_size, stream)
+        _, grad = loss_and_grad(spec, theta, batch)
+        norm_sq = float(grad @ grad)
+        grad_norm_max = max(grad_norm_max, float(np.sqrt(norm_sq)))
+        grad_sq_sum += norm_sq
+        theta = theta - cfg.local_lr * grad
+        if cfg.mode == "client_prox":
+            theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
+    delta = theta - global_params
+    if not np.isfinite(delta).all():
+        raise DivergenceError("local training diverged to a non-finite update")
+    return ClientUpdate(
+        delta=delta,
+        steps_taken=cfg.epochs,
+        grad_norm_max=grad_norm_max,
+        grad_norm_sq_mean=grad_sq_sum / cfg.epochs,
+    )
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:

@@ -139,3 +139,23 @@ def test_overflowing_local_lr_runs_and_verifies_without_traceback(tmp_path):
     assert codes[0] == 0 and codes[1] in (0, 2)  # documented exit codes
     report = (out / "bound_report.csv").read_text(encoding="utf-8")
     assert "drift_cap_task_2,inf," in report
+
+
+def test_diverging_run_exits_4_without_traceback_or_run_dir(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    text = text.replace("kind = logreg", "kind = mlp1\nhidden_dim = 8\nactivation = relu")
+    config = tmp_path / "diverge.ini"
+    config.write_text(text.replace("local_lr = 0.001", "local_lr = 1e3"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for command, out in (("run", tmp_path / "run"), ("sweep", tmp_path / "sweep")):
+        argv = [command, str(config), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--lambda", "0.25"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("diverged: ")
+        assert not out.exists()

@@ -3,6 +3,7 @@ import pytest
 
 from fdilsim import (
     ClientShard,
+    DivergenceError,
     LocalConfig,
     Minibatch,
     ModelSpec,
@@ -12,24 +13,30 @@ from fdilsim import (
     param_count,
     prox_map,
 )
-from helpers import gradient_descent_minimize
+from helpers import gradient_descent_minimize, local_update_loop
 
 SPEC = ModelSpec("logreg", 2, 3)
 
 
-def make_shard(seed=0, size=30):
+def make_shard(seed=0, size=30, client=0):
     rng = np.random.default_rng(seed)
     data = Minibatch(rng.standard_normal((size, 2)), rng.integers(0, 3, size=size))
-    return ClientShard(task_index=1, client_index=0, data=data)
+    return ClientShard(task_index=1, client_index=client, data=data)
+
+
+def update_one(params, shard, cfg, stream, spec=SPEC):
+    """The lockstep update of a single client."""
+    return local_update(spec, params, [shard], cfg, [stream])
 
 
 def test_single_full_batch_step_equals_scaled_gradient():
     shard = make_shard()
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=1, local_lr=0.3, batch_size=len(shard.data))
-    update = local_update(SPEC, params, shard, cfg, derive_stream(0, (4, 1, 0, 0)))
+    update = update_one(params, shard, cfg, derive_stream(0, (4, 1, 0, 0)))
     _, grad = loss_and_grad(SPEC, params, shard.data)
-    assert np.array_equal(update.delta, -0.3 * grad)
+    assert update.delta.shape == (1, param_count(SPEC))
+    assert np.array_equal(update.delta[0], -0.3 * grad)
     assert update.steps_taken == 1
 
 
@@ -49,9 +56,9 @@ def test_delta_equals_negative_lr_times_summed_gradients():
         summed += grad
         theta = theta - cfg.local_lr * grad
 
-    update = local_update(SPEC, params, shard, cfg, derive_stream(3, (4, 1, 0, 0)))
-    assert np.max(np.abs(update.delta - (-cfg.local_lr * summed))) <= 1e-12
-    assert np.max(np.abs(update.delta - (theta - params))) == 0.0
+    update = update_one(params, shard, cfg, derive_stream(3, (4, 1, 0, 0)))
+    assert np.max(np.abs(update.delta[0] - (-cfg.local_lr * summed))) <= 1e-12
+    assert np.max(np.abs(update.delta[0] - (theta - params))) == 0.0
 
 
 def test_prox_lambda_zero_matches_plain_bitwise():
@@ -63,8 +70,8 @@ def test_prox_lambda_zero_matches_plain_bitwise():
     prox_cfg = LocalConfig(
         epochs=5, local_lr=0.1, batch_size=4, mode="client_prox", prox_lambda=0.0, anchor=anchor
     )
-    plain = local_update(SPEC, params, shard, plain_cfg, derive_stream(9, (4, 1, 0, 0)))
-    proxed = local_update(SPEC, params, shard, prox_cfg, derive_stream(9, (4, 1, 0, 0)))
+    plain = update_one(params, shard, plain_cfg, derive_stream(9, (4, 1, 0, 0)))
+    proxed = update_one(params, shard, prox_cfg, derive_stream(9, (4, 1, 0, 0)))
     assert np.array_equal(plain.delta, proxed.delta)
 
 
@@ -112,8 +119,8 @@ def test_large_lambda_anchoring():
     cfg = LocalConfig(
         epochs=10, local_lr=0.5, batch_size=8, mode="client_prox", prox_lambda=1e6, anchor=anchor
     )
-    update = local_update(SPEC, anchor, shard, cfg, derive_stream(4, (4, 1, 0, 0)))
-    final = anchor + update.delta
+    update = update_one(anchor, shard, cfg, derive_stream(4, (4, 1, 0, 0)))
+    final = anchor + update.delta[0]
     assert np.linalg.norm(final - anchor) <= 1e-3
 
 
@@ -121,19 +128,67 @@ def test_gradient_statistics_recorded():
     shard = make_shard(seed=23)
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=4, local_lr=0.1, batch_size=6)
-    update = local_update(SPEC, params, shard, cfg, derive_stream(5, (4, 1, 0, 0)))
-    assert update.grad_norm_max > 0.0
-    assert 0.0 < update.grad_norm_sq_mean <= update.grad_norm_max ** 2
+    update = update_one(params, shard, cfg, derive_stream(5, (4, 1, 0, 0)))
+    assert update.grad_norm_max[0] > 0.0
+    assert 0.0 < update.grad_norm_sq_mean[0] <= update.grad_norm_max[0] ** 2
 
 
 def test_determinism_same_stream():
     shard = make_shard(seed=29)
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=3, local_lr=0.2, batch_size=5)
-    a = local_update(SPEC, params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
-    b = local_update(SPEC, params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
+    a = update_one(params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
+    b = update_one(params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
     assert np.array_equal(a.delta, b.delta)
-    assert a.grad_norm_max == b.grad_norm_max
+    assert np.array_equal(a.grad_norm_max, b.grad_norm_max)
+
+
+LOCKSTEP_SPECS = (
+    ModelSpec("logreg", 2, 3),
+    ModelSpec("mlp1", 2, 3, hidden_dim=5, activation="tanh"),
+    ModelSpec("mlp1", 2, 3, hidden_dim=5, activation="relu"),
+)
+# With batch 8: shards smaller than, equal to and larger than the batch, with
+# repeated sizes so that groups hold several clients, in one call; and N = 1.
+LOCKSTEP_SIZES = ((3, 8, 20, 3, 8, 12, 1, 30, 5, 9), (20,), (3,), (8,))
+
+
+@pytest.mark.parametrize("spec", LOCKSTEP_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
+@pytest.mark.parametrize("mode", ("plain", "client_prox"))
+@pytest.mark.parametrize("sizes", LOCKSTEP_SIZES, ids=lambda s: f"n{len(s)}-{s[0]}")
+def test_lockstep_equals_one_client_loop(spec, mode, sizes):
+    rng = np.random.default_rng(31)
+    d = param_count(spec)
+    params = 0.5 * rng.standard_normal(d)
+    prox = dict(mode="client_prox", prox_lambda=0.3, anchor=rng.standard_normal(d))
+    cfg = LocalConfig(
+        epochs=4, local_lr=0.2, batch_size=8, **(prox if mode == "client_prox" else {})
+    )
+    shards = [make_shard(seed=100 + m, size=n, client=m) for m, n in enumerate(sizes)]
+    labels = [(4, 1, 0, m) for m in range(len(sizes))]
+    # Clients that never draw get no stream at all.
+    streams = [derive_stream(11, lab) if n > 8 else None for lab, n in zip(labels, sizes)]
+
+    update = local_update(spec, params, shards, cfg, streams)
+    assert update.delta.shape == (len(sizes), d)
+    assert update.steps_taken == len(sizes) * cfg.epochs
+    for m, shard in enumerate(shards):
+        ref = local_update_loop(spec, params, shard, cfg, derive_stream(11, labels[m]))
+        assert np.array_equal(update.delta[m], ref.delta)
+        assert update.grad_norm_max[m] == ref.grad_norm_max
+        assert update.grad_norm_sq_mean[m] == ref.grad_norm_sq_mean
+
+
+def test_lockstep_divergence_raises_divergence_error():
+    shards = [make_shard(seed=41, size=5, client=0), make_shard(seed=42, size=20, client=1)]
+    params = np.zeros(param_count(SPEC))
+    params[1] = np.inf
+    cfg = LocalConfig(epochs=2, local_lr=0.1, batch_size=8)
+    streams = [None, derive_stream(0, (4, 1, 0, 1))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError, match="diverged"):
+            local_update(SPEC, params, shards, cfg, streams)
+    assert issubclass(DivergenceError, ValueError)
 
 
 def test_config_validation():

@@ -1,6 +1,6 @@
 import pytest
 
-from fdilsim import run_experiment
+from fdilsim import run_experiment, runio
 from fdilsim.metrics import acc, bwt
 from fdilsim.runio import (
     BOUNDS_FILE,
@@ -27,6 +27,32 @@ def test_emit_writes_all_files(tmp_path, small_config_text):
     run_and_emit(small_config_text, tmp_path / "run")
     for name in (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE, CONFIG_FILE):
         assert (tmp_path / "run" / name).exists()
+
+
+def test_failed_emit_leaves_no_new_or_temporary_files(tmp_path, small_config_text, monkeypatch):
+    artifacts = run_experiment(small_config_text)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    real_write = runio._write
+    writes = []
+
+    def failing_write(path, text):
+        writes.append(path)
+        if len(writes) == 4:
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(runio, "_write", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        emit_runlog(artifacts, out)
+    assert len(writes) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    monkeypatch.setattr(runio, "_write", real_write)
+    emit_runlog(artifacts, out)
+    names = (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE, CONFIG_FILE)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ("notes.txt",))
 
 
 def test_identical_runs_are_byte_identical(tmp_path, small_config_text):

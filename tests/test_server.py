@@ -14,12 +14,13 @@ from fdilsim import (
     run_sequence,
     sample_clients,
 )
+from fdilsim import rng as rngmod
 from fdilsim import server
-from fdilsim.client import LocalConfig, local_update
+from fdilsim.client import LocalConfig
 from fdilsim.metrics import client_objective_grad
 from fdilsim.server import ServerState, run_round, run_task
 from test_datagen import make_shift
-from helpers import gradient_descent_minimize
+from helpers import gradient_descent_minimize, local_update_loop
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -261,7 +262,8 @@ def test_full_participation_matches_reference_loop():
     sequence, shards, _ = make_problem(hp=hp)
     log = run_sequence(SPEC, sequence, shards, hp)
 
-    # Reference path: no sampling, every client runs, canonical aggregation.
+    # Reference path: no sampling, every client runs alone on its own
+    # stream, canonical aggregation.
     theta = log.initial_params.copy()
     for i in (1, 2):
         anchor = theta.copy()
@@ -270,11 +272,46 @@ def test_full_participation_matches_reference_loop():
             for m in range(8):
                 stream = derive_stream(hp.master_seed, (4, i, t, m))
                 cfg = LocalConfig(epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size)
-                updates.append((m, local_update(SPEC, theta, shards[i - 1][m], cfg, stream).delta))
+                updates.append((m, local_update_loop(SPEC, theta, shards[i - 1][m], cfg, stream).delta))
             delta = aggregate(updates)
             theta_bar = theta + hp.gamma_g(i) * delta
             theta = proximal_blend(theta_bar, anchor, hp.prox_lambda) if i >= 2 else theta_bar
         assert np.array_equal(theta, log.task_params[i - 1])
+
+
+def test_streams_derived_only_for_clients_that_draw(monkeypatch):
+    # Batch 30 on shards of about 30 rows: some selected clients draw, some not.
+    hp = make_hp(batch_size=30, participants_per_round=8, rounds_per_task=1, master_seed=25)
+    _, shards, _ = make_problem(hp=hp)
+    sizes = [len(shard.data) for shard in shards[0]]
+    assert min(sizes) <= 30 < max(sizes)
+    derived = []
+    real_derive = rngmod.derive_stream
+
+    def counting_derive(seed, labels):
+        derived.append(tuple(labels))
+        return real_derive(seed, labels)
+
+    monkeypatch.setattr(rngmod, "derive_stream", counting_derive)
+    theta0 = 0.1 * np.random.default_rng(3).standard_normal(9)
+    state = ServerState(
+        task_index=1, round_index=0, params=theta0.copy(), anchor=theta0, task_start=theta0
+    )
+    state, delta, gmax, gsq_mean, selected = run_round(SPEC, state, shards[0], hp)
+    local = [labels for labels in derived if labels[0] == rngmod.LOCAL_TRAINING]
+    assert local == [(rngmod.LOCAL_TRAINING, 1, 0, m) for m in selected if sizes[m] > 30]
+
+    # Same round from the one-client loop with a stream for every client.
+    cfg = LocalConfig(epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size)
+    refs = [
+        (m, local_update_loop(SPEC, theta0, shards[0][m], cfg, real_derive(25, (4, 1, 0, m))))
+        for m in selected
+    ]
+    ref_delta = aggregate([(m, ref.delta) for m, ref in refs])
+    assert np.array_equal(delta, ref_delta)
+    assert np.array_equal(state.params, theta0 + hp.gamma_g(1) * ref_delta)
+    assert gmax == max(ref.grad_norm_max for _, ref in refs)
+    assert gsq_mean == float(np.mean([ref.grad_norm_sq_mean for _, ref in refs]))
 
 
 def test_server_step_overflow_fails_the_round():
