@@ -19,6 +19,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .client import DivergenceError
 from .config import ConfigError, parse_config_text, serialize_config, with_lambda
 from .experiment import run_experiment
@@ -70,9 +72,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _experiment(text: str):
+    """``run_experiment`` with numpy's floating-point warnings silenced.
+
+    A diverging run overflows on its way to :class:`DivergenceError`; its one
+    line on stderr is the ``diverged:`` message.
+    """
+    with np.errstate(all="ignore"):
+        return run_experiment(text)
+
+
 def _cmd_run(args) -> int:
     text = _read_text(args.config)
-    artifacts = run_experiment(text)
+    artifacts = _experiment(text)
     out_dir = args.out if args.out else artifacts.config.output_dir
     emit_runlog(artifacts, out_dir)
     matrix = artifacts.log.accuracy
@@ -100,7 +112,7 @@ def _cmd_sweep(args) -> int:
     for lam in grid:
         sub_dir = os.path.join(root, f"lambda_{fmt(lam)}")
         effective = serialize_config(with_lambda(base, lam, sub_dir))
-        artifacts = run_experiment(effective)
+        artifacts = _experiment(effective)
         emit_runlog(artifacts, sub_dir)
         matrix = artifacts.log.accuracy
         bwt_text = fmt(bwt(matrix)) if matrix.num_tasks >= 2 else ""

@@ -12,9 +12,11 @@ effective batch: the shards that draw (more rows than the batch) form one
 group, and the shards used whole form one group per shard size.  Each step
 is one stacked :func:`loss_and_grad` call per group, and the update, the
 proximal step and the gradient statistics are elementwise over the stack.
-A drawing client takes its indices from its own stream, in the same order
-as when it runs alone; a client that never draws needs no stream.  Every
-client's result equals running it alone, bit for bit.
+A drawing client takes the indices of all its E steps from its own stream
+in one ``integers`` call per round; bounded integers consume the stream's
+words in the same order whatever the call shape, so these are the very
+batches that E one-batch draws would give.  A client that never draws needs
+no stream.  Every client's result equals running it alone, bit for bit.
 
 Two modes:
 
@@ -88,9 +90,14 @@ def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
 
 
-def draw_indices(n: int, batch_size: int, stream: np.random.Generator) -> np.ndarray:
-    """Sorted uniform-with-replacement row indices of a batch below ``n`` rows."""
-    return np.sort(stream.integers(0, n, size=batch_size))
+def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` batches of uniform-with-replacement row indices below ``n``.
+
+    Returns ``(count, batch_size)`` rows, each sorted, from one ``integers``
+    call.  Bounded integers take the generator's words in order whatever the
+    call shape, so row ``k`` equals the ``k``-th of ``count`` one-batch draws.
+    """
+    return np.sort(stream.integers(0, n, size=(count, batch_size)))
 
 
 def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -> Minibatch:
@@ -102,7 +109,7 @@ def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -
     n = len(shard)
     if batch_size >= n:
         return shard
-    return shard.take(draw_indices(n, batch_size, stream))
+    return shard.take(draw_indices(n, batch_size, stream, 1)[0])
 
 
 def _groups(sizes: list[int], batch_size: int) -> list[list[int]]:
@@ -132,8 +139,9 @@ def local_update(
     ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
     Each group of clients with the same effective batch makes one stacked
     :func:`loss_and_grad` call per step on its own rows; a drawing client
-    takes ``draw_indices`` from its own stream once per step.  Row ``j`` of
-    the result equals running client ``j`` alone, bit for bit.
+    takes all E batches from its own stream in one ``draw_indices`` call per
+    round.  Row ``j`` of the result equals running client ``j`` alone, bit
+    for bit.
 
     Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
     ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
@@ -148,12 +156,15 @@ def local_update(
         data = [shards[j].data for j in members]
         draws = sizes[members[0]] > b
         if draws:
-            # Every member's rows in one pool; a step gathers each member's
-            # drawn rows through its offset into one (g, b, D) stack.
-            pool_inputs = np.concatenate([x.inputs for x in data])
-            pool_labels = np.concatenate([x.labels for x in data])
-            offsets = np.cumsum([0] + [sizes[j] for j in members[:-1]])[:, None]
-            rows = np.empty((len(members), b), dtype=np.int64)
+            # Each member draws its E batches in one call.  The drawn rows of
+            # all members, indexed into one pool through per-member offsets,
+            # are gathered step-major, so each step's (g, b, D) stack is
+            # contiguous.
+            offsets = np.cumsum([0] + [sizes[j] for j in members[:-1]])[:, None, None]
+            rows = np.stack([draw_indices(sizes[j], b, streams[j], cfg.epochs) for j in members])
+            idx = (rows + offsets).swapaxes(0, 1)
+            step_inputs = np.concatenate([x.inputs for x in data])[idx]
+            step_labels = np.concatenate([x.labels for x in data])[idx]
         else:
             batch = Minibatch.stack(
                 np.stack([x.inputs for x in data]), np.stack([x.labels for x in data])
@@ -161,12 +172,9 @@ def local_update(
         theta = np.tile(global_params, (len(members), 1))
         gmax = np.zeros(len(members))
         gsq = np.zeros(len(members))
-        for _ in range(cfg.epochs):
+        for e in range(cfg.epochs):
             if draws:
-                for r, j in enumerate(members):
-                    rows[r] = draw_indices(sizes[j], b, streams[j])
-                idx = rows + offsets
-                batch = Minibatch.stack(pool_inputs[idx], pool_labels[idx])
+                batch = Minibatch.stack(step_inputs[e], step_labels[e])
             _, grad = loss_and_grad(spec, theta, batch)
             # A stacked (1, d) @ (d, 1) product is the same dot as grad @ grad.
             norm_sq = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]

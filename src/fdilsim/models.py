@@ -191,11 +191,13 @@ def loss_and_grad(
     rows = np.arange(z.size // spec.num_classes)
     labels = batch.labels.reshape(-1)
     zs = z - z.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(zs).sum(axis=-1))
+    # One exp and one class sum serve both the log-normaliser and the softmax.
+    p = np.exp(zs)
+    norm = p.sum(axis=-1, keepdims=True)
+    log_norm = np.log(norm[..., 0])
     picked = zs.reshape(-1, spec.num_classes)[rows, labels].reshape(log_norm.shape)
     loss = (log_norm - picked).sum(axis=-1) / n  # np.mean's sum and division, without its overhead
-    p = np.exp(zs)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= norm
     p.reshape(-1, spec.num_classes)[rows, labels] -= 1.0
 
     lead = z.shape[:-2]

@@ -1,9 +1,9 @@
 """The protocol engine: client sampling, aggregation, and the task loop.
 
-Each round the server samples N of M clients uniformly without replacement,
-runs their local updates together in one lockstep call, averages the update
-vectors in ascending client-id order, applies the global step
-``theta_bar = theta + gamma_G * delta``, and,
+Each round the server samples N of M clients uniformly without replacement
+(one draw call for all N swap targets), runs their local updates together in
+one lockstep call, averages the update vectors in ascending client-id order,
+applies the global step ``theta_bar = theta + gamma_G * delta``, and,
 from the second task on under the server-anchored algorithm, blends the
 result with the previous task's final model:
 
@@ -14,7 +14,8 @@ With lambda = 0 every round reduces to plain FedAvg.
 
 A client's minibatch stream is derived from (seed, task, round, client) only
 when its shard is larger than the batch; a client that uses its whole shard
-never draws, so no stream is made for it.  Skipping a stream perturbs no
+never draws, so no stream is made for it, and one that draws takes all E
+batches of the round from its stream at once.  Skipping a stream perturbs no
 other client's draws.
 
 Data is checked against the model once, when a run starts; the new global
@@ -148,15 +149,16 @@ def sample_clients(num_clients: int, sample_size: int, stream: np.random.Generat
     """Uniform size-N subset of [0, M) without replacement, sorted ascending.
 
     Partial Fisher-Yates: every subset is equally likely and only N swaps are
-    performed.
+    performed.  The N swap targets, target ``j`` uniform on ``[j, M)``, come
+    from one ``integers`` call and equal N one-target draws in turn.
     """
     if not 1 <= sample_size <= num_clients:
         raise ValueError("sample size must satisfy 1 <= N <= M")
-    pool = np.arange(num_clients)
-    for j in range(sample_size):
-        k = int(stream.integers(j, num_clients))
+    pool = list(range(num_clients))
+    targets = stream.integers(np.arange(sample_size), num_clients).tolist()
+    for j, k in enumerate(targets):
         pool[j], pool[k] = pool[k], pool[j]
-    return tuple(sorted(int(c) for c in pool[:sample_size]))
+    return tuple(sorted(pool[:sample_size]))
 
 
 def aggregate(updates: list[tuple[int, np.ndarray]]) -> np.ndarray:

@@ -11,13 +11,13 @@ enlarging the probe set can only move an estimate toward the truth.
 The estimator works in stacked passes.  Full-shard gradients at every probe
 point take one stacked kernel call per shard; the minibatch draws of all
 clients at one (probe, task) go through one stacked pass, each client still
-drawing from its own stream; a shard no larger than the batch is used whole,
-so its full-shard gradient is reused.  The reductions vectorise sums of
-squares and cosines over clients and tasks only to shortlist the candidates
-near each extreme, and recompute those with the scalar norm/dot expressions.
-A maximum or minimum of exact values does not depend on the order they are
-visited in, so every estimate equals that of a plain loop over probes,
-tasks, clients and draws bit for bit.
+drawing all its batches from its own stream, in one call; a shard no larger
+than the batch is used whole, so its full-shard gradient is reused.  The
+reductions vectorise sums of squares and cosines over clients and tasks only
+to shortlist the candidates near each extreme, and recompute those with the
+scalar norm/dot expressions.  A maximum or minimum of exact values does not
+depend on the order they are visited in, so every estimate equals that of a
+plain loop over probes, tasks, clients and draws bit for bit.
 
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
@@ -36,7 +36,6 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
-from .client import draw_indices
 from .datagen import ClientShard, TaskSequence
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count
 from .server import HyperParams
@@ -213,10 +212,11 @@ def _minibatch_grads(
 ) -> np.ndarray:
     """Stochastic gradients ``(len(clients), draws, d)`` at one probe and task.
 
-    Each client draws its batches from its own ``(PROBE_BATCH, probe, task,
-    client)`` stream, one ``draw_indices`` call per draw as in local
-    training; the rows of all of them go through stacked kernel calls of at
-    most ``STACK_ROWS`` rows.
+    Each client draws all its batches from its own ``(PROBE_BATCH, probe,
+    task, client)`` stream in one ``integers`` call, which gives the same
+    batches as one draw per batch; the index block of all clients is sorted
+    once, each batch on its own, as local training sorts its draws.  The rows
+    go through stacked kernel calls of at most ``STACK_ROWS`` rows.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     sampled = [task_shards[m].data for m in clients]
@@ -224,10 +224,9 @@ def _minibatch_grads(
     idx = np.empty((len(clients), draws, size), dtype=np.intp)
     for r, (m, data) in enumerate(zip(clients, sampled)):
         stream = rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m))
-        for k in range(draws):
-            idx[r, k] = draw_indices(len(data), size, stream)
-        idx[r] += offsets[r]
-    idx = idx.reshape(-1, size)
+        idx[r] = stream.integers(0, len(data), size=(draws, size))
+    idx.sort(axis=-1)
+    idx = (idx + offsets[:-1, None, None]).reshape(-1, size)
     inputs = np.concatenate([data.inputs for data in sampled])[idx]
     targets = np.concatenate([data.labels for data in sampled])[idx]
 

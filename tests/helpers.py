@@ -81,6 +81,19 @@ def psi_full_participation(
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 
+def sample_clients_loop(num_clients: int, sample_size: int, stream: np.random.Generator) -> tuple[int, ...]:
+    """Partial Fisher-Yates with one ``integers`` call per swap.
+
+    ``sample_clients`` draws all N swap targets in one call and must return
+    this subset and leave ``stream`` in this state.
+    """
+    pool = np.arange(num_clients)
+    for j in range(sample_size):
+        k = int(stream.integers(j, num_clients))
+        pool[j], pool[k] = pool[k], pool[j]
+    return tuple(sorted(int(c) for c in pool[:sample_size]))
+
+
 def local_update_loop(
     spec: ModelSpec,
     global_params: np.ndarray,

@@ -157,5 +157,6 @@ def test_diverging_run_exits_4_without_traceback_or_run_dir(tmp_path):
         )
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("diverged: ")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diverged: ")
         assert not out.exists()

@@ -13,6 +13,7 @@ from fdilsim import (
     param_count,
     prox_map,
 )
+from fdilsim.client import draw_indices
 from helpers import gradient_descent_minimize, local_update_loop
 
 SPEC = ModelSpec("logreg", 2, 3)
@@ -200,3 +201,18 @@ def test_config_validation():
         LocalConfig(epochs=1, local_lr=0.1, batch_size=1, mode="client_prox")
     with pytest.raises(ValueError):
         LocalConfig(epochs=1, local_lr=0.1, batch_size=1, mode="half")
+
+
+def test_bulk_draw_equals_draws_in_turn():
+    for b in (1, 7, 32):
+        for n in (1, b, b + 1, 1000, 2**32, 2**33):
+            for count in (1, 5):
+                labels = (4, n % 997, b, count)
+                bulk, loop = derive_stream(1, labels), derive_stream(1, labels)
+                rows = draw_indices(n, b, bulk, count)
+                assert rows.shape == (count, b)
+                for k in range(count):
+                    assert np.array_equal(rows[k], np.sort(loop.integers(0, n, size=b)))
+                assert repr(bulk.bit_generator.state) == repr(loop.bit_generator.state)
+                assert np.array_equal(bulk.integers(0, n, size=3), loop.integers(0, n, size=3))
+                assert bulk.random() == loop.random()

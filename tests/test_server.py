@@ -20,7 +20,7 @@ from fdilsim.client import LocalConfig
 from fdilsim.metrics import client_objective_grad
 from fdilsim.server import ServerState, run_round, run_task
 from test_datagen import make_shift
-from helpers import gradient_descent_minimize, local_update_loop
+from helpers import gradient_descent_minimize, local_update_loop, sample_clients_loop
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -102,6 +102,18 @@ def test_sampling_subsets_equally_likely():
     assert len(counts) == 6
     for subset, count in counts.items():
         assert abs(count / draws - 1 / 6) < 0.01, subset
+
+
+def test_sampling_equals_one_draw_per_swap():
+    for m in (1, 2, 8, 64, 1000):
+        for n in sorted({1, m // 2, m} - {0}):
+            for seed in range(3):
+                labels = (rngmod.CLIENT_SAMPLING, m, n)
+                bulk, loop = derive_stream(seed, labels), derive_stream(seed, labels)
+                for _ in range(2):
+                    assert sample_clients(m, n, bulk) == sample_clients_loop(m, n, loop)
+                assert repr(bulk.bit_generator.state) == repr(loop.bit_generator.state)
+                assert bulk.integers(0, 2**40) == loop.integers(0, 2**40)
 
 
 # --- aggregation and blend ------------------------------------------------
