@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    fdilsim run <config> [--out DIR]
+    fdilsim run <config> [--out DIR]   (prints a run line and a bound summary)
     fdilsim sweep <config> --lambda 0,0.25,0.5 [--out DIR]
     fdilsim verify <run-dir>
     fdilsim compare <run-dir-a> <run-dir-b>
@@ -92,6 +92,12 @@ def _cmd_run(args) -> int:
     if matrix.num_tasks >= 2:
         line += f" bwt={fmt(bwt(matrix))}"
     print(line)
+    reports = artifacts.reports
+    violated = [report.name for report in reports if not report.satisfied]
+    print(
+        f"bounds: {len(reports) - len(violated)}/{len(reports)} satisfied; "
+        f"violated: {', '.join(violated) or 'none'}"
+    )
     return EXIT_OK
 
 

@@ -48,6 +48,11 @@ def effective_lambda(hp: HyperParams) -> float:
     return hp.prox_lambda if hp.algorithm == "special" else 0.0
 
 
+def _overflow_note(overflowed: bool) -> str:
+    """Marks a row whose cap is inf only because its evaluation overflowed."""
+    return ";vacuous=overflow" if overflowed else ""
+
+
 def build_bound_reports(
     spec: ModelSpec,
     hp: HyperParams,
@@ -67,8 +72,9 @@ def build_bound_reports(
         task_records = [r for r in records if r.task == i]
         b_hat = max(r.grad_norm_max for r in task_records)
         worst = max(r.drift_sq for r in task_records)
+        overflowed = False
         if i >= 2:
-            cap = drift_bound(hp.gamma_g(i), gl, e, b_hat, lam)
+            cap, overflowed = drift_bound.checked(hp.gamma_g(i), gl, e, b_hat, lam)
             satisfied = worst <= cap
         else:
             # First task trains without an anchor; the drift cap is vacuous.
@@ -80,7 +86,8 @@ def build_bound_reports(
                 analytical=cap,
                 empirical=worst,
                 satisfied=satisfied,
-                inputs=f"gamma_g={hp.gamma_g(i)!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}",
+                inputs=f"gamma_g={hp.gamma_g(i)!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}"
+                + _overflow_note(overflowed),
             )
         )
 
@@ -91,12 +98,14 @@ def build_bound_reports(
         ]
         if tracked and consts.B > 0 and consts.L > 0:
             worst_excess = -math.inf
+            overflowed = False
             for r in tracked:
-                corr = bkt_bound(
+                corr, corr_overflowed = bkt_bound.checked(
                     consts.eps_bkt, consts.sigma_l, gprev, k, r.round + 1, e, m, n,
                     consts.L, consts.B,
                 )
                 worst_excess = max(worst_excess, r.prev_task_loss - corr)
+                overflowed = overflowed or corr_overflowed
             reports.append(
                 BoundReport(
                     name="bkt_loss_retention",
@@ -104,13 +113,14 @@ def build_bound_reports(
                     empirical=worst_excess,
                     satisfied=worst_excess <= stats.f_prev_start,
                     inputs=f"eps={consts.eps_bkt!r};sigma_l={consts.sigma_l!r};"
-                    f"grad_norm_prev={gprev!r};rounds_tracked={len(tracked)}",
+                    f"grad_norm_prev={gprev!r};rounds_tracked={len(tracked)}"
+                    + _overflow_note(overflowed),
                 )
             )
 
         joint = [r.joint_grad_sq for r in records if r.task == k and r.joint_grad_sq is not None]
         if joint and stats.best_joint_loss is not None:
-            psi = psi_residual(consts, hp_eff_for_steps(hp, lam), k, gprev)
+            psi, overflowed = psi_residual.checked(consts, hp_eff_for_steps(hp, lam), k, gprev)
             denom = (1.0 - 1.0 / k) / (2.0 * (1.0 + lam)) * e * hp.gamma_g(k) * gl * hp.rounds_per_task
             vanishing = (stats.f_joint_start - stats.best_joint_loss) / denom
             cap = vanishing + psi
@@ -122,7 +132,7 @@ def build_bound_reports(
                     empirical=observed,
                     satisfied=observed <= cap,
                     inputs=f"psi={psi!r};vanishing={vanishing!r};"
-                    "f_star=best-observed-joint-loss-surrogate",
+                    "f_star=best-observed-joint-loss-surrogate" + _overflow_note(overflowed),
                 )
             )
 

@@ -8,12 +8,18 @@ arithmetic over the stored entries so values recomputed from a persisted
 matrix match bit for bit.
 
 The joint objective is the sum over tasks of each task's client-averaged
-full-shard training objective.  :func:`joint_objective_grad` is its single
-pass: one kernel call per (task, client) shard, returning each task's
-(loss, gradient).  Callers sum the entries in task order, so the joint
-objective over every prefix of the tasks (the earlier tasks alone, or all of
-them) comes from the same pass.  This is simulator-side instrumentation with
-full data access and is never consulted by the client/server update paths.
+full-shard training objective.  :func:`client_objective_grad` is the one
+full-shard helper: it evaluates a client's loss and gradient at one
+parameter point, or at a stack of points through stacked kernel calls of at
+most ``STACK_ROWS`` rows.  The probe estimator uses it for its probe points,
+and :func:`joint_objective_grad` for the parameter snapshots a task tracked:
+the server defers them to the end of the task and evaluates them together,
+one stacked call per (task, client) shard.  The joint pass returns each
+task's (loss, gradient), summed over clients in shard order from +0.0 per
+snapshot.  Callers sum the entries in task order, so the joint objective
+over every prefix of the tasks (the earlier tasks alone, or all of them)
+comes from the same pass.  This is simulator-side instrumentation with full
+data access and is never consulted by the client/server update paths.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from .datagen import ClientShard
-from .models import ModelSpec, loss_and_grad
+from .models import Minibatch, ModelSpec, loss_and_grad
+
+# Rows per stacked kernel call.  It bounds the temporaries of one call: mlp1
+# holds about six rows x hidden_dim float arrays at once, so 512 rows at
+# hidden 32 stay under 1 MB, where 1024 rows raised peak memory by 2 MB.
+STACK_ROWS = 512
 
 
 class AccuracyMatrix:
@@ -79,15 +90,44 @@ def bwt(matrix: AccuracyMatrix) -> float:
 
 def client_objective_grad(
     spec: ModelSpec, params: np.ndarray, shard: ClientShard
-) -> tuple[float, np.ndarray]:
-    """Full-shard loss and gradient for one client (no sampling)."""
-    return loss_and_grad(spec, params, shard.data)
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Full-shard loss and gradient for one client (no sampling).
+
+    Params ``(d,)`` give ``(float, (d,) gradient)`` from one plain kernel
+    call.  A stack of points ``(P, d)`` gives losses ``(P,)`` and gradients
+    ``(P, d)``: each kernel call covers as many points as fit in
+    ``STACK_ROWS`` rows over a contiguous copy of the shard, so every
+    point's values equal the plain call's bit for bit.  Where only one point
+    fits, or only one is given, each point takes the plain call, which
+    needs no copy.
+    """
+    if params.ndim == 1:
+        return loss_and_grad(spec, params, shard.data)
+    num_points = params.shape[0]
+    width = min(num_points, STACK_ROWS // len(shard.data))
+    losses, grads = np.empty(num_points), np.empty(params.shape)
+    if width <= 1:
+        for p in range(num_points):
+            losses[p], grads[p] = loss_and_grad(spec, params[p], shard.data)
+        return losses, grads
+    inputs = np.repeat(shard.data.inputs[None], width, axis=0)
+    labels = np.repeat(shard.data.labels[None], width, axis=0)
+    for lo in range(0, num_points, width):
+        hi = min(lo + width, num_points)
+        batch = Minibatch.stack(inputs[: hi - lo], labels[: hi - lo])
+        losses[lo:hi], grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch)
+    return losses, grads
 
 
 def joint_objective_grad(
     spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> list[tuple[float, np.ndarray]]:
-    """Per-task objective (1/M) sum_m f_{task,m} and its gradient, in task order."""
+) -> list[tuple[float | np.ndarray, np.ndarray]]:
+    """Per-task objective (1/M) sum_m f_{task,m} and its gradient, in task order.
+
+    ``params`` is one point ``(d,)``, giving ``(float, (d,))`` per task, or a
+    stack of snapshots ``(P, d)``, giving ``((P,), (P, d))`` per task from
+    one stacked :func:`client_objective_grad` call per shard.
+    """
     per_task = []
     for task_shards in shards_by_task:
         loss_total = 0.0

@@ -355,6 +355,7 @@ def verify_runlog(run_dir) -> list[str]:
                 and fmt(mine.analytical) == fmt(theirs.analytical)
                 and fmt(mine.empirical) == fmt(theirs.empirical)
                 and mine.satisfied == theirs.satisfied
+                and mine.inputs == theirs.inputs
             )
             if not same:
                 violations.append(f"bound report row {mine.name} does not recompute")

@@ -18,6 +18,16 @@ never draws, so no stream is made for it, and one that draws takes all E
 batches of the round from its stream at once.  Skipping a stream perturbs no
 other client's draws.
 
+The joint-objective instrumentation is deferred: a task keeps the global
+model of every ``joint_grad_every``-th round and, after its last round,
+evaluates all of them in one stacked pass through the full-shard helper of
+:mod:`fdilsim.metrics`, one stacked kernel call per (task, client) shard,
+which fills those rounds' ``joint_grad_sq`` and ``prev_task_loss``.  The
+last two tasks also evaluate their end model: the end of task K-1 gives the
+start-of-last-task stats, taking tasks 1..K-1 from that pass and task K from
+one more call, and the end of task K gives the final joint loss.  Nothing on
+the update path reads these values.
+
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
 update or model raises :class:`DivergenceError`.
@@ -187,21 +197,6 @@ def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.
     return theta_bar / (1.0 + lam) + (lam / (1.0 + lam)) * anchor
 
 
-def _joint_prefixes(
-    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> list[tuple[float, np.ndarray]]:
-    """Joint objective and gradient over the first 1, 2, ... given tasks.
-
-    One pass over every shard; entry j sums tasks 1..j+1 in task order.
-    """
-    loss, grad = 0.0, np.zeros_like(params)
-    prefixes = []
-    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task):
-        loss, grad = loss + task_loss, grad + task_grad
-        prefixes.append((loss, grad))
-    return prefixes
-
-
 def _local_streams(
     hp: HyperParams, state: ServerState, shards: list[ClientShard], selected: tuple[int, ...]
 ) -> list[np.random.Generator | None]:
@@ -273,6 +268,47 @@ def run_round(
     return state, delta, grad_norm_max, grad_sq_mean, selected
 
 
+def _joint_pass(
+    spec: ModelSpec,
+    shards_by_task: list[list[ClientShard]],
+    task_index: int,
+    tracked: list[RoundRecord],
+    snapshots: list[np.ndarray],
+    stats: RunStats,
+) -> None:
+    """Fill a finished task's joint-objective fields from one stacked pass.
+
+    ``snapshots`` holds the parameters of the ``tracked`` rounds, then, for
+    the last two tasks of a run, the task's end parameters unless its last
+    round was tracked.  Every snapshot is evaluated on tasks 1..task_index
+    in one :func:`joint_objective_grad` call, and the per-task values are
+    summed in task order from +0.0.  The end of task K-1 is the start of the
+    last task: its earlier-task sums are the start stats, and one more call
+    adds the last task's term.  The end of task K folds into the best joint
+    loss.
+    """
+    k = len(shards_by_task)
+    params = np.stack(snapshots)
+    prev_loss = loss = np.zeros(len(params))
+    grad = np.zeros_like(params)
+    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task[:task_index]):
+        prev_loss, loss, grad = loss, loss + task_loss, grad + task_grad
+
+    for j, record in enumerate(tracked):
+        record.joint_grad_sq = float(grad[j] @ grad[j])
+        if task_index >= 2:
+            record.prev_task_loss = float(prev_loss[j])
+    if task_index == k - 1:
+        stats.grad_norm_prev_sq = float(grad[-1] @ grad[-1])
+        stats.f_prev_start = float(loss[-1])
+        ((last_task_loss, _),) = joint_objective_grad(spec, snapshots[-1], shards_by_task[-1:])
+        stats.f_joint_start = stats.f_prev_start + last_task_loss
+        stats.best_joint_loss = stats.f_joint_start
+    elif task_index == k and k >= 2:
+        for value in loss.tolist():
+            stats.best_joint_loss = min(stats.best_joint_loss, value)
+
+
 def run_task(
     spec: ModelSpec,
     state: ServerState,
@@ -283,50 +319,53 @@ def run_task(
     eval_cfg: EvalConfig,
     log: RunLog,
 ) -> ServerState:
-    """Run the T rounds of one task, logging a record per round."""
+    """Run the T rounds of one task, logging a record per round.
+
+    The parameters of every ``joint_grad_every``-th round are kept, and
+    their records get the joint-objective fields after the last round, from
+    one deferred pass over all of them (:func:`_joint_pass`).
+    """
     state.task_index = task_index
     state.round_index = 0
     state.anchor = state.params.copy()
     state.task_start = state.params.copy()
     shards = shards_by_task[task_index - 1]
+    every = eval_cfg.joint_grad_every
+    tracked: list[RoundRecord] = []
+    snapshots: list[np.ndarray] = []
 
     for t in range(hp.rounds_per_task):
         state, delta, gmax, gsq_mean, selected = run_round(spec, state, shards, hp)
         diff = state.params - state.task_start
-        drift_sq = float(diff @ diff)
-
-        joint_grad_sq = None
-        prev_loss = None
-        if eval_cfg.joint_grad_every and (t + 1) % eval_cfg.joint_grad_every == 0:
-            prefixes = _joint_prefixes(spec, state.params, shards_by_task[:task_index])
-            loss_joint, grad_joint = prefixes[-1]
-            joint_grad_sq = float(grad_joint @ grad_joint)
-            if task_index >= 2:
-                prev_loss = prefixes[-2][0]
-            if task_index == sequence.num_tasks and task_index >= 2:
-                best = log.stats.best_joint_loss
-                log.stats.best_joint_loss = (
-                    loss_joint if best is None else min(best, loss_joint)
-                )
         accuracies = None
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
             accuracies = tuple(
                 accuracy(spec, state.params, task.test) for task in sequence.tasks
             )
-        log.records.append(
-            RoundRecord(
-                task=task_index,
-                round=t,
-                selected=selected,
-                delta_norm=float(np.linalg.norm(delta)),
-                drift_sq=drift_sq,
-                joint_grad_sq=joint_grad_sq,
-                prev_task_loss=prev_loss,
-                grad_norm_max=gmax,
-                grad_sq_mean=gsq_mean,
-                accuracies=accuracies,
-            )
+        record = RoundRecord(
+            task=task_index,
+            round=t,
+            selected=selected,
+            delta_norm=float(np.linalg.norm(delta)),
+            drift_sq=float(diff @ diff),
+            joint_grad_sq=None,
+            prev_task_loss=None,
+            grad_norm_max=gmax,
+            grad_sq_mean=gsq_mean,
+            accuracies=accuracies,
         )
+        log.records.append(record)
+        if every and (t + 1) % every == 0:
+            tracked.append(record)
+            # run_round replaces state.params each round, never writes into it.
+            snapshots.append(state.params)
+
+    k = len(shards_by_task)
+    last_round_tracked = every > 0 and hp.rounds_per_task % every == 0
+    if k >= 2 and task_index >= k - 1 and not last_round_tracked:
+        snapshots.append(state.params)
+    if snapshots:
+        _joint_pass(spec, shards_by_task, task_index, tracked, snapshots, log.stats)
     return state
 
 
@@ -348,8 +387,6 @@ def run_sequence(
         for shard in task_shards:
             check_data(spec, shard.data)
     k = sequence.num_tasks
-    every = eval_cfg.joint_grad_every
-    last_round_tracked = every > 0 and hp.rounds_per_task % every == 0
 
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
     theta0 = init_params(spec, init_stream)
@@ -363,22 +400,8 @@ def run_sequence(
     )
 
     for i in range(1, k + 1):
-        if i == k and k >= 2:
-            prefixes = _joint_prefixes(spec, state.params, shards_by_task)
-            f_prev, g_prev = prefixes[-2]
-            log.stats.grad_norm_prev_sq = float(g_prev @ g_prev)
-            log.stats.f_prev_start = f_prev
-            log.stats.f_joint_start = prefixes[-1][0]
-            log.stats.best_joint_loss = log.stats.f_joint_start
-
         state = run_task(spec, state, sequence, shards_by_task, hp, i, eval_cfg, log)
-
         log.task_params.append(state.params.copy())
         for j in range(1, i + 1):
             log.accuracy.set(i, j, accuracy(spec, state.params, sequence.task(j).test))
-        # The last tracked round already folded the joint loss at these
-        # parameters into best_joint_loss when the cadence divides T.
-        if i == k and k >= 2 and not last_round_tracked:
-            final_joint = _joint_prefixes(spec, state.params, shards_by_task)[-1][0]
-            log.stats.best_joint_loss = min(log.stats.best_joint_loss, final_joint)
     return log

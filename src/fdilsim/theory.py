@@ -9,7 +9,8 @@ supremum (or an upper bound on the true infimum for the epsilons), and
 enlarging the probe set can only move an estimate toward the truth.
 
 The estimator works in stacked passes.  Full-shard gradients at every probe
-point take one stacked kernel call per shard; the minibatch draws of all
+point take one stacked call per shard through the full-shard helper
+:func:`fdilsim.metrics.client_objective_grad`; the minibatch draws of all
 clients at one (probe, task) go through one stacked pass, each client still
 drawing all its batches from its own stream, in one call; a shard no larger
 than the batch is used whole, so its full-shard gradient is reused.  The
@@ -22,8 +23,9 @@ plain loop over probes, tasks, clients and draws bit for bit.
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
 term by term; one whose float evaluation overflows is reported as inf
-(vacuous).  Bounds are always reported as "holds under the estimated
-constants": nothing here enforces an assumption, it only measures.
+(vacuous), and its report row is flagged ``vacuous=overflow``.  Bounds are
+always reported as "holds under the estimated constants": nothing here
+enforces an assumption, it only measures.
 """
 
 from __future__ import annotations
@@ -37,13 +39,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .datagen import ClientShard, TaskSequence
+from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count
 from .server import HyperParams
 
-# Rows per stacked kernel call.  It bounds the temporaries of one call: mlp1
-# holds about six rows x hidden_dim float arrays at once, so 512 rows at
-# hidden 32 stay under 1 MB, where 1024 rows raised peak memory by 2 MB.
-STACK_ROWS = 512
 # Shortlist margins for the vectorised reductions: relative for the maxima of
 # sums of squares and norm ratios, absolute for the minima of cosines.  Both
 # are far above the last-bit differences between einsum and a scalar dot.
@@ -181,22 +180,14 @@ def _full_shard_grads(
 ) -> np.ndarray:
     """Gradient of every client objective at every probe, ``(P, K, M, d)``.
 
-    One stacked kernel call per shard covers as many probe points as fit in
-    ``STACK_ROWS`` rows.  The stack is a contiguous copy of the shard.
+    One stacked :func:`client_objective_grad` call per shard.
     """
-    num_points = thetas.shape[0]
     grads = np.empty(
-        (num_points, len(shards_by_task), len(shards_by_task[0]), thetas.shape[1])
+        (thetas.shape[0], len(shards_by_task), len(shards_by_task[0]), thetas.shape[1])
     )
     for i, task_shards in enumerate(shards_by_task):
         for m, shard in enumerate(task_shards):
-            width = min(num_points, max(1, STACK_ROWS // len(shard.data)))
-            inputs = np.repeat(shard.data.inputs[None], width, axis=0)
-            labels = np.repeat(shard.data.labels[None], width, axis=0)
-            for lo in range(0, num_points, width):
-                hi = min(lo + width, num_points)
-                batch = Minibatch.stack(inputs[: hi - lo], labels[: hi - lo])
-                _, grads[lo:hi, i, m] = loss_and_grad(spec, thetas[lo:hi], batch)
+            _, grads[:, i, m] = client_objective_grad(spec, thetas, shard)
     return grads
 
 
@@ -376,15 +367,23 @@ def estimate_constants(
 
 
 def _inf_on_overflow(bound):
-    """Report a bound whose float evaluation overflows as infinite (vacuous)."""
+    """Report a bound whose float evaluation overflows as infinite (vacuous).
+
+    The wrapped bound's ``checked`` attribute returns ``(value, overflowed)``,
+    which tells such an inf apart from a bound that is infinite by design.
+    """
+
+    def checked(*args, **kwargs):
+        try:
+            return bound(*args, **kwargs), False
+        except OverflowError:
+            return math.inf, True
 
     @functools.wraps(bound)
     def evaluate(*args, **kwargs):
-        try:
-            return bound(*args, **kwargs)
-        except OverflowError:
-            return math.inf
+        return checked(*args, **kwargs)[0]
 
+    evaluate.checked = checked
     return evaluate
 
 

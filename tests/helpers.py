@@ -22,6 +22,7 @@ from fdilsim import (
 )
 from fdilsim import rng as rngmod
 from fdilsim.client import DivergenceError, draw_batch, prox_map
+from fdilsim.server import RunStats
 
 
 def central_difference_grad(
@@ -232,3 +233,66 @@ def estimate_constants_loop(
         num_probe_points=len(points),
         num_minibatch_draws=draws,
     )
+
+
+def joint_prefixes(
+    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
+) -> list[tuple[float, np.ndarray]]:
+    """Joint objective and gradient over the first 1, 2, ... given tasks.
+
+    One plain kernel call per shard; each task's client mean is summed from
+    +0.0 in shard order, and entry j sums tasks 1..j+1 in task order.
+    """
+    loss, grad = 0.0, np.zeros_like(params)
+    prefixes = []
+    for task_shards in shards_by_task:
+        task_loss, task_grad = 0.0, np.zeros_like(params)
+        for shard in task_shards:
+            shard_loss, shard_grad = loss_and_grad(spec, params, shard.data)
+            task_loss += shard_loss
+            task_grad += shard_grad
+        loss = loss + task_loss / len(task_shards)
+        grad = grad + task_grad / len(task_shards)
+        prefixes.append((loss, grad))
+    return prefixes
+
+
+def joint_fields_loop(
+    spec: ModelSpec,
+    shards_by_task: list[list[ClientShard]],
+    round_params: list[np.ndarray],
+    rounds_per_task: int,
+    joint_grad_every: int,
+) -> tuple[list[tuple[float | None, float | None]], RunStats]:
+    """The joint-objective instrumentation as one pass per tracked round.
+
+    ``round_params[r]`` is the global model after round r of the run, task
+    by task.  Returns each round's ``(joint_grad_sq, prev_task_loss)`` and
+    the run stats: the start-of-last-task values at the end of task K-1,
+    and the best joint loss over that start, the tracked rounds of task K
+    and the end of the run.  ``run_sequence`` must log exactly these.
+    """
+    k = len(shards_by_task)
+    fields = []
+    stats = RunStats()
+    if k >= 2:
+        start = joint_prefixes(spec, round_params[(k - 1) * rounds_per_task - 1], shards_by_task)
+        f_prev, g_prev = start[-2]
+        stats.grad_norm_prev_sq = float(g_prev @ g_prev)
+        stats.f_prev_start = f_prev
+        stats.f_joint_start = start[-1][0]
+        stats.best_joint_loss = stats.f_joint_start
+    for r, params in enumerate(round_params):
+        task, t = r // rounds_per_task + 1, r % rounds_per_task
+        if not joint_grad_every or (t + 1) % joint_grad_every:
+            fields.append((None, None))
+            continue
+        prefixes = joint_prefixes(spec, params, shards_by_task[:task])
+        loss, grad = prefixes[-1]
+        fields.append((float(grad @ grad), prefixes[-2][0] if task >= 2 else None))
+        if task == k and k >= 2:
+            stats.best_joint_loss = min(stats.best_joint_loss, loss)
+    if k >= 2:
+        final = joint_prefixes(spec, round_params[-1], shards_by_task)[-1][0]
+        stats.best_joint_loss = min(stats.best_joint_loss, final)
+    return fields, stats

@@ -141,6 +141,53 @@ def test_overflowing_local_lr_runs_and_verifies_without_traceback(tmp_path):
     assert "drift_cap_task_2,inf," in report
 
 
+def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
+    # Only lambda ** 2 overflows at lambda = 1e300: the caps are inf because
+    # the evaluation overflowed, and their rows say so.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    config = tmp_path / "huge_lambda.ini"
+    config.write_text(text.replace("prox_lambda = 0.25", "prox_lambda = 1e300"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "run"
+    for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = {
+        line.split(",")[0]: line
+        for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
+    }
+    for name in ("drift_cap_task_2", "drift_cap_task_3", "stationarity_residual"):
+        assert rows[name].split(",")[1] == "inf"
+        assert rows[name].endswith(";vacuous=overflow")
+    # Task 1 has no anchor: its cap is inf by design, not by overflow.
+    assert rows["drift_cap_task_1"].split(",")[1] == "inf"
+    assert "vacuous=overflow" not in rows["drift_cap_task_1"]
+
+    # verify recomputes the inputs text too.
+    report = out / "bound_report.csv"
+    report.write_text(
+        report.read_text(encoding="utf-8").replace(";vacuous=overflow", "", 1), encoding="utf-8"
+    )
+    assert main(["verify", str(out)]) == 2
+
+
+def test_run_prints_bound_summary(tmp_path, capsys):
+    profile = Path(__file__).resolve().parent.parent / "profiles" / "default.ini"
+    assert main(["run", str(profile), "--out", str(tmp_path / "default")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("run complete: ")
+    rows = (tmp_path / "default" / "bound_report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    violated = [row.split(",")[0] for row in rows if row.split(",")[3] == "false"]
+    assert violated  # default.ini breaks the retention step-size caps
+    assert lines[1] == (
+        f"bounds: {len(rows) - len(violated)}/{len(rows)} satisfied; "
+        f"violated: {', '.join(violated)}"
+    )
+
+
 def test_diverging_run_exits_4_without_traceback_or_run_dir(tmp_path):
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from fdilsim import ConfigError, parse_config, parse_config_text, serialize_config
 from fdilsim.config import with_lambda
 
-PROFILE = Path(__file__).resolve().parent.parent / "profiles" / "default.ini"
+ROOT = Path(__file__).resolve().parent.parent
+PROFILE = ROOT / "profiles" / "default.ini"
 
 
 def profile_text():
@@ -107,3 +109,10 @@ def test_mlp_profile_parses():
     config = parse_config_text(text)
     assert config.model.hidden_dim == 6
     assert parse_config_text(serialize_config(config)) == config
+
+
+def test_wide_profile_is_the_wide_workload():
+    profile = parse_config(ROOT / "profiles" / "wide.ini")
+    workload = parse_config(ROOT / "benchmarks" / "workloads" / "wide.ini")
+    assert profile.output_dir != workload.output_dir
+    assert replace(profile, output_dir=workload.output_dir) == workload

@@ -15,6 +15,7 @@ from fdilsim import (
     loss_and_grad,
     param_count,
 )
+from fdilsim.metrics import STACK_ROWS, client_objective_grad
 
 
 def test_acc_examples():
@@ -172,3 +173,43 @@ def test_joint_grad_averages_clients_within_task():
     assert joint_grad_norm_sq(SPEC, params, [[a, b]]) == pytest.approx(
         float(mean @ mean), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("num_points", [1, 2, 5, 7])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("logreg", 2, 3),
+        ModelSpec("mlp1", 2, 3, hidden_dim=4, activation="tanh"),
+        ModelSpec("mlp1", 2, 3, hidden_dim=4, activation="relu"),
+    ],
+    ids=["logreg", "mlp1-tanh", "mlp1-relu"],
+)
+def test_stacked_full_shard_equals_plain_calls(spec, num_points):
+    # Shard sizes from one row to past STACK_ROWS cover full, partial and
+    # width-1 stacks; every point equals its plain call bit for bit.
+    rng = np.random.default_rng(4)
+    params = rng.standard_normal((num_points, param_count(spec)))
+    for rows in (1, 3, 100, 200, STACK_ROWS, STACK_ROWS + 1, 700):
+        data = ClientShard(
+            1, 0, Minibatch(rng.standard_normal((rows, 2)), rng.integers(0, 3, rows))
+        )
+        losses, grads = client_objective_grad(spec, params, data)
+        assert losses.shape == (num_points,) and grads.shape == params.shape
+        for p in range(num_points):
+            loss, grad = loss_and_grad(spec, params[p], data.data)
+            assert losses[p] == loss
+            assert np.array_equal(grads[p], grad)
+
+
+def test_stacked_joint_pass_equals_plain_passes():
+    a = shard([[0.5], [-1.0]], [0, 1], client=0)
+    b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
+    params = np.random.default_rng(5).standard_normal((3, 4))
+    stacked = joint_objective_grad(SPEC, params, [[a, b], [b]])
+    for p in range(3):
+        plain = joint_objective_grad(SPEC, params[p], [[a, b], [b]])
+        for (losses, grads), (loss, grad) in zip(stacked, plain):
+            assert type(loss) is float
+            assert losses[p] == loss
+            assert np.array_equal(grads[p], grad)

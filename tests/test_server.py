@@ -17,10 +17,16 @@ from fdilsim import (
 from fdilsim import rng as rngmod
 from fdilsim import server
 from fdilsim.client import LocalConfig
-from fdilsim.metrics import client_objective_grad
+from fdilsim.metrics import STACK_ROWS
 from fdilsim.server import ServerState, run_round, run_task
 from test_datagen import make_shift
-from helpers import gradient_descent_minimize, local_update_loop, sample_clients_loop
+from helpers import (
+    gradient_descent_minimize,
+    joint_fields_loop,
+    joint_prefixes,
+    local_update_loop,
+    sample_clients_loop,
+)
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -355,18 +361,7 @@ def test_nan_parameters_fail_in_local_training():
 def _oracle_prefixes(params, shards_by_task):
     """Joint objective over tasks 1..j for every j, from one kernel call per
     shard: the client mean within each task, then an in-order sum."""
-    loss_sum, grad_sum = 0.0, np.zeros_like(params)
-    prefixes = []
-    for task_shards in shards_by_task:
-        task_loss, task_grad = 0.0, np.zeros_like(params)
-        for shard in task_shards:
-            loss, grad = client_objective_grad(SPEC, params, shard)
-            task_loss += loss
-            task_grad += grad
-        loss_sum = loss_sum + task_loss / len(task_shards)
-        grad_sum = grad_sum + task_grad / len(task_shards)
-        prefixes.append((loss_sum, grad_sum))
-    return prefixes
+    return joint_prefixes(SPEC, params, shards_by_task)
 
 
 def test_joint_pass_matches_per_shard_oracle(monkeypatch):
@@ -406,22 +401,102 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 
 @pytest.mark.parametrize("rounds, every", [(4, 2), (4, 4), (5, 2), (5, 3)])
 def test_joint_passes_per_run(monkeypatch, rounds, every):
-    # One pass per tracked round plus the pass at the start of the last task;
-    # the end-of-run pass runs only when the last round was not tracked.
-    sequence, shards, hp = make_problem(num_tasks=3, hp=make_hp(rounds_per_task=rounds))
+    # Counts evaluated (snapshot, task) pairs.  Each tracked round is one
+    # snapshot on every task so far.  The start of the last task is one
+    # snapshot on all K tasks, of which only task K is evaluated again when
+    # the last round of task K-1 was tracked; the end of the run is one
+    # snapshot on all K tasks unless the last round was tracked.  One pass
+    # per task, plus the last task's term at its start.
+    k = 3
+    sequence, shards, hp = make_problem(num_tasks=k, hp=make_hp(rounds_per_task=rounds))
     calls = []
     real_pass = server.joint_objective_grad
 
     def counting_pass(*args):
-        calls.append(len(args[2]))
+        params, tasks = args[1], args[2]
+        calls.append((params.shape[0] if params.ndim == 2 else 1) * len(tasks))
         return real_pass(*args)
 
     monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
     log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
     tracked = sum(r.joint_grad_sq is not None for r in log.records)
-    assert tracked == 3 * (rounds // every)
-    extra = 1 if rounds % every == 0 else 2
-    assert len(calls) == tracked + extra
+    assert tracked == k * (rounds // every)
+    per_task = rounds // every
+    last_tracked = rounds % every == 0
+    start = 1 if last_tracked else k
+    end = 0 if last_tracked else k
+    assert sum(calls) == per_task * sum(range(1, k + 1)) + start + end
+    assert len(calls) == k + 1
+
+
+MODEL_VARIANTS = {
+    "logreg": SPEC,
+    "mlp1-tanh": ModelSpec("mlp1", 2, 3, hidden_dim=5, activation="tanh"),
+    "mlp1-relu": ModelSpec("mlp1", 2, 3, hidden_dim=5, activation="relu"),
+}
+
+
+def _joint_run(spec, num_tasks, rounds, every, num_clients, train, monkeypatch):
+    """A run with its global model after every round, for the joint oracle."""
+    hp = make_hp(
+        num_clients=num_clients, participants_per_round=min(4, num_clients),
+        rounds_per_task=rounds, local_epochs=2,
+    )
+    sequence = generate_sequence(
+        make_shift(num_tasks=num_tasks, rotation=0.4, train=train, test=60), seed=hp.master_seed
+    )
+    shards = partition_sequence(
+        sequence,
+        PartitionSpec(num_clients=num_clients, dirichlet_alpha=0.5, min_samples_per_client=1),
+        seed=hp.master_seed,
+    )
+    round_params = []
+    real_run_round = server.run_round
+
+    def recording_run_round(*args):
+        result = real_run_round(*args)
+        round_params.append(result[0].params.copy())
+        return result
+
+    monkeypatch.setattr(server, "run_round", recording_run_round)
+    log = run_sequence(spec, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    return log, shards, round_params
+
+
+def _assert_joint_fields_match(log, spec, shards, round_params, rounds, every):
+    fields, stats = joint_fields_loop(spec, shards, round_params, rounds, every)
+    assert len(fields) == len(log.records) == len(round_params)
+    for record, (joint_grad_sq, prev_task_loss) in zip(log.records, fields):
+        assert record.joint_grad_sq == joint_grad_sq
+        assert record.prev_task_loss == prev_task_loss
+        assert type(record.joint_grad_sq) is type(joint_grad_sq)
+        assert type(record.prev_task_loss) is type(prev_task_loss)
+    assert log.stats == stats
+
+
+@pytest.mark.parametrize("rounds, every", [(4, 1), (4, 2), (5, 2), (5, 3), (4, 0)])
+@pytest.mark.parametrize("num_tasks", [1, 2, 3])
+@pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
+def test_joint_fields_match_per_round_oracle(monkeypatch, model, num_tasks, rounds, every):
+    # The deferred stacked pass logs, bit for bit, what one plain pass per
+    # tracked round gives.
+    spec = MODEL_VARIANTS[model]
+    log, shards, round_params = _joint_run(spec, num_tasks, rounds, every, 8, 240, monkeypatch)
+    assert min(len(s.data) for task in shards for s in task) >= 1
+    _assert_joint_fields_match(log, spec, shards, round_params, rounds, every)
+
+
+@pytest.mark.parametrize("rounds, every", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
+def test_joint_fields_match_oracle_with_shards_beyond_stack_rows(
+    monkeypatch, model, rounds, every
+):
+    # Two clients share 1200 rows, so a shard exceeds STACK_ROWS and its
+    # stacked calls take one snapshot each.
+    spec = MODEL_VARIANTS[model]
+    log, shards, round_params = _joint_run(spec, 2, rounds, every, 2, 1200, monkeypatch)
+    assert max(len(s.data) for task in shards for s in task) > STACK_ROWS
+    _assert_joint_fields_match(log, spec, shards, round_params, rounds, every)
 
 
 def test_huge_lambda_pins_model_to_anchor():
