@@ -13,10 +13,11 @@ group, and the shards used whole form one group per shard size.  Each step
 is one stacked :func:`loss_and_grad` call per group, and the update, the
 proximal step and the gradient statistics are elementwise over the stack.
 A drawing client takes the indices of all its E steps from its own stream
-in one ``integers`` call per round; bounded integers consume the stream's
-words in the same order whatever the call shape, so these are the very
-batches that E one-batch draws would give.  A client that never draws needs
-no stream.  Every client's result equals running it alone, bit for bit.
+in one ``integers`` call per round (:func:`draw_rows`, shared with the probe
+estimator); bounded integers consume the stream's words in the same order
+whatever the call shape, so these are the very batches that E one-batch
+draws would give.  A client that never draws needs no stream.  Every
+client's result equals running it alone, bit for bit.
 
 Two modes:
 
@@ -90,14 +91,26 @@ def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
 
 
-def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` batches of uniform-with-replacement row indices below ``n``.
+def draw_rows(
+    sizes: list[int], batch_size: int, streams: list[np.random.Generator], count: int
+) -> np.ndarray:
+    """``count`` sorted uniform-with-replacement batches from each shard.
 
-    Returns ``(count, batch_size)`` rows, each sorted, from one ``integers``
-    call.  Bounded integers take the generator's words in order whatever the
-    call shape, so row ``k`` equals the ``k``-th of ``count`` one-batch draws.
+    Shard ``j`` of ``sizes[j]`` rows draws its ``(count, batch_size)`` block
+    from ``streams[j]`` in one ``integers`` call, which takes the stream's
+    words in the same order as ``count`` one-batch draws.  The result
+    ``(len(sizes), count, batch_size)`` indexes the shards' rows concatenated.
     """
-    return np.sort(stream.integers(0, n, size=(count, batch_size)))
+    rows = np.empty((len(sizes), count, batch_size), dtype=np.intp)
+    for j, (n, stream) in enumerate(zip(sizes, streams)):
+        rows[j] = stream.integers(0, n, size=(count, batch_size))
+    rows.sort(axis=-1)
+    return rows + np.cumsum([0] + sizes[:-1])[:, None, None]
+
+
+def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sorted batches of row indices below ``n``: :func:`draw_rows` on one shard."""
+    return draw_rows([n], batch_size, [stream], count)[0]
 
 
 def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -> Minibatch:
@@ -139,9 +152,9 @@ def local_update(
     ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
     Each group of clients with the same effective batch makes one stacked
     :func:`loss_and_grad` call per step on its own rows; a drawing client
-    takes all E batches from its own stream in one ``draw_indices`` call per
-    round.  Row ``j`` of the result equals running client ``j`` alone, bit
-    for bit.
+    takes all E batches from its own stream in one :func:`draw_rows` call
+    per round.  Row ``j`` of the result equals running client ``j`` alone,
+    bit for bit.
 
     Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
     ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
@@ -156,13 +169,10 @@ def local_update(
         data = [shards[j].data for j in members]
         draws = sizes[members[0]] > b
         if draws:
-            # Each member draws its E batches in one call.  The drawn rows of
-            # all members, indexed into one pool through per-member offsets,
-            # are gathered step-major, so each step's (g, b, D) stack is
-            # contiguous.
-            offsets = np.cumsum([0] + [sizes[j] for j in members[:-1]])[:, None, None]
-            rows = np.stack([draw_indices(sizes[j], b, streams[j], cfg.epochs) for j in members])
-            idx = (rows + offsets).swapaxes(0, 1)
+            # The drawn rows of all members index one pool and are gathered
+            # step-major, so each step's (g, b, D) stack is contiguous.
+            member_streams = [streams[j] for j in members]
+            idx = draw_rows([sizes[j] for j in members], b, member_streams, cfg.epochs).swapaxes(0, 1)
             step_inputs = np.concatenate([x.inputs for x in data])[idx]
             step_labels = np.concatenate([x.labels for x in data])[idx]
         else:

@@ -4,6 +4,10 @@ Parsing is strict: unknown sections or keys are rejected, every value is
 type-checked, and all invariants of the embedded parameter types are enforced
 at parse time with the offending ``section.key`` named in the error.  A
 parsed config serializes back to text that parses to an equal config.
+
+Every key is listed once, in ``_SCHEMA`` with its type and default.  Each
+section's parameter object is built from its keys by name, and
+:func:`serialize_config` loops over the same table.
 """
 
 from __future__ import annotations
@@ -36,67 +40,57 @@ class ExperimentConfig:
     output_dir: str
 
 
+_REQUIRED = object()  # marks a key without a default
+
+# section -> key -> (type, default or _REQUIRED), in serialization order.  Each
+# section's keys are the fields of its parameter type, except data.base_means
+# (parsed into base_class_means) and [io] (eval_cfg plus output_dir).
 _SCHEMA = {
     "model": {
-        "kind": str,
-        "input_dim": int,
-        "num_classes": int,
-        "hidden_dim": int,
-        "activation": str,
+        "kind": (str, _REQUIRED),
+        "input_dim": (int, _REQUIRED),
+        "num_classes": (int, _REQUIRED),
+        "hidden_dim": (int, None),
+        "activation": (str, "tanh"),
     },
     "data": {
-        "num_tasks": int,
-        "base_means": str,
-        "class_cov_scale": float,
-        "rotation_angle": float,
-        "mean_drift": float,
-        "train_samples_per_task": int,
-        "test_samples_per_task": int,
+        "num_tasks": (int, _REQUIRED),
+        "base_means": (str, _REQUIRED),
+        "class_cov_scale": (float, _REQUIRED),
+        "rotation_angle": (float, _REQUIRED),
+        "mean_drift": (float, _REQUIRED),
+        "train_samples_per_task": (int, _REQUIRED),
+        "test_samples_per_task": (int, _REQUIRED),
     },
     "partition": {
-        "dirichlet_alpha": float,
-        "min_samples_per_client": int,
-        "resample_per_task": bool,
+        "dirichlet_alpha": (float, _REQUIRED),
+        "min_samples_per_client": (int, _REQUIRED),
+        "resample_per_task": (bool, True),
     },
     "federation": {
-        "num_clients": int,
-        "participants_per_round": int,
-        "rounds_per_task": int,
-        "local_epochs": int,
-        "batch_size": int,
-        "local_lr": float,
-        "global_lr_schedule": str,
-        "global_lr": float,
-        "algorithm": str,
-        "prox_lambda": float,
-        "master_seed": int,
+        "num_clients": (int, _REQUIRED),
+        "participants_per_round": (int, _REQUIRED),
+        "rounds_per_task": (int, _REQUIRED),
+        "local_epochs": (int, _REQUIRED),
+        "batch_size": (int, _REQUIRED),
+        "local_lr": (float, _REQUIRED),
+        "global_lr_schedule": (str, _REQUIRED),
+        "global_lr": (float, 1.0),
+        "algorithm": (str, _REQUIRED),
+        "prox_lambda": (float, _REQUIRED),
+        "master_seed": (int, _REQUIRED),
     },
     "probe": {
-        "num_random_probes": int,
-        "minibatch_draws": int,
-        "batch_size": int,
-        "probe_scale": float,
+        "num_random_probes": (int, 8),
+        "minibatch_draws": (int, 4),
+        "batch_size": (int, 32),
+        "probe_scale": (float, 1.0),
     },
     "io": {
-        "output_dir": str,
-        "eval_every": int,
-        "joint_grad_every": int,
+        "output_dir": (str, "runs/out"),
+        "eval_every": (int, 0),
+        "joint_grad_every": (int, 0),
     },
-}
-
-# Keys that may be omitted, with their defaults.
-_OPTIONAL = {
-    ("model", "hidden_dim"): None,
-    ("model", "activation"): "tanh",
-    ("partition", "resample_per_task"): True,
-    ("federation", "global_lr"): 1.0,
-    ("probe", "num_random_probes"): 8,
-    ("probe", "minibatch_draws"): 4,
-    ("probe", "batch_size"): 32,
-    ("probe", "probe_scale"): 1.0,
-    ("io", "output_dir"): "runs/out",
-    ("io", "eval_every"): 0,
-    ("io", "joint_grad_every"): 0,
 }
 
 
@@ -136,6 +130,14 @@ def _parse_means(raw: str, num_classes: int, input_dim: int) -> tuple[tuple[floa
     return tuple(rows)
 
 
+def _build(section: str, kind, values: dict, **fields):
+    """``kind`` built from the section's values by key name, plus ``fields``."""
+    try:
+        return kind(**values, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a config from its text form."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -144,94 +146,32 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-            values[(section, key)] = _convert(section, key, raw, _SCHEMA[section][key])
+            values[section][key] = _convert(section, key, raw, _SCHEMA[section][key][0])
     for section, keys in _SCHEMA.items():
-        for key in keys:
-            if (section, key) in values:
-                continue
-            if (section, key) in _OPTIONAL:
-                values[(section, key)] = _OPTIONAL[(section, key)]
-            else:
+        for key, (_, default) in keys.items():
+            if key not in values[section] and default is _REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
+            values[section].setdefault(key, default)
 
-    def get(section: str, key: str):
-        return values[(section, key)]
-
-    try:
-        model = ModelSpec(
-            kind=get("model", "kind"),
-            input_dim=get("model", "input_dim"),
-            num_classes=get("model", "num_classes"),
-            hidden_dim=get("model", "hidden_dim"),
-            activation=get("model", "activation"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    means = _parse_means(get("data", "base_means"), model.num_classes, model.input_dim)
-    try:
-        shift = DomainShiftSpec(
-            num_tasks=get("data", "num_tasks"),
-            base_class_means=means,
-            class_cov_scale=get("data", "class_cov_scale"),
-            rotation_angle=get("data", "rotation_angle"),
-            mean_drift=get("data", "mean_drift"),
-            train_samples_per_task=get("data", "train_samples_per_task"),
-            test_samples_per_task=get("data", "test_samples_per_task"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"data: {exc}") from exc
-
-    try:
-        hyper = HyperParams(
-            num_clients=get("federation", "num_clients"),
-            participants_per_round=get("federation", "participants_per_round"),
-            rounds_per_task=get("federation", "rounds_per_task"),
-            local_epochs=get("federation", "local_epochs"),
-            local_lr=get("federation", "local_lr"),
-            batch_size=get("federation", "batch_size"),
-            global_lr_schedule=get("federation", "global_lr_schedule"),
-            global_lr=get("federation", "global_lr"),
-            prox_lambda=get("federation", "prox_lambda"),
-            algorithm=get("federation", "algorithm"),
-            master_seed=get("federation", "master_seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"federation: {exc}") from exc
-
-    try:
-        partition = PartitionSpec(
-            num_clients=hyper.num_clients,
-            dirichlet_alpha=get("partition", "dirichlet_alpha"),
-            min_samples_per_client=get("partition", "min_samples_per_client"),
-            resample_per_task=get("partition", "resample_per_task"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"partition: {exc}") from exc
-
-    try:
-        probe = ProbeConfig(
-            num_random_probes=get("probe", "num_random_probes"),
-            minibatch_draws=get("probe", "minibatch_draws"),
-            batch_size=get("probe", "batch_size"),
-            probe_scale=get("probe", "probe_scale"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"probe: {exc}") from exc
-
-    eval_every = get("io", "eval_every")
-    joint_grad_every = get("io", "joint_grad_every")
-    if eval_every < 0:
-        raise ConfigError("io.eval_every must be >= 0")
-    if joint_grad_every < 0:
-        raise ConfigError("io.joint_grad_every must be >= 0")
+    model = _build("model", ModelSpec, values["model"])
+    data = values["data"]
+    means = _parse_means(data.pop("base_means"), model.num_classes, model.input_dim)
+    shift = _build("data", DomainShiftSpec, data, base_class_means=means)
+    hyper = _build("federation", HyperParams, values["federation"])
+    partition = _build("partition", PartitionSpec, values["partition"], num_clients=hyper.num_clients)
+    probe = _build("probe", ProbeConfig, values["probe"])
+    io_values = values["io"]
+    output_dir = io_values.pop("output_dir")
+    for key in ("eval_every", "joint_grad_every"):
+        if io_values[key] < 0:
+            raise ConfigError(f"io.{key} must be >= 0")
 
     pool_floor = hyper.num_clients * partition.min_samples_per_client
     if shift.train_samples_per_task < pool_floor:
@@ -249,8 +189,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         partition=partition,
         hyper=hyper,
         probe=probe,
-        eval_cfg=EvalConfig(eval_every=eval_every, joint_grad_every=joint_grad_every),
-        output_dir=get("io", "output_dir"),
+        eval_cfg=EvalConfig(**io_values),
+        output_dir=output_dir,
     )
 
 
@@ -260,57 +200,32 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+def _text(kind, value) -> str:
+    if kind is float:
+        return repr(value)
+    if kind is bool:
+        return str(value).lower()
+    return str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a config back to text that parses to an equal config."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["model"] = {
-        "kind": config.model.kind,
-        "input_dim": str(config.model.input_dim),
-        "num_classes": str(config.model.num_classes),
-    }
-    if config.model.kind == "mlp1":
-        parser["model"]["hidden_dim"] = str(config.model.hidden_dim)
-        parser["model"]["activation"] = config.model.activation
-    parser["data"] = {
-        "num_tasks": str(config.shift.num_tasks),
-        "base_means": "; ".join(
-            " ".join(repr(v) for v in row) for row in config.shift.base_class_means
-        ),
-        "class_cov_scale": repr(config.shift.class_cov_scale),
-        "rotation_angle": repr(config.shift.rotation_angle),
-        "mean_drift": repr(config.shift.mean_drift),
-        "train_samples_per_task": str(config.shift.train_samples_per_task),
-        "test_samples_per_task": str(config.shift.test_samples_per_task),
-    }
-    parser["partition"] = {
-        "dirichlet_alpha": repr(config.partition.dirichlet_alpha),
-        "min_samples_per_client": str(config.partition.min_samples_per_client),
-        "resample_per_task": str(config.partition.resample_per_task).lower(),
-    }
-    parser["federation"] = {
-        "num_clients": str(config.hyper.num_clients),
-        "participants_per_round": str(config.hyper.participants_per_round),
-        "rounds_per_task": str(config.hyper.rounds_per_task),
-        "local_epochs": str(config.hyper.local_epochs),
-        "batch_size": str(config.hyper.batch_size),
-        "local_lr": repr(config.hyper.local_lr),
-        "global_lr_schedule": config.hyper.global_lr_schedule,
-        "global_lr": repr(config.hyper.global_lr),
-        "algorithm": config.hyper.algorithm,
-        "prox_lambda": repr(config.hyper.prox_lambda),
-        "master_seed": str(config.hyper.master_seed),
-    }
-    parser["probe"] = {
-        "num_random_probes": str(config.probe.num_random_probes),
-        "minibatch_draws": str(config.probe.minibatch_draws),
-        "batch_size": str(config.probe.batch_size),
-        "probe_scale": repr(config.probe.probe_scale),
-    }
-    parser["io"] = {
-        "output_dir": config.output_dir,
-        "eval_every": str(config.eval_cfg.eval_every),
-        "joint_grad_every": str(config.eval_cfg.joint_grad_every),
-    }
+    owners = (
+        config.model, config.shift, config.partition, config.hyper, config.probe, config.eval_cfg
+    )
+    for (section, keys), owner in zip(_SCHEMA.items(), owners):
+        parser[section] = {}
+        for key, (kind, _) in keys.items():
+            if key in ("hidden_dim", "activation") and config.model.kind != "mlp1":
+                continue
+            if key == "base_means":
+                text = "; ".join(" ".join(repr(v) for v in row) for row in owner.base_class_means)
+            elif key == "output_dir":
+                text = config.output_dir
+            else:
+                text = _text(kind, getattr(owner, key))
+            parser[section][key] = text
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -318,12 +233,4 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 def with_lambda(config: ExperimentConfig, lam: float, output_dir: str) -> ExperimentConfig:
     """Copy of ``config`` with a different proximal weight and output dir."""
-    return ExperimentConfig(
-        model=config.model,
-        shift=config.shift,
-        partition=config.partition,
-        hyper=replace(config.hyper, prox_lambda=lam),
-        probe=config.probe,
-        eval_cfg=config.eval_cfg,
-        output_dir=output_dir,
-    )
+    return replace(config, hyper=replace(config.hyper, prox_lambda=lam), output_dir=output_dir)

@@ -151,7 +151,8 @@ def build_bound_reports(
             ("stepsize_conv_product", steps.conv_product_cap, hp.gamma_g(k) * gl, steps.conv_product_ok, ""),
             (
                 "stepsize_bkt_gamma_l", steps.bkt_gamma_l_cap, gl, steps.bkt_gamma_l_ok,
-                f";first_violating_round={first_violation if first_violation is not None else 'none'}",
+                f";first_violating_round={first_violation if first_violation is not None else 'none'}"
+                + _overflow_note(steps.bkt_gamma_l_overflowed),
             ),
             ("stepsize_bkt_gamma_g", steps.bkt_gamma_g_cap, hp.gamma_g(k), steps.bkt_gamma_g_ok, ""),
         ):

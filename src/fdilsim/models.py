@@ -12,7 +12,8 @@ Two model kinds are supported, both classifying into a fixed label space:
 
 The loss is the mean softmax cross-entropy over the minibatch, computed with
 max-subtraction / log-sum-exp for numerical stability, and the gradient is
-written out exactly (no autodiff).  All functions are pure and deterministic.
+written out exactly (no autodiff).  The gradient kernel and :func:`accuracy`
+share one forward pass.  All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -130,28 +131,23 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray):
+def _forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
+    """Class scores for each row of ``inputs``, with what the gradient reuses.
+
+    Returns ``(xa, hidden, z)``: the bias-augmented inputs, ``None`` for
+    logreg or ``(z1, h, ha, w2)`` for mlp1, and the scores ``z``.
+    """
+    xa = _augment(inputs)
     lead = params.shape[:-1]
     if spec.kind == "logreg":
-        return (params.reshape(lead + (spec.input_dim + 1, spec.num_classes)),)
+        return xa, None, xa @ params.reshape(lead + (spec.input_dim + 1, spec.num_classes))
     n1 = (spec.input_dim + 1) * spec.hidden_dim
     w1 = params[..., :n1].reshape(lead + (spec.input_dim + 1, spec.hidden_dim))
     w2 = params[..., n1:].reshape(lead + (spec.hidden_dim + 1, spec.num_classes))
-    return w1, w2
-
-
-def _activate(spec: ModelSpec, z1: np.ndarray) -> np.ndarray:
-    return np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
-
-
-def logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Raw class scores for each row of ``inputs``."""
-    xa = _augment(inputs)
-    if spec.kind == "logreg":
-        (w,) = _unpack(spec, params)
-        return xa @ w
-    w1, w2 = _unpack(spec, params)
-    return _augment(_activate(spec, xa @ w1)) @ w2
+    z1 = xa @ w1
+    h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
+    ha = _augment(h)
+    return xa, (z1, h, ha, w2), ha @ w2
 
 
 def loss_and_grad(
@@ -174,17 +170,8 @@ def loss_and_grad(
     Nothing is validated here: callers pass data and parameters that
     :func:`check_data` and :func:`check_params` accepted at their boundary.
     """
-    xa = _augment(batch.inputs)
+    xa, hidden, z = _forward(spec, params, batch.inputs)
     n = xa.shape[-2]
-    if spec.kind == "logreg":
-        (w,) = _unpack(spec, params)
-        z = xa @ w
-    else:
-        w1, w2 = _unpack(spec, params)
-        z1 = xa @ w1
-        h = _activate(spec, z1)
-        ha = _augment(h)
-        z = ha @ w2
 
     # Label terms by flat fancy indexing on a (rows, classes) view, at any
     # stack depth; take_along_axis would slow the plain call by about a third.
@@ -205,6 +192,7 @@ def loss_and_grad(
         grad = (xa.swapaxes(-1, -2) @ p) / n
         grad = grad.reshape(lead + (-1,))
     else:
+        z1, h, ha, w2 = hidden
         p /= n
         grad_w2 = ha.swapaxes(-1, -2) @ p
         dh = p @ w2[..., :-1, :].swapaxes(-1, -2)
@@ -221,5 +209,5 @@ def accuracy(spec: ModelSpec, params: np.ndarray, dataset: Minibatch) -> float:
 
     Argmax ties break toward the lowest class index.
     """
-    predictions = np.argmax(logits(spec, params, dataset.inputs), axis=1)
+    predictions = np.argmax(_forward(spec, params, dataset.inputs)[2], axis=1)
     return float(np.mean(predictions == dataset.labels))

@@ -2,10 +2,11 @@
 
 Each round the server samples N of M clients uniformly without replacement
 (one draw call for all N swap targets), runs their local updates together in
-one lockstep call, averages the update vectors in ascending client-id order,
-applies the global step ``theta_bar = theta + gamma_G * delta``, and,
-from the second task on under the server-anchored algorithm, blends the
-result with the previous task's final model:
+one lockstep call, averages the ``(N, d)`` update rows it returns in
+ascending client-id order, applies the global step
+``theta_bar = theta + gamma_G * delta``, and, from the second task on under
+the server-anchored algorithm, blends the result with the previous task's
+final model:
 
     theta' = theta_bar / (1 + lambda) + lambda * anchor / (1 + lambda)
 
@@ -171,19 +172,16 @@ def sample_clients(num_clients: int, sample_size: int, stream: np.random.Generat
     return tuple(sorted(pool[:sample_size]))
 
 
-def aggregate(updates: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Arithmetic mean of update vectors, accumulated in ascending id order."""
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    shape = updates[0][1].shape
-    for _, delta in updates:
-        if delta.shape != shape:
-            raise ValueError("update vectors must share a length")
-    ordered = sorted(updates, key=lambda item: item[0])
-    total = np.zeros(shape)
-    for _, delta in ordered:
+def aggregate(deltas: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the ``(N, d)`` update rows, summed in row order from +0.0.
+
+    The rows come in ascending client-id order, as :func:`local_update`
+    returns them.  The +0.0 start makes a column of -0.0 entries sum to +0.0.
+    """
+    total = np.zeros(deltas.shape[1])
+    for delta in deltas:
         total += delta
-    return total / len(ordered)
+    return total / len(deltas)
 
 
 def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
@@ -250,7 +248,7 @@ def run_round(
         cfg,
         _local_streams(hp, state, shards, selected),
     )
-    delta = aggregate(list(zip(selected, update.delta)))
+    delta = aggregate(update.delta)
     theta_bar = state.params + hp.gamma_g(i) * delta
 
     if hp.algorithm == "special" and i >= 2:

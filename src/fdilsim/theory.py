@@ -11,9 +11,10 @@ enlarging the probe set can only move an estimate toward the truth.
 The estimator works in stacked passes.  Full-shard gradients at every probe
 point take one stacked call per shard through the full-shard helper
 :func:`fdilsim.metrics.client_objective_grad`; the minibatch draws of all
-clients at one (probe, task) go through one stacked pass, each client still
-drawing all its batches from its own stream, in one call; a shard no larger
-than the batch is used whole, so its full-shard gradient is reused.  The
+clients at one (probe, task) go through one stacked pass, each client
+drawing all its batches from its own stream by the draw rule of local
+training, :func:`fdilsim.client.draw_rows`; a shard no larger than the
+batch is used whole, so its full-shard gradient is reused.  The
 reductions vectorise sums of squares and cosines over clients and tasks only
 to shortlist the candidates near each extreme, and recompute those with the
 scalar norm/dot expressions.  A maximum or minimum of exact values does not
@@ -38,6 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
+from .client import draw_rows
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count
@@ -204,20 +206,14 @@ def _minibatch_grads(
     """Stochastic gradients ``(len(clients), draws, d)`` at one probe and task.
 
     Each client draws all its batches from its own ``(PROBE_BATCH, probe,
-    task, client)`` stream in one ``integers`` call, which gives the same
-    batches as one draw per batch; the index block of all clients is sorted
-    once, each batch on its own, as local training sorts its draws.  The rows
-    go through stacked kernel calls of at most ``STACK_ROWS`` rows.
+    task, client)`` stream through :func:`draw_rows`, the draw rule of local
+    training.  The rows go through stacked kernel calls of at most
+    ``STACK_ROWS`` rows.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     sampled = [task_shards[m].data for m in clients]
-    offsets = np.cumsum([0] + [len(data) for data in sampled])
-    idx = np.empty((len(clients), draws, size), dtype=np.intp)
-    for r, (m, data) in enumerate(zip(clients, sampled)):
-        stream = rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m))
-        idx[r] = stream.integers(0, len(data), size=(draws, size))
-    idx.sort(axis=-1)
-    idx = (idx + offsets[:-1, None, None]).reshape(-1, size)
+    streams = [rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m)) for m in clients]
+    idx = draw_rows([len(data) for data in sampled], size, streams, draws).reshape(-1, size)
     inputs = np.concatenate([data.inputs for data in sampled])[idx]
     targets = np.concatenate([data.labels for data in sampled])[idx]
 
@@ -474,6 +470,15 @@ def psi_residual(
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 
+@_inf_on_overflow
+def _bkt_gamma_l_cap(
+    eps: float, gprev: float, b: float, l_smooth: float, epochs: int, t: int, m: int, lam: float
+) -> float:
+    """Retention cap on the local rate at round t; infinite if a term overflows."""
+    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
+    return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
+
+
 @dataclass
 class StepSizeReport:
     """Step-size conditions of the retention and convergence bounds."""
@@ -486,6 +491,7 @@ class StepSizeReport:
     conv_product_ok: bool
     bkt_gamma_l_cap: float
     bkt_gamma_l_ok: bool
+    bkt_gamma_l_overflowed: bool
     bkt_gamma_g_cap: float
     bkt_gamma_g_ok: bool
     suggested_gamma_l: float
@@ -503,7 +509,8 @@ def check_step_sizes(
 
     The backward-transfer local-rate cap shrinks with t, so callers wanting
     the strictest value over a run should pass the final round.  A cap too
-    large for a float is infinite.
+    large for a float is infinite, and ``bkt_gamma_l_overflowed`` tells that
+    inf apart from one by design.
     """
     gg, gl = hp.gamma_g(k), hp.local_lr
     e, lam = hp.local_epochs, hp.prox_lambda
@@ -515,19 +522,13 @@ def check_step_sizes(
     conv_prod_cap = (1.0 + lam) / (3.0 * e * l_s) if l_s > 0 else math.inf
 
     if lam > 0 and l_s > 0 and consts.B > 0 and consts.eps_bkt > 0 and k >= 2 and t >= 1:
-        try:
-            bkt_gl_cap = (
-                2.0
-                * consts.eps_bkt
-                * grad_norm_prev
-                / (consts.B * l_s * e * t * math.sqrt(m * e / (lam ** 2 + 2.0 * lam)))
-            )
-        except OverflowError:  # lambda ** 2 beyond a float: the cap has no finite value
-            bkt_gl_cap = math.inf
+        bkt_gl_cap, bkt_gl_overflowed = _bkt_gamma_l_cap.checked(
+            consts.eps_bkt, grad_norm_prev, consts.B, l_s, e, t, m, lam
+        )
     else:
         # No anchor, no curvature, or a failed alignment premise admits no
         # positive local rate.
-        bkt_gl_cap = 0.0
+        bkt_gl_cap, bkt_gl_overflowed = 0.0, False
     bkt_gg_cap = 1.0 / (math.sqrt(n) * (k - 1)) if k >= 2 else math.inf
 
     if lam > 0 and l_s > 0:
@@ -548,6 +549,7 @@ def check_step_sizes(
         conv_product_ok=gg * gl <= conv_prod_cap,
         bkt_gamma_l_cap=bkt_gl_cap,
         bkt_gamma_l_ok=gl <= bkt_gl_cap,
+        bkt_gamma_l_overflowed=bkt_gl_overflowed,
         bkt_gamma_g_cap=bkt_gg_cap,
         bkt_gamma_g_ok=gg <= bkt_gg_cap,
         suggested_gamma_l=suggested_gl,

@@ -146,19 +146,25 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
     # the evaluation overflowed, and their rows say so.
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
-    config = tmp_path / "huge_lambda.ini"
-    config.write_text(text.replace("prox_lambda = 0.25", "prox_lambda = 1e300"), encoding="utf-8")
+    text = text.replace("prox_lambda = 0.25", "prox_lambda = 1e300")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = tmp_path / "run"
-    for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = {
-        line.split(",")[0]: line
-        for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
-    }
+
+    def run_and_verify(name, config_text):
+        config = tmp_path / f"{name}.ini"
+        config.write_text(config_text, encoding="utf-8")
+        out = tmp_path / name
+        for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+        rows = {
+            line.split(",")[0]: line
+            for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
+        }
+        return out, rows
+
+    out, rows = run_and_verify("huge_lambda", text)
     for name in ("drift_cap_task_2", "drift_cap_task_3", "stationarity_residual"):
         assert rows[name].split(",")[1] == "inf"
         assert rows[name].endswith(";vacuous=overflow")
@@ -172,6 +178,14 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
         report.read_text(encoding="utf-8").replace(";vacuous=overflow", "", 1), encoding="utf-8"
     )
     assert main(["verify", str(out)]) == 2
+
+    # Without a shift the alignment premise holds, so the retention
+    # local-rate cap is evaluated, and it overflows too.
+    unshifted = text.replace("rotation_angle = 0.5235987755982988", "rotation_angle = 0")
+    unshifted = unshifted.replace("mean_drift = 0.1", "mean_drift = 0")
+    _, rows = run_and_verify("huge_lambda_unshifted", unshifted)
+    assert rows["stepsize_bkt_gamma_l"].split(",")[1] == "inf"
+    assert rows["stepsize_bkt_gamma_l"].endswith(";first_violating_round=none;vacuous=overflow")
 
 
 def test_run_prints_bound_summary(tmp_path, capsys):

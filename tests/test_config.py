@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -116,3 +117,142 @@ def test_wide_profile_is_the_wide_workload():
     workload = parse_config(ROOT / "benchmarks" / "workloads" / "wide.ini")
     assert profile.output_dir != workload.output_dir
     assert replace(profile, output_dir=workload.output_dir) == workload
+
+
+# Exact text of profiles/default.ini after a parse and serialize; a sweep's
+# config.ini snapshots are written this way.
+DEFAULT_SERIALIZED = """\
+[model]
+kind = logreg
+input_dim = 2
+num_classes = 3
+
+[data]
+num_tasks = 3
+base_means = 0.0 2.0; -1.7320508075688772 -1.0; 1.7320508075688772 -1.0
+class_cov_scale = 0.6
+rotation_angle = 0.5235987755982988
+mean_drift = 0.1
+train_samples_per_task = 480
+test_samples_per_task = 240
+
+[partition]
+dirichlet_alpha = 0.1
+min_samples_per_client = 4
+resample_per_task = true
+
+[federation]
+num_clients = 8
+participants_per_round = 4
+rounds_per_task = 20
+local_epochs = 5
+batch_size = 32
+local_lr = 0.001
+global_lr_schedule = task_decay
+global_lr = 1.0
+algorithm = special
+prox_lambda = 0.25
+master_seed = 25
+
+[probe]
+num_random_probes = 8
+minibatch_draws = 4
+batch_size = 32
+probe_scale = 1.0
+
+[io]
+output_dir = runs/default
+eval_every = 0
+joint_grad_every = 5
+
+"""
+
+
+def test_serialized_text_is_pinned():
+    config = parse_config_text(profile_text())
+    assert serialize_config(config) == DEFAULT_SERIALIZED
+
+    # mlp1 writes its two model keys; an omitted activation takes its default.
+    mlp = parse_config_text(profile_text().replace("kind = logreg", "kind = mlp1\nhidden_dim = 6"))
+    assert serialize_config(mlp) == DEFAULT_SERIALIZED.replace(
+        "kind = logreg", "kind = mlp1"
+    ).replace("num_classes = 3\n", "num_classes = 3\nhidden_dim = 6\nactivation = tanh\n")
+
+    swapped = with_lambda(config, 0.75, "runs/sweep/lambda_0.75")
+    assert serialize_config(swapped) == DEFAULT_SERIALIZED.replace(
+        "prox_lambda = 0.25", "prox_lambda = 0.75"
+    ).replace("output_dir = runs/default", "output_dir = runs/sweep/lambda_0.75")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("kind = logreg", "kind = cnn", "model: unknown model kind 'cnn'"),
+        ("kind = logreg", "kind = mlp1", "model: mlp1 requires hidden_dim >= 1"),
+        ("class_cov_scale = 0.6", "class_cov_scale = 0", "data: class_cov_scale must be positive"),
+        (
+            "base_means = 0 2; -1.7320508075688772 -1; 1.7320508075688772 -1",
+            "base_means = 0 2; -1 -1",
+            "data.base_means: expected 3 rows (one per class), got 2",
+        ),
+        ("dirichlet_alpha = 0.1", "dirichlet_alpha = 0", "partition: dirichlet_alpha must be positive"),
+        (
+            "resample_per_task = true",
+            "resample_per_task = maybe",
+            "partition.resample_per_task: cannot parse 'maybe' as bool",
+        ),
+        ("local_epochs = 5", "local_epochs = 0", "federation: local_epochs must be >= 1"),
+        (
+            "rounds_per_task = 20",
+            "rounds_per_task = twenty",
+            "federation.rounds_per_task: cannot parse 'twenty' as int",
+        ),
+        ("prox_lambda = 0.25", "prox_lambda = inf", "federation.prox_lambda must be finite"),
+        ("minibatch_draws = 4", "minibatch_draws = 0", "probe: minibatch_draws must be >= 1"),
+        ("eval_every = 0", "eval_every = -1", "io.eval_every must be >= 0"),
+        ("joint_grad_every = 5", "joint_grad_every = -2", "io.joint_grad_every must be >= 0"),
+        ("master_seed = 25\n", "", "missing required key federation.master_seed"),
+        (
+            "master_seed = 25",
+            "master_seed = 25\nwarmup_rounds = 3",
+            "unknown key federation.warmup_rounds",
+        ),
+        (
+            "train_samples_per_task = 480",
+            "train_samples_per_task = 30",
+            "data.train_samples_per_task: train pool 30 cannot satisfy "
+            "num_clients * min_samples_per_client = 32",
+        ),
+        ("[io]", "[telemetry]\nenabled = true\n\n[io]", "unknown section [telemetry]"),
+    ],
+)
+def test_config_error_messages_are_exact(old, new, message):
+    text = profile_text()
+    assert old in text
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text.replace(old, new))
+    assert str(info.value) == message
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    from fdilsim.config import _REQUIRED, _SCHEMA, _text
+
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Section.key | Default | Meaning |")
+    documented = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        keys_cell, default_cell = line.split(" | ")[:2]
+        for key in re.findall(r"`(\w+\.\w+)`", keys_cell):
+            documented[key] = default_cell
+    expected = {}
+    for section, keys in _SCHEMA.items():
+        for key, (kind, default) in keys.items():
+            if default is _REQUIRED:
+                expected[f"{section}.{key}"] = "required"
+            elif default is None:
+                expected[f"{section}.{key}"] = "none"
+            else:
+                expected[f"{section}.{key}"] = f"`{_text(kind, default)}`"
+    assert documented == expected

@@ -127,22 +127,20 @@ def test_sampling_equals_one_draw_per_swap():
 def test_aggregate_examples():
     a = np.array([1.0, 3.0])
     b = np.array([3.0, 1.0])
-    assert np.array_equal(aggregate([(0, a), (1, b)]), np.array([2.0, 2.0]))
-    assert np.array_equal(aggregate([(5, a)]), a)
+    assert np.array_equal(aggregate(np.stack([a, b])), np.array([2.0, 2.0]))
+    assert np.array_equal(aggregate(a[None]), a)
 
 
-def test_aggregate_is_order_invariant():
-    rng = np.random.default_rng(0)
-    updates = [(i, rng.standard_normal(6)) for i in range(5)]
-    shuffled = [updates[i] for i in (3, 0, 4, 2, 1)]
-    assert np.array_equal(aggregate(updates), aggregate(shuffled))
-
-
-def test_aggregate_rejects_mismatch():
-    with pytest.raises(ValueError):
-        aggregate([(0, np.zeros(3)), (1, np.zeros(4))])
-    with pytest.raises(ValueError):
-        aggregate([])
+def test_aggregate_sums_rows_in_order_from_positive_zero():
+    # A bare deltas.sum(axis=0) would start from the first row and keep -0.0.
+    out = aggregate(np.full((3, 4), -0.0))
+    assert np.array_equal(out, np.zeros(4))
+    assert not np.signbit(out).any()
+    rows = np.random.default_rng(0).standard_normal((5, 6)) * 10.0 ** np.arange(5)[:, None]
+    total = np.zeros(6)
+    for row in rows:
+        total += row
+    assert np.array_equal(aggregate(rows), total / 5)
 
 
 def test_blend_examples():
@@ -290,8 +288,8 @@ def test_full_participation_matches_reference_loop():
             for m in range(8):
                 stream = derive_stream(hp.master_seed, (4, i, t, m))
                 cfg = LocalConfig(epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size)
-                updates.append((m, local_update_loop(SPEC, theta, shards[i - 1][m], cfg, stream).delta))
-            delta = aggregate(updates)
+                updates.append(local_update_loop(SPEC, theta, shards[i - 1][m], cfg, stream).delta)
+            delta = aggregate(np.stack(updates))
             theta_bar = theta + hp.gamma_g(i) * delta
             theta = proximal_blend(theta_bar, anchor, hp.prox_lambda) if i >= 2 else theta_bar
         assert np.array_equal(theta, log.task_params[i - 1])
@@ -325,7 +323,7 @@ def test_streams_derived_only_for_clients_that_draw(monkeypatch):
         (m, local_update_loop(SPEC, theta0, shards[0][m], cfg, real_derive(25, (4, 1, 0, m))))
         for m in selected
     ]
-    ref_delta = aggregate([(m, ref.delta) for m, ref in refs])
+    ref_delta = aggregate(np.stack([ref.delta for _, ref in refs]))
     assert np.array_equal(delta, ref_delta)
     assert np.array_equal(state.params, theta0 + hp.gamma_g(1) * ref_delta)
     assert gmax == max(ref.grad_norm_max for _, ref in refs)
