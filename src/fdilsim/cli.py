@@ -26,6 +26,7 @@ from .config import ConfigError, parse_config_text, serialize_config, with_lambd
 from .experiment import run_experiment
 from .metrics import acc, bwt
 from .runio import compare_runlogs, emit_runlog, fmt, verify_runlog
+from .theory import ProbeScaleError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
+    except (ConfigError, ProbeScaleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

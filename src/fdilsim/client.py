@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ClientShard
-from .models import Minibatch, ModelSpec, loss_and_grad
+from .models import Minibatch, ModelSpec, loss_and_grad, row_dots
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,7 @@ def local_update(
             if draws:
                 batch = Minibatch.stack(step_inputs[e], step_labels[e])
             _, grad = loss_and_grad(spec, theta, batch)
-            # A stacked (1, d) @ (d, 1) product is the same dot as grad @ grad.
-            norm_sq = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+            norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
             gmax = np.maximum(gmax, np.sqrt(norm_sq))
             gsq = gsq + norm_sq
             theta = theta - cfg.local_lr * grad

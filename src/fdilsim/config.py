@@ -1,9 +1,10 @@
 """Experiment configuration: a flat INI schema, one section per subsystem.
 
 Parsing is strict: unknown sections or keys are rejected, every value is
-type-checked, and all invariants of the embedded parameter types are enforced
-at parse time with the offending ``section.key`` named in the error.  A
-parsed config serializes back to text that parses to an equal config.
+type-checked (a float must be finite), and all invariants of the embedded
+parameter types are enforced at parse time with the offending
+``section.key`` named in the error.  A parsed config serializes back to
+text that parses to an equal config.
 
 Every key is listed once, in ``_SCHEMA`` with its type and default.  Each
 section's parameter object is built from its keys by name, and
@@ -103,9 +104,12 @@ def _convert(section: str, key: str, raw: str, kind):
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite")
+    return value
 
 
 def _parse_means(raw: str, num_classes: int, input_dim: int) -> tuple[tuple[float, ...], ...]:
@@ -118,6 +122,8 @@ def _parse_means(raw: str, num_classes: int, input_dim: int) -> tuple[tuple[floa
             rows.append(tuple(float(v) for v in row_text.split()))
         except ValueError as exc:
             raise ConfigError(f"data.base_means: cannot parse row {row_text!r}") from exc
+        if not all(math.isfinite(v) for v in rows[-1]):
+            raise ConfigError(f"data.base_means: row {row_text!r} must be finite")
     if len(rows) != num_classes:
         raise ConfigError(
             f"data.base_means: expected {num_classes} rows (one per class), got {len(rows)}"
@@ -180,8 +186,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"{shift.train_samples_per_task} cannot satisfy num_clients * "
             f"min_samples_per_client = {pool_floor}"
         )
-    if not math.isfinite(hyper.prox_lambda):
-        raise ConfigError("federation.prox_lambda must be finite")
 
     return ExperimentConfig(
         model=model,

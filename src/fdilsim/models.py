@@ -127,6 +127,18 @@ def check_data(spec: ModelSpec, data: Minibatch) -> None:
         raise ValueError("label out of range for num_classes")
 
 
+def row_dots(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Dot product of each row pair of ``u`` and ``v`` (default ``u``) over the last axis.
+
+    A stacked ``(1, d) @ (d, 1)`` matmul calls the BLAS dot once per pair,
+    so each entry equals ``np.dot`` of its rows bit for bit, and the square
+    root of ``row_dots(u)`` equals ``np.linalg.norm`` of each row.  Leading
+    axes broadcast, so one row can meet many.
+    """
+    v = u if v is None else v
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 

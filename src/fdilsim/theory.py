@@ -3,8 +3,8 @@
 The constants (gradient bound B, smoothness L, local variance sigma_L,
 intra-task heterogeneity sigma_G, inter-task gap sigma_T, alignment epsilons)
 are estimated as empirical extrema over a set of probe parameter points:
-random draws around a configurable center plus any trajectory checkpoints the
-caller supplies.  By construction every estimate is a lower bound on the true
+random draws around the origin plus any trajectory checkpoints the caller
+supplies.  By construction every estimate is a lower bound on the true
 supremum (or an upper bound on the true infimum for the epsilons), and
 enlarging the probe set can only move an estimate toward the truth.
 
@@ -14,12 +14,12 @@ point take one stacked call per shard through the full-shard helper
 clients at one (probe, task) go through one stacked pass, each client
 drawing all its batches from its own stream by the draw rule of local
 training, :func:`fdilsim.client.draw_rows`; a shard no larger than the
-batch is used whole, so its full-shard gradient is reused.  The
-reductions vectorise sums of squares and cosines over clients and tasks only
-to shortlist the candidates near each extreme, and recompute those with the
-scalar norm/dot expressions.  A maximum or minimum of exact values does not
-depend on the order they are visited in, so every estimate equals that of a
-plain loop over probes, tasks, clients and draws bit for bit.
+batch is used whole, so its full-shard gradient is reused.  Every norm,
+squared gap and cosine in the reductions comes from
+:func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so each
+is exact, and each constant is a plain ``max``/``min`` over them.  The
+estimates therefore equal those of a plain loop over probes, tasks, clients
+and draws bit for bit.
 
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
@@ -42,14 +42,11 @@ from . import rng as rngmod
 from .client import draw_rows
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
-from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count
+from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
 from .server import HyperParams
 
-# Shortlist margins for the vectorised reductions: relative for the maxima of
-# sums of squares and norm ratios, absolute for the minima of cosines.  Both
-# are far above the last-bit differences between einsum and a scalar dot.
-SHORTLIST_REL = 1e-9
-SHORTLIST_COS = 1e-9
+class ProbeScaleError(ValueError):
+    """A random probe point overflowed; the message names ``probe.probe_scale``."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class ProbeConfig:
     minibatch_draws: int = 4
     batch_size: int = 32
     probe_scale: float = 1.0
-    probe_center: np.ndarray | None = None
 
     def __post_init__(self):
         if self.num_random_probes < 0:
@@ -105,76 +101,25 @@ def _probe_points(
     seed: int,
     checkpoints: tuple[np.ndarray, ...],
 ) -> list[np.ndarray]:
+    """The checkpoints, then random draws around the origin at ``probe_scale``."""
     d = param_count(spec)
-    center = probe_cfg.probe_center
-    if center is None:
-        center = np.zeros(d)
     points = [np.asarray(c, dtype=np.float64) for c in checkpoints]
     for p in range(probe_cfg.num_random_probes):
         stream = rngmod.derive_stream(seed, (rngmod.PROBE_POINT, p))
-        points.append(center + probe_cfg.probe_scale * stream.standard_normal(d))
+        points.append(probe_cfg.probe_scale * stream.standard_normal(d))
+        if not np.isfinite(points[-1]).all():
+            raise ProbeScaleError(
+                f"probe.probe_scale: {probe_cfg.probe_scale!r} overflows random probe point {p}"
+            )
     return points
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return None
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def _sum_sq(a: np.ndarray) -> np.ndarray:
-    """Vectorised squared norms over the last axis (last bits may differ from a dot)."""
-    return np.einsum("...d,...d->...", a, a)
-
-
-def _fold_max(best: float, approx: np.ndarray, exact) -> float:
-    """``max(best, exact(j) for every j)`` from the few ``j`` that can set it.
-
-    ``approx`` holds vectorised values that differ from ``exact(j)`` in the
-    last bits only, so entries more than a relative ``SHORTLIST_REL`` below
-    the larger of ``best`` and their block's top cannot be the maximum.
-    The maximum of exact values does not depend on their order.
-    """
-    approx = approx.ravel()
-    if approx.size == 0:
-        return best
-    floor = max(best, approx.max()) * (1.0 - SHORTLIST_REL)
-    for j in np.flatnonzero((approx >= floor) & (approx > 0.0)):
-        best = max(best, exact(j))
-    return best
-
-
-def _fold_min_cosine(best: float, approx: np.ndarray, exact) -> float:
-    """Running minimum of the exact cosines ``exact(j)`` (None = skipped).
-
-    Shortlists entries within ``SHORTLIST_COS`` of the smallest approximate
-    cosine, plus any whose approximation is not finite, and visits them in
-    index order, so the result equals the scalar loop's.
-    """
-    approx = approx.ravel()
-    if approx.size == 0:
-        return best
-    ceiling = min(best, approx.min()) + SHORTLIST_COS
-    for j in np.flatnonzero(~(approx > ceiling) | ~np.isfinite(approx)):
-        cos = exact(j)
-        if cos is not None:
-            best = min(best, cos)
-    return best
-
-
-def _approx_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.einsum("...d,...d->...", u, v) / np.sqrt(_sum_sq(u) * _sum_sq(v))
-
-
-def _mean_sq_deviation(grads: np.ndarray, full: np.ndarray) -> float:
-    """Mean of ||g - full||^2 over the rows g of ``grads``, summed in row order."""
-    total = 0.0
-    for g in grads:
-        diff = g - full
-        total += float(diff @ diff)
-    return total / len(grads)
+def _cosines(u: np.ndarray, v: np.ndarray) -> list[float]:
+    """``u . v / (|u| |v|)`` of each row pair in row order, leaving out pairs with a zero norm."""
+    nu, nv = np.sqrt(row_dots(u)), np.sqrt(row_dots(v))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cosines = row_dots(u, v) / (nu * nv)
+    return cosines[(nu != 0.0) & (nv != 0.0)].tolist()
 
 
 def _full_shard_grads(
@@ -242,7 +187,8 @@ def estimate_constants(
     client-to-task / task-to-task gradient gaps (as norms); the epsilons are
     the smallest cosines over the corresponding gradient pairs (1.0 when no
     pair exists).  The probe points and every shard are checked against
-    ``spec`` once, here.
+    ``spec`` once, here; a random probe point that overflows raises
+    :class:`ProbeScaleError`.
 
     The work is done in stacked passes:
 
@@ -252,12 +198,16 @@ def estimate_constants(
       client's draws.  A shard no larger than the batch is used whole and
       draws nothing, so its stochastic gradient is its full-shard gradient
       (deviation exactly 0) and is not computed again;
-    * reductions: vectorised sums of squares and cosines shortlist the
-      candidates near each block's extreme (a block is one probe for B,
-      sigma_L, sigma_G and eps_bkt, one probe pair for L, and all probes for
-      the task pairs of sigma_T and eps_corr); only those are recomputed
-      with the scalar ``np.linalg.norm``/dot expressions, so each maximum or
-      minimum is exactly the scalar loop's.
+    * reductions, one block per probe (B, sigma_L, sigma_G, eps_bkt), per
+      probe pair (L) or over all probes (the task pairs of sigma_T and
+      eps_corr).  Every norm, squared gap and cosine comes from
+      :func:`row_dots`, the BLAS dot of each row pair, so it equals the
+      scalar ``np.linalg.norm``/dot expression bit for bit.  sigma_L sums
+      each client's draws in draw order.  Each estimate is then a Python
+      ``max``/``min`` over exact values from its start value: NaN never sets
+      an extreme and +-inf does, and cosines with a zero norm and probe
+      pairs with a zero gap are skipped, as in a plain loop over probes,
+      tasks, clients and draws.
     """
     points = _probe_points(spec, probe_cfg, seed, checkpoints)
     if len(points) < 2:
@@ -277,77 +227,46 @@ def estimate_constants(
     # Row j of flat[p] is client j % M of task j // M: the same memory.
     flat = client_grads.reshape(len(points), k * num_clients, -1)
 
-    whole = [[m for m, s in enumerate(ts) if len(s.data) <= size] for ts in shards_by_task]
-    sampled = [[m for m, s in enumerate(ts) if len(s.data) > size] for ts in shards_by_task]
-    b_max = 0.0
+    # A shard no larger than the batch is used whole: its full-shard gradient
+    # is its only stochastic gradient.
+    whole = np.array([[len(s.data) <= size for s in ts] for ts in shards_by_task])
+    b_max = max([0.0, *np.sqrt(row_dots(client_grads))[:, whole].ravel().tolist()])
     sigma_l_sq = 0.0
     for p, theta in enumerate(thetas):
         for i, task_shards in enumerate(shards_by_task):
-            full, used, drawn = client_grads[p, i], whole[i], sampled[i]
-            b_max = _fold_max(
-                b_max, np.sqrt(_sum_sq(full[used])),
-                lambda j: float(np.linalg.norm(full[used[j]])),
-            )
+            drawn = np.flatnonzero(~whole[i]).tolist()
             if not drawn:
                 continue
             g = _minibatch_grads(spec, theta, task_shards, drawn, probe_cfg, seed, p, i)
-            b_max = _fold_max(
-                b_max, np.sqrt(_sum_sq(g)),
-                lambda j: float(np.linalg.norm(g[j // draws, j % draws])),
-            )
-            approx = _sum_sq(g - full[drawn][:, None, :]).sum(axis=1) / draws
-            sigma_l_sq = _fold_max(
-                sigma_l_sq, approx, lambda r: _mean_sq_deviation(g[r], full[drawn[r]])
-            )
+            b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
+            deviation_sq = row_dots(g - client_grads[p, i, drawn][:, None, :])
+            # In draw order: np.sum adds 8 or more draws pairwise.
+            totals = np.add.accumulate(deviation_sq, axis=1)[:, -1]
+            sigma_l_sq = max([sigma_l_sq, *(totals / draws).tolist()])
 
     l_max = 0.0
     for p, q in combinations(range(len(points)), 2):
         gap = float(np.linalg.norm(points[p] - points[q]))
-        if gap == 0.0:
-            continue
-        l_max = _fold_max(
-            l_max, np.sqrt(_sum_sq(flat[p] - flat[q])) / gap,
-            lambda j: float(np.linalg.norm(flat[p, j] - flat[q, j])) / gap,
-        )
-
-    def spread_sq(p, j):
-        diff = flat[p, j] - task_grads[p, j // num_clients]
-        return float(diff @ diff)
+        if gap != 0.0:
+            l_max = max([l_max, *(np.sqrt(row_dots(flat[p] - flat[q])) / gap).tolist()])
 
     sigma_g_sq = 0.0
     for p in range(len(points)):
-        approx = _sum_sq(client_grads[p] - task_grads[p][:, None, :])
-        sigma_g_sq = _fold_max(sigma_g_sq, approx, lambda j: spread_sq(p, j))
+        spread_sq = row_dots(client_grads[p] - task_grads[p][:, None, :])
+        sigma_g_sq = max([sigma_g_sq, *spread_sq.ravel().tolist()])
 
-    # Task pairs, probe-major: entry j is probe j // len(pairs), pair j % len(pairs).
+    # Task pairs, probe-major.
     pairs = list(combinations(range(k), 2))
     first = task_grads[:, [a for a, _ in pairs]]
     second = task_grads[:, [b for _, b in pairs]]
-
-    def task_pair(j):
-        p, pair = divmod(j, len(pairs))
-        a, b = pairs[pair]
-        return task_grads[p, a], task_grads[p, b]
-
-    def gap_sq(j):
-        u, v = task_pair(j)
-        diff = u - v
-        return float(diff @ diff)
-
-    sigma_t_sq = _fold_max(0.0, _sum_sq(first - second), gap_sq)
-    eps_corr = _fold_min_cosine(
-        1.0, _approx_cosines(first, second), lambda j: _cosine(*task_pair(j))
-    )
+    sigma_t_sq = max([0.0, *row_dots(first - second).ravel().tolist()])
+    eps_corr = min([1.0, *_cosines(first, second)])
 
     eps_bkt = 1.0
     if k >= 2:
         for p in range(len(points)):
             prev_grad = task_grads[p, : k - 1].sum(axis=0)
-            last = client_grads[p, k - 1]
-            eps_bkt = _fold_min_cosine(
-                eps_bkt, _approx_cosines(prev_grad, last),
-                lambda m: _cosine(prev_grad, last[m]),
-            )
+            eps_bkt = min([eps_bkt, *_cosines(prev_grad, client_grads[p, k - 1])])
 
     return ConstantEstimates(
         B=b_max,

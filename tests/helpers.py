@@ -152,11 +152,10 @@ def estimate_constants_loop(
     order.  ``estimate_constants`` must return equal values.
     """
     d = param_count(spec)
-    center = probe_cfg.probe_center if probe_cfg.probe_center is not None else np.zeros(d)
     points = [np.asarray(c, dtype=np.float64) for c in checkpoints]
     for p in range(probe_cfg.num_random_probes):
         stream = rngmod.derive_stream(seed, (rngmod.PROBE_POINT, p))
-        points.append(center + probe_cfg.probe_scale * stream.standard_normal(d))
+        points.append(probe_cfg.probe_scale * stream.standard_normal(d))
 
     k = sequence.num_tasks
     num_clients = len(shards_by_task[0])

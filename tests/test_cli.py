@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fdilsim.cli import main
 from fdilsim.runio import ROUNDS_FILE, SUMMARY_FILE
 from conftest import small_config
@@ -139,6 +141,33 @@ def test_overflowing_local_lr_runs_and_verifies_without_traceback(tmp_path):
     assert codes[0] == 0 and codes[1] in (0, 2)  # documented exit codes
     report = (out / "bound_report.csv").read_text(encoding="utf-8")
     assert "drift_cap_task_2,inf," in report
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("probe_scale = 1.0", "probe_scale = 1e308", "probe.probe_scale: 1e+308 overflows random probe point 3"),
+        ("class_cov_scale = 0.6", "class_cov_scale = nan", "data.class_cov_scale must be finite"),
+        ("mean_drift = 0.1", "mean_drift = inf", "data.mean_drift must be finite"),
+        ("dirichlet_alpha = 0.1", "dirichlet_alpha = inf", "partition.dirichlet_alpha must be finite"),
+    ],
+)
+def test_non_finite_values_exit_1_with_one_line_and_no_run_dir(tmp_path, old, new, message):
+    # Each used to end in a traceback: the probe scale from the estimator's
+    # parameter check, the others from data generation.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    assert old in text
+    config = tmp_path / "bad.ini"
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdilsim", "run", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 1
+    assert (proc.stdout, proc.stderr) == ("", f"config error: {message}\n")
+    assert not out.exists()
 
 
 def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):

@@ -195,6 +195,11 @@ def test_serialized_text_is_pinned():
             "base_means = 0 2; -1 -1",
             "data.base_means: expected 3 rows (one per class), got 2",
         ),
+        (
+            "base_means = 0 2;",
+            "base_means = inf 2;",
+            "data.base_means: row 'inf 2' must be finite",
+        ),
         ("dirichlet_alpha = 0.1", "dirichlet_alpha = 0", "partition: dirichlet_alpha must be positive"),
         (
             "resample_per_task = true",
@@ -208,6 +213,16 @@ def test_serialized_text_is_pinned():
             "federation.rounds_per_task: cannot parse 'twenty' as int",
         ),
         ("prox_lambda = 0.25", "prox_lambda = inf", "federation.prox_lambda must be finite"),
+        ("class_cov_scale = 0.6", "class_cov_scale = nan", "data.class_cov_scale must be finite"),
+        ("class_cov_scale = 0.6", "class_cov_scale = 1e999", "data.class_cov_scale must be finite"),
+        ("mean_drift = 0.1", "mean_drift = inf", "data.mean_drift must be finite"),
+        ("dirichlet_alpha = 0.1", "dirichlet_alpha = inf", "partition.dirichlet_alpha must be finite"),
+        ("probe_scale = 1.0", "probe_scale = inf", "probe.probe_scale must be finite"),
+        (
+            "global_lr_schedule = task_decay",
+            "global_lr_schedule = task_decay\nglobal_lr = -inf",
+            "federation.global_lr must be finite",
+        ),
         ("minibatch_draws = 4", "minibatch_draws = 0", "probe: minibatch_draws must be >= 1"),
         ("eval_every = 0", "eval_every = -1", "io.eval_every must be >= 0"),
         ("joint_grad_every = 5", "joint_grad_every = -2", "io.joint_grad_every must be >= 0"),

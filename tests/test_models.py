@@ -16,7 +16,7 @@ from fdilsim import (
     partition_sequence,
     run_sequence,
 )
-from fdilsim.models import check_data, check_params
+from fdilsim.models import check_data, check_params, row_dots
 from helpers import central_difference_grad
 from test_datagen import make_shift
 from test_server import make_hp
@@ -229,3 +229,21 @@ def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
         for idx in np.ndindex(2, 3):
             plain_loss, plain_grad = loss_and_grad(spec, thetas[0], Minibatch(inputs[idx], labels[idx]))
             assert losses[idx] == plain_loss and np.array_equal(grads[idx], plain_grad)
+
+
+def test_row_dots_equal_np_dot_and_norm_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for d in list(range(1, 40)) + [63, 64, 65, 127, 128, 129, 195, 256, 511, 1000, 1200]:
+        # Rows of very different magnitudes, so a changed summation order shows.
+        u = rng.standard_normal((6, 4, d)) * 10.0 ** rng.integers(-3, 4, size=(6, 4, 1))
+        v = rng.standard_normal((6, 4, d))
+        for a, b in ((u, v), (u[::2, ::3], v[1::2, ::3])):  # contiguous, then strided outer views
+            dots, squares = row_dots(a, b), row_dots(a)
+            assert dots.shape == squares.shape == a.shape[:-1]
+            for idx in np.ndindex(a.shape[:-1]):
+                assert dots[idx] == np.dot(a[idx], b[idx])
+                assert np.sqrt(squares[idx]) == np.linalg.norm(a[idx])
+        one, many = v[0, 0], u.reshape(-1, d)
+        broadcast = row_dots(one, many)
+        assert broadcast.shape == (len(many),)
+        assert all(broadcast[j] == np.dot(one, many[j]) for j in range(len(many)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from fdilsim import (
     sigma_t_alignment_bounds,
 )
 from fdilsim.datagen import TaskData
+from fdilsim.theory import ProbeScaleError, _cosines
 from fdilsim.models import param_count
 from test_datagen import make_shift
-from helpers import estimate_constants_loop, psi_full_participation
+from helpers import _cosine, estimate_constants_loop, psi_full_participation
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -332,14 +334,54 @@ def assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints=()):
     return stacked
 
 
+PROBES = ProbeConfig(num_random_probes=5, minibatch_draws=3, batch_size=8)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 25, 1234])
-@pytest.mark.parametrize("spec", [SPEC, MLP_RELU, ModelSpec("mlp1", 2, 3, hidden_dim=5)])
-def test_estimator_equals_scalar_loop(seed, spec):
+@pytest.mark.parametrize(
+    "spec, cfg",
+    [
+        pytest.param(SPEC, PROBES, id="spec0"),
+        pytest.param(MLP_RELU, PROBES, id="spec1"),
+        pytest.param(ModelSpec("mlp1", 2, 3, hidden_dim=5), PROBES, id="spec2"),
+        # d = 195, as in the wide profile.
+        pytest.param(ModelSpec("mlp1", 2, 3, hidden_dim=32), PROBES, id="hidden32"),
+        # Probe points this large give NaN gradients, which set no extreme.
+        pytest.param(SPEC, replace(PROBES, probe_scale=5e307), id="nan-logreg"),
+        pytest.param(MLP_RELU, replace(PROBES, probe_scale=1e306), id="nan-relu"),
+        # From 8 draws on, np.sum would add a client's draws pairwise.
+        pytest.param(SPEC, replace(PROBES, minibatch_draws=12), id="draws12-logreg"),
+        pytest.param(MLP_RELU, replace(PROBES, minibatch_draws=12), id="draws12-relu"),
+    ],
+)
+def test_estimator_equals_scalar_loop(seed, spec, cfg):
     sequence, shards = probe_problem(seed)
-    cfg = ProbeConfig(num_random_probes=5, minibatch_draws=3, batch_size=8)
     rng = np.random.default_rng(seed)
     checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(2))
-    assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints)
+    with np.errstate(all="ignore"):
+        assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints)
+
+
+def test_cosines_equal_the_loop_on_edge_rows():
+    rows = np.array([
+        [0.0, 0.0], [1e-170, 0.0], [1e200, 1e200], [3.0, -4.0], [np.nan, 1.0],
+        [1e10, 0.0], [-2.0, 1e-300], [0.0, 5.0], [np.inf, 1.0],
+    ])
+    u, v = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+    with np.errstate(all="ignore"):
+        expected = [c for a, b in zip(u, v) if (c := _cosine(a, b)) is not None]
+        # A norm that underflows to 0 skips its pairs, as a zero vector does.
+        assert repr(_cosines(u, v)) == repr(expected)
+        assert repr(_cosines(rows[3], rows)) == repr(
+            [c for b in rows if (c := _cosine(rows[3], b)) is not None]
+        )
+
+
+def test_overflowing_probe_point_names_the_probe_scale():
+    sequence, shards = probe_problem(1)
+    message = r"^probe\.probe_scale: 1e\+308 overflows random probe point \d+$"
+    with np.errstate(over="ignore"), pytest.raises(ProbeScaleError, match=message):
+        estimate_constants(SPEC, sequence, shards, ProbeConfig(probe_scale=1e308), 1)
 
 
 @pytest.mark.parametrize("spec", [SPEC, MLP_RELU])
