@@ -23,6 +23,7 @@ import numpy as np
 
 from .client import DivergenceError
 from .config import ConfigError, parse_config_text, serialize_config, with_lambda
+from .datagen import DataOverflowError
 from .experiment import run_experiment
 from .metrics import acc, bwt
 from .runio import compare_runlogs, emit_runlog, fmt, verify_runlog
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ProbeScaleError) as exc:
+    except (ConfigError, DataOverflowError, ProbeScaleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:

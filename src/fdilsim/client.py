@@ -7,17 +7,28 @@ the whole shard is used per step, which makes E=1 exactly one full-batch
 step, and nothing is drawn.  Drawn sample indices are sorted before the
 gradient is computed so results never depend on draw order.
 
-All N sampled clients run their E steps together.  Clients are grouped by
-effective batch: the shards that draw (more rows than the batch) form one
-group, and the shards used whole form one group per shard size.  Each step
-is one stacked :func:`loss_and_grad` call per group, and the update, the
-proximal step and the gradient statistics are elementwise over the stack.
-A drawing client takes the indices of all its E steps from its own stream
-in one ``integers`` call per round (:func:`draw_rows`, shared with the probe
+All N sampled clients run their E steps together, each step one stacked
+:func:`loss_and_grad` call over all of them.  Every client's batch has the
+same P rows, where P is ``min(batch_size, largest shard of the task)``,
+fixed for the task whatever clients were sampled.  A client that draws
+(more rows than the batch, so P is the batch size) fills its P rows with its
+drawn rows; a client whose shard is used whole takes its n rows and then
+P - n zero rows.  Per-client row counts make the kernel give the zero rows
+a softmax residual of exactly 0.0 and divide each client by its own count,
+so a client's gradient is that of its own batch.  The update, the proximal
+step and the gradient statistics are elementwise over the stack.  A drawing
+client takes the indices of all its E steps from its own stream in one
+``integers`` call per round (:func:`draw_rows`, shared with the probe
 estimator); bounded integers consume the stream's words in the same order
 whatever the call shape, so these are the very batches that E one-batch
-draws would give.  A client that never draws needs no stream.  Every
-client's result equals running it alone, bit for bit.
+draws would give.  A client that never draws needs no stream.
+
+Every client's result equals running it alone at the same P, bit for bit,
+so it never depends on who else was sampled.  Against an unpadded call on
+the client's own rows, logreg with two inputs was bit-equal in every case
+tested (a one-row shard with more inputs can take another BLAS path), and
+mlp1 can differ in the last bits, because BLAS sums a padded hidden-layer
+product in another order.
 
 Two modes:
 
@@ -125,81 +136,76 @@ def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -
     return shard.take(draw_indices(n, batch_size, stream, 1)[0])
 
 
-def _groups(sizes: list[int], batch_size: int) -> list[list[int]]:
-    """Client positions grouped by (effective batch, draws), in first-seen order.
-
-    A shard of at most ``batch_size`` rows is used whole and draws nothing,
-    so one of exactly ``batch_size`` rows never shares a group with shards
-    that draw.
-    """
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for j, n in enumerate(sizes):
-        groups.setdefault((min(n, batch_size), n > batch_size), []).append(j)
-    return list(groups.values())
-
-
 def local_update(
     spec: ModelSpec,
     global_params: np.ndarray,
     shards: list[ClientShard],
     cfg: LocalConfig,
     streams: list[np.random.Generator | None],
+    rows: int,
 ) -> ClientUpdate:
     """Run E local steps from ``global_params`` on every given client at once.
 
     ``shards`` and ``streams`` are the selected clients' shards and minibatch
     streams, in ascending client-id order.  A client whose shard has at most
     ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
-    Each group of clients with the same effective batch makes one stacked
-    :func:`loss_and_grad` call per step on its own rows; a drawing client
-    takes all E batches from its own stream in one :func:`draw_rows` call
-    per round.  Row ``j`` of the result equals running client ``j`` alone,
-    bit for bit.
+    Every client gets a batch of ``rows`` rows, at least its effective batch
+    ``min(n, cfg.batch_size)``: its drawn or whole-shard rows, then zero rows
+    that the kernel's per-client counts leave out.  Each step is one stacked
+    :func:`loss_and_grad` call over all clients; a drawing client takes its E
+    batches from its own stream in one :func:`draw_rows` call per round.  Row
+    ``j`` of the result equals running client ``j`` alone with the same
+    ``rows``, bit for bit.  Raises ``ValueError`` if ``rows`` is below an
+    effective batch.
 
     Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
     ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
     if any delta has a non-finite entry.
     """
-    b = cfg.batch_size
-    sizes = [len(shard.data) for shard in shards]
-    delta = np.empty((len(shards), global_params.shape[0]))
-    grad_norm_max = np.empty(len(shards))
-    grad_sq_sum = np.empty(len(shards))
-    for members in _groups(sizes, b):
-        data = [shards[j].data for j in members]
-        draws = sizes[members[0]] > b
-        if draws:
-            # The drawn rows of all members index one pool and are gathered
-            # step-major, so each step's (g, b, D) stack is contiguous.
-            member_streams = [streams[j] for j in members]
-            idx = draw_rows([sizes[j] for j in members], b, member_streams, cfg.epochs).swapaxes(0, 1)
-            step_inputs = np.concatenate([x.inputs for x in data])[idx]
-            step_labels = np.concatenate([x.labels for x in data])[idx]
-        else:
-            batch = Minibatch.stack(
-                np.stack([x.inputs for x in data]), np.stack([x.labels for x in data])
-            )
-        theta = np.tile(global_params, (len(members), 1))
-        gmax = np.zeros(len(members))
-        gsq = np.zeros(len(members))
-        for e in range(cfg.epochs):
-            if draws:
-                batch = Minibatch.stack(step_inputs[e], step_labels[e])
-            _, grad = loss_and_grad(spec, theta, batch)
-            norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
-            gmax = np.maximum(gmax, np.sqrt(norm_sq))
-            gsq = gsq + norm_sq
-            theta = theta - cfg.local_lr * grad
-            if cfg.mode == "client_prox":
-                theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
-        delta[members] = theta - global_params
-        grad_norm_max[members] = gmax
-        grad_sq_sum[members] = gsq
+    b, epochs = cfg.batch_size, cfg.epochs
+    sizes = np.array([len(shard.data) for shard in shards])
+    # One pool: the drawing shards (draw_rows indexes them concatenated), the
+    # whole shards, then one zero row that every pad position points at.
+    drawing = np.flatnonzero(sizes > b)
+    order = np.concatenate([drawing, np.flatnonzero(sizes <= b)])
+    pool_inputs = np.concatenate(
+        [shards[j].data.inputs for j in order] + [np.zeros((1, spec.input_dim))]
+    )
+    pool_labels = np.concatenate([shards[j].data.labels for j in order] + [np.zeros(1, np.int64)])
+    start = np.empty_like(sizes)
+    start[order] = np.cumsum(sizes[order]) - sizes[order]
+    counts = np.minimum(sizes, b)
+    if rows < counts.max():
+        raise ValueError(f"rows {rows} is below an effective batch of {counts.max()}")
+    col = np.arange(rows)
+    idx = np.where(col < counts[:, None], start[:, None] + col, len(pool_labels) - 1)
+    idx = np.repeat(idx[None], epochs, axis=0)
+    if drawing.size:
+        drawn = draw_rows(sizes[drawing].tolist(), b, [streams[j] for j in drawing], epochs)
+        idx[:, drawing, :b] = drawn.swapaxes(0, 1)
+    # Gathered step-major, so each step's (N, rows, D) stack is contiguous;
+    # take copies the same rows as fancy indexing at a fraction of its cost.
+    step_inputs = pool_inputs.take(idx, axis=0)
+    step_labels = pool_labels.take(idx)
+
+    theta = np.tile(global_params, (len(shards), 1))
+    grad_norm_max = np.zeros(len(shards))
+    grad_sq_sum = np.zeros(len(shards))
+    for e in range(epochs):
+        batch = Minibatch.stack(step_inputs[e], step_labels[e])
+        _, grad = loss_and_grad(spec, theta, batch, counts)
+        norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
+        grad_norm_max = np.maximum(grad_norm_max, np.sqrt(norm_sq))
+        grad_sq_sum = grad_sq_sum + norm_sq
+        theta = theta - cfg.local_lr * grad
+        if cfg.mode == "client_prox":
+            theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
+    delta = theta - global_params
     if not np.isfinite(delta).all():
         raise DivergenceError("local training diverged to a non-finite update")
     return ClientUpdate(
         delta=delta,
-        steps_taken=len(shards) * cfg.epochs,
+        steps_taken=len(shards) * epochs,
         grad_norm_max=grad_norm_max,
-        grad_norm_sq_mean=grad_sq_sum / cfg.epochs,
+        grad_norm_sq_mean=grad_sq_sum / epochs,
     )

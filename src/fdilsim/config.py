@@ -1,10 +1,10 @@
 """Experiment configuration: a flat INI schema, one section per subsystem.
 
 Parsing is strict: unknown sections or keys are rejected, every value is
-type-checked (a float must be finite), and all invariants of the embedded
-parameter types are enforced at parse time with the offending
-``section.key`` named in the error.  A parsed config serializes back to
-text that parses to an equal config.
+type-checked (a float must be finite, an integer must fit in 64 signed
+bits), and all invariants of the embedded parameter types are enforced at
+parse time with the offending ``section.key`` named in the error.  A parsed
+config serializes back to text that parses to an equal config.
 
 Every key is listed once, in ``_SCHEMA`` with its type and default.  Each
 section's parameter object is built from its keys by name, and
@@ -42,6 +42,7 @@ class ExperimentConfig:
 
 
 _REQUIRED = object()  # marks a key without a default
+_INT_LIMIT = 2**63  # integers must fit a signed 64-bit value, as numpy takes them
 
 # section -> key -> (type, default or _REQUIRED), in serialization order.  Each
 # section's keys are the fields of its parameter type, except data.base_means
@@ -109,6 +110,10 @@ def _convert(section: str, key: str, raw: str, kind):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}") from exc
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{section}.{key} must be finite")
+    if kind is int and value >= _INT_LIMIT:
+        raise ConfigError(f"{section}.{key} must be below 2**63")
+    if kind is int and value < -_INT_LIMIT:
+        raise ConfigError(f"{section}.{key} must be at least -2**63")
     return value
 
 

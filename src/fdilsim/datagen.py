@@ -24,6 +24,10 @@ from . import rng as rngmod
 from .models import Minibatch
 
 
+class DataOverflowError(ValueError):
+    """A finite generator setting whose generated data overflows; the message names its key."""
+
+
 @dataclass(frozen=True)
 class DomainShiftSpec:
     """Parameters of the synthetic task generator."""
@@ -134,12 +138,21 @@ def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
 
 
 def task_class_means(shift: DomainShiftSpec, task_index: int) -> np.ndarray:
-    """Effective class means for 1-based ``task_index``."""
+    """Effective class means for 1-based ``task_index``.
+
+    Raises :class:`DataOverflowError`, naming ``data.base_means`` or
+    ``data.mean_drift``, if a mean overflows.
+    """
     base = np.asarray(shift.base_class_means, dtype=np.float64)
     shifts = task_index - 1
     rot = _rotation_matrix(shift.input_dim, shifts * shift.rotation_angle)
     direction = np.ones(shift.input_dim) / np.sqrt(shift.input_dim)
-    return base @ rot.T + shifts * shift.mean_drift * direction
+    rotated = base @ rot.T
+    means = rotated + shifts * shift.mean_drift * direction
+    if not np.isfinite(means).all():
+        key = "base_means" if not np.isfinite(rotated).all() else f"mean_drift: {shift.mean_drift!r}"
+        raise DataOverflowError(f"data.{key} overflows the class means of task {task_index}")
+    return means
 
 
 def _balanced_label_counts(total: int, num_classes: int) -> np.ndarray:
@@ -151,6 +164,11 @@ def _balanced_label_counts(total: int, num_classes: int) -> np.ndarray:
 def _sample_pool(
     means: np.ndarray, cov_scale: float, total: int, stream: np.random.Generator
 ) -> Minibatch:
+    """``total`` class-balanced samples around ``means``.
+
+    Raises :class:`DataOverflowError`, naming ``data.class_cov_scale``, if a
+    sample overflows.
+    """
     num_classes, dim = means.shape
     counts = _balanced_label_counts(total, num_classes)
     inputs = np.empty((total, dim))
@@ -161,6 +179,8 @@ def _sample_pool(
         inputs[pos : pos + n] = means[c] + cov_scale * stream.standard_normal((n, dim))
         labels[pos : pos + n] = c
         pos += n
+    if not np.isfinite(inputs).all():
+        raise DataOverflowError(f"data.class_cov_scale: {cov_scale!r} overflows the generated inputs")
     return Minibatch(inputs, labels)
 
 

@@ -163,7 +163,7 @@ def _forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: np.ndarray, batch: Minibatch
+    spec: ModelSpec, params: np.ndarray, batch: Minibatch, counts: np.ndarray | None = None
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
@@ -177,13 +177,20 @@ def loss_and_grad(
     inputs are a contiguous array (a stride-0 broadcast view of a one-row
     batch can take a different BLAS path).
 
+    ``counts``, an integer array of the stack shape, lets the slices of a
+    stacked call share one row count: slice ``s`` counts its first
+    ``counts[s]`` rows, and the rows after them are padding.  Their softmax
+    residuals are set to exactly 0.0, so they add nothing to the gradient;
+    each slice is divided by its own count, and its loss is the mean over its
+    counted rows only.  A call without ``counts`` counts every row.
+
     Rows are accumulated in the order they appear in the batch; callers that
     need order-independence must present samples in a canonical order.
     Nothing is validated here: callers pass data and parameters that
     :func:`check_data` and :func:`check_params` accepted at their boundary.
     """
     xa, hidden, z = _forward(spec, params, batch.inputs)
-    n = xa.shape[-2]
+    n = xa.shape[-2] if counts is None else counts
 
     # Label terms by flat fancy indexing on a (rows, classes) view, at any
     # stack depth; take_along_axis would slow the plain call by about a third.
@@ -195,9 +202,16 @@ def loss_and_grad(
     norm = p.sum(axis=-1, keepdims=True)
     log_norm = np.log(norm[..., 0])
     picked = zs.reshape(-1, spec.num_classes)[rows, labels].reshape(log_norm.shape)
-    loss = (log_norm - picked).sum(axis=-1) / n  # np.mean's sum and division, without its overhead
+    row_loss = log_norm - picked
+    if counts is not None:
+        pad = np.arange(xa.shape[-2]) >= counts[..., None]
+        row_loss[pad] = 0.0
+    loss = row_loss.sum(axis=-1) / n  # np.mean's sum and division, without its overhead
     p /= norm
     p.reshape(-1, spec.num_classes)[rows, labels] -= 1.0
+    if counts is not None:
+        p[pad] = 0.0
+        n = counts[..., None, None]
 
     lead = z.shape[:-2]
     if spec.kind == "logreg":

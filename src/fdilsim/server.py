@@ -2,8 +2,9 @@
 
 Each round the server samples N of M clients uniformly without replacement
 (one draw call for all N swap targets), runs their local updates together in
-one lockstep call, averages the ``(N, d)`` update rows it returns in
-ascending client-id order, applies the global step
+one lockstep call, with every client's batch padded to the task's largest
+effective batch ``min(batch_size, largest shard)``, averages the ``(N, d)``
+update rows it returns in ascending client-id order, applies the global step
 ``theta_bar = theta + gamma_G * delta``, and, from the second task on under
 the server-anchored algorithm, blends the result with the previous task's
 final model:
@@ -241,12 +242,16 @@ def run_round(
             epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size
         )
 
+    # Every client's batch is padded to the task's largest effective batch,
+    # whichever clients were sampled.
+    rows = min(hp.batch_size, max([len(shard.data.labels) for shard in shards]))
     update = local_update(
         spec,
         state.params,
         [shards[client] for client in selected],
         cfg,
         _local_streams(hp, state, shards, selected),
+        rows,
     )
     delta = aggregate(update.delta)
     theta_bar = state.params + hp.gamma_g(i) * delta

@@ -21,7 +21,8 @@ from fdilsim import (
     param_count,
 )
 from fdilsim import rng as rngmod
-from fdilsim.client import DivergenceError, draw_batch, prox_map
+from fdilsim.client import DivergenceError, draw_batch, draw_rows, prox_map
+from fdilsim.models import row_dots
 from fdilsim.server import RunStats
 
 
@@ -104,8 +105,9 @@ def local_update_loop(
 ) -> ClientUpdate:
     """One client's E local steps, one plain kernel call per step.
 
-    The lockstep ``local_update`` must give each client exactly this delta
-    and these gradient statistics, as scalars here.
+    The lockstep ``local_update`` must give each client this delta and these
+    gradient statistics, as scalars here: exactly for logreg, within a stated
+    tolerance for mlp1, whose padded batches change BLAS summation order.
     """
     theta = global_params.copy()
     grad_norm_max = 0.0
@@ -125,6 +127,76 @@ def local_update_loop(
     return ClientUpdate(
         delta=delta,
         steps_taken=cfg.epochs,
+        grad_norm_max=grad_norm_max,
+        grad_norm_sq_mean=grad_sq_sum / cfg.epochs,
+    )
+
+
+def _groups(sizes: list[int], batch_size: int) -> list[list[int]]:
+    """Client positions grouped by (effective batch, draws), in first-seen order.
+
+    A shard of at most ``batch_size`` rows is used whole and draws nothing,
+    so one of exactly ``batch_size`` rows never shares a group with shards
+    that draw.
+    """
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for j, n in enumerate(sizes):
+        groups.setdefault((min(n, batch_size), n > batch_size), []).append(j)
+    return list(groups.values())
+
+
+def local_update_grouped(
+    spec: ModelSpec,
+    global_params: np.ndarray,
+    shards: list[ClientShard],
+    cfg: LocalConfig,
+    streams: list[np.random.Generator | None],
+) -> ClientUpdate:
+    """The lockstep update without padding: one stacked call per group and step.
+
+    Clients with the same effective batch form a group (all drawing shards
+    form one), and each step makes one unpadded stacked kernel call per
+    group.  The padded ``local_update`` must equal this bit for bit on
+    logreg and within a stated tolerance on mlp1.
+    """
+    b = cfg.batch_size
+    sizes = [len(shard.data) for shard in shards]
+    delta = np.empty((len(shards), global_params.shape[0]))
+    grad_norm_max = np.empty(len(shards))
+    grad_sq_sum = np.empty(len(shards))
+    for members in _groups(sizes, b):
+        data = [shards[j].data for j in members]
+        draws = sizes[members[0]] > b
+        if draws:
+            member_streams = [streams[j] for j in members]
+            idx = draw_rows([sizes[j] for j in members], b, member_streams, cfg.epochs).swapaxes(0, 1)
+            step_inputs = np.concatenate([x.inputs for x in data])[idx]
+            step_labels = np.concatenate([x.labels for x in data])[idx]
+        else:
+            batch = Minibatch.stack(
+                np.stack([x.inputs for x in data]), np.stack([x.labels for x in data])
+            )
+        theta = np.tile(global_params, (len(members), 1))
+        gmax = np.zeros(len(members))
+        gsq = np.zeros(len(members))
+        for e in range(cfg.epochs):
+            if draws:
+                batch = Minibatch.stack(step_inputs[e], step_labels[e])
+            _, grad = loss_and_grad(spec, theta, batch)
+            norm_sq = row_dots(grad)
+            gmax = np.maximum(gmax, np.sqrt(norm_sq))
+            gsq = gsq + norm_sq
+            theta = theta - cfg.local_lr * grad
+            if cfg.mode == "client_prox":
+                theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
+        delta[members] = theta - global_params
+        grad_norm_max[members] = gmax
+        grad_sq_sum[members] = gsq
+    if not np.isfinite(delta).all():
+        raise DivergenceError("local training diverged to a non-finite update")
+    return ClientUpdate(
+        delta=delta,
+        steps_taken=len(shards) * cfg.epochs,
         grad_norm_max=grad_norm_max,
         grad_norm_sq_mean=grad_sq_sum / cfg.epochs,
     )

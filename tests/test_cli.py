@@ -150,11 +150,34 @@ def test_overflowing_local_lr_runs_and_verifies_without_traceback(tmp_path):
         ("class_cov_scale = 0.6", "class_cov_scale = nan", "data.class_cov_scale must be finite"),
         ("mean_drift = 0.1", "mean_drift = inf", "data.mean_drift must be finite"),
         ("dirichlet_alpha = 0.1", "dirichlet_alpha = inf", "partition.dirichlet_alpha must be finite"),
+        (
+            "class_cov_scale = 0.6",
+            "class_cov_scale = 1e308",
+            "data.class_cov_scale: 1e+308 overflows the generated inputs",
+        ),
+        ("mean_drift = 0.1", "mean_drift = 1e308", "data.mean_drift: 1e+308 overflows the class means of task 3"),
     ],
 )
 def test_non_finite_values_exit_1_with_one_line_and_no_run_dir(tmp_path, old, new, message):
     # Each used to end in a traceback: the probe scale from the estimator's
-    # parameter check, the others from data generation.
+    # parameter check, the others from data generation (the finite 1e308
+    # settings overflow the generated data).
+    assert_one_line_config_error(tmp_path, old, new, message)
+
+
+def test_oversized_integer_exits_1_with_one_line_and_no_run_dir(tmp_path):
+    # Used to end in an OverflowError traceback from numpy during data generation.
+    huge = "1" + "0" * 400
+    assert_one_line_config_error(
+        tmp_path,
+        "train_samples_per_task = 480",
+        f"train_samples_per_task = {huge}",
+        "data.train_samples_per_task must be below 2**63",
+    )
+
+
+def assert_one_line_config_error(tmp_path, old, new, message):
+    """``fdilsim run`` on default.ini with ``old`` replaced: exit 1, one stderr line, no run dir."""
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
     assert old in text

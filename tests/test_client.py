@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,19 @@ from fdilsim import (
     Minibatch,
     ModelSpec,
     derive_stream,
+    generate_sequence,
     local_update,
     loss_and_grad,
     param_count,
+    parse_config_text,
+    partition_sequence,
     prox_map,
+    run_experiment,
 )
+from fdilsim import client as client_module
 from fdilsim.client import draw_indices
-from helpers import gradient_descent_minimize, local_update_loop
+from fdilsim.runio import compare_runlogs, emit_runlog
+from helpers import gradient_descent_minimize, local_update_grouped, local_update_loop
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -26,8 +34,8 @@ def make_shard(seed=0, size=30, client=0):
 
 
 def update_one(params, shard, cfg, stream, spec=SPEC):
-    """The lockstep update of a single client."""
-    return local_update(spec, params, [shard], cfg, [stream])
+    """The lockstep update of a single client, without padding."""
+    return local_update(spec, params, [shard], cfg, [stream], min(cfg.batch_size, len(shard.data)))
 
 
 def test_single_full_batch_step_equals_scaled_gradient():
@@ -150,8 +158,26 @@ LOCKSTEP_SPECS = (
     ModelSpec("mlp1", 2, 3, hidden_dim=5, activation="relu"),
 )
 # With batch 8: shards smaller than, equal to and larger than the batch, with
-# repeated sizes so that groups hold several clients, in one call; and N = 1.
+# repeated sizes, in one call; and N = 1.
 LOCKSTEP_SIZES = ((3, 8, 20, 3, 8, 12, 1, 30, 5, 9), (20,), (3,), (8,))
+# mlp1 sums a padded hidden-layer product in another BLAS order than an
+# unpadded one, so its deltas and gradient statistics may move in the last
+# bits: they must agree within this relative tolerance (deltas relative to
+# their largest entry).  logreg must agree exactly.
+MLP_REL_TOL = 1e-12
+
+
+def assert_updates_agree(spec, update, ref, rows=slice(None)):
+    """``update`` (rows ``rows``) equals ``ref``: exactly for logreg, within ``MLP_REL_TOL`` for mlp1."""
+    delta, gmax, gsq = update.delta[rows], update.grad_norm_max[rows], update.grad_norm_sq_mean[rows]
+    if spec.kind == "logreg":
+        assert np.array_equal(delta, ref.delta)
+        assert np.array_equal(gmax, ref.grad_norm_max)
+        assert np.array_equal(gsq, ref.grad_norm_sq_mean)
+        return
+    assert np.max(np.abs(delta - ref.delta)) <= MLP_REL_TOL * np.max(np.abs(ref.delta))
+    assert np.all(np.abs(gmax - ref.grad_norm_max) <= MLP_REL_TOL * np.abs(ref.grad_norm_max))
+    assert np.all(np.abs(gsq - ref.grad_norm_sq_mean) <= MLP_REL_TOL * np.abs(ref.grad_norm_sq_mean))
 
 
 @pytest.mark.parametrize("spec", LOCKSTEP_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
@@ -170,14 +196,86 @@ def test_lockstep_equals_one_client_loop(spec, mode, sizes):
     # Clients that never draw get no stream at all.
     streams = [derive_stream(11, lab) if n > 8 else None for lab, n in zip(labels, sizes)]
 
-    update = local_update(spec, params, shards, cfg, streams)
+    update = local_update(spec, params, shards, cfg, streams, min(8, max(sizes)))
     assert update.delta.shape == (len(sizes), d)
     assert update.steps_taken == len(sizes) * cfg.epochs
     for m, shard in enumerate(shards):
         ref = local_update_loop(spec, params, shard, cfg, derive_stream(11, labels[m]))
-        assert np.array_equal(update.delta[m], ref.delta)
-        assert update.grad_norm_max[m] == ref.grad_norm_max
-        assert update.grad_norm_sq_mean[m] == ref.grad_norm_sq_mean
+        assert_updates_agree(spec, update, ref, m)
+
+
+def random_round(seed, spec):
+    """Shards smaller than, equal to and larger than a random batch, with a config."""
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(1, 17))
+    num = 1 if seed % 5 == 0 else int(rng.integers(2, 13))
+    sizes = [int(v) for v in rng.integers(1, 3 * b + 2, size=num)]
+    sizes[0] = b if seed % 3 == 0 else sizes[0]
+    shards = [make_shard(seed=1000 * seed + m, size=n, client=m) for m, n in enumerate(sizes)]
+    d = param_count(spec)
+    params = 0.5 * rng.standard_normal(d)
+    prox = dict(mode="client_prox", prox_lambda=0.3, anchor=rng.standard_normal(d))
+    cfg = LocalConfig(epochs=3, local_lr=0.2, batch_size=b, **(prox if seed % 2 else {}))
+    return shards, params, cfg
+
+
+def round_streams(seed, shards, b):
+    return [derive_stream(seed, (4, 1, 0, m)) if len(s.data) > b else None for m, s in enumerate(shards)]
+
+
+@pytest.mark.parametrize("spec", LOCKSTEP_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
+def test_padded_update_equals_grouped_oracle(spec):
+    for seed in range(24):
+        shards, params, cfg = random_round(seed, spec)
+        b = cfg.batch_size
+        rows = min(b, max(len(s.data) for s in shards))
+        update = local_update(spec, params, shards, cfg, round_streams(seed, shards, b), rows)
+        ref = local_update_grouped(spec, params, shards, cfg, round_streams(seed, shards, b))
+        assert update.steps_taken == ref.steps_taken
+        assert_updates_agree(spec, update, ref)
+
+
+@pytest.mark.parametrize("spec", LOCKSTEP_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
+def test_client_row_equals_client_alone_at_same_rows(spec):
+    # Row m depends on client m's shard, stream and the pad target only,
+    # never on who else was sampled: bit for bit for every model.
+    for seed in range(24):
+        shards, params, cfg = random_round(seed, spec)
+        b = cfg.batch_size
+        rows = min(b, max(len(s.data) for s in shards) + seed % 3)
+        update = local_update(spec, params, shards, cfg, round_streams(seed, shards, b), rows)
+        for m, shard in enumerate(shards):
+            alone = local_update(
+                spec, params, [shard], cfg, round_streams(seed, shards, b)[m : m + 1], rows
+            )
+            assert np.array_equal(update.delta[m], alone.delta[0])
+            assert update.grad_norm_max[m] == alone.grad_norm_max[0]
+            assert update.grad_norm_sq_mean[m] == alone.grad_norm_sq_mean[0]
+
+
+def test_one_kernel_call_per_step_over_all_clients(monkeypatch):
+    calls = []
+
+    def counting_kernel(spec, params, batch, counts=None):
+        calls.append((params.shape, batch.inputs.shape, counts.tolist()))
+        return loss_and_grad(spec, params, batch, counts)
+
+    monkeypatch.setattr(client_module, "loss_and_grad", counting_kernel)
+    sizes = (3, 8, 20, 3, 8, 12, 1, 30, 5, 9)
+    shards = [make_shard(seed=100 + m, size=n, client=m) for m, n in enumerate(sizes)]
+    cfg = LocalConfig(epochs=4, local_lr=0.2, batch_size=8)
+    streams = [derive_stream(11, (4, 1, 0, m)) if n > 8 else None for m, n in enumerate(sizes)]
+    local_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, streams, 8)
+    d = param_count(SPEC)
+    counts = [min(n, 8) for n in sizes]
+    assert calls == [((10, d), (10, 8, 2), counts)] * cfg.epochs
+
+
+def test_rows_below_an_effective_batch_rejected():
+    shards = [make_shard(seed=3, size=5, client=0), make_shard(seed=4, size=2, client=1)]
+    cfg = LocalConfig(epochs=1, local_lr=0.1, batch_size=8)
+    with pytest.raises(ValueError, match="rows 4 is below an effective batch of 5"):
+        local_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, [None, None], 4)
 
 
 def test_lockstep_divergence_raises_divergence_error():
@@ -188,7 +286,7 @@ def test_lockstep_divergence_raises_divergence_error():
     streams = [None, derive_stream(0, (4, 1, 0, 1))]
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergenceError, match="diverged"):
-            local_update(SPEC, params, shards, cfg, streams)
+            local_update(SPEC, params, shards, cfg, streams, 8)
     assert issubclass(DivergenceError, ValueError)
 
 
@@ -216,3 +314,28 @@ def test_bulk_draw_equals_draws_in_turn():
                 assert repr(bulk.bit_generator.state) == repr(loop.bit_generator.state)
                 assert np.array_equal(bulk.integers(0, n, size=3), loop.integers(0, n, size=3))
                 assert bulk.random() == loop.random()
+
+
+def test_batch_far_above_every_shard_pads_only_to_the_largest_shard(tmp_path, monkeypatch):
+    # A batch of a million rows on 480-row task pools: each client's padded
+    # batch holds the task's largest shard, and the run equals batch 480,
+    # at which every shard is also used whole.
+    text = (Path(__file__).resolve().parent.parent / "profiles" / "default.ini").read_text(encoding="utf-8")
+    assert "batch_size = 32\nlocal_lr" in text
+    config = parse_config_text(text)
+    seed = config.hyper.master_seed
+    shards = partition_sequence(generate_sequence(config.shift, seed), config.partition, seed)
+    largest = [max(len(shard.data) for shard in task_shards) for task_shards in shards]
+    steps = config.hyper.rounds_per_task * config.hyper.local_epochs
+    for b in (1000000, 480):
+        rows = []
+
+        def recording_kernel(spec, params, batch, counts=None):
+            rows.append(batch.inputs.shape[-2])
+            return loss_and_grad(spec, params, batch, counts)
+
+        monkeypatch.setattr(client_module, "loss_and_grad", recording_kernel)
+        artifacts = run_experiment(text.replace("batch_size = 32\nlocal_lr", f"batch_size = {b}\nlocal_lr"))
+        assert rows == [n for n in largest for _ in range(steps)]
+        emit_runlog(artifacts, tmp_path / str(b))
+    assert compare_runlogs(tmp_path / "1000000", tmp_path / "480") == []

@@ -239,6 +239,17 @@ def test_serialized_text_is_pinned():
             "num_clients * min_samples_per_client = 32",
         ),
         ("[io]", "[telemetry]\nenabled = true\n\n[io]", "unknown section [telemetry]"),
+        (
+            "train_samples_per_task = 480",
+            "train_samples_per_task = 1" + "0" * 400,
+            "data.train_samples_per_task must be below 2**63",
+        ),
+        ("master_seed = 25", "master_seed = 9223372036854775808", "federation.master_seed must be below 2**63"),
+        (
+            "master_seed = 25",
+            "master_seed = -9223372036854775809",
+            "federation.master_seed must be at least -2**63",
+        ),
     ],
 )
 def test_config_error_messages_are_exact(old, new, message):

@@ -10,7 +10,13 @@ from fdilsim import (
     generate_sequence,
     partition_task,
 )
-from fdilsim.datagen import export_sequence, load_sequence, partition_sequence, task_class_means
+from fdilsim.datagen import (
+    DataOverflowError,
+    export_sequence,
+    load_sequence,
+    partition_sequence,
+    task_class_means,
+)
 
 TRIANGLE = ((0.0, 2.0), (-1.7320508075688772, -1.0), (1.7320508075688772, -1.0))
 
@@ -247,3 +253,21 @@ def test_export_roundtrip_keeps_labels_of_duplicate_inputs(tmp_path):
     export_sequence(sequence, path, shards)
     _, loaded = load_sequence(path)
     assert loaded[0][0].data.labels.tolist() == [0, 1, 2, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(cov=1e308), "data.class_cov_scale: 1e+308 overflows the generated inputs"),
+        (dict(num_tasks=3, drift=1e308), "data.mean_drift: 1e+308 overflows the class means of task 3"),
+        (
+            dict(rotation=np.pi / 4, means=((1.7e308, 1.7e308), (0.0, 1.0), (1.0, 0.0))),
+            "data.base_means overflows the class means of task 2",
+        ),
+    ],
+)
+def test_finite_settings_that_overflow_the_data_name_their_key(overrides, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataOverflowError) as info:
+            generate_sequence(make_shift(**overrides), seed=1)
+    assert str(info.value) == message

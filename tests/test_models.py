@@ -231,6 +231,75 @@ def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
             assert losses[idx] == plain_loss and np.array_equal(grads[idx], plain_grad)
 
 
+PADDED_SPECS = [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")]
+
+
+def padded_stack(rng, spec, sizes, rows):
+    """Random batches of ``sizes`` rows, each padded with zero rows to ``rows``."""
+    inputs = np.zeros((len(sizes), rows, spec.input_dim))
+    labels = np.zeros((len(sizes), rows), dtype=np.int64)
+    for s, n in enumerate(sizes):
+        inputs[s, :n] = rng.standard_normal((n, spec.input_dim))
+        labels[s, :n] = rng.integers(0, spec.num_classes, size=n)
+    return inputs, labels
+
+
+@pytest.mark.parametrize("spec", PADDED_SPECS)
+def test_padded_stacked_slices_equal_padded_plain_calls_bit_for_bit(spec):
+    rng = np.random.default_rng(19)
+    d = param_count(spec)
+    for rows in (1, 2, 7, 8, 9, 33):
+        sizes = rng.integers(1, rows + 1, size=6)
+        inputs, labels = padded_stack(rng, spec, sizes, rows)
+        thetas = rng.standard_normal((6, d))
+        losses, grads = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+        assert losses.shape == (6,) and grads.shape == (6, d)
+        for s in range(6):
+            plain = Minibatch.stack(inputs[s], labels[s])
+            loss, grad = loss_and_grad(spec, thetas[s], plain, np.array(sizes[s]))
+            assert isinstance(loss, float)
+            assert losses[s] == loss and np.array_equal(grads[s], grad)
+
+
+@pytest.mark.parametrize("spec", PADDED_SPECS)
+def test_full_counts_equal_calls_without_counts(spec):
+    rng = np.random.default_rng(23)
+    d = param_count(spec)
+    for n in (1, 2, 8, 9, 40):
+        inputs, labels = padded_stack(rng, spec, [n] * 4, n)
+        thetas = rng.standard_normal((4, d))
+        batch = Minibatch.stack(inputs, labels)
+        counted, plain = loss_and_grad(spec, thetas, batch, np.full(4, n)), loss_and_grad(spec, thetas, batch)
+        assert np.array_equal(counted[0], plain[0]) and np.array_equal(counted[1], plain[1])
+        one = Minibatch.stack(inputs[0], labels[0])
+        counted, plain = loss_and_grad(spec, thetas[0], one, np.array(n)), loss_and_grad(spec, thetas[0], one)
+        assert counted[0] == plain[0] and np.array_equal(counted[1], plain[1])
+
+
+@pytest.mark.parametrize("spec", PADDED_SPECS)
+def test_padding_rows_count_for_nothing(spec):
+    # Any finite values in the rows past a slice's count leave its loss and
+    # gradient bit for bit; both are those of the slice's own rows.
+    rng = np.random.default_rng(29)
+    d = param_count(spec)
+    sizes = np.array([1, 3, 8, 12, 20])
+    inputs, labels = padded_stack(rng, spec, sizes, 20)
+    thetas = rng.standard_normal((5, d))
+    losses, grads = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+    pad = np.arange(20) >= sizes[:, None]
+    inputs[pad] = 100.0 * rng.standard_normal((int(pad.sum()), spec.input_dim))
+    labels[pad] = rng.integers(0, spec.num_classes, size=int(pad.sum()))
+    noisy = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+    assert np.array_equal(noisy[0], losses) and np.array_equal(noisy[1], grads)
+    for s, n in enumerate(sizes):
+        own = Minibatch.stack(inputs[s, :n], labels[s, :n])
+        loss, grad = loss_and_grad(spec, thetas[s], own)
+        # The mean over the counted rows; summing the zeroed pad terms can
+        # change the order of the additions.
+        assert losses[s] == pytest.approx(loss, rel=1e-14, abs=0.0)
+        assert np.max(np.abs(grads[s] - grad)) <= 1e-14 * np.max(np.abs(grad))
+
+
 def test_row_dots_equal_np_dot_and_norm_bit_for_bit():
     rng = np.random.default_rng(17)
     for d in list(range(1, 40)) + [63, 64, 65, 127, 128, 129, 195, 256, 511, 1000, 1200]:

@@ -2,6 +2,7 @@
 
 Usage, from the repository root::
 
+    PYTHONPATH=src python tools/table_digests.py               # the built-in corpus
     PYTHONPATH=src python tools/table_digests.py CONFIG [CONFIG ...]
 
 Each config goes through ``fdilsim run`` in process, into a temporary
@@ -10,10 +11,16 @@ directory that is removed afterwards.  One line is printed per table,
 fails (its message goes to stderr).  The output names no temporary path, so
 two checkouts give equal text exactly when their tables are byte-identical:
 point ``PYTHONPATH`` at each checkout's ``src`` in turn and diff the output.
+
+Without arguments the tool runs ``CORPUS``: pairs of a base config (a path
+from the repository root) and ``section.key=value`` overrides.  An entry is
+named by its base and overrides, and an entry without overrides runs its
+base file as given.
 """
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import hashlib
 import io
@@ -24,28 +31,126 @@ from pathlib import Path
 from fdilsim.cli import main as fdilsim_main
 from fdilsim.runio import OUTPUT_FILES
 
+ROOT = Path(__file__).resolve().parent.parent
 
-def table_digests(config: str) -> list[str]:
-    """The digest lines of one config."""
+DEFAULT = "profiles/default.ini"
+TANH = ("model.kind=mlp1", "model.hidden_dim=8")
+RELU = TANH + ("model.activation=relu",)
+SEEDS = (1, 2, 3, 25, 77, 1234)
+
+CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("benchmarks/workloads/desk-sweep.ini", ()),
+    ("benchmarks/workloads/wide.ini", ()),
+    ("benchmarks/workloads/protocol-long.ini", ()),
+    (DEFAULT, ()),
+    ("profiles/wide.ini", ()),
+    # Every model kind over master seeds.
+    *(
+        (DEFAULT, model + (f"federation.master_seed={seed}",))
+        for model in ((), TANH, RELU)
+        for seed in SEEDS
+    ),
+    # The desk sweep's algorithms over seeds, and the lambda = 0 reductions.
+    *(
+        (DEFAULT, (f"federation.algorithm={algorithm}", f"federation.master_seed={seed}"))
+        for algorithm in ("fedavg", "special_c")
+        for seed in (1, 2, 3)
+    ),
+    (DEFAULT, ("federation.algorithm=fedavg", "federation.prox_lambda=0.0")),
+    (DEFAULT, ("federation.prox_lambda=0.0",)),
+    (DEFAULT, ("federation.algorithm=special_c",)),
+    (DEFAULT, RELU + ("federation.algorithm=special_c",)),
+    # Full participation (N = M).
+    (DEFAULT, ("federation.participants_per_round=8",)),
+    (DEFAULT, TANH + ("federation.participants_per_round=8",)),
+    # Local batches below, around and far above the shard sizes.
+    *((DEFAULT, (f"federation.batch_size={b}",)) for b in (1, 8, 64, 480, 1000000)),
+    (DEFAULT, RELU + ("federation.batch_size=1000000",)),
+    (DEFAULT, ("model.kind=mlp1", "model.hidden_dim=16", "model.activation=relu")),
+    # More probe draws.
+    (DEFAULT, ("probe.minibatch_draws=12",)),
+    (DEFAULT, RELU + ("probe.minibatch_draws=9",)),
+    (DEFAULT, TANH + ("probe.minibatch_draws=8",)),
+    # One-row shards, whole-shard local batches and one-row probe batches.
+    (
+        DEFAULT,
+        RELU + (
+            "partition.min_samples_per_client=1",
+            "partition.dirichlet_alpha=0.05",
+            "federation.batch_size=100",
+            "probe.batch_size=1",
+        ),
+    ),
+    # A single task.
+    (DEFAULT, ("data.num_tasks=1",)),
+    (DEFAULT, RELU + ("data.num_tasks=1",)),
+    # Overflowing settings: inf bounds, diverged runs and NaN probe gradients.
+    (DEFAULT, ("federation.prox_lambda=1e300",)),
+    (DEFAULT, ("federation.local_lr=1e300",)),
+    (DEFAULT, ("probe.probe_scale=5e307",)),
+    (DEFAULT, RELU + ("probe.probe_scale=1e306",)),
+    (DEFAULT, TANH + ("probe.probe_scale=1e200",)),
+    # Wider models.
+    (DEFAULT, ("model.kind=mlp1", "model.hidden_dim=32")),
+    ("profiles/wide.ini", ("model.activation=relu",)),
+)
+
+
+def entry_name(base: str, overrides: tuple[str, ...]) -> str:
+    """How a corpus entry is named in the output."""
+    return " ".join((base,) + overrides)
+
+
+def entry_text(base: str, overrides: tuple[str, ...]) -> str:
+    """The config text of a corpus entry: its base with the overrides set."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string((ROOT / base).read_text(encoding="utf-8"))
+    for override in overrides:
+        name, value = override.split("=", 1)
+        section, key = name.split(".")
+        parser[section][key] = value
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+def table_digests(config: str, name: str | None = None) -> list[str]:
+    """The digest lines of one config file, named ``name`` (default: its path)."""
+    name = config if name is None else name
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         with contextlib.redirect_stdout(io.StringIO()):
             code = fdilsim_main(["run", config, "--out", str(out)])
         if code != 0:
-            return [f"exit {code}  {config}"]
+            return [f"exit {code}  {name}"]
         return [
-            f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {config}:{name}"
-            for name in OUTPUT_FILES
+            f"{hashlib.sha256((out / table).read_bytes()).hexdigest()}  {name}:{table}"
+            for table in OUTPUT_FILES
         ]
 
 
+def corpus_digests(base: str, overrides: tuple[str, ...]) -> list[str]:
+    """The digest lines of one corpus entry."""
+    name = entry_name(base, overrides)
+    if not overrides:
+        return table_digests(str(ROOT / base), name)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.ini"
+        config.write_text(entry_text(base, overrides), encoding="utf-8")
+        return table_digests(str(config), name)
+
+
 def main(argv: list[str]) -> int:
-    if not argv:
+    if argv and argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 1
-    for config in argv:
-        for line in table_digests(config):
-            print(line)
+    lines = (
+        (line for config in argv for line in table_digests(config))
+        if argv
+        else (line for base, overrides in CORPUS for line in corpus_digests(base, overrides))
+    )
+    for line in lines:
+        print(line, flush=True)
     return 0
 
 
