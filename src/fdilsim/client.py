@@ -8,14 +8,17 @@ step, and nothing is drawn.  Drawn sample indices are sorted before the
 gradient is computed so results never depend on draw order.
 
 All N sampled clients run their E steps together, each step one stacked
-:func:`loss_and_grad` call over all of them.  Every client's batch has the
-same P rows, where P is ``min(batch_size, largest shard of the task)``,
-fixed for the task whatever clients were sampled.  A client that draws
-(more rows than the batch, so P is the batch size) fills its P rows with its
-drawn rows; a client whose shard is used whole takes its n rows and then
-P - n zero rows.  Per-client row counts make the kernel give the zero rows
-a softmax residual of exactly 0.0 and divide each client by its own count,
-so a client's gradient is that of its own batch.  The update, the proximal
+:func:`loss_and_grad` call over all of them, which skips the loss the step
+discards.  Every client's batch has the same P rows, where P is
+``min(batch_size, largest shard of the task)``, fixed for the task whatever
+clients were sampled.  A client that draws (more rows than the batch, so P
+is the batch size) fills its P rows with its drawn rows; a client whose
+shard is used whole takes its n rows and then P - n pad rows.  The rows are
+gathered bias-augmented from the shards (a pad row is ``[0 ... 0, 1]``), so
+the round tensor already holds the kernel's ones column.  Per-client row
+counts make the kernel give the pad rows a softmax residual of exactly 0.0
+and divide each client by its own count, so a client's gradient is that of
+its own batch.  The update, the proximal
 step and the gradient statistics are elementwise over the stack.  A drawing
 client takes the indices of all its E steps from its own stream in one
 ``integers`` call per round (:func:`draw_rows`, shared with the probe
@@ -150,13 +153,15 @@ def local_update(
     streams, in ascending client-id order.  A client whose shard has at most
     ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
     Every client gets a batch of ``rows`` rows, at least its effective batch
-    ``min(n, cfg.batch_size)``: its drawn or whole-shard rows, then zero rows
-    that the kernel's per-client counts leave out.  Each step is one stacked
-    :func:`loss_and_grad` call over all clients; a drawing client takes its E
-    batches from its own stream in one :func:`draw_rows` call per round.  Row
-    ``j`` of the result equals running client ``j`` alone with the same
-    ``rows``, bit for bit.  Raises ``ValueError`` if ``rows`` is below an
-    effective batch.
+    ``min(n, cfg.batch_size)``: its drawn or whole-shard rows, then pad rows
+    ``[0 ... 0, 1]`` that the kernel's per-client counts leave out.  The
+    ``(E, N, rows, D + 1)`` round tensor is gathered once per round from the
+    shards' bias-augmented rows.  Each step is one stacked
+    :func:`loss_and_grad` call over all clients, without the loss; a drawing
+    client takes its E batches from its own stream in one :func:`draw_rows`
+    call per round.  Row ``j`` of the result equals running client ``j``
+    alone with the same ``rows``, bit for bit.  Raises ``ValueError`` if
+    ``rows`` is below an effective batch.
 
     Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
     ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
@@ -168,9 +173,9 @@ def local_update(
     # whole shards, then one zero row that every pad position points at.
     drawing = np.flatnonzero(sizes > b)
     order = np.concatenate([drawing, np.flatnonzero(sizes <= b)])
-    pool_inputs = np.concatenate(
-        [shards[j].data.inputs for j in order] + [np.zeros((1, spec.input_dim))]
-    )
+    pad_row = np.zeros((1, spec.input_dim + 1))
+    pad_row[0, -1] = 1.0  # bias-augmented, as every row of the pool
+    pool_rows = np.concatenate([shards[j].data.augmented for j in order] + [pad_row])
     pool_labels = np.concatenate([shards[j].data.labels for j in order] + [np.zeros(1, np.int64)])
     start = np.empty_like(sizes)
     start[order] = np.cumsum(sizes[order]) - sizes[order]
@@ -185,15 +190,15 @@ def local_update(
         idx[:, drawing, :b] = drawn.swapaxes(0, 1)
     # Gathered step-major, so each step's (N, rows, D) stack is contiguous;
     # take copies the same rows as fancy indexing at a fraction of its cost.
-    step_inputs = pool_inputs.take(idx, axis=0)
+    step_rows = pool_rows.take(idx, axis=0)
     step_labels = pool_labels.take(idx)
 
     theta = np.tile(global_params, (len(shards), 1))
     grad_norm_max = np.zeros(len(shards))
     grad_sq_sum = np.zeros(len(shards))
     for e in range(epochs):
-        batch = Minibatch.stack(step_inputs[e], step_labels[e])
-        _, grad = loss_and_grad(spec, theta, batch, counts)
+        batch = Minibatch.of_rows(step_rows[e], step_labels[e])
+        _, grad = loss_and_grad(spec, theta, batch, counts, with_loss=False)
         norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
         grad_norm_max = np.maximum(grad_norm_max, np.sqrt(norm_sq))
         grad_sq_sum = grad_sq_sum + norm_sq

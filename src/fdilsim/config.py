@@ -3,8 +3,11 @@
 Parsing is strict: unknown sections or keys are rejected, every value is
 type-checked (a float must be finite, an integer must fit in 64 signed
 bits), and all invariants of the embedded parameter types are enforced at
-parse time with the offending ``section.key`` named in the error.  A parsed
-config serializes back to text that parses to an equal config.
+parse time with the offending ``section.key`` named in the error.  So are
+the sizes: a key that sizes an array numpy would refuse as too big (a data
+pool, the parameter vector, the round tensor of local training) is rejected
+before anything runs.  A parsed config serializes back to text that parses
+to an equal config.
 
 Every key is listed once, in ``_SCHEMA`` with its type and default.  Each
 section's parameter object is built from its keys by name, and
@@ -18,8 +21,10 @@ import io
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .datagen import DomainShiftSpec, PartitionSpec
-from .models import ModelSpec
+from .models import ModelSpec, param_count
 from .server import EvalConfig, HyperParams
 from .theory import ProbeConfig
 
@@ -43,6 +48,8 @@ class ExperimentConfig:
 
 _REQUIRED = object()  # marks a key without a default
 _INT_LIMIT = 2**63  # integers must fit a signed 64-bit value, as numpy takes them
+_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # the most bytes numpy puts in one array
+_FLOAT_BYTES = 8
 
 # section -> key -> (type, default or _REQUIRED), in serialization order.  Each
 # section's keys are the fields of its parameter type, except data.base_means
@@ -149,6 +156,33 @@ def _build(section: str, kind, values: dict, **fields):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _check_array_sizes(model: ModelSpec, shift: DomainShiftSpec, hyper: HyperParams) -> None:
+    """Reject a size whose smallest array has more bytes than numpy allows.
+
+    numpy refuses such an array before allocating anything (``array is too
+    big``).  Each key is checked against the smallest array it must size: a
+    task's train or test pool of ``input_dim + 1`` values per row, the
+    parameter vector, and the ``(E, N, P, input_dim + 1)`` round tensor of
+    local training, whose pad width P is at least ``min(batch_size,
+    ceil(train pool / num_clients))``, since some shard holds that many rows.
+    """
+    width = model.input_dim + 1
+    pad_rows = min(hyper.batch_size, -(-shift.train_samples_per_task // hyper.num_clients))
+    sizes = (
+        ("data.train_samples_per_task", shift.train_samples_per_task, shift.train_samples_per_task * width),
+        ("data.test_samples_per_task", shift.test_samples_per_task, shift.test_samples_per_task * width),
+        ("model.hidden_dim", model.hidden_dim, param_count(model)),
+        (
+            "federation.local_epochs",
+            hyper.local_epochs,
+            hyper.local_epochs * hyper.participants_per_round * pad_rows * width,
+        ),
+    )
+    for key, value, count in sizes:
+        if count * _FLOAT_BYTES > _ARRAY_BYTES:
+            raise ConfigError(f"{key}: {value} needs an array of {count} values, more than numpy can hold")
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a config from its text form."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -192,6 +226,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"min_samples_per_client = {pool_floor}"
         )
 
+    _check_array_sizes(model, shift, hyper)
     return ExperimentConfig(
         model=model,
         shift=shift,

@@ -96,8 +96,9 @@ def client_objective_grad(
     Params ``(d,)`` give ``(float, (d,) gradient)`` from one plain kernel
     call.  A stack of points ``(P, d)`` gives losses ``(P,)`` and gradients
     ``(P, d)``: each kernel call covers as many points as fit in
-    ``STACK_ROWS`` rows over a contiguous copy of the shard, so every
-    point's values equal the plain call's bit for bit.  Where only one point
+    ``STACK_ROWS`` rows over a contiguous repeat of the shard's
+    bias-augmented rows, so every point's values equal the plain call's bit
+    for bit.  Where only one point
     fits, or only one is given, each point takes the plain call, which
     needs no copy.
     """
@@ -110,11 +111,11 @@ def client_objective_grad(
         for p in range(num_points):
             losses[p], grads[p] = loss_and_grad(spec, params[p], shard.data)
         return losses, grads
-    inputs = np.repeat(shard.data.inputs[None], width, axis=0)
+    rows = np.repeat(shard.data.augmented[None], width, axis=0)
     labels = np.repeat(shard.data.labels[None], width, axis=0)
     for lo in range(0, num_points, width):
         hi = min(lo + width, num_points)
-        batch = Minibatch.stack(inputs[: hi - lo], labels[: hi - lo])
+        batch = Minibatch.of_rows(rows[: hi - lo], labels[: hi - lo])
         losses[lo:hi], grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch)
     return losses, grads
 

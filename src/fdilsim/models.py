@@ -14,11 +14,19 @@ The loss is the mean softmax cross-entropy over the minibatch, computed with
 max-subtraction / log-sum-exp for numerical stability, and the gradient is
 written out exactly (no autodiff).  The gradient kernel and :func:`accuracy`
 share one forward pass.  All functions are pure and deterministic.
+
+:class:`Minibatch` stores its rows with the bias column already appended,
+so the kernel multiplies them as they are; every stack that callers gather
+from such rows carries the column too.  Below 8 classes the kernel's class
+reductions run column by column, which gives numpy's axis reductions bit
+for bit at a fraction of their per-row cost (see :func:`loss_and_grad`), and
+callers that discard the loss ask for the gradient alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -52,47 +60,59 @@ class ModelSpec:
             raise ValueError("hidden_dim is only valid for mlp1")
 
 
-@dataclass
 class Minibatch:
-    """A batch of inputs and integer class labels.
+    """A batch of inputs and integer class labels, stored bias-augmented.
+
+    ``augmented`` holds each row's inputs followed by a 1.0, the bias column
+    the kernel multiplies into its first weight matrix, and ``inputs`` is the
+    view of its first D columns.  The ones column is built once, when data
+    enters (:func:`generate_sequence`, :func:`load_sequence`), and rows
+    gathered from a batch carry it along, so no kernel call builds it.
 
     The constructor validates data that enters the program; the kernels
     below trust it and do not check again.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    __slots__ = ("augmented", "labels")
 
-    def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2:
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
+        inputs = np.asarray(inputs, dtype=np.float64)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
+        if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D (batch x input_dim) array")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.inputs.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
             raise ValueError("labels must be 1-D and match the batch size")
-        if self.inputs.shape[0] < 1:
+        if inputs.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
-        if self.labels.min() < 0:
+        if labels.min() < 0:
             raise ValueError("labels must be non-negative")
-        if not np.isfinite(self.inputs).all():
+        if not np.isfinite(inputs).all():
             raise ValueError("non-finite batch inputs")
+        self.augmented = _augment(inputs)
+        self.labels = labels
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The rows without their ones column, ``(..., n, D)``: a view of ``augmented``."""
+        return self.augmented[..., :-1]
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.augmented.shape[0]
 
     def take(self, indices: np.ndarray) -> "Minibatch":
         """Rows ``indices`` of this already-validated batch, not checked again."""
-        return Minibatch.stack(self.inputs[indices], self.labels[indices])
+        return Minibatch.of_rows(self.augmented.take(indices, axis=0), self.labels.take(indices))
 
     @staticmethod
-    def stack(inputs: np.ndarray, labels: np.ndarray) -> "Minibatch":
-        """Wrap rows of already-validated data without checking them again.
+    def of_rows(augmented: np.ndarray, labels: np.ndarray) -> "Minibatch":
+        """Wrap bias-augmented rows of already-validated data without checking them.
 
-        ``inputs`` may carry leading stack dimensions, ``(..., n, D)`` with
-        labels ``(..., n)``, for a stacked :func:`loss_and_grad` call.
+        ``augmented`` is ``(..., n, D + 1)`` with labels ``(..., n)``; leading
+        stack dimensions make a stacked :func:`loss_and_grad` call.  Stacked
+        rows must be one contiguous array for its slices to equal plain calls.
         """
         batch = object.__new__(Minibatch)
-        batch.inputs = inputs
+        batch.augmented = augmented
         batch.labels = labels
         return batch
 
@@ -143,28 +163,36 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
-    """Class scores for each row of ``inputs``, with what the gradient reuses.
+def _forward(spec: ModelSpec, params: np.ndarray, xa: np.ndarray):
+    """Class scores for each bias-augmented row of ``xa``, with what the gradient reuses.
 
-    Returns ``(xa, hidden, z)``: the bias-augmented inputs, ``None`` for
-    logreg or ``(z1, h, ha, w2)`` for mlp1, and the scores ``z``.
+    Returns ``(hidden, z)``: ``None`` for logreg or ``(z1, h, ha, w2)`` for
+    mlp1, and the scores ``z``.
     """
-    xa = _augment(inputs)
     lead = params.shape[:-1]
     if spec.kind == "logreg":
-        return xa, None, xa @ params.reshape(lead + (spec.input_dim + 1, spec.num_classes))
+        return None, xa @ params.reshape(lead + (spec.input_dim + 1, spec.num_classes))
     n1 = (spec.input_dim + 1) * spec.hidden_dim
     w1 = params[..., :n1].reshape(lead + (spec.input_dim + 1, spec.hidden_dim))
     w2 = params[..., n1:].reshape(lead + (spec.hidden_dim + 1, spec.num_classes))
     z1 = xa @ w1
     h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
     ha = _augment(h)
-    return xa, (z1, h, ha, w2), ha @ w2
+    return (z1, h, ha, w2), ha @ w2
+
+
+# Below this many classes numpy's class-axis sum adds left to right, so a sum
+# column by column gives its bits; from 8 on it sums pairwise.
+COLUMN_CLASSES = 8
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: np.ndarray, batch: Minibatch, counts: np.ndarray | None = None
-) -> tuple[float | np.ndarray, np.ndarray]:
+    spec: ModelSpec,
+    params: np.ndarray,
+    batch: Minibatch,
+    counts: np.ndarray | None = None,
+    with_loss: bool = True,
+) -> tuple[float | np.ndarray | None, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
     The plain call takes params ``(d,)``, inputs ``(n, D)`` and labels
@@ -174,8 +202,9 @@ def loss_and_grad(
     dimensions or ``(d,)`` shared by the whole stack.  It then returns losses
     ``(...)`` and gradients ``(..., d)``.  Each slice of a stacked call
     equals the plain call on that slice bit for bit, provided the stacked
-    inputs are a contiguous array (a stride-0 broadcast view of a one-row
-    batch can take a different BLAS path).
+    rows are a contiguous array (a stride-0 broadcast view of a one-row
+    batch can take a different BLAS path).  The kernel reads the batch's
+    bias-augmented rows as they are; it builds no ones column for them.
 
     ``counts``, an integer array of the stack shape, lets the slices of a
     stacked call share one row count: slice ``s`` counts its first
@@ -183,32 +212,47 @@ def loss_and_grad(
     residuals are set to exactly 0.0, so they add nothing to the gradient;
     each slice is divided by its own count, and its loss is the mean over its
     counted rows only.  A call without ``counts`` counts every row.
+    ``with_loss=False`` skips the loss terms (the log-normaliser, the picked
+    score and the row sum) and returns ``None`` for the loss; the gradient's
+    bits do not depend on it.
+
+    With fewer than ``COLUMN_CLASSES`` classes the row max is an
+    ``np.maximum`` over the class columns and the exp-sum adds the columns
+    left to right.  Both equal numpy's class-axis reductions bit for bit: a
+    max is exact in any order, and below 8 elements numpy's sum adds left to
+    right.  From 8 classes on numpy sums pairwise, so the kernel keeps the
+    axis reductions there.  The choice follows ``spec.num_classes`` alone.
 
     Rows are accumulated in the order they appear in the batch; callers that
     need order-independence must present samples in a canonical order.
     Nothing is validated here: callers pass data and parameters that
     :func:`check_data` and :func:`check_params` accepted at their boundary.
     """
-    xa, hidden, z = _forward(spec, params, batch.inputs)
+    xa = batch.augmented
+    hidden, z = _forward(spec, params, xa)
     n = xa.shape[-2] if counts is None else counts
-
-    # Label terms by flat fancy indexing on a (rows, classes) view, at any
-    # stack depth; take_along_axis would slow the plain call by about a third.
-    rows = np.arange(z.size // spec.num_classes)
-    labels = batch.labels.reshape(-1)
-    zs = z - z.max(axis=-1, keepdims=True)
+    num_classes = spec.num_classes
+    columns = num_classes < COLUMN_CLASSES
+    if columns:
+        zs = z - reduce(np.maximum, [z[..., c] for c in range(num_classes)])[..., None]
+    else:
+        zs = z - z.max(axis=-1, keepdims=True)
     # One exp and one class sum serve both the log-normaliser and the softmax.
     p = np.exp(zs)
-    norm = p.sum(axis=-1, keepdims=True)
-    log_norm = np.log(norm[..., 0])
-    picked = zs.reshape(-1, spec.num_classes)[rows, labels].reshape(log_norm.shape)
-    row_loss = log_norm - picked
+    norm = reduce(np.add, [p[..., c] for c in range(num_classes)]) if columns else p.sum(axis=-1)
+    # Each row's label entry in the flat (rows x classes) scores.
+    flat = np.arange(0, z.size, num_classes) + batch.labels.reshape(-1)
     if counts is not None:
         pad = np.arange(xa.shape[-2]) >= counts[..., None]
-        row_loss[pad] = 0.0
-    loss = row_loss.sum(axis=-1) / n  # np.mean's sum and division, without its overhead
-    p /= norm
-    p.reshape(-1, spec.num_classes)[rows, labels] -= 1.0
+    loss = None
+    if with_loss:
+        row_loss = np.log(norm) - zs.take(flat).reshape(norm.shape)
+        if counts is not None:
+            row_loss[pad] = 0.0
+        loss = row_loss.sum(axis=-1) / n  # np.mean's sum and division, without its overhead
+        loss = float(loss) if loss.ndim == 0 else loss
+    p /= norm[..., None]
+    p.reshape(-1)[flat] -= 1.0
     if counts is not None:
         p[pad] = 0.0
         n = counts[..., None, None]
@@ -227,7 +271,7 @@ def loss_and_grad(
         grad = np.concatenate(
             [grad_w1.reshape(lead + (-1,)), grad_w2.reshape(lead + (-1,))], axis=-1
         )
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return loss, grad
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, dataset: Minibatch) -> float:
@@ -235,5 +279,5 @@ def accuracy(spec: ModelSpec, params: np.ndarray, dataset: Minibatch) -> float:
 
     Argmax ties break toward the lowest class index.
     """
-    predictions = np.argmax(_forward(spec, params, dataset.inputs)[2], axis=1)
+    predictions = np.argmax(_forward(spec, params, dataset.augmented)[1], axis=1)
     return float(np.mean(predictions == dataset.labels))

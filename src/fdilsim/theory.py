@@ -11,9 +11,10 @@ enlarging the probe set can only move an estimate toward the truth.
 The estimator works in stacked passes.  Full-shard gradients at every probe
 point take one stacked call per shard through the full-shard helper
 :func:`fdilsim.metrics.client_objective_grad`; the minibatch draws of all
-clients at one (probe, task) go through one stacked pass, each client
-drawing all its batches from its own stream by the draw rule of local
-training, :func:`fdilsim.client.draw_rows`; a shard no larger than the
+clients at one (probe, task) go through one stacked pass without the loss,
+gathered from the shards' bias-augmented rows, each client drawing all its
+batches from its own stream by the draw rule of local training,
+:func:`fdilsim.client.draw_rows`; a shard no larger than the
 batch is used whole, so its full-shard gradient is reused.  Every norm,
 squared gap and cosine in the reductions comes from
 :func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so each
@@ -152,21 +153,22 @@ def _minibatch_grads(
 
     Each client draws all its batches from its own ``(PROBE_BATCH, probe,
     task, client)`` stream through :func:`draw_rows`, the draw rule of local
-    training.  The rows go through stacked kernel calls of at most
-    ``STACK_ROWS`` rows.
+    training.  The drawn rows are gathered bias-augmented from the shards and
+    go through stacked kernel calls of at most ``STACK_ROWS`` rows, which
+    skip the loss.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     sampled = [task_shards[m].data for m in clients]
     streams = [rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m)) for m in clients]
     idx = draw_rows([len(data) for data in sampled], size, streams, draws).reshape(-1, size)
-    inputs = np.concatenate([data.inputs for data in sampled])[idx]
-    targets = np.concatenate([data.labels for data in sampled])[idx]
+    rows = np.concatenate([data.augmented for data in sampled]).take(idx, axis=0)
+    targets = np.concatenate([data.labels for data in sampled]).take(idx)
 
     grads = np.empty((idx.shape[0], theta.shape[0]))
     width = max(1, STACK_ROWS // size)
     for lo in range(0, idx.shape[0], width):
-        batch = Minibatch.stack(inputs[lo : lo + width], targets[lo : lo + width])
-        _, grads[lo : lo + width] = loss_and_grad(spec, theta, batch)
+        batch = Minibatch.of_rows(rows[lo : lo + width], targets[lo : lo + width])
+        _, grads[lo : lo + width] = loss_and_grad(spec, theta, batch, with_loss=False)
     return grads.reshape(len(clients), draws, -1)
 
 

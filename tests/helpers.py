@@ -26,6 +26,71 @@ from fdilsim.models import row_dots
 from fdilsim.server import RunStats
 
 
+def _augment(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
+def stack_batch(inputs: np.ndarray, labels: np.ndarray) -> Minibatch:
+    """Rows ``(..., n, D)`` with labels ``(..., n)`` as a batch for a stacked kernel call."""
+    return Minibatch.of_rows(_augment(inputs), labels)
+
+
+def loss_and_grad_reference(
+    spec: ModelSpec, params: np.ndarray, batch: Minibatch, counts: np.ndarray | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """The kernel with class-axis reductions and a ones column built per call.
+
+    It augments ``batch.inputs`` itself, takes the row max and the exp-sum
+    as ``max``/``sum`` over the class axis, and picks the label terms by 2-D
+    fancy indexing.  ``loss_and_grad`` must return these bits exactly.
+    """
+    xa = _augment(batch.inputs)
+    lead = params.shape[:-1]
+    if spec.kind == "logreg":
+        z = xa @ params.reshape(lead + (spec.input_dim + 1, spec.num_classes))
+    else:
+        n1 = (spec.input_dim + 1) * spec.hidden_dim
+        w1 = params[..., :n1].reshape(lead + (spec.input_dim + 1, spec.hidden_dim))
+        w2 = params[..., n1:].reshape(lead + (spec.hidden_dim + 1, spec.num_classes))
+        z1 = xa @ w1
+        h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
+        ha = _augment(h)
+        z = ha @ w2
+    n = xa.shape[-2] if counts is None else counts
+
+    rows = np.arange(z.size // spec.num_classes)
+    labels = batch.labels.reshape(-1)
+    zs = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(zs)
+    norm = p.sum(axis=-1, keepdims=True)
+    log_norm = np.log(norm[..., 0])
+    picked = zs.reshape(-1, spec.num_classes)[rows, labels].reshape(log_norm.shape)
+    row_loss = log_norm - picked
+    if counts is not None:
+        pad = np.arange(xa.shape[-2]) >= counts[..., None]
+        row_loss[pad] = 0.0
+    loss = row_loss.sum(axis=-1) / n
+    p /= norm
+    p.reshape(-1, spec.num_classes)[rows, labels] -= 1.0
+    if counts is not None:
+        p[pad] = 0.0
+        n = counts[..., None, None]
+
+    lead = z.shape[:-2]
+    if spec.kind == "logreg":
+        grad = ((xa.swapaxes(-1, -2) @ p) / n).reshape(lead + (-1,))
+    else:
+        p /= n
+        grad_w2 = ha.swapaxes(-1, -2) @ p
+        dh = p @ w2[..., :-1, :].swapaxes(-1, -2)
+        dz1 = dh * (1.0 - h * h) if spec.activation == "tanh" else dh * (z1 > 0.0)
+        grad_w1 = xa.swapaxes(-1, -2) @ dz1
+        grad = np.concatenate(
+            [grad_w1.reshape(lead + (-1,)), grad_w2.reshape(lead + (-1,))], axis=-1
+        )
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
 def central_difference_grad(
     spec: ModelSpec, params: np.ndarray, batch: Minibatch, step: float = 1e-5
 ) -> np.ndarray:
@@ -173,7 +238,7 @@ def local_update_grouped(
             step_inputs = np.concatenate([x.inputs for x in data])[idx]
             step_labels = np.concatenate([x.labels for x in data])[idx]
         else:
-            batch = Minibatch.stack(
+            batch = stack_batch(
                 np.stack([x.inputs for x in data]), np.stack([x.labels for x in data])
             )
         theta = np.tile(global_params, (len(members), 1))
@@ -181,7 +246,7 @@ def local_update_grouped(
         gsq = np.zeros(len(members))
         for e in range(cfg.epochs):
             if draws:
-                batch = Minibatch.stack(step_inputs[e], step_labels[e])
+                batch = stack_batch(step_inputs[e], step_labels[e])
             _, grad = loss_and_grad(spec, theta, batch)
             norm_sq = row_dots(grad)
             gmax = np.maximum(gmax, np.sqrt(norm_sq))

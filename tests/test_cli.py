@@ -176,6 +176,51 @@ def test_oversized_integer_exits_1_with_one_line_and_no_run_dir(tmp_path):
     )
 
 
+HUGE = 2**62
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "train_samples_per_task = 480",
+            f"train_samples_per_task = {HUGE}",
+            f"data.train_samples_per_task: {HUGE} needs an array of {HUGE * 3} values, more than numpy can hold",
+        ),
+        (
+            "test_samples_per_task = 240",
+            f"test_samples_per_task = {HUGE}",
+            f"data.test_samples_per_task: {HUGE} needs an array of {HUGE * 3} values, more than numpy can hold",
+        ),
+        (
+            "kind = logreg",
+            f"kind = mlp1\nhidden_dim = {HUGE}",
+            f"model.hidden_dim: {HUGE} needs an array of {HUGE * 6 + 3} values, more than numpy can hold",
+        ),
+        (
+            "local_epochs = 5",
+            f"local_epochs = {HUGE}",
+            # E x 4 sampled clients x 32 rows (batch 32 < 480 / 8) x 3 values.
+            f"federation.local_epochs: {HUGE} needs an array of {HUGE * 4 * 32 * 3} values, "
+            "more than numpy can hold",
+        ),
+        (
+            "num_clients = 8",
+            f"num_clients = {HUGE}",
+            "data.train_samples_per_task: train pool 480 cannot satisfy "
+            f"num_clients * min_samples_per_client = {HUGE * 4}",
+        ),
+    ],
+    ids=["train_samples", "test_samples", "hidden_dim", "local_epochs", "num_clients"],
+)
+def test_sizes_numpy_refuses_exit_1_with_one_line_and_no_run_dir(tmp_path, old, new, message):
+    # Each used to end in a traceback (numpy's ``array is too big`` or
+    # ``Maximum allowed dimension exceeded``) during data generation,
+    # initialisation or the first round.  numpy refuses these sizes before
+    # allocating anything, so the run allocates nothing large either way.
+    assert_one_line_config_error(tmp_path, old, new, message)
+
+
 def assert_one_line_config_error(tmp_path, old, new, message):
     """``fdilsim run`` on default.ini with ``old`` replaced: exit 1, one stderr line, no run dir."""
     root = Path(__file__).resolve().parent.parent

@@ -256,9 +256,9 @@ def test_client_row_equals_client_alone_at_same_rows(spec):
 def test_one_kernel_call_per_step_over_all_clients(monkeypatch):
     calls = []
 
-    def counting_kernel(spec, params, batch, counts=None):
-        calls.append((params.shape, batch.inputs.shape, counts.tolist()))
-        return loss_and_grad(spec, params, batch, counts)
+    def counting_kernel(spec, params, batch, counts=None, with_loss=True):
+        calls.append((params.shape, batch.inputs.shape, counts.tolist(), with_loss))
+        return loss_and_grad(spec, params, batch, counts, with_loss)
 
     monkeypatch.setattr(client_module, "loss_and_grad", counting_kernel)
     sizes = (3, 8, 20, 3, 8, 12, 1, 30, 5, 9)
@@ -268,7 +268,8 @@ def test_one_kernel_call_per_step_over_all_clients(monkeypatch):
     local_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, streams, 8)
     d = param_count(SPEC)
     counts = [min(n, 8) for n in sizes]
-    assert calls == [((10, d), (10, 8, 2), counts)] * cfg.epochs
+    # The step discards the loss, so the kernel skips it.
+    assert calls == [((10, d), (10, 8, 2), counts, False)] * cfg.epochs
 
 
 def test_rows_below_an_effective_batch_rejected():
@@ -330,9 +331,9 @@ def test_batch_far_above_every_shard_pads_only_to_the_largest_shard(tmp_path, mo
     for b in (1000000, 480):
         rows = []
 
-        def recording_kernel(spec, params, batch, counts=None):
+        def recording_kernel(spec, params, batch, counts=None, with_loss=True):
             rows.append(batch.inputs.shape[-2])
-            return loss_and_grad(spec, params, batch, counts)
+            return loss_and_grad(spec, params, batch, counts, with_loss)
 
         monkeypatch.setattr(client_module, "loss_and_grad", recording_kernel)
         artifacts = run_experiment(text.replace("batch_size = 32\nlocal_lr", f"batch_size = {b}\nlocal_lr"))

@@ -2,6 +2,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fdilsim import ConfigError, parse_config, parse_config_text, serialize_config
@@ -282,3 +283,16 @@ def test_readme_table_lists_every_key_with_its_default():
             else:
                 expected[f"{section}.{key}"] = f"`{_text(kind, default)}`"
     assert documented == expected
+
+
+def test_size_limit_is_numpy_array_limit():
+    # A 480-row default profile with a train pool of n rows of 3 values: numpy
+    # refuses an array of more than intp-max bytes before allocating, and
+    # parsing rejects exactly the sizes it would refuse.
+    text = profile_text()
+    first_refused = -(-(2**63) // (3 * 8))  # the least n with 24 n > 2**63 - 1
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty((first_refused, 3))
+    parse_config_text(text.replace("train_samples_per_task = 480", f"train_samples_per_task = {first_refused - 1}"))
+    with pytest.raises(ConfigError, match=f"data.train_samples_per_task: {first_refused} needs an array"):
+        parse_config_text(text.replace("train_samples_per_task = 480", f"train_samples_per_task = {first_refused}"))

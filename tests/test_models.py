@@ -17,12 +17,22 @@ from fdilsim import (
     run_sequence,
 )
 from fdilsim.models import check_data, check_params, row_dots
-from helpers import central_difference_grad
+from helpers import central_difference_grad, loss_and_grad_reference, stack_batch
 from test_datagen import make_shift
 from test_server import make_hp
 
 LOGREG = ModelSpec("logreg", 2, 3)
 MLP = ModelSpec("mlp1", 2, 3, hidden_dim=4)
+# Class counts on both sides of the kernel's column-wise reductions (below 8
+# classes) and input widths other than 2, each with logreg and mlp1.
+SHAPE_SPECS = [
+    ModelSpec("logreg", 1, 2),
+    ModelSpec("logreg", 5, 7),
+    ModelSpec("logreg", 5, 10),
+    ModelSpec("mlp1", 5, 2, hidden_dim=6),
+    ModelSpec("mlp1", 1, 7, hidden_dim=5, activation="relu"),
+    ModelSpec("mlp1", 1, 10, hidden_dim=3),
+]
 
 
 def random_batch(rng, spec, size=8):
@@ -136,7 +146,11 @@ def test_take_returns_rows_without_revalidating():
     subset = batch.take(np.array([1, 1, 4]))
     assert np.array_equal(subset.inputs, batch.inputs[[1, 1, 4]])
     assert np.array_equal(subset.labels, batch.labels[[1, 1, 4]])
-    assert subset.inputs.flags.c_contiguous and subset.inputs.dtype == np.float64
+    # The kernel reads the bias-augmented rows: contiguous, with inputs a view of them.
+    for rows, n in ((batch, 6), (subset, 3)):
+        assert rows.augmented.shape == (n, 3) and rows.augmented.flags.c_contiguous
+        assert rows.augmented.dtype == np.float64 and np.array_equal(rows.augmented[:, -1], np.ones(n))
+        assert np.shares_memory(rows.inputs, rows.augmented)
     assert subset.labels.dtype == np.int64
 
 
@@ -202,7 +216,7 @@ def test_empty_batch_rejected():
 
 
 @pytest.mark.parametrize(
-    "spec", [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")]
+    "spec", [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")] + SHAPE_SPECS
 )
 def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
     rng = np.random.default_rng(13)
@@ -211,7 +225,7 @@ def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
         # Probe axis: one batch, a contiguous copy per parameter vector.
         thetas = rng.standard_normal((5, d))
         batch = random_batch(rng, spec, size=n)
-        stacked = Minibatch.stack(
+        stacked = stack_batch(
             np.repeat(batch.inputs[None], 5, axis=0), np.repeat(batch.labels[None], 5, axis=0)
         )
         losses, grads = loss_and_grad(spec, thetas, stacked)
@@ -224,14 +238,14 @@ def test_stacked_calls_equal_plain_calls_bit_for_bit(spec):
         # Batch axis: one parameter vector shared by a stack of batches.
         inputs = rng.standard_normal((2, 3, n, spec.input_dim))
         labels = rng.integers(0, spec.num_classes, size=(2, 3, n))
-        losses, grads = loss_and_grad(spec, thetas[0], Minibatch.stack(inputs, labels))
+        losses, grads = loss_and_grad(spec, thetas[0], stack_batch(inputs, labels))
         assert losses.shape == (2, 3) and grads.shape == (2, 3, d)
         for idx in np.ndindex(2, 3):
             plain_loss, plain_grad = loss_and_grad(spec, thetas[0], Minibatch(inputs[idx], labels[idx]))
             assert losses[idx] == plain_loss and np.array_equal(grads[idx], plain_grad)
 
 
-PADDED_SPECS = [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")]
+PADDED_SPECS = [LOGREG, MLP, ModelSpec("mlp1", 3, 4, hidden_dim=7, activation="relu")] + SHAPE_SPECS
 
 
 def padded_stack(rng, spec, sizes, rows):
@@ -252,10 +266,10 @@ def test_padded_stacked_slices_equal_padded_plain_calls_bit_for_bit(spec):
         sizes = rng.integers(1, rows + 1, size=6)
         inputs, labels = padded_stack(rng, spec, sizes, rows)
         thetas = rng.standard_normal((6, d))
-        losses, grads = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+        losses, grads = loss_and_grad(spec, thetas, stack_batch(inputs, labels), sizes)
         assert losses.shape == (6,) and grads.shape == (6, d)
         for s in range(6):
-            plain = Minibatch.stack(inputs[s], labels[s])
+            plain = stack_batch(inputs[s], labels[s])
             loss, grad = loss_and_grad(spec, thetas[s], plain, np.array(sizes[s]))
             assert isinstance(loss, float)
             assert losses[s] == loss and np.array_equal(grads[s], grad)
@@ -268,10 +282,10 @@ def test_full_counts_equal_calls_without_counts(spec):
     for n in (1, 2, 8, 9, 40):
         inputs, labels = padded_stack(rng, spec, [n] * 4, n)
         thetas = rng.standard_normal((4, d))
-        batch = Minibatch.stack(inputs, labels)
+        batch = stack_batch(inputs, labels)
         counted, plain = loss_and_grad(spec, thetas, batch, np.full(4, n)), loss_and_grad(spec, thetas, batch)
         assert np.array_equal(counted[0], plain[0]) and np.array_equal(counted[1], plain[1])
-        one = Minibatch.stack(inputs[0], labels[0])
+        one = stack_batch(inputs[0], labels[0])
         counted, plain = loss_and_grad(spec, thetas[0], one, np.array(n)), loss_and_grad(spec, thetas[0], one)
         assert counted[0] == plain[0] and np.array_equal(counted[1], plain[1])
 
@@ -285,14 +299,14 @@ def test_padding_rows_count_for_nothing(spec):
     sizes = np.array([1, 3, 8, 12, 20])
     inputs, labels = padded_stack(rng, spec, sizes, 20)
     thetas = rng.standard_normal((5, d))
-    losses, grads = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+    losses, grads = loss_and_grad(spec, thetas, stack_batch(inputs, labels), sizes)
     pad = np.arange(20) >= sizes[:, None]
     inputs[pad] = 100.0 * rng.standard_normal((int(pad.sum()), spec.input_dim))
     labels[pad] = rng.integers(0, spec.num_classes, size=int(pad.sum()))
-    noisy = loss_and_grad(spec, thetas, Minibatch.stack(inputs, labels), sizes)
+    noisy = loss_and_grad(spec, thetas, stack_batch(inputs, labels), sizes)
     assert np.array_equal(noisy[0], losses) and np.array_equal(noisy[1], grads)
     for s, n in enumerate(sizes):
-        own = Minibatch.stack(inputs[s, :n], labels[s, :n])
+        own = stack_batch(inputs[s, :n], labels[s, :n])
         loss, grad = loss_and_grad(spec, thetas[s], own)
         # The mean over the counted rows; summing the zeroed pad terms can
         # change the order of the additions.
@@ -316,3 +330,73 @@ def test_row_dots_equal_np_dot_and_norm_bit_for_bit():
         broadcast = row_dots(one, many)
         assert broadcast.shape == (len(many),)
         assert all(broadcast[j] == np.dot(one, many[j]) for j in range(len(many)))
+
+
+def kernel_cases(rng, spec):
+    """(params, batch, counts) cases: plain, stacked and padded, ordinary, tied and near-overflow scores."""
+    d = param_count(spec)
+    cases = []
+    for n in (1, 2, 7, 8, 9, 33):
+        batch = random_batch(rng, spec, size=n)
+        cases.append((rng.standard_normal(d), batch, None))
+        # Zero parameters tie every class score.
+        cases.append((np.zeros(d), batch, None))
+        # The largest score at 708, next to exp's overflow at about 709.78:
+        # scaling the last layer scales every score.
+        params = rng.standard_normal(d)
+        last = slice(0 if spec.kind == "logreg" else (spec.input_dim + 1) * spec.hidden_dim, None)
+        params[last] *= 708.0 / np.abs(scores(spec, params, batch.inputs)).max()
+        cases.append((params, batch, None))
+        inputs, labels = padded_stack(rng, spec, rng.integers(1, n + 1, size=4), n)
+        thetas = rng.standard_normal((4, d))
+        if spec.kind == "logreg":
+            # Equal weight columns tie the class scores of every row.
+            column = rng.standard_normal((2, spec.input_dim + 1, 1))
+            thetas[:2] = np.repeat(column, spec.num_classes, axis=2).reshape(2, d)
+        stacked = stack_batch(inputs, labels)
+        cases.append((thetas, stacked, None))
+        cases.append((thetas, stacked, rng.integers(1, n + 1, size=4)))
+        cases.append((thetas[0], stack_batch(inputs[0], labels[0]), np.array(n)))
+    return cases
+
+
+@pytest.mark.parametrize("spec", PADDED_SPECS)
+def test_kernel_equals_reference_kernel_bit_for_bit(spec):
+    # The reference augments per call and reduces over the class axis; the
+    # kernel reads pre-augmented rows and, below 8 classes, reduces column
+    # by column.  Their bits must agree everywhere.
+    for seed in range(12):
+        rng = np.random.default_rng(1000 + seed)
+        for params, batch, counts in kernel_cases(rng, spec):
+            loss, grad = loss_and_grad(spec, params, batch, counts)
+            ref_loss, ref_grad = loss_and_grad_reference(spec, params, batch, counts)
+            assert type(loss) is type(ref_loss)
+            assert np.isfinite(ref_loss).all() and np.isfinite(ref_grad).all()
+            assert np.array_equal(loss, ref_loss) and np.array_equal(grad, ref_grad)
+            if params.ndim == 1 and batch.augmented.ndim == 2:
+                # accuracy shares the kernel's forward pass on the stored rows.
+                expected = np.mean(np.argmax(scores(spec, params, batch.inputs), axis=1) == batch.labels)
+                assert accuracy(spec, params, batch) == float(expected)
+
+
+def scores(spec, params, inputs):
+    """Class scores of plain ``(n, D)`` inputs, with the ones columns built here."""
+    def augment(x):
+        return np.concatenate([x, np.ones((len(x), 1))], axis=1)
+
+    if spec.kind == "logreg":
+        return augment(inputs) @ params.reshape(spec.input_dim + 1, spec.num_classes)
+    n1 = (spec.input_dim + 1) * spec.hidden_dim
+    z1 = augment(inputs) @ params[:n1].reshape(spec.input_dim + 1, spec.hidden_dim)
+    h = np.tanh(z1) if spec.activation == "tanh" else np.maximum(z1, 0.0)
+    return augment(h) @ params[n1:].reshape(spec.hidden_dim + 1, spec.num_classes)
+
+
+@pytest.mark.parametrize("spec", PADDED_SPECS)
+def test_call_without_loss_returns_the_same_gradient_bits(spec):
+    rng = np.random.default_rng(31)
+    for params, batch, counts in kernel_cases(rng, spec):
+        _, grad = loss_and_grad(spec, params, batch, counts)
+        loss, lossless = loss_and_grad(spec, params, batch, counts, with_loss=False)
+        assert loss is None and np.array_equal(lossless, grad)
+

@@ -38,6 +38,23 @@ TANH = ("model.kind=mlp1", "model.hidden_dim=8")
 RELU = TANH + ("model.activation=relu",)
 SEEDS = (1, 2, 3, 25, 77, 1234)
 
+
+def shape(num_classes: int, input_dim: int) -> tuple[str, ...]:
+    """Overrides for another class count and input width, with matching base means.
+
+    Class c's mean is 1.5 c on the first coordinate (so the rows differ) and
+    (c * j) mod 3 - 1 on coordinate j >= 1.
+    """
+    rows = (
+        " ".join([repr(1.5 * c)] + [str((c * j) % 3 - 1) for j in range(1, input_dim)])
+        for c in range(num_classes)
+    )
+    return (
+        f"model.input_dim={input_dim}",
+        f"model.num_classes={num_classes}",
+        f"data.base_means={'; '.join(rows)}",
+    )
+
 CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("benchmarks/workloads/desk-sweep.ini", ()),
     ("benchmarks/workloads/wide.ini", ()),
@@ -93,6 +110,15 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # Wider models.
     (DEFAULT, ("model.kind=mlp1", "model.hidden_dim=32")),
     ("profiles/wide.ini", ("model.activation=relu",)),
+    # Class counts on both sides of the kernel's column-wise reductions (C < 8),
+    # and input widths other than 2.
+    *(
+        (DEFAULT, model + shape(num_classes, input_dim))
+        for model in ((), TANH, RELU)
+        for num_classes in (2, 7, 10)
+        for input_dim in (1, 5)
+        if model != RELU or input_dim == 5
+    ),
 )
 
 
