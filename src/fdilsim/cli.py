@@ -114,6 +114,11 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("empty --lambda list")
     if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
         raise _UsageError("lambda values must be finite and >= 0")
+    # Compared as floats, so -0 repeats 0; each value names one sub-run.
+    for j, lam in enumerate(grid):
+        if lam in grid[:j]:
+            raise _UsageError(f"lambda value {fmt(lam + 0.0)} repeated in --lambda list")
+    grid = [lam + 0.0 for lam in grid]  # -0.0 runs and is written as 0.0
 
     root = args.out if args.out else base.output_dir
     lines = ["lambda,acc,bwt"]

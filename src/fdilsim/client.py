@@ -7,24 +7,30 @@ the whole shard is used per step, which makes E=1 exactly one full-batch
 step, and nothing is drawn.  Drawn sample indices are sorted before the
 gradient is computed so results never depend on draw order.
 
-All N sampled clients run their E steps together, each step one stacked
-:func:`loss_and_grad` call over all of them, which skips the loss the step
-discards.  Every client's batch has the same P rows, where P is
-``min(batch_size, largest shard of the task)``, fixed for the task whatever
-clients were sampled.  A client that draws (more rows than the batch, so P
-is the batch size) fills its P rows with its drawn rows; a client whose
-shard is used whole takes its n rows and then P - n pad rows.  The rows are
-gathered bias-augmented from the shards (a pad row is ``[0 ... 0, 1]``), so
-the round tensor already holds the kernel's ones column.  Per-client row
-counts make the kernel give the pad rows a softmax residual of exactly 0.0
-and divide each client by its own count, so a client's gradient is that of
-its own batch.  The update, the proximal
-step and the gradient statistics are elementwise over the stack.  A drawing
-client takes the indices of all its E steps from its own stream in one
-``integers`` call per round (:func:`draw_rows`, shared with the probe
-estimator); bounded integers consume the stream's words in the same order
-whatever the call shape, so these are the very batches that E one-batch
-draws would give.  A client that never draws needs no stream.
+Everything a round needs apart from the model is fixed when its task
+starts, so it is built ahead of the rounds.  :class:`TaskPool` holds the
+task's M shards as one array of bias-augmented rows plus one all-zero pad
+row, built once per task.  Every client's batch has the same P rows, where
+P is ``min(batch_size, largest shard of the task)``.  :func:`plan_batches`
+turns the selections of a run of rounds into an ``(R, E, N, P)`` tensor of
+pool rows: a client that draws (more rows than the batch, so P is the
+batch size) fills its P rows with its drawn rows, and a client whose shard
+is used whole takes its n rows and then P - n pad rows.  A drawing client
+takes the indices of all its E steps of a round from its own ``(task,
+round, client)`` stream, and all the round's streams are read in one bulk
+call (:func:`draw_rows`, shared with the probe estimator, over
+:func:`fdilsim.rng.stream_integers`), which gives the very batches that E
+one-batch draws from each stream would.  A client that never draws needs
+no stream.
+
+:func:`local_update` runs one round: it gathers the round's rows with two
+``take`` calls and makes one stacked :func:`loss_and_grad` call per step
+over all N clients, which skips the loss the step discards.  Per-client row
+counts make the kernel divide each client by its own count, so a client's
+gradient is that of its own batch: logreg reads the all-zero pad rows as
+they are, which adds only +-0 products to its gradient sums, and mlp1
+masks their softmax residuals to exactly 0.0.  The update, the proximal
+step and the gradient statistics are elementwise over the stack.
 
 Every client's result equals running it alone at the same P, bit for bit,
 so it never depends on who else was sampled.  Against an unpadded call on
@@ -35,9 +41,9 @@ product in another order.
 
 Two modes:
 
-* ``plain`` -- theta <- theta - gamma_L * g, the inner loop of the main
-  protocol, giving delta = -gamma_L * sum of step gradients exactly.
-* ``client_prox`` -- each step is followed by the proximal map
+* plain (no anchor) -- theta <- theta - gamma_L * g, the inner loop of the
+  main protocol, giving delta = -gamma_L * sum of step gradients exactly.
+* client prox (an anchor) -- each step is followed by the proximal map
   ``prox(x) = (x + 2*lambda*anchor) / (1 + 2*lambda)``, the minimizer of
   0.5*||theta - x||^2 + lambda*||theta - anchor||^2, pulling the iterate
   toward the previous task's model during local training.
@@ -49,35 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .datagen import ClientShard
 from .models import Minibatch, ModelSpec, loss_and_grad, row_dots
-
-
-@dataclass(frozen=True)
-class LocalConfig:
-    """Per-round local training knobs."""
-
-    epochs: int
-    local_lr: float
-    batch_size: int
-    mode: str = "plain"
-    prox_lambda: float = 0.0
-    anchor: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.local_lr <= 0:
-            raise ValueError("local_lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.mode not in ("plain", "client_prox"):
-            raise ValueError(f"unknown local mode {self.mode!r}")
-        if self.mode == "client_prox":
-            if self.prox_lambda < 0:
-                raise ValueError("prox_lambda must be >= 0")
-            if self.anchor is None:
-                raise ValueError("client_prox mode requires an anchor")
 
 
 class DivergenceError(ValueError):
@@ -105,26 +85,71 @@ def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
 
 
-def draw_rows(
-    sizes: list[int], batch_size: int, streams: list[np.random.Generator], count: int
-) -> np.ndarray:
+@dataclass(frozen=True)
+class TaskPool:
+    """One task's M shards as one array of rows, built once per task.
+
+    ``rows`` holds every shard's bias-augmented rows in client order and then
+    one all-zero pad row (bias included), with ``labels`` alongside (the pad
+    row's label is 0).  Shard ``m`` is rows ``start[m]`` to
+    ``start[m] + size[m] - 1``.  ``batch[m]`` is client m's batch when its
+    shard is used whole, P row indices: its first ``counts[m] = min(n,
+    batch_size)`` rows and then the pad row, where P, the :attr:`width` of
+    every client's batch, is ``min(batch_size, largest shard)``.
+    """
+
+    rows: np.ndarray
+    labels: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    batch: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """P, the rows of every client's batch."""
+        return self.batch.shape[1]
+
+
+def task_pool(shards: list[ClientShard], batch_size: int) -> TaskPool:
+    """The :class:`TaskPool` of one task's shards at ``batch_size``."""
+    size = np.array([len(shard.data) for shard in shards])
+    start = np.cumsum(size) - size
+    counts = np.minimum(size, batch_size)
+    col = np.arange(counts.max())
+    width = shards[0].data.augmented.shape[1]
+    return TaskPool(
+        rows=np.concatenate([shard.data.augmented for shard in shards] + [np.zeros((1, width))]),
+        labels=np.concatenate([shard.data.labels for shard in shards] + [np.zeros(1, np.int64)]),
+        start=start,
+        size=size,
+        batch=np.where(col < counts[:, None], start[:, None] + col, size.sum()),
+        counts=counts,
+    )
+
+
+def draw_rows(master_seed: int, keys, sizes: np.ndarray, batch_size: int, count: int) -> np.ndarray:
     """``count`` sorted uniform-with-replacement batches from each shard.
 
     Shard ``j`` of ``sizes[j]`` rows draws its ``(count, batch_size)`` block
-    from ``streams[j]`` in one ``integers`` call, which takes the stream's
-    words in the same order as ``count`` one-batch draws.  The result
-    ``(len(sizes), count, batch_size)`` indexes the shards' rows concatenated.
+    from the stream of ``(master_seed, keys[j])``: the values of one
+    ``integers(0, sizes[j], (count, batch_size))`` call on that stream, which
+    takes the stream's words in the same order as ``count`` one-batch draws.
+    All streams are read in one :func:`fdilsim.rng.stream_integers` call.
+    Returns ``(len(keys), count, batch_size)`` row indices within each
+    shard, each batch sorted.
     """
-    rows = np.empty((len(sizes), count, batch_size), dtype=np.intp)
-    for j, (n, stream) in enumerate(zip(sizes, streams)):
-        rows[j] = stream.integers(0, n, size=(count, batch_size))
+    shape = (count, batch_size)
+    rows = rngmod.stream_integers(master_seed, keys, 0, np.asarray(sizes)[:, None, None], shape)
     rows.sort(axis=-1)
-    return rows + np.cumsum([0] + sizes[:-1])[:, None, None]
+    return rows
 
 
 def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sorted batches of row indices below ``n``: :func:`draw_rows` on one shard."""
-    return draw_rows([n], batch_size, [stream], count)[0]
+    """``count`` sorted batches of rows below ``n`` from ``stream``, as :func:`draw_rows` reads."""
+    rows = stream.integers(0, n, size=(count, batch_size))
+    rows.sort(axis=-1)
+    return rows
 
 
 def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -> Minibatch:
@@ -139,78 +164,89 @@ def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -
     return shard.take(draw_indices(n, batch_size, stream, 1)[0])
 
 
+def plan_batches(
+    pool: TaskPool,
+    selected: np.ndarray,
+    batch_size: int,
+    epochs: int,
+    master_seed: int,
+    task_index: int,
+    first_round: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool rows of every step of rounds ``first_round``, ``first_round + 1``, ...
+
+    ``selected`` is ``(R, N)``: each round's client ids, ascending.  Returns
+    the ``(R, E, N, P)`` row index and the ``(R, N)`` row counts
+    ``min(n, batch_size)``.  A client whose shard is used whole takes its
+    :attr:`TaskPool.batch` at every step; a drawing client takes its E
+    batches from the ``(LOCAL_TRAINING, task_index, round, client)``
+    stream, all of the rounds' streams in one :func:`draw_rows` call.
+    """
+    r, j = np.nonzero(pool.size[selected] > batch_size)
+    clients = selected[r, j]
+    keys = np.empty((r.size, 4), dtype=np.int64)
+    keys[:, 0] = rngmod.LOCAL_TRAINING
+    keys[:, 1] = task_index
+    keys[:, 2] = first_round + r
+    keys[:, 3] = clients
+    # Drawn before the index is built, so the draw's words and the index are
+    # never held at once.
+    drawn = draw_rows(master_seed, keys, pool.size[clients], batch_size, epochs)
+    drawn += pool.start[clients][:, None, None]
+    index = np.repeat(pool.batch[selected][:, None], epochs, axis=1)
+    if r.size:  # with no drawing client the batch can be wider than P
+        index[r, :, j] = drawn
+    return index, pool.counts[selected]
+
+
 def local_update(
     spec: ModelSpec,
     global_params: np.ndarray,
-    shards: list[ClientShard],
-    cfg: LocalConfig,
-    streams: list[np.random.Generator | None],
-    rows: int,
+    pool: TaskPool,
+    index: np.ndarray,
+    counts: np.ndarray,
+    local_lr: float,
+    anchor: np.ndarray | None = None,
+    prox_lambda: float = 0.0,
 ) -> ClientUpdate:
-    """Run E local steps from ``global_params`` on every given client at once.
+    """Run E local steps from ``global_params`` on every client of one round at once.
 
-    ``shards`` and ``streams`` are the selected clients' shards and minibatch
-    streams, in ascending client-id order.  A client whose shard has at most
-    ``cfg.batch_size`` rows never draws, and its stream may be ``None``.
-    Every client gets a batch of ``rows`` rows, at least its effective batch
-    ``min(n, cfg.batch_size)``: its drawn or whole-shard rows, then pad rows
-    ``[0 ... 0, 1]`` that the kernel's per-client counts leave out.  The
-    ``(E, N, rows, D + 1)`` round tensor is gathered once per round from the
-    shards' bias-augmented rows.  Each step is one stacked
-    :func:`loss_and_grad` call over all clients, without the loss; a drawing
-    client takes its E batches from its own stream in one :func:`draw_rows`
-    call per round.  Row ``j`` of the result equals running client ``j``
-    alone with the same ``rows``, bit for bit.  Raises ``ValueError`` if
-    ``rows`` is below an effective batch.
+    ``index`` is the round's ``(E, N, P)`` slice of :func:`plan_batches` and
+    ``counts`` its ``(N,)`` row counts.  The round's rows are gathered from
+    ``pool`` step-major with two ``take`` calls, so each step's
+    ``(N, P, D + 1)`` stack is contiguous.  Each step is one stacked
+    :func:`loss_and_grad` call over all clients, without the loss, and with
+    an ``anchor`` each step is followed by the proximal map at
+    ``prox_lambda``.  Row ``j`` of the result equals running client ``j``
+    alone with the same P, bit for bit.
 
     Returns deltas ``(N, d)``, ``grad_norm_max`` and ``grad_norm_sq_mean``
     ``(N,)``, and ``steps_taken`` = N * E.  Raises :class:`DivergenceError`
     if any delta has a non-finite entry.
     """
-    b, epochs = cfg.batch_size, cfg.epochs
-    sizes = np.array([len(shard.data) for shard in shards])
-    # One pool: the drawing shards (draw_rows indexes them concatenated), the
-    # whole shards, then one zero row that every pad position points at.
-    drawing = np.flatnonzero(sizes > b)
-    order = np.concatenate([drawing, np.flatnonzero(sizes <= b)])
-    pad_row = np.zeros((1, spec.input_dim + 1))
-    pad_row[0, -1] = 1.0  # bias-augmented, as every row of the pool
-    pool_rows = np.concatenate([shards[j].data.augmented for j in order] + [pad_row])
-    pool_labels = np.concatenate([shards[j].data.labels for j in order] + [np.zeros(1, np.int64)])
-    start = np.empty_like(sizes)
-    start[order] = np.cumsum(sizes[order]) - sizes[order]
-    counts = np.minimum(sizes, b)
-    if rows < counts.max():
-        raise ValueError(f"rows {rows} is below an effective batch of {counts.max()}")
-    col = np.arange(rows)
-    idx = np.where(col < counts[:, None], start[:, None] + col, len(pool_labels) - 1)
-    idx = np.repeat(idx[None], epochs, axis=0)
-    if drawing.size:
-        drawn = draw_rows(sizes[drawing].tolist(), b, [streams[j] for j in drawing], epochs)
-        idx[:, drawing, :b] = drawn.swapaxes(0, 1)
-    # Gathered step-major, so each step's (N, rows, D) stack is contiguous;
+    epochs, clients = index.shape[:2]
     # take copies the same rows as fancy indexing at a fraction of its cost.
-    step_rows = pool_rows.take(idx, axis=0)
-    step_labels = pool_labels.take(idx)
+    step_rows = pool.rows.take(index, axis=0)
+    step_labels = pool.labels.take(index)
 
-    theta = np.tile(global_params, (len(shards), 1))
-    grad_norm_max = np.zeros(len(shards))
-    grad_sq_sum = np.zeros(len(shards))
+    theta = np.tile(global_params, (clients, 1))
+    grad_norm_max = np.zeros(clients)
+    grad_sq_sum = np.zeros(clients)
     for e in range(epochs):
         batch = Minibatch.of_rows(step_rows[e], step_labels[e])
         _, grad = loss_and_grad(spec, theta, batch, counts, with_loss=False)
         norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
         grad_norm_max = np.maximum(grad_norm_max, np.sqrt(norm_sq))
         grad_sq_sum = grad_sq_sum + norm_sq
-        theta = theta - cfg.local_lr * grad
-        if cfg.mode == "client_prox":
-            theta = prox_map(theta, cfg.anchor, cfg.prox_lambda)
+        theta = theta - local_lr * grad
+        if anchor is not None:
+            theta = prox_map(theta, anchor, prox_lambda)
     delta = theta - global_params
     if not np.isfinite(delta).all():
         raise DivergenceError("local training diverged to a non-finite update")
     return ClientUpdate(
         delta=delta,
-        steps_taken=len(shards) * epochs,
+        steps_taken=clients * epochs,
         grad_norm_max=grad_norm_max,
         grad_norm_sq_mean=grad_sq_sum / epochs,
     )

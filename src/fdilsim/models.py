@@ -20,7 +20,9 @@ so the kernel multiplies them as they are; every stack that callers gather
 from such rows carries the column too.  Below 8 classes the kernel's class
 reductions run column by column, which gives numpy's axis reductions bit
 for bit at a fraction of their per-row cost (see :func:`loss_and_grad`), and
-callers that discard the loss ask for the gradient alone.
+callers that discard the loss ask for the gradient alone.  The pad rows of a
+local step are all zeros, so its lossless logreg gradient needs no mask on
+them.
 """
 
 from __future__ import annotations
@@ -216,6 +218,14 @@ def loss_and_grad(
     score and the row sum) and returns ``None`` for the loss; the gradient's
     bits do not depend on it.
 
+    A logreg call with ``counts`` and ``with_loss=False`` leaves the
+    residuals unmasked, and its pad rows must be all zeros, the bias column
+    included (the pad row of :class:`fdilsim.client.TaskPool`).  The
+    gradient is ``xa^T @ p``, so a zero row adds only +-0 products to sums
+    that BLAS starts at +0; a sum that starts at +0 never becomes -0, so the
+    products change no bit, and the gradient equals the masked one.  mlp1
+    always masks: its hidden layer's bias column is 1 on every row.
+
     With fewer than ``COLUMN_CLASSES`` classes the row max is an
     ``np.maximum`` over the class columns and the exp-sum adds the columns
     left to right.  Both equal numpy's class-axis reductions bit for bit: a
@@ -242,7 +252,9 @@ def loss_and_grad(
     norm = reduce(np.add, [p[..., c] for c in range(num_classes)]) if columns else p.sum(axis=-1)
     # Each row's label entry in the flat (rows x classes) scores.
     flat = np.arange(0, z.size, num_classes) + batch.labels.reshape(-1)
-    if counts is not None:
+    # Zero pad rows need no residual mask in a logreg gradient (see above).
+    mask = counts is not None and (with_loss or spec.kind != "logreg")
+    if mask:
         pad = np.arange(xa.shape[-2]) >= counts[..., None]
     loss = None
     if with_loss:
@@ -253,8 +265,9 @@ def loss_and_grad(
         loss = float(loss) if loss.ndim == 0 else loss
     p /= norm[..., None]
     p.reshape(-1)[flat] -= 1.0
-    if counts is not None:
+    if mask:
         p[pad] = 0.0
+    if counts is not None:
         n = counts[..., None, None]
 
     lead = z.shape[:-2]

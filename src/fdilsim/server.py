@@ -1,10 +1,10 @@
 """The protocol engine: client sampling, aggregation, and the task loop.
 
-Each round the server samples N of M clients uniformly without replacement
-(one draw call for all N swap targets), runs their local updates together in
-one lockstep call, with every client's batch padded to the task's largest
-effective batch ``min(batch_size, largest shard)``, averages the ``(N, d)``
-update rows it returns in ascending client-id order, applies the global step
+Each round the server samples N of M clients uniformly without replacement,
+runs their local updates together in one lockstep call, with every client's
+batch padded to the task's largest effective batch ``min(batch_size,
+largest shard)``, averages the ``(N, d)`` update rows it returns in
+ascending client-id order, applies the global step
 ``theta_bar = theta + gamma_G * delta``, and, from the second task on under
 the server-anchored algorithm, blends the result with the previous task's
 final model:
@@ -14,11 +14,19 @@ final model:
 which is the exact minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2.
 With lambda = 0 every round reduces to plain FedAvg.
 
-A client's minibatch stream is derived from (seed, task, round, client) only
+Everything a round needs apart from the model is fixed when its task
+starts, so a task builds its :class:`fdilsim.client.TaskPool` once, samples
+the selections of all its rounds, each from its own ``(task, round)``
+stream and all read in one bulk call, and plans the drawing clients'
+batches in chunks of rounds of at most ``PLAN_BYTES`` of row index
+(:func:`plan_rounds`, over :func:`fdilsim.client.plan_batches`).  A
+client's minibatch stream is derived from (seed, task, round, client) only
 when its shard is larger than the batch; a client that uses its whole shard
-never draws, so no stream is made for it, and one that draws takes all E
-batches of the round from its stream at once.  Skipping a stream perturbs no
-other client's draws.
+never draws, and one that draws takes all E batches of the round from its
+stream at once.  Each stream is read exactly as a stream of its own would
+be, so the plan changes no draw, and skipping a stream perturbs no other
+client's draws.  A round then gathers its rows, makes its E kernel calls,
+updates, aggregates, blends and logs (:func:`run_round`).
 
 The joint-objective instrumentation is deferred: a task keeps the global
 model of every ``joint_grad_every``-th round and, after its last round,
@@ -42,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .client import DivergenceError, LocalConfig, local_update
+from .client import DivergenceError, TaskPool, local_update, plan_batches, task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import AccuracyMatrix, joint_objective_grad
 from .models import ModelSpec, accuracy, check_data, init_params
@@ -121,7 +129,6 @@ class ServerState:
     params: np.ndarray
     anchor: np.ndarray
     task_start: np.ndarray
-    last_blend_anchor: np.ndarray | None = None
 
 
 @dataclass
@@ -157,32 +164,38 @@ class EvalConfig:
             raise ValueError("cadences must be >= 0")
 
 
-def sample_clients(num_clients: int, sample_size: int, stream: np.random.Generator) -> tuple[int, ...]:
-    """Uniform size-N subset of [0, M) without replacement, sorted ascending.
+def sample_clients(num_clients: int, sample_size: int, master_seed: int, keys) -> np.ndarray:
+    """One uniform size-N subset of [0, M) without replacement per stream, sorted ascending.
 
     Partial Fisher-Yates: every subset is equally likely and only N swaps are
-    performed.  The N swap targets, target ``j`` uniform on ``[j, M)``, come
-    from one ``integers`` call and equal N one-target draws in turn.
+    performed.  Row ``s`` of the ``(len(keys), N)`` result draws its N swap
+    targets, target ``j`` uniform on ``[j, M)``, from the stream of
+    ``(master_seed, keys[s])`` as one ``integers(arange(N), M)`` call, which
+    equals N one-target draws in turn.  All streams are read in one
+    :func:`fdilsim.rng.stream_integers` call, and the swaps run for all
+    rows at once.
     """
     if not 1 <= sample_size <= num_clients:
         raise ValueError("sample size must satisfy 1 <= N <= M")
-    pool = list(range(num_clients))
-    targets = stream.integers(np.arange(sample_size), num_clients).tolist()
-    for j, k in enumerate(targets):
-        pool[j], pool[k] = pool[k], pool[j]
-    return tuple(sorted(pool[:sample_size]))
+    targets = rngmod.stream_integers(
+        master_seed, keys, np.arange(sample_size), num_clients, (sample_size,)
+    )
+    pool = np.tile(np.arange(num_clients), (len(keys), 1))
+    rows = np.arange(len(keys))
+    for j, k in enumerate(targets.T):
+        pool[:, j], pool[rows, k] = pool[rows, k], pool[:, j].copy()
+    return np.sort(pool[:, :sample_size], axis=1)
 
 
 def aggregate(deltas: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the ``(N, d)`` update rows, summed in row order from +0.0.
 
     The rows come in ascending client-id order, as :func:`local_update`
-    returns them.  The +0.0 start makes a column of -0.0 entries sum to +0.0.
+    returns them.  A reduce over the leading axis adds whole rows in order
+    into an accumulator that starts at +0.0, so a column of -0.0 entries
+    sums to +0.0.
     """
-    total = np.zeros(deltas.shape[1])
-    for delta in deltas:
-        total += delta
-    return total / len(deltas)
+    return np.add.reduce(deltas, axis=0, initial=0.0) / len(deltas)
 
 
 def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
@@ -196,79 +209,72 @@ def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.
     return theta_bar / (1.0 + lam) + (lam / (1.0 + lam)) * anchor
 
 
-def _local_streams(
-    hp: HyperParams, state: ServerState, shards: list[ClientShard], selected: tuple[int, ...]
-) -> list[np.random.Generator | None]:
-    """Minibatch streams of the selected clients; ``None`` for those that never draw."""
-    return [
-        rngmod.derive_stream(
-            hp.master_seed,
-            (rngmod.LOCAL_TRAINING, state.task_index, state.round_index, client),
-        )
-        if len(shards[client].data) > hp.batch_size
-        else None
-        for client in selected
-    ]
+# Largest row index, in bytes, that one chunk of planned rounds holds.  A
+# chunk's draws and index are built at once, so a larger cap costs peak
+# memory and a smaller one pays the per-chunk work more often.  On
+# protocol-long (40 KiB of index per round, 2 vCPUs) 256 KiB read about
+# 0.5 MB more peak RSS than 128 KiB, and planning one round per chunk took
+# 175 us a round against 114 us at three.
+PLAN_BYTES = 128 * 1024
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """Rounds ``first``, ``first + 1``, ... of one task, fixed before they run.
+
+    ``selected`` is ``(R, N)`` client ids, ``index`` the ``(R, E, N, P)``
+    pool rows of every step and ``counts`` the ``(R, N)`` row counts.
+    """
+
+    first: int
+    selected: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+
+
+def plan_rounds(
+    pool: TaskPool, hp: HyperParams, task_index: int, selected: np.ndarray, first: int
+) -> RoundPlan:
+    """Plan rounds ``first``, ``first + 1``, ... of task ``task_index``, selected ``(R, N)``.
+
+    Round t's drawing clients draw from ``(LOCAL_TRAINING, task_index, t,
+    client)`` (:func:`fdilsim.client.plan_batches`).
+    """
+    index, counts = plan_batches(
+        pool, selected, hp.batch_size, hp.local_epochs, hp.master_seed, task_index, first
+    )
+    return RoundPlan(first, selected, index, counts)
 
 
 def run_round(
-    spec: ModelSpec,
-    state: ServerState,
-    shards: list[ClientShard],
-    hp: HyperParams,
+    spec: ModelSpec, state: ServerState, hp: HyperParams, pool: TaskPool, plan: RoundPlan
 ) -> tuple[ServerState, np.ndarray, float, float, tuple[int, ...]]:
-    """Execute one round in place.
+    """Execute round ``state.round_index`` of the current task in place, from its plan.
 
     Raises DivergenceError if a client update or the new global model has a
     non-finite entry.
     Returns (state, aggregated delta, max grad norm, mean squared grad norm,
     selected client ids).
     """
-    i, t = state.task_index, state.round_index
-    sampling_stream = rngmod.derive_stream(hp.master_seed, (rngmod.CLIENT_SAMPLING, i, t))
-    selected = sample_clients(hp.num_clients, hp.participants_per_round, sampling_stream)
-
-    if hp.algorithm == "special_c" and i >= 2:
-        cfg = LocalConfig(
-            epochs=hp.local_epochs,
-            local_lr=hp.local_lr,
-            batch_size=hp.batch_size,
-            mode="client_prox",
-            prox_lambda=hp.prox_lambda,
-            anchor=state.anchor,
-        )
-    else:
-        cfg = LocalConfig(
-            epochs=hp.local_epochs, local_lr=hp.local_lr, batch_size=hp.batch_size
-        )
-
-    # Every client's batch is padded to the task's largest effective batch,
-    # whichever clients were sampled.
-    rows = min(hp.batch_size, max([len(shard.data.labels) for shard in shards]))
+    i, r = state.task_index, state.round_index - plan.first
+    anchor = state.anchor if hp.algorithm == "special_c" and i >= 2 else None
     update = local_update(
-        spec,
-        state.params,
-        [shards[client] for client in selected],
-        cfg,
-        _local_streams(hp, state, shards, selected),
-        rows,
+        spec, state.params, pool, plan.index[r], plan.counts[r], hp.local_lr, anchor, hp.prox_lambda
     )
     delta = aggregate(update.delta)
     theta_bar = state.params + hp.gamma_g(i) * delta
 
     if hp.algorithm == "special" and i >= 2:
         state.params = proximal_blend(theta_bar, state.anchor, hp.prox_lambda)
-        state.last_blend_anchor = state.anchor
     else:
         state.params = theta_bar
-        state.last_blend_anchor = None
     if not np.isfinite(state.params).all():
         raise DivergenceError("non-finite parameter values")
     state.round_index += 1
 
     grad_norm_max = float(np.max(update.grad_norm_max))
     grad_sq_mean = float(np.mean(update.grad_norm_sq_mean))
-    return state, delta, grad_norm_max, grad_sq_mean, selected
+    return state, delta, grad_norm_max, grad_sq_mean, tuple(plan.selected[r].tolist())
 
 
 def _joint_pass(
@@ -324,9 +330,13 @@ def run_task(
 ) -> ServerState:
     """Run the T rounds of one task, logging a record per round.
 
-    The parameters of every ``joint_grad_every``-th round are kept, and
-    their records get the joint-objective fields after the last round, from
-    one deferred pass over all of them (:func:`_joint_pass`).
+    The task's pool and its T selections, round t's from the
+    ``(CLIENT_SAMPLING, task_index, t)`` stream, are made once, and its
+    rounds' batches are planned in chunks of at most ``PLAN_BYTES`` of row
+    index (:func:`plan_rounds`).  The parameters of every
+    ``joint_grad_every``-th round are kept, and their records get the
+    joint-objective fields after the last round, from one deferred pass over
+    all of them (:func:`_joint_pass`).
     """
     state.task_index = task_index
     state.round_index = 0
@@ -337,8 +347,16 @@ def run_task(
     tracked: list[RoundRecord] = []
     snapshots: list[np.ndarray] = []
 
+    pool = task_pool(shards, hp.batch_size)
+    keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(hp.rounds_per_task)]
+    selections = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, keys)
+    step_bytes = hp.local_epochs * hp.participants_per_round * pool.width * np.intp(0).itemsize
+    chunk = max(1, PLAN_BYTES // step_bytes)
+
     for t in range(hp.rounds_per_task):
-        state, delta, gmax, gsq_mean, selected = run_round(spec, state, shards, hp)
+        if t % chunk == 0:
+            plan = plan_rounds(pool, hp, task_index, selections[t : t + chunk], t)
+        state, delta, gmax, gsq_mean, selected = run_round(spec, state, hp, pool, plan)
         diff = state.params - state.task_start
         accuracies = None
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
@@ -362,6 +380,7 @@ def run_task(
             tracked.append(record)
             # run_round replaces state.params each round, never writes into it.
             snapshots.append(state.params)
+    del pool, plan  # not held through the joint pass, the task's largest arrays
 
     k = len(shards_by_task)
     last_round_tracked = every > 0 and hp.rounds_per_task % every == 0

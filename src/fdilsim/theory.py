@@ -159,8 +159,10 @@ def _minibatch_grads(
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     sampled = [task_shards[m].data for m in clients]
-    streams = [rngmod.derive_stream(seed, (rngmod.PROBE_BATCH, probe, task, m)) for m in clients]
-    idx = draw_rows([len(data) for data in sampled], size, streams, draws).reshape(-1, size)
+    sizes = np.array([len(data) for data in sampled])
+    keys = [(rngmod.PROBE_BATCH, probe, task, m) for m in clients]
+    idx = draw_rows(seed, keys, sizes, size, draws) + (np.cumsum(sizes) - sizes)[:, None, None]
+    idx = idx.reshape(-1, size)
     rows = np.concatenate([data.augmented for data in sampled]).take(idx, axis=0)
     targets = np.concatenate([data.labels for data in sampled]).take(idx)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +14,6 @@ from fdilsim import (
     ClientUpdate,
     ConstantEstimates,
     HyperParams,
-    LocalConfig,
     Minibatch,
     ModelSpec,
     ProbeConfig,
@@ -21,7 +22,15 @@ from fdilsim import (
     param_count,
 )
 from fdilsim import rng as rngmod
-from fdilsim.client import DivergenceError, draw_batch, draw_rows, prox_map
+from fdilsim.client import (
+    DivergenceError,
+    draw_batch,
+    draw_indices,
+    local_update,
+    plan_batches,
+    prox_map,
+    task_pool,
+)
 from fdilsim.models import row_dots
 from fdilsim.server import RunStats
 
@@ -148,11 +157,51 @@ def psi_full_participation(
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 
+@dataclass(frozen=True)
+class LocalConfig:
+    """One client's local training knobs, for the oracles and the tests that drive them."""
+
+    epochs: int
+    local_lr: float
+    batch_size: int
+    mode: str = "plain"
+    prox_lambda: float = 0.0
+    anchor: np.ndarray | None = None
+
+
+def lockstep_update(
+    spec: ModelSpec,
+    global_params: np.ndarray,
+    shards: list[ClientShard],
+    cfg: LocalConfig,
+    seed: int,
+    clients: list[int] | None = None,
+    rows: int | None = None,
+) -> ClientUpdate:
+    """``local_update`` of ``clients`` (default all) in round 0 of task 1, from the program's plan.
+
+    The pool holds all ``shards``, so client m's drawing stream is
+    ``(seed, (LOCAL_TRAINING, 1, 0, m))`` whoever else takes part.
+    ``rows`` raises the pool's P with more pad rows.
+    """
+    pool = task_pool(shards, cfg.batch_size)
+    if rows is not None:
+        extra = rows - pool.width  # more pad rows after every whole-shard batch
+        batch = np.pad(pool.batch, ((0, 0), (0, extra)), constant_values=len(pool.rows) - 1)
+        pool = dataclasses.replace(pool, batch=batch)
+    selected = np.array([range(len(shards)) if clients is None else clients])
+    index, counts = plan_batches(pool, selected, cfg.batch_size, cfg.epochs, seed, 1, 0)
+    anchor = cfg.anchor if cfg.mode == "client_prox" else None
+    return local_update(
+        spec, global_params, pool, index[0], counts[0], cfg.local_lr, anchor, cfg.prox_lambda
+    )
+
+
 def sample_clients_loop(num_clients: int, sample_size: int, stream: np.random.Generator) -> tuple[int, ...]:
     """Partial Fisher-Yates with one ``integers`` call per swap.
 
-    ``sample_clients`` draws all N swap targets in one call and must return
-    this subset and leave ``stream`` in this state.
+    ``sample_clients`` reads the N swap targets of many streams in one bulk
+    call and must return this subset for the key of ``stream``.
     """
     pool = np.arange(num_clients)
     for j in range(sample_size):
@@ -233,8 +282,11 @@ def local_update_grouped(
         data = [shards[j].data for j in members]
         draws = sizes[members[0]] > b
         if draws:
-            member_streams = [streams[j] for j in members]
-            idx = draw_rows([sizes[j] for j in members], b, member_streams, cfg.epochs).swapaxes(0, 1)
+            offsets = np.cumsum([0] + [sizes[j] for j in members[:-1]])
+            idx = np.stack(
+                [draw_indices(sizes[j], b, streams[j], cfg.epochs) for j in members]
+            ) + offsets[:, None, None]
+            idx = idx.swapaxes(0, 1)
             step_inputs = np.concatenate([x.inputs for x in data])[idx]
             step_labels = np.concatenate([x.labels for x in data])[idx]
         else:

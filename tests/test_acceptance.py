@@ -31,7 +31,6 @@ from fdilsim.cli import main
 from fdilsim.datagen import DomainShiftSpec
 from fdilsim.metrics import acc, bwt
 from fdilsim.models import accuracy
-from fdilsim.rng import derive_stream
 from fdilsim.server import EvalConfig
 from fdilsim.theory import check_step_sizes, drift_bound
 from conftest import small_config
@@ -204,12 +203,9 @@ def test_criterion_04_gradient_exactness():
 
 
 def test_criterion_05_sampler_uniformity():
-    stream = derive_stream(424242, (3,))
-    counts = np.zeros(8)
     draws = 100_000
-    for _ in range(draws):
-        for client in sample_clients(8, 4, stream):
-            counts[client] += 1
+    selected = sample_clients(8, 4, 424242, [(3, t) for t in range(draws)])
+    counts = np.bincount(selected.ravel(), minlength=8)
     freqs = counts / draws
     assert np.all(np.abs(freqs - 0.5) <= 0.01), freqs
     report(5, f"inclusion frequencies {np.round(freqs, 4)} all within 0.50 +- 0.01")

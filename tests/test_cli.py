@@ -111,6 +111,29 @@ def test_sweep_rejects_bad_grid_before_any_subrun(tmp_path):
         assert not (tmp_path / out).exists()
 
 
+def test_sweep_rejects_repeated_lambda_values(tmp_path, capsys):
+    # Compared as floats: -0 repeats 0.0, and 0,0 repeats 0.
+    for grid, out in (("-0,0.0", "signed"), ("0,0", "plain"), ("0.5,0.50", "spelled")):
+        config = write_config(tmp_path, f"{out}.ini", output_dir=str(tmp_path / out))
+        capsys.readouterr()
+        assert main(["sweep", str(config), f"--lambda={grid}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeated" in err and "Traceback" not in err
+        assert not (tmp_path / out).exists()
+
+
+def test_sweep_writes_negative_zero_lambda_as_zero(tmp_path, capsys):
+    config = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+    assert main(["sweep", str(config), "--lambda=-0"]) == 0
+    assert "lambda=0:" in capsys.readouterr().out
+    written = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert written == ["lambda_0", "sweep_summary.csv"]
+    snapshot = (tmp_path / "sweep" / "lambda_0" / "config.ini").read_text(encoding="utf-8")
+    assert "prox_lambda = 0.0\n" in snapshot
+    summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert len(summary) == 2 and summary[1].startswith("0,")
+
+
 def test_io_errors_exit_3(tmp_path):
     assert main(["run", str(tmp_path / "missing.ini")]) == 3
     assert main(["compare", str(tmp_path / "nope_a"), str(tmp_path / "nope_b")]) == 3

@@ -6,12 +6,10 @@ import pytest
 from fdilsim import (
     ClientShard,
     DivergenceError,
-    LocalConfig,
     Minibatch,
     ModelSpec,
     derive_stream,
     generate_sequence,
-    local_update,
     loss_and_grad,
     param_count,
     parse_config_text,
@@ -20,9 +18,15 @@ from fdilsim import (
     run_experiment,
 )
 from fdilsim import client as client_module
-from fdilsim.client import draw_indices
+from fdilsim.client import draw_indices, draw_rows, task_pool
 from fdilsim.runio import compare_runlogs, emit_runlog
-from helpers import gradient_descent_minimize, local_update_grouped, local_update_loop
+from helpers import (
+    LocalConfig,
+    gradient_descent_minimize,
+    local_update_grouped,
+    local_update_loop,
+    lockstep_update,
+)
 
 SPEC = ModelSpec("logreg", 2, 3)
 
@@ -33,16 +37,16 @@ def make_shard(seed=0, size=30, client=0):
     return ClientShard(task_index=1, client_index=client, data=data)
 
 
-def update_one(params, shard, cfg, stream, spec=SPEC):
-    """The lockstep update of a single client, without padding."""
-    return local_update(spec, params, [shard], cfg, [stream], min(cfg.batch_size, len(shard.data)))
+def update_one(params, shard, cfg, seed, spec=SPEC):
+    """The lockstep update of one client, without padding; it draws from ``(seed, (4, 1, 0, 0))``."""
+    return lockstep_update(spec, params, [shard], cfg, seed)
 
 
 def test_single_full_batch_step_equals_scaled_gradient():
     shard = make_shard()
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=1, local_lr=0.3, batch_size=len(shard.data))
-    update = update_one(params, shard, cfg, derive_stream(0, (4, 1, 0, 0)))
+    update = update_one(params, shard, cfg, 0)
     _, grad = loss_and_grad(SPEC, params, shard.data)
     assert update.delta.shape == (1, param_count(SPEC))
     assert np.array_equal(update.delta[0], -0.3 * grad)
@@ -65,7 +69,7 @@ def test_delta_equals_negative_lr_times_summed_gradients():
         summed += grad
         theta = theta - cfg.local_lr * grad
 
-    update = update_one(params, shard, cfg, derive_stream(3, (4, 1, 0, 0)))
+    update = update_one(params, shard, cfg, 3)
     assert np.max(np.abs(update.delta[0] - (-cfg.local_lr * summed))) <= 1e-12
     assert np.max(np.abs(update.delta[0] - (theta - params))) == 0.0
 
@@ -79,8 +83,8 @@ def test_prox_lambda_zero_matches_plain_bitwise():
     prox_cfg = LocalConfig(
         epochs=5, local_lr=0.1, batch_size=4, mode="client_prox", prox_lambda=0.0, anchor=anchor
     )
-    plain = update_one(params, shard, plain_cfg, derive_stream(9, (4, 1, 0, 0)))
-    proxed = update_one(params, shard, prox_cfg, derive_stream(9, (4, 1, 0, 0)))
+    plain = update_one(params, shard, plain_cfg, 9)
+    proxed = update_one(params, shard, prox_cfg, 9)
     assert np.array_equal(plain.delta, proxed.delta)
 
 
@@ -128,7 +132,7 @@ def test_large_lambda_anchoring():
     cfg = LocalConfig(
         epochs=10, local_lr=0.5, batch_size=8, mode="client_prox", prox_lambda=1e6, anchor=anchor
     )
-    update = update_one(anchor, shard, cfg, derive_stream(4, (4, 1, 0, 0)))
+    update = update_one(anchor, shard, cfg, 4)
     final = anchor + update.delta[0]
     assert np.linalg.norm(final - anchor) <= 1e-3
 
@@ -137,7 +141,7 @@ def test_gradient_statistics_recorded():
     shard = make_shard(seed=23)
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=4, local_lr=0.1, batch_size=6)
-    update = update_one(params, shard, cfg, derive_stream(5, (4, 1, 0, 0)))
+    update = update_one(params, shard, cfg, 5)
     assert update.grad_norm_max[0] > 0.0
     assert 0.0 < update.grad_norm_sq_mean[0] <= update.grad_norm_max[0] ** 2
 
@@ -146,8 +150,8 @@ def test_determinism_same_stream():
     shard = make_shard(seed=29)
     params = np.zeros(param_count(SPEC))
     cfg = LocalConfig(epochs=3, local_lr=0.2, batch_size=5)
-    a = update_one(params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
-    b = update_one(params, shard, cfg, derive_stream(7, (4, 1, 0, 0)))
+    a = update_one(params, shard, cfg, 7)
+    b = update_one(params, shard, cfg, 7)
     assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.grad_norm_max, b.grad_norm_max)
 
@@ -193,10 +197,8 @@ def test_lockstep_equals_one_client_loop(spec, mode, sizes):
     )
     shards = [make_shard(seed=100 + m, size=n, client=m) for m, n in enumerate(sizes)]
     labels = [(4, 1, 0, m) for m in range(len(sizes))]
-    # Clients that never draw get no stream at all.
-    streams = [derive_stream(11, lab) if n > 8 else None for lab, n in zip(labels, sizes)]
 
-    update = local_update(spec, params, shards, cfg, streams, min(8, max(sizes)))
+    update = lockstep_update(spec, params, shards, cfg, 11)
     assert update.delta.shape == (len(sizes), d)
     assert update.steps_taken == len(sizes) * cfg.epochs
     for m, shard in enumerate(shards):
@@ -228,8 +230,7 @@ def test_padded_update_equals_grouped_oracle(spec):
     for seed in range(24):
         shards, params, cfg = random_round(seed, spec)
         b = cfg.batch_size
-        rows = min(b, max(len(s.data) for s in shards))
-        update = local_update(spec, params, shards, cfg, round_streams(seed, shards, b), rows)
+        update = lockstep_update(spec, params, shards, cfg, seed)
         ref = local_update_grouped(spec, params, shards, cfg, round_streams(seed, shards, b))
         assert update.steps_taken == ref.steps_taken
         assert_updates_agree(spec, update, ref)
@@ -243,11 +244,9 @@ def test_client_row_equals_client_alone_at_same_rows(spec):
         shards, params, cfg = random_round(seed, spec)
         b = cfg.batch_size
         rows = min(b, max(len(s.data) for s in shards) + seed % 3)
-        update = local_update(spec, params, shards, cfg, round_streams(seed, shards, b), rows)
-        for m, shard in enumerate(shards):
-            alone = local_update(
-                spec, params, [shard], cfg, round_streams(seed, shards, b)[m : m + 1], rows
-            )
+        update = lockstep_update(spec, params, shards, cfg, seed, rows=rows)
+        for m in range(len(shards)):
+            alone = lockstep_update(spec, params, shards, cfg, seed, clients=[m], rows=rows)
             assert np.array_equal(update.delta[m], alone.delta[0])
             assert update.grad_norm_max[m] == alone.grad_norm_max[0]
             assert update.grad_norm_sq_mean[m] == alone.grad_norm_sq_mean[0]
@@ -264,19 +263,34 @@ def test_one_kernel_call_per_step_over_all_clients(monkeypatch):
     sizes = (3, 8, 20, 3, 8, 12, 1, 30, 5, 9)
     shards = [make_shard(seed=100 + m, size=n, client=m) for m, n in enumerate(sizes)]
     cfg = LocalConfig(epochs=4, local_lr=0.2, batch_size=8)
-    streams = [derive_stream(11, (4, 1, 0, m)) if n > 8 else None for m, n in enumerate(sizes)]
-    local_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, streams, 8)
+    lockstep_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, 11)
     d = param_count(SPEC)
     counts = [min(n, 8) for n in sizes]
     # The step discards the loss, so the kernel skips it.
     assert calls == [((10, d), (10, 8, 2), counts, False)] * cfg.epochs
 
 
-def test_rows_below_an_effective_batch_rejected():
-    shards = [make_shard(seed=3, size=5, client=0), make_shard(seed=4, size=2, client=1)]
-    cfg = LocalConfig(epochs=1, local_lr=0.1, batch_size=8)
-    with pytest.raises(ValueError, match="rows 4 is below an effective batch of 5"):
-        local_update(SPEC, np.zeros(param_count(SPEC)), shards, cfg, [None, None], 4)
+def test_task_pool_width_covers_every_effective_batch():
+    # P is the largest effective batch min(n, b), so no client's rows are cut.
+    sizes = (5, 2, 12, 1)
+    shards = [make_shard(seed=3 + m, size=n, client=m) for m, n in enumerate(sizes)]
+    for b, width in ((8, 8), (4, 4), (12, 12), (100, 12), (1, 1)):
+        pool = task_pool(shards, b)
+        assert pool.width == width >= max(min(n, b) for n in sizes)
+    pool = task_pool(shards, 8)
+    assert pool.size.tolist() == list(sizes) and pool.start.tolist() == [0, 5, 7, 19]
+    for m, shard in enumerate(shards):
+        rows = slice(pool.start[m], pool.start[m] + pool.size[m])
+        assert np.array_equal(pool.rows[rows], shard.data.augmented)
+        assert np.array_equal(pool.labels[rows], shard.data.labels)
+    # One pad row at the end, all zeros with the bias column included, fills
+    # each whole-shard batch after its counted rows.
+    pad = len(pool.rows) - 1
+    assert pad == sum(sizes) and not pool.rows[pad].any() and pool.labels[pad] == 0
+    assert pool.counts.tolist() == [5, 2, 8, 1]
+    for m, n in enumerate(pool.counts):
+        own = list(range(pool.start[m], pool.start[m] + n))
+        assert pool.batch[m].tolist() == own + [pad] * (8 - n)
 
 
 def test_lockstep_divergence_raises_divergence_error():
@@ -284,22 +298,10 @@ def test_lockstep_divergence_raises_divergence_error():
     params = np.zeros(param_count(SPEC))
     params[1] = np.inf
     cfg = LocalConfig(epochs=2, local_lr=0.1, batch_size=8)
-    streams = [None, derive_stream(0, (4, 1, 0, 1))]
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergenceError, match="diverged"):
-            local_update(SPEC, params, shards, cfg, streams, 8)
+            lockstep_update(SPEC, params, shards, cfg, 0)
     assert issubclass(DivergenceError, ValueError)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LocalConfig(epochs=0, local_lr=0.1, batch_size=1)
-    with pytest.raises(ValueError):
-        LocalConfig(epochs=1, local_lr=0.0, batch_size=1)
-    with pytest.raises(ValueError):
-        LocalConfig(epochs=1, local_lr=0.1, batch_size=1, mode="client_prox")
-    with pytest.raises(ValueError):
-        LocalConfig(epochs=1, local_lr=0.1, batch_size=1, mode="half")
 
 
 def test_bulk_draw_equals_draws_in_turn():
@@ -315,6 +317,11 @@ def test_bulk_draw_equals_draws_in_turn():
                 assert repr(bulk.bit_generator.state) == repr(loop.bit_generator.state)
                 assert np.array_equal(bulk.integers(0, n, size=3), loop.integers(0, n, size=3))
                 assert bulk.random() == loop.random()
+                # The bulk reading of many streams gives each stream's own draw.
+                other = (5,) + labels[1:]
+                many = draw_rows(1, [labels, other], [n, n + 1], b, count)
+                assert np.array_equal(many[0], rows)
+                assert np.array_equal(many[1], draw_indices(n + 1, b, derive_stream(1, other), count))
 
 
 def test_batch_far_above_every_shard_pads_only_to_the_largest_shard(tmp_path, monkeypatch):

@@ -392,11 +392,57 @@ def scores(spec, params, inputs):
     return augment(h) @ params[n1:].reshape(spec.hidden_dim + 1, spec.num_classes)
 
 
+def zero_pad_rows(batch, counts):
+    """``batch`` with the rows past each slice's count set to all zeros, the bias column included.
+
+    A padded logreg call without the loss needs such pad rows, the pad row of
+    a task pool.
+    """
+    rows = batch.augmented.copy()
+    rows[np.arange(rows.shape[-2]) >= np.asarray(counts)[..., None]] = 0.0
+    return Minibatch.of_rows(rows, batch.labels)
+
+
 @pytest.mark.parametrize("spec", PADDED_SPECS)
 def test_call_without_loss_returns_the_same_gradient_bits(spec):
+    # Padded cases take all-zero pad rows, as the lossless padded call needs.
     rng = np.random.default_rng(31)
     for params, batch, counts in kernel_cases(rng, spec):
+        if counts is not None:
+            batch = zero_pad_rows(batch, counts)
         _, grad = loss_and_grad(spec, params, batch, counts)
         loss, lossless = loss_and_grad(spec, params, batch, counts, with_loss=False)
         assert loss is None and np.array_equal(lossless, grad)
 
+
+
+@pytest.mark.parametrize("spec", [LOGREG] + [s for s in SHAPE_SPECS if s.kind == "logreg"])
+def test_padded_logreg_step_with_zero_pad_rows_equals_masked_kernel(spec):
+    # A local step reads all-zero pad rows without masking their residuals.
+    # Its gradient must equal, bit for bit, the masked kernel on pad rows
+    # [0 ... 0, 1] and the reference kernel, for C = 2, 3, 7 and 10 and
+    # D = 1, 2 and 5, over ordinary, zero, tied and near-overflow parameters.
+    rng = np.random.default_rng(37)
+    d = param_count(spec)
+    for rows in (1, 2, 7, 8, 9, 32):
+        for trial in range(6):
+            counts = rng.integers(1, rows + 1, size=32 if trial % 2 else 5)
+            inputs, labels = padded_stack(rng, spec, counts, rows)
+            thetas = rng.standard_normal((len(counts), d))
+            if trial == 2:
+                thetas[:] = 0.0
+            elif trial == 3:
+                column = rng.standard_normal((len(counts), spec.input_dim + 1, 1))
+                thetas = np.repeat(column, spec.num_classes, axis=2).reshape(len(counts), d)
+            elif trial == 4:
+                thetas *= 708.0 / np.abs(stack_batch(inputs, labels).augmented @ thetas.reshape(
+                    len(counts), spec.input_dim + 1, spec.num_classes)).max()
+            masked = stack_batch(inputs, labels)  # pad rows [0 ... 0, 1]
+            zero = zero_pad_rows(masked, counts)
+            assert not zero.augmented[np.arange(rows) >= counts[:, None]].any()
+            loss, grad = loss_and_grad(spec, thetas, zero, counts, with_loss=False)
+            _, masked_grad = loss_and_grad(spec, thetas, masked, counts)
+            _, ref_grad = loss_and_grad_reference(spec, thetas, masked, counts)
+            assert loss is None
+            assert np.array_equal(grad, masked_grad) and np.array_equal(grad, ref_grad)
+            assert not (np.signbit(grad) ^ np.signbit(masked_grad)).any()

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from fdilsim import derive_stream
+from fdilsim.rng import stream_integers
 
 
 def test_same_labels_reproduce():
@@ -61,3 +63,60 @@ def test_derived_streams_match_golden_keys_states_and_draws():
         assert stream.random() == uniform
         fresh = derive_stream(seed, list(labels))
         assert fresh.bit_generator.state["state"]["key"].tolist() == list(key)
+
+
+def own_integers(seed, labels, low, high, size):
+    """One stream's own draw: what ``stream_integers`` must return for its key."""
+    return derive_stream(seed, labels).integers(low, high, size)
+
+
+def test_bulk_reading_equals_each_streams_own_integers_call():
+    # Over 1,000 streams: small ranges, 2**31 + 1 (about half of all words
+    # are rejected there, so nearly every stream falls back), ranges just
+    # below, at and above 2**32, and negative lows.
+    streams = 0
+    for n in (2, 3, 50, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**33):
+        keys = [(4, n % 1009, t, m) for t in range(15) for m in range(8)]
+        for low in (0, -3):
+            bulk = stream_integers(7, keys, low, low + n, (5, 4))
+            assert bulk.shape == (len(keys), 5, 4) and bulk.dtype == np.int64
+            for key, row in zip(keys, bulk):
+                assert np.array_equal(row, own_integers(7, key, low, low + n, (5, 4)))
+            streams += len(keys)
+    assert streams >= 1000
+
+
+def test_bulk_reading_with_bounds_per_stream_and_per_element():
+    rng = np.random.default_rng(5)
+    # A range per stream, as the local batches of shards of many sizes.
+    sizes = rng.integers(2, 300, size=64)
+    keys = [(4, 2, 7, m) for m in range(64)]
+    bulk = stream_integers(11, keys, 0, sizes[:, None, None], (3, 16))
+    for key, n, row in zip(keys, sizes, bulk):
+        assert np.array_equal(row, own_integers(11, key, 0, n, (3, 16)))
+    # A range per element, as the swap targets of client sampling, N = M included:
+    # the last target's range is 1 there, and numpy takes no word for it.
+    for m, n in ((1, 1), (2, 2), (8, 4), (8, 8), (64, 32), (64, 64), (1000, 1000)):
+        keys = [(3, m, t) for t in range(5)]
+        bulk = stream_integers(2, keys, np.arange(n), m, (n,))
+        for key, row in zip(keys, bulk):
+            assert np.array_equal(row, own_integers(2, key, np.arange(n), m, None))
+
+
+def test_bulk_reading_falls_back_where_words_would_shift():
+    # A range of 1 takes no word, so one before a wider range shifts the
+    # words after it; such a stream is read on its own.
+    keys = [(9, t) for t in range(40)]
+    high = np.array([1, 5, 1, 7, 9, 1])
+    bulk = stream_integers(3, keys, 0, high, (6,))
+    for key, row in zip(keys, bulk):
+        assert np.array_equal(row, own_integers(3, key, 0, high, None))
+    # Labels and seeds beyond int64 take the per-key hash.
+    big = [(2**64, 1), (-(2**70), 3)]
+    bulk = stream_integers(2**80, big, 0, 10, (7,))
+    for key, row in zip(big, bulk):
+        assert np.array_equal(row, own_integers(2**80, key, 0, 10, (7,)))
+    assert stream_integers(1, [], 0, 5, (3,)).shape == (0, 3)
+    # An empty range fails as numpy's own call does.
+    with pytest.raises(ValueError):
+        stream_integers(1, [(1,)], 5, 5, (2,))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,21 @@ from fdilsim import (
     derive_stream,
     generate_sequence,
     partition_sequence,
+    parse_config_text,
     proximal_blend,
+    run_experiment,
     run_sequence,
     sample_clients,
 )
 from fdilsim import rng as rngmod
 from fdilsim import server
-from fdilsim.client import LocalConfig
+from fdilsim.client import task_pool
 from fdilsim.metrics import STACK_ROWS
-from fdilsim.server import ServerState, run_round, run_task
+from fdilsim.runio import compare_runlogs, emit_runlog
+from fdilsim.server import ServerState, plan_rounds, run_round, run_task
 from test_datagen import make_shift
 from helpers import (
+    LocalConfig,
     gradient_descent_minimize,
     joint_fields_loop,
     joint_prefixes,
@@ -29,6 +35,7 @@ from helpers import (
 )
 
 SPEC = ModelSpec("logreg", 2, 3)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_hp(**overrides):
@@ -48,6 +55,15 @@ def make_hp(**overrides):
     return HyperParams(**base)
 
 
+def one_round(spec, state, shards, hp):
+    """Round ``state.round_index`` of task ``state.task_index`` on ``shards``, planned alone."""
+    pool = task_pool(shards, hp.batch_size)
+    key = (rngmod.CLIENT_SAMPLING, state.task_index, state.round_index)
+    selected = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, [key])
+    plan = plan_rounds(pool, hp, state.task_index, selected, state.round_index)
+    return run_round(spec, state, hp, pool, plan)
+
+
 def make_problem(seed=25, num_tasks=2, rotation=0.4, hp=None):
     hp = hp or make_hp(master_seed=seed)
     shift = make_shift(num_tasks=num_tasks, rotation=rotation, train=240, test=120)
@@ -62,64 +78,60 @@ def make_problem(seed=25, num_tasks=2, rotation=0.4, hp=None):
 
 # --- sampling -------------------------------------------------------------
 
+def draw_keys(draws):
+    """One sampling stream per draw: ``(CLIENT_SAMPLING, 1, t)``."""
+    return [(rngmod.CLIENT_SAMPLING, 1, t) for t in range(draws)]
+
+
 def test_full_participation_is_identity():
-    stream = derive_stream(0, (3, 1, 0))
-    assert sample_clients(4, 4, stream) == (0, 1, 2, 3)
+    assert sample_clients(4, 4, 0, [(3, 1, 0)]).tolist() == [[0, 1, 2, 3]]
 
 
 def test_sampling_bounds_checked():
-    stream = derive_stream(0, (3,))
     with pytest.raises(ValueError):
-        sample_clients(4, 5, stream)
+        sample_clients(4, 5, 0, [(3,)])
     with pytest.raises(ValueError):
-        sample_clients(4, 0, stream)
+        sample_clients(4, 0, 0, [(3,)])
 
 
 def test_sampling_uniform_inclusion_frequencies():
-    stream = derive_stream(123, (3,))
-    counts = np.zeros(8)
     draws = 20_000
-    for _ in range(draws):
-        for client in sample_clients(8, 4, stream):
-            counts[client] += 1
+    counts = np.bincount(sample_clients(8, 4, 123, draw_keys(draws)).ravel(), minlength=8)
     freqs = counts / draws
     assert np.all(freqs >= 0.49) and np.all(freqs <= 0.51)
 
 
 def test_sampling_single_frequencies():
-    stream = derive_stream(321, (3,))
-    counts = np.zeros(8)
     draws = 20_000
-    for _ in range(draws):
-        counts[sample_clients(8, 1, stream)[0]] += 1
+    counts = np.bincount(sample_clients(8, 1, 321, draw_keys(draws))[:, 0], minlength=8)
     freqs = counts / draws
     assert np.all(freqs >= 0.115) and np.all(freqs <= 0.135)
 
 
 def test_sampling_subsets_equally_likely():
     # All C(4,2)=6 subsets of a small pool appear with near-equal frequency.
-    stream = derive_stream(77, (3,))
     from collections import Counter
 
     counts = Counter()
     draws = 30_000
-    for _ in range(draws):
-        counts[sample_clients(4, 2, stream)] += 1
+    for selected in sample_clients(4, 2, 77, draw_keys(draws)):
+        counts[tuple(selected.tolist())] += 1
     assert len(counts) == 6
     for subset, count in counts.items():
         assert abs(count / draws - 1 / 6) < 0.01, subset
 
 
 def test_sampling_equals_one_draw_per_swap():
+    # Each row of a bulk sample is the one-swap-at-a-time loop on its own stream.
     for m in (1, 2, 8, 64, 1000):
         for n in sorted({1, m // 2, m} - {0}):
             for seed in range(3):
-                labels = (rngmod.CLIENT_SAMPLING, m, n)
-                bulk, loop = derive_stream(seed, labels), derive_stream(seed, labels)
-                for _ in range(2):
-                    assert sample_clients(m, n, bulk) == sample_clients_loop(m, n, loop)
-                assert repr(bulk.bit_generator.state) == repr(loop.bit_generator.state)
-                assert bulk.integers(0, 2**40) == loop.integers(0, 2**40)
+                keys = [(rngmod.CLIENT_SAMPLING, m, n, t) for t in range(4)]
+                bulk = sample_clients(m, n, seed, keys)
+                assert bulk.shape == (len(keys), n)
+                for key, selected in zip(keys, bulk):
+                    loop = sample_clients_loop(m, n, derive_stream(seed, key))
+                    assert tuple(selected.tolist()) == loop
 
 
 # --- aggregation and blend ------------------------------------------------
@@ -141,6 +153,24 @@ def test_aggregate_sums_rows_in_order_from_positive_zero():
     for row in rows:
         total += row
     assert np.array_equal(aggregate(rows), total / 5)
+
+
+def test_aggregate_equals_the_row_loop_on_random_updates():
+    # 2,000 random (N, d) blocks of mixed magnitudes, with whole -0.0 columns
+    # and +-0.0 entries: the reduce adds rows in order from +0.0, bit for bit.
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(2, 70))
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        rows[:, rng.random(d) < 0.2] = -0.0
+        rows[rng.random((n, d)) < 0.05] = 0.0
+        total = np.zeros(d)
+        for row in rows:
+            total += row
+        expected = total / n
+        got = aggregate(rows)
+        assert np.array_equal(got, expected)
+        assert not (np.signbit(got) ^ np.signbit(expected)).any()
 
 
 def test_blend_examples():
@@ -189,10 +219,11 @@ def test_first_task_skips_blend():
         anchor=log.initial_params.copy(),
         task_start=log.initial_params.copy(),
     )
-    state, delta, _, _, _ = run_round(SPEC, state, shards[0], hp)
+    state, delta, _, _, _ = one_round(SPEC, state, shards[0], hp)
     expected = log.initial_params + hp.gamma_g(1) * delta
     assert np.array_equal(state.params, expected)
-    assert state.last_blend_anchor is None
+    # The round is the first of the run's task 1, so it is the logged one.
+    assert float(np.linalg.norm(delta)) == log.records[0].delta_norm
 
 
 def test_zero_updates_blend_toward_anchor():
@@ -255,8 +286,8 @@ def test_anchor_chain_is_previous_task_model():
     assert np.array_equal(anchors_seen[1], finals[0])
     assert np.array_equal(anchors_seen[2], finals[1])
 
-    # Round-level check: the blend target recorded by every round of task i
-    # is the stored previous-task model, never the previous round's iterate.
+    # Round-level check: every round of task i blends toward the stored
+    # previous-task model, never toward the previous round's iterate.
     state = ServerState(
         task_index=2,
         round_index=0,
@@ -266,11 +297,14 @@ def test_anchor_chain_is_previous_task_model():
     )
     previous_iterate = state.params.copy()
     for _ in range(hp.rounds_per_task):
-        state, _, _, _, _ = run_round(SPEC, state, shards[1], hp)
-        assert np.array_equal(state.last_blend_anchor, finals[0])
+        state, delta, _, _, _ = one_round(SPEC, state, shards[1], hp)
+        theta_bar = previous_iterate + hp.gamma_g(2) * delta
+        assert np.array_equal(state.params, proximal_blend(theta_bar, finals[0], hp.prox_lambda))
         if not np.array_equal(previous_iterate, finals[0]):
-            assert not np.array_equal(state.last_blend_anchor, previous_iterate)
+            toward_iterate = proximal_blend(theta_bar, previous_iterate, hp.prox_lambda)
+            assert not np.array_equal(state.params, toward_iterate)
         previous_iterate = state.params.copy()
+    assert np.array_equal(state.params, finals[1])
 
 
 def test_full_participation_matches_reference_loop():
@@ -302,18 +336,24 @@ def test_streams_derived_only_for_clients_that_draw(monkeypatch):
     sizes = [len(shard.data) for shard in shards[0]]
     assert min(sizes) <= 30 < max(sizes)
     derived = []
+    real_read = rngmod.stream_integers
     real_derive = rngmod.derive_stream
+
+    def counting_read(seed, keys, low, high, size):
+        derived.extend(tuple(int(v) for v in labels) for labels in keys)
+        return real_read(seed, keys, low, high, size)
 
     def counting_derive(seed, labels):
         derived.append(tuple(labels))
         return real_derive(seed, labels)
 
+    monkeypatch.setattr(rngmod, "stream_integers", counting_read)
     monkeypatch.setattr(rngmod, "derive_stream", counting_derive)
     theta0 = 0.1 * np.random.default_rng(3).standard_normal(9)
     state = ServerState(
         task_index=1, round_index=0, params=theta0.copy(), anchor=theta0, task_start=theta0
     )
-    state, delta, gmax, gsq_mean, selected = run_round(SPEC, state, shards[0], hp)
+    state, delta, gmax, gsq_mean, selected = one_round(SPEC, state, shards[0], hp)
     local = [labels for labels in derived if labels[0] == rngmod.LOCAL_TRAINING]
     assert local == [(rngmod.LOCAL_TRAINING, 1, 0, m) for m in selected if sizes[m] > 30]
 
@@ -343,7 +383,7 @@ def test_server_step_overflow_fails_the_round():
     )
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite parameter values"):
-            run_round(SPEC, state, shards[0], hp)
+            one_round(SPEC, state, shards[0], hp)
         with pytest.raises(ValueError, match="non-finite parameter values"):
             run_sequence(SPEC, sequence, shards, hp, EvalConfig(eval_every=1))
 
@@ -353,7 +393,7 @@ def test_nan_parameters_fail_in_local_training():
     theta = np.full(9, np.nan)
     state = ServerState(task_index=1, round_index=0, params=theta, anchor=theta, task_start=theta)
     with pytest.raises(ValueError, match="diverged"):
-        run_round(SPEC, state, shards[0], hp)
+        one_round(SPEC, state, shards[0], hp)
 
 
 def _oracle_prefixes(params, shards_by_task):
@@ -560,6 +600,13 @@ def test_hyperparams_validation():
         make_hp(algorithm="fedsgd")
     with pytest.raises(ValueError):
         make_hp(global_lr_schedule="cosine")
+    # The local knobs are checked here, once per run, not per round.
+    with pytest.raises(ValueError):
+        make_hp(local_epochs=0)
+    with pytest.raises(ValueError):
+        make_hp(local_lr=0.0)
+    with pytest.raises(ValueError):
+        make_hp(batch_size=0)
 
 
 def test_instrumentation_never_perturbs_the_protocol():
@@ -596,3 +643,35 @@ def test_task_decay_schedule():
     assert hp.gamma_g(4) == 0.25
     const = make_hp(global_lr_schedule="constant", global_lr=0.7)
     assert const.gamma_g(3) == 0.7
+
+
+CHUNK_CONFIGS = {
+    "default": (),
+    "special_c-batch-8": (
+        ("algorithm = special\n", "algorithm = special_c\n"),
+        ("batch_size = 32\nlocal_lr", "batch_size = 8\nlocal_lr"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CONFIGS))
+def test_tables_do_not_depend_on_the_plan_chunk(tmp_path, monkeypatch, name):
+    # One round per chunk, three rounds per chunk (not a divisor of T = 20),
+    # the default cap and the whole task in one chunk write the same four
+    # tables.
+    text = (ROOT / "profiles" / "default.ini").read_text(encoding="utf-8")
+    for old, new in CHUNK_CONFIGS[name]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    config = parse_config_text(text)
+    hp = config.hyper
+    largest = max(len(s.data) for task in partition_sequence(
+        generate_sequence(config.shift, hp.master_seed), config.partition, hp.master_seed
+    ) for s in task)
+    step_bytes = hp.local_epochs * hp.participants_per_round * min(hp.batch_size, largest) * 8
+    caps = (1, 3 * step_bytes, server.PLAN_BYTES, hp.rounds_per_task * step_bytes)
+    for cap in caps:
+        monkeypatch.setattr(server, "PLAN_BYTES", cap)
+        emit_runlog(run_experiment(text), tmp_path / str(cap))
+    for cap in caps[1:]:
+        assert compare_runlogs(tmp_path / str(caps[0]), tmp_path / str(cap)) == []

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fdilsim.config import parse_config_text
 from fdilsim.runio import OUTPUT_FILES
 
@@ -30,13 +32,18 @@ def test_table_digests_match_the_files_of_fdilsim_run(tmp_path):
     assert len(OUTPUT_FILES) == 4
 
 
-def test_every_corpus_entry_parses():
-    # Builds each entry's config text without running it.
+def load_table_digests():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         import table_digests
     finally:
         sys.path.remove(str(ROOT / "tools"))
+    return table_digests
+
+
+def test_every_corpus_entry_parses():
+    # Builds each entry's config text without running it.
+    table_digests = load_table_digests()
     names = [table_digests.entry_name(base, overrides) for base, overrides in table_digests.CORPUS]
     assert len(set(names)) == len(names) >= 39
     for base, overrides in table_digests.CORPUS:
@@ -45,3 +52,55 @@ def test_every_corpus_entry_parses():
         for override in overrides:
             name, value = override.split("=", 1)
             assert f"\n{name.split('.')[1]} = {value}\n" in text
+
+
+# The tier-1 share of the byte-contract gate: each model kind, each
+# algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
+# overflow entries, and protocol-long, whose tasks plan their rounds in
+# several chunks.  The tool checks the whole corpus.
+GATE_SUBSET = (
+    "benchmarks/workloads/protocol-long.ini",
+    "profiles/default.ini",
+    "profiles/default.ini model.kind=mlp1 model.hidden_dim=8 federation.master_seed=1",
+    "profiles/default.ini model.kind=mlp1 model.hidden_dim=8 model.activation=relu "
+    "federation.master_seed=1",
+    "profiles/default.ini federation.algorithm=fedavg federation.master_seed=1",
+    "profiles/default.ini federation.algorithm=special_c federation.master_seed=1",
+    "profiles/default.ini federation.algorithm=fedavg federation.prox_lambda=0.0",
+    "profiles/default.ini federation.prox_lambda=0.0",
+    "profiles/default.ini federation.participants_per_round=8",
+    "profiles/default.ini federation.batch_size=1",
+    "profiles/default.ini federation.batch_size=1000000",
+    "profiles/default.ini model.kind=mlp1 model.hidden_dim=8 model.activation=relu "
+    "partition.min_samples_per_client=1 partition.dirichlet_alpha=0.05 "
+    "federation.batch_size=100 probe.batch_size=1",
+    "profiles/default.ini federation.prox_lambda=1e300",
+    "profiles/default.ini federation.local_lr=1e300",
+    "profiles/default.ini probe.probe_scale=5e307",
+)
+
+
+def test_corpus_subset_matches_the_checked_in_listing():
+    table_digests = load_table_digests()
+    mismatch = table_digests.fingerprint_difference()
+    if mismatch:
+        pytest.skip("environment differs from the listing's: " + "; ".join(mismatch))
+    entries = [e for e in table_digests.CORPUS if table_digests.entry_name(*e) in GATE_SUBSET]
+    assert len(entries) == len(GATE_SUBSET)
+    assert table_digests.check(entries) == []
+
+
+def test_check_names_each_differing_table(tmp_path, monkeypatch):
+    table_digests = load_table_digests()
+    lines = table_digests.EXPECTED.read_text(encoding="utf-8").splitlines()
+    name = "profiles/default.ini"
+    at = lines.index(next(line for line in lines if line.endswith(f"  {name}:metrics_summary.csv")))
+    lines[at] = "0" * 64 + lines[at][64:]
+    tampered = tmp_path / "listing.expected"
+    tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(table_digests, "EXPECTED", tampered)
+    entry = next(e for e in table_digests.CORPUS if table_digests.entry_name(*e) == name)
+    assert table_digests.check([entry]) == [f"differs: {name}:metrics_summary.csv"]
+    assert table_digests.check([("profiles/default.ini", ("data.num_tasks=2",))]) == [
+        "missing from the listing: profiles/default.ini data.num_tasks=2"
+    ]

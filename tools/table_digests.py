@@ -16,6 +16,21 @@ Without arguments the tool runs ``CORPUS``: pairs of a base config (a path
 from the repository root) and ``section.key=value`` overrides.  An entry is
 named by its base and overrides, and an entry without overrides runs its
 base file as given.
+
+The corpus listing is checked in as ``tools/table_digests.expected``, under
+a header that fingerprints the environment it was made in: Python, numpy,
+the BLAS library and its version, and the CPU model and SIMD flags.  Two
+more forms use it::
+
+    PYTHONPATH=src python tools/table_digests.py --check   # rerun, name what differs
+    PYTHONPATH=src python tools/table_digests.py --write   # rewrite the listing
+
+``--check`` prints ``differs: <entry>:<table>`` (or the entry's changed
+exit line) for each difference and exits 2 if there is one, 0 if there is
+none.  In an environment whose fingerprint differs from the header the
+listing cannot be expected to hold, so it prints the differing fingerprint
+lines and exits 3 without running.  ``--write`` is for a change that moves
+output bytes on purpose, and that change says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ import configparser
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +48,7 @@ from fdilsim.cli import main as fdilsim_main
 from fdilsim.runio import OUTPUT_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().with_suffix(".expected")
 
 DEFAULT = "profiles/default.ini"
 TANH = ("model.kind=mlp1", "model.hidden_dim=8")
@@ -166,7 +183,89 @@ def corpus_digests(base: str, overrides: tuple[str, ...]) -> list[str]:
         return table_digests(str(config), name)
 
 
+def fingerprint() -> list[str]:
+    """The environment lines of the listing's header, without their ``# ``."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        blas = "unknown"
+    model, flags = platform.processor() or "unknown", []
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
+            key, _, value = line.partition(":")
+            if key.strip() == "model name":
+                model = value.strip()
+            elif key.strip() == "flags":
+                simd = ("sse", "ssse", "avx", "fma", "amx")
+                flags = sorted(f for f in value.split() if f.startswith(simd))
+                break
+    return [
+        f"python {platform.python_version()}",
+        f"numpy {np.__version__}",
+        f"blas {blas}",
+        f"cpu {model}",
+        f"cpu-simd {' '.join(flags) or 'unknown'}",
+    ]
+
+
+def read_expected() -> tuple[list[str], dict[str, list[str]]]:
+    """The checked-in header lines and each entry's expected digest lines."""
+    header, entries = [], {}
+    for line in EXPECTED.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            header.append(line[2:])
+            continue
+        name = line.split("  ", 1)[1]
+        if not line.startswith("exit "):
+            name = name.rsplit(":", 1)[0]
+        entries.setdefault(name, []).append(line)
+    return header, entries
+
+
+def fingerprint_difference() -> list[str]:
+    """``recorded -> here`` for each fingerprint line that differs from the listing's header."""
+    recorded, here = read_expected()[0][1:], fingerprint()
+    if len(recorded) != len(here):
+        return [f"{recorded!r} -> {here!r}"]
+    return [f"{a} -> {b}" for a, b in zip(recorded, here) if a != b]
+
+
+def check(entries=CORPUS) -> list[str]:
+    """Rerun ``entries`` and name each table (or exit line) that differs from the listing."""
+    expected = read_expected()[1]
+    differences = []
+    for base, overrides in entries:
+        name = entry_name(base, overrides)
+        lines, want = corpus_digests(base, overrides), expected.get(name)
+        if want is None:
+            differences.append(f"missing from the listing: {name}")
+        elif lines != want:
+            tables = [line.split("  ", 1)[1] for line in lines if line not in want]
+            differences += [f"differs: {table}" for table in tables] or [f"differs: {name}"]
+    return differences
+
+
 def main(argv: list[str]) -> int:
+    if argv in (["--check"], ["--write"]):
+        mismatch = fingerprint_difference() if argv == ["--check"] else []
+        if mismatch:
+            print("environment differs from the listing's:", *mismatch, sep="\n  ", file=sys.stderr)
+            return 3
+        if argv == ["--write"]:
+            lines = [line for base, overrides in CORPUS for line in corpus_digests(base, overrides)]
+            header = ["fdilsim table digests; regenerate with tools/table_digests.py --write"]
+            EXPECTED.write_text(
+                "".join(f"# {line}\n" for line in header + fingerprint()) + "\n".join(lines) + "\n",
+                encoding="utf-8",
+            )
+            return 0
+        differences = check()
+        for line in differences:
+            print(line, flush=True)
+        return 2 if differences else 0
     if argv and argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 1
