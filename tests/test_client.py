@@ -6,6 +6,7 @@ import pytest
 from fdilsim import (
     ClientShard,
     DivergenceError,
+    HyperParams,
     Minibatch,
     ModelSpec,
     derive_stream,
@@ -268,6 +269,33 @@ def test_one_kernel_call_per_step_over_all_clients(monkeypatch):
     counts = [min(n, 8) for n in sizes]
     # The step discards the loss, so the kernel skips it.
     assert calls == [((10, d), (10, 8, 2), counts, False)] * cfg.epochs
+
+
+def test_config_validation():
+    # The local knobs are checked once per run, when the run's HyperParams is
+    # built; local_update itself takes them as given.
+    base = dict(
+        num_clients=4,
+        participants_per_round=2,
+        rounds_per_task=1,
+        local_epochs=1,
+        batch_size=1,
+        local_lr=0.1,
+        global_lr_schedule="task_decay",
+        prox_lambda=0.0,
+        algorithm="special_c",
+        master_seed=0,
+    )
+    HyperParams(**base)
+    for bad in (
+        dict(local_epochs=0),
+        dict(local_lr=0.0),
+        dict(batch_size=0),
+        dict(prox_lambda=-0.1),
+        dict(algorithm="half"),
+    ):
+        with pytest.raises(ValueError):
+            HyperParams(**{**base, **bad})
 
 
 def test_task_pool_width_covers_every_effective_batch():
