@@ -10,18 +10,19 @@ gradient is computed so results never depend on draw order.
 Everything a round needs apart from the model is fixed when its task
 starts, so it is built ahead of the rounds.  :class:`TaskPool` holds the
 task's M shards as one array of bias-augmented rows plus one all-zero pad
-row, built once per task.  Every client's batch has the same P rows, where
-P is ``min(batch_size, largest shard of the task)``.  :func:`plan_batches`
-turns the selections of a run of rounds into an ``(R, E, N, P)`` tensor of
-pool rows: a client that draws (more rows than the batch, so P is the
-batch size) fills its P rows with its drawn rows, and a client whose shard
-is used whole takes its n rows and then P - n pad rows.  A drawing client
-takes the indices of all its E steps of a round from its own ``(task,
-round, client)`` stream, and all the round's streams are read in one bulk
-call (:func:`draw_rows`, shared with the probe estimator, over
-:func:`fdilsim.rng.stream_integers`), which gives the very batches that E
-one-batch draws from each stream would.  A client that never draws needs
-no stream.
+row, built once per task by :func:`task_pool`; the server's task loop and
+the probe estimator both gather their batches from it.  Every client's
+batch has the same P rows, where P is ``min(batch_size, largest shard of
+the task)``.  :func:`plan_batches` turns the selections of a run of rounds
+into an ``(R, E, N, P)`` tensor of pool rows: a client that draws (more
+rows than the batch, so P is the batch size) fills its P rows with its
+drawn rows, and a client whose shard is used whole takes its n rows and
+then P - n pad rows.  A drawing client takes the indices of all its E steps
+of a round from its own ``(task, round, client)`` stream, and all the
+round's streams are read in one bulk call (:func:`draw_rows`, shared with
+the probe estimator, over :func:`fdilsim.rng.stream_integers`), which
+gives the very batches that E one-batch draws from each stream would.  A
+client that never draws needs no stream.
 
 :func:`local_update` runs one round: it gathers the round's rows with two
 ``take`` calls and makes one stacked :func:`loss_and_grad` call per step

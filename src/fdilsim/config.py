@@ -5,9 +5,9 @@ type-checked (a float must be finite, an integer must fit in 64 signed
 bits), and all invariants of the embedded parameter types are enforced at
 parse time with the offending ``section.key`` named in the error.  So are
 the sizes: a key that sizes an array numpy would refuse as too big (a data
-pool, the parameter vector, the round tensor of local training) is rejected
-before anything runs.  A parsed config serializes back to text that parses
-to an equal config.
+pool, the parameter vector, the round tensor of local training, the probe
+points) is rejected before anything runs.  A parsed config serializes back
+to text that parses to an equal config.
 
 Every key is listed once, in ``_SCHEMA`` with its type and default.  Each
 section's parameter object is built from its keys by name, and
@@ -156,15 +156,19 @@ def _build(section: str, kind, values: dict, **fields):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _check_array_sizes(model: ModelSpec, shift: DomainShiftSpec, hyper: HyperParams) -> None:
+def _check_array_sizes(
+    model: ModelSpec, shift: DomainShiftSpec, hyper: HyperParams, probe: ProbeConfig
+) -> None:
     """Reject a size whose smallest array has more bytes than numpy allows.
 
     numpy refuses such an array before allocating anything (``array is too
     big``).  Each key is checked against the smallest array it must size: a
     task's train or test pool of ``input_dim + 1`` values per row, the
-    parameter vector, and the ``(E, N, P, input_dim + 1)`` round tensor of
+    parameter vector, the ``(E, N, P, input_dim + 1)`` round tensor of
     local training, whose pad width P is at least ``min(batch_size,
-    ceil(train pool / num_clients))``, since some shard holds that many rows.
+    ceil(train pool / num_clients))``, since some shard holds that many rows,
+    and the estimator's stack of probe points, the random ones and the K + 1
+    trajectory checkpoints.
     """
     width = model.input_dim + 1
     pad_rows = min(hyper.batch_size, -(-shift.train_samples_per_task // hyper.num_clients))
@@ -176,6 +180,11 @@ def _check_array_sizes(model: ModelSpec, shift: DomainShiftSpec, hyper: HyperPar
             "federation.local_epochs",
             hyper.local_epochs,
             hyper.local_epochs * hyper.participants_per_round * pad_rows * width,
+        ),
+        (
+            "probe.num_random_probes",
+            probe.num_random_probes,
+            (probe.num_random_probes + shift.num_tasks + 1) * param_count(model),
         ),
     )
     for key, value, count in sizes:
@@ -226,7 +235,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"min_samples_per_client = {pool_floor}"
         )
 
-    _check_array_sizes(model, shift, hyper)
+    _check_array_sizes(model, shift, hyper, probe)
     return ExperimentConfig(
         model=model,
         shift=shift,

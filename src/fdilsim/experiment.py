@@ -177,7 +177,8 @@ def build_bound_reports(
                 analytical=steps.suggested_gamma_g,
                 empirical=hp.gamma_g(k),
                 satisfied=True,
-                inputs="suggested-schedule;informational",
+                inputs="suggested-schedule;informational"
+                + _overflow_note(steps.suggested_gamma_g_overflowed),
             )
         )
 

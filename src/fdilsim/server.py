@@ -14,19 +14,22 @@ final model:
 which is the exact minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2.
 With lambda = 0 every round reduces to plain FedAvg.
 
-Everything a round needs apart from the model is fixed when its task
-starts, so a task builds its :class:`fdilsim.client.TaskPool` once, samples
-the selections of all its rounds, each from its own ``(task, round)``
-stream and all read in one bulk call, and plans the drawing clients'
-batches in chunks of rounds of at most ``PLAN_BYTES`` of row index
-(:func:`plan_rounds`, over :func:`fdilsim.client.plan_batches`).  A
-client's minibatch stream is derived from (seed, task, round, client) only
-when its shard is larger than the batch; a client that uses its whole shard
-never draws, and one that draws takes all E batches of the round from its
-stream at once.  Each stream is read exactly as a stream of its own would
-be, so the plan changes no draw, and skipping a stream perturbs no other
-client's draws.  A round then gathers its rows, makes its E kernel calls,
-updates, aggregates, blends and logs (:func:`run_round`).
+The round loop holds plain values: the global model, and the task's anchor,
+the model it started from, which is also the start its drift is measured
+from.  Everything else a round needs is fixed when its task starts, so a
+task builds its :class:`fdilsim.client.TaskPool` once, samples the
+selections of all its rounds, each from its own ``(task, round)`` stream
+and all read in one bulk call, and plans the drawing clients' batches in
+chunks of rounds of at most ``PLAN_BYTES`` of row index
+(:func:`fdilsim.client.plan_batches`).  A client's minibatch stream is
+derived from (seed, task, round, client) only when its shard is larger than
+the batch; a client that uses its whole shard never draws, and one that
+draws takes all E batches of the round from its stream at once.  Each stream
+is read exactly as a stream of its own would be, so the plan changes no
+draw, and skipping a stream perturbs no other client's draws.  A round takes
+the model and its slice of the plan, gathers its rows, makes its E kernel
+calls, updates, aggregates and blends, and returns the new model
+(:func:`run_round`); its task loop logs it.
 
 The joint-objective instrumentation is deferred: a task keeps the global
 model of every ``joint_grad_every``-th round and, after its last round,
@@ -121,17 +124,6 @@ class RoundRecord:
 
 
 @dataclass
-class ServerState:
-    """Mutable protocol state owned by the task/round loops."""
-
-    task_index: int
-    round_index: int
-    params: np.ndarray
-    anchor: np.ndarray
-    task_start: np.ndarray
-
-
-@dataclass
 class RunStats:
     """Scalar trajectory facts consumed by the theory harness."""
 
@@ -218,63 +210,38 @@ def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.
 PLAN_BYTES = 128 * 1024
 
 
-@dataclass(frozen=True)
-class RoundPlan:
-    """Rounds ``first``, ``first + 1``, ... of one task, fixed before they run.
-
-    ``selected`` is ``(R, N)`` client ids, ``index`` the ``(R, E, N, P)``
-    pool rows of every step and ``counts`` the ``(R, N)`` row counts.
-    """
-
-    first: int
-    selected: np.ndarray
-    index: np.ndarray
-    counts: np.ndarray
-
-
-def plan_rounds(
-    pool: TaskPool, hp: HyperParams, task_index: int, selected: np.ndarray, first: int
-) -> RoundPlan:
-    """Plan rounds ``first``, ``first + 1``, ... of task ``task_index``, selected ``(R, N)``.
-
-    Round t's drawing clients draw from ``(LOCAL_TRAINING, task_index, t,
-    client)`` (:func:`fdilsim.client.plan_batches`).
-    """
-    index, counts = plan_batches(
-        pool, selected, hp.batch_size, hp.local_epochs, hp.master_seed, task_index, first
-    )
-    return RoundPlan(first, selected, index, counts)
-
-
 def run_round(
-    spec: ModelSpec, state: ServerState, hp: HyperParams, pool: TaskPool, plan: RoundPlan
-) -> tuple[ServerState, np.ndarray, float, float, tuple[int, ...]]:
-    """Execute round ``state.round_index`` of the current task in place, from its plan.
+    spec: ModelSpec,
+    hp: HyperParams,
+    task_index: int,
+    params: np.ndarray,
+    anchor: np.ndarray,
+    pool: TaskPool,
+    index: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One round of task ``task_index`` from ``params``, on its ``(E, N, P)`` plan slice.
 
-    Raises DivergenceError if a client update or the new global model has a
-    non-finite entry.
-    Returns (state, aggregated delta, max grad norm, mean squared grad norm,
-    selected client ids).
+    ``index`` and ``counts`` are the round's slices of
+    :func:`fdilsim.client.plan_batches`, and ``anchor`` is the model the
+    task started from.  Raises DivergenceError if a client update or the new
+    global model has a non-finite entry.
+    Returns (new global model, aggregated delta, max grad norm, mean squared
+    grad norm).
     """
-    i, r = state.task_index, state.round_index - plan.first
-    anchor = state.anchor if hp.algorithm == "special_c" and i >= 2 else None
+    anchored = task_index >= 2
+    client_anchor = anchor if hp.algorithm == "special_c" and anchored else None
     update = local_update(
-        spec, state.params, pool, plan.index[r], plan.counts[r], hp.local_lr, anchor, hp.prox_lambda
+        spec, params, pool, index, counts, hp.local_lr, client_anchor, hp.prox_lambda
     )
     delta = aggregate(update.delta)
-    theta_bar = state.params + hp.gamma_g(i) * delta
-
-    if hp.algorithm == "special" and i >= 2:
-        state.params = proximal_blend(theta_bar, state.anchor, hp.prox_lambda)
-    else:
-        state.params = theta_bar
-    if not np.isfinite(state.params).all():
+    theta = params + hp.gamma_g(task_index) * delta
+    if hp.algorithm == "special" and anchored:
+        theta = proximal_blend(theta, anchor, hp.prox_lambda)
+    if not np.isfinite(theta).all():
         raise DivergenceError("non-finite parameter values")
-    state.round_index += 1
-
     grad_norm_max = float(np.max(update.grad_norm_max))
-    grad_sq_mean = float(np.mean(update.grad_norm_sq_mean))
-    return state, delta, grad_norm_max, grad_sq_mean, tuple(plan.selected[r].tolist())
+    return theta, delta, grad_norm_max, float(np.mean(update.grad_norm_sq_mean))
 
 
 def _joint_pass(
@@ -320,28 +287,28 @@ def _joint_pass(
 
 def run_task(
     spec: ModelSpec,
-    state: ServerState,
+    params: np.ndarray,
     sequence: TaskSequence,
     shards_by_task: list[list[ClientShard]],
     hp: HyperParams,
     task_index: int,
     eval_cfg: EvalConfig,
     log: RunLog,
-) -> ServerState:
-    """Run the T rounds of one task, logging a record per round.
+) -> np.ndarray:
+    """Run the T rounds of one task from ``params``, logging a record per round.
 
-    The task's pool and its T selections, round t's from the
-    ``(CLIENT_SAMPLING, task_index, t)`` stream, are made once, and its
-    rounds' batches are planned in chunks of at most ``PLAN_BYTES`` of row
-    index (:func:`plan_rounds`).  The parameters of every
-    ``joint_grad_every``-th round are kept, and their records get the
-    joint-objective fields after the last round, from one deferred pass over
-    all of them (:func:`_joint_pass`).
+    ``params``, the previous task's final model, is the task's anchor and
+    the start its drift is measured from.  The task's pool and its T
+    selections, round t's from the ``(CLIENT_SAMPLING, task_index, t)``
+    stream, are made once, and its rounds' batches are planned in chunks of
+    at most ``PLAN_BYTES`` of row index (:func:`fdilsim.client.plan_batches`).
+    The parameters of every ``joint_grad_every``-th round are kept, and
+    their records get the joint-objective fields after the last round, from
+    one deferred pass over all of them (:func:`_joint_pass`).  Returns the
+    task's final model.
     """
-    state.task_index = task_index
-    state.round_index = 0
-    state.anchor = state.params.copy()
-    state.task_start = state.params.copy()
+    # No round writes into a model array, so the anchor and snapshots need no copy.
+    anchor = params
     shards = shards_by_task[task_index - 1]
     every = eval_cfg.joint_grad_every
     tracked: list[RoundRecord] = []
@@ -355,18 +322,21 @@ def run_task(
 
     for t in range(hp.rounds_per_task):
         if t % chunk == 0:
-            plan = plan_rounds(pool, hp, task_index, selections[t : t + chunk], t)
-        state, delta, gmax, gsq_mean, selected = run_round(spec, state, hp, pool, plan)
-        diff = state.params - state.task_start
+            index, counts = plan_batches(
+                pool, selections[t : t + chunk], hp.batch_size, hp.local_epochs,
+                hp.master_seed, task_index, t,
+            )
+        params, delta, gmax, gsq_mean = run_round(
+            spec, hp, task_index, params, anchor, pool, index[t % chunk], counts[t % chunk]
+        )
+        diff = params - anchor
         accuracies = None
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
-            accuracies = tuple(
-                accuracy(spec, state.params, task.test) for task in sequence.tasks
-            )
+            accuracies = tuple(accuracy(spec, params, task.test) for task in sequence.tasks)
         record = RoundRecord(
             task=task_index,
             round=t,
-            selected=selected,
+            selected=tuple(selections[t].tolist()),
             delta_norm=float(np.linalg.norm(delta)),
             drift_sq=float(diff @ diff),
             joint_grad_sq=None,
@@ -378,17 +348,16 @@ def run_task(
         log.records.append(record)
         if every and (t + 1) % every == 0:
             tracked.append(record)
-            # run_round replaces state.params each round, never writes into it.
-            snapshots.append(state.params)
-    del pool, plan  # not held through the joint pass, the task's largest arrays
+            snapshots.append(params)
+    del pool, index  # not held through the joint pass, the task's largest arrays
 
     k = len(shards_by_task)
     last_round_tracked = every > 0 and hp.rounds_per_task % every == 0
     if k >= 2 and task_index >= k - 1 and not last_round_tracked:
-        snapshots.append(state.params)
+        snapshots.append(params)
     if snapshots:
         _joint_pass(spec, shards_by_task, task_index, tracked, snapshots, log.stats)
-    return state
+    return params
 
 
 def run_sequence(
@@ -411,19 +380,12 @@ def run_sequence(
     k = sequence.num_tasks
 
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
-    theta0 = init_params(spec, init_stream)
-    log = RunLog(accuracy=AccuracyMatrix(k), initial_params=theta0.copy())
-    state = ServerState(
-        task_index=0,
-        round_index=0,
-        params=theta0.copy(),
-        anchor=theta0.copy(),
-        task_start=theta0.copy(),
-    )
+    params = init_params(spec, init_stream)
+    log = RunLog(accuracy=AccuracyMatrix(k), initial_params=params.copy())
 
     for i in range(1, k + 1):
-        state = run_task(spec, state, sequence, shards_by_task, hp, i, eval_cfg, log)
-        log.task_params.append(state.params.copy())
+        params = run_task(spec, params, sequence, shards_by_task, hp, i, eval_cfg, log)
+        log.task_params.append(params.copy())
         for j in range(1, i + 1):
-            log.accuracy.set(i, j, accuracy(spec, state.params, sequence.task(j).test))
+            log.accuracy.set(i, j, accuracy(spec, params, sequence.task(j).test))
     return log

@@ -10,24 +10,26 @@ enlarging the probe set can only move an estimate toward the truth.
 
 The estimator works in stacked passes.  Full-shard gradients at every probe
 point take one stacked call per shard through the full-shard helper
-:func:`fdilsim.metrics.client_objective_grad`; the minibatch draws of all
-clients at one (probe, task) go through one stacked pass without the loss,
-gathered from the shards' bias-augmented rows, each client drawing all its
+:func:`fdilsim.metrics.client_objective_grad`.  The minibatch passes run
+task by task: a task with a drawing shard builds its
+:class:`fdilsim.client.TaskPool`, the pool local training uses, once, and
+the draws of all its clients at one probe go through one stacked pass
+without the loss, gathered from that pool, each client drawing all its
 batches from its own stream by the draw rule of local training,
-:func:`fdilsim.client.draw_rows`; a shard no larger than the
-batch is used whole, so its full-shard gradient is reused.  Every norm,
-squared gap and cosine in the reductions comes from
-:func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so each
-is exact, and each constant is a plain ``max``/``min`` over them.  The
-estimates therefore equal those of a plain loop over probes, tasks, clients
-and draws bit for bit.
+:func:`fdilsim.client.draw_rows`.  A shard no larger than the batch is used
+whole, so its full-shard gradient is reused.  Every norm, squared gap and
+cosine in the reductions comes from :func:`fdilsim.models.row_dots`, the
+BLAS dot that ``np.dot`` calls, so each is exact, and each constant is a
+plain ``max``/``min`` over them.  The estimates therefore equal those of a
+plain loop over probes, tasks, clients and draws bit for bit.
 
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
-term by term; one whose float evaluation overflows is reported as inf
-(vacuous), and its report row is flagged ``vacuous=overflow``.  Bounds are
-always reported as "holds under the estimated constants": nothing here
-enforces an assumption, it only measures.
+term by term; one whose float evaluation overflows, or divides by a term
+that underflows to zero, is reported as inf (vacuous), and its report row
+is flagged ``vacuous=overflow``.  Bounds are always reported as "holds under
+the estimated constants": nothing here enforces an assumption, it only
+measures.
 """
 
 from __future__ import annotations
@@ -40,14 +42,18 @@ from itertools import combinations
 import numpy as np
 
 from . import rng as rngmod
-from .client import draw_rows
+from .client import TaskPool, draw_rows, task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
 from .server import HyperParams
 
 class ProbeScaleError(ValueError):
-    """A random probe point overflowed; the message names ``probe.probe_scale``."""
+    """A probe setting the estimator cannot carry out; the message names its key.
+
+    A random probe point overflowed (``probe.probe_scale``), or the draws of
+    a drawing shard need an array numpy cannot hold (``probe.minibatch_draws``).
+    """
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def _full_shard_grads(
 def _minibatch_grads(
     spec: ModelSpec,
     theta: np.ndarray,
-    task_shards: list[ClientShard],
+    pool: TaskPool,
     clients: list[int],
     probe_cfg: ProbeConfig,
     seed: int,
@@ -153,18 +159,17 @@ def _minibatch_grads(
 
     Each client draws all its batches from its own ``(PROBE_BATCH, probe,
     task, client)`` stream through :func:`draw_rows`, the draw rule of local
-    training.  The drawn rows are gathered bias-augmented from the shards and
-    go through stacked kernel calls of at most ``STACK_ROWS`` rows, which
-    skip the loss.
+    training.  The drawn rows are gathered bias-augmented from the task's
+    ``pool``, shard ``m`` at ``pool.start[m]``, and go through stacked kernel
+    calls of at most ``STACK_ROWS`` rows, which skip the loss.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
-    sampled = [task_shards[m].data for m in clients]
-    sizes = np.array([len(data) for data in sampled])
     keys = [(rngmod.PROBE_BATCH, probe, task, m) for m in clients]
-    idx = draw_rows(seed, keys, sizes, size, draws) + (np.cumsum(sizes) - sizes)[:, None, None]
+    idx = draw_rows(seed, keys, pool.size[clients], size, draws)
+    idx += pool.start[clients][:, None, None]
     idx = idx.reshape(-1, size)
-    rows = np.concatenate([data.augmented for data in sampled]).take(idx, axis=0)
-    targets = np.concatenate([data.labels for data in sampled]).take(idx)
+    rows = pool.rows.take(idx, axis=0)
+    targets = pool.labels.take(idx)
 
     grads = np.empty((idx.shape[0], theta.shape[0]))
     width = max(1, STACK_ROWS // size)
@@ -191,28 +196,41 @@ def estimate_constants(
     client-to-task / task-to-task gradient gaps (as norms); the epsilons are
     the smallest cosines over the corresponding gradient pairs (1.0 when no
     pair exists).  The probe points and every shard are checked against
-    ``spec`` once, here; a random probe point that overflows raises
+    ``spec`` once, here; a random probe point that overflows, or draws that
+    need an index array numpy cannot hold while some shard draws, raise
     :class:`ProbeScaleError`.
 
     The work is done in stacked passes:
 
     * full-shard gradients, one stacked kernel call per (task, client) over
       the probe points, into a ``(P, K, M, d)`` tensor;
-    * minibatch gradients, one stacked pass per (probe, task) over every
-      client's draws.  A shard no larger than the batch is used whole and
-      draws nothing, so its stochastic gradient is its full-shard gradient
-      (deviation exactly 0) and is not computed again;
-    * reductions, one block per probe (B, sigma_L, sigma_G, eps_bkt), per
-      probe pair (L) or over all probes (the task pairs of sigma_T and
-      eps_corr).  Every norm, squared gap and cosine comes from
+    * minibatch gradients, task by task: a task with a drawing shard builds
+      its :func:`fdilsim.client.task_pool` once, and each probe makes one
+      stacked pass over every client's draws, gathered from that pool.  A
+      shard no larger than the batch is used whole and draws nothing, so its
+      stochastic gradient is its full-shard gradient (deviation exactly 0)
+      and is not computed again;
+    * reductions, one block per (task, probe) (B, sigma_L), per probe (sigma_G,
+      eps_bkt), per probe pair (L) or over all probes (the task pairs of
+      sigma_T and eps_corr).  Every norm, squared gap and cosine comes from
       :func:`row_dots`, the BLAS dot of each row pair, so it equals the
       scalar ``np.linalg.norm``/dot expression bit for bit.  sigma_L sums
       each client's draws in draw order.  Each estimate is then a Python
       ``max``/``min`` over exact values from its start value: NaN never sets
-      an extreme and +-inf does, and cosines with a zero norm and probe
-      pairs with a zero gap are skipped, as in a plain loop over probes,
-      tasks, clients and draws.
+      an extreme and +-inf does, so the order of the blocks moves no
+      estimate, and cosines with a zero norm and probe pairs with a zero gap
+      are skipped, as in a plain loop over probes, tasks, clients and draws.
     """
+    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
+    # A shard no larger than the batch is used whole: its full-shard gradient
+    # is its only stochastic gradient.
+    whole = np.array([[len(s.data) <= size for s in ts] for ts in shards_by_task])
+    # A drawing shard's (draws, batch) block of int64 row indices.
+    if not whole.all() and draws * size * 8 > np.iinfo(np.intp).max:
+        raise ProbeScaleError(
+            f"probe.minibatch_draws: {draws} needs an array of {draws * size} values, "
+            "more than numpy can hold"
+        )
     points = _probe_points(spec, probe_cfg, seed, checkpoints)
     if len(points) < 2:
         raise ValueError("smoothness estimation requires at least 2 probe points")
@@ -224,29 +242,27 @@ def estimate_constants(
 
     k = sequence.num_tasks
     num_clients = len(shards_by_task[0])
-    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     thetas = np.stack(points)
     client_grads = _full_shard_grads(spec, thetas, shards_by_task)
     task_grads = client_grads.mean(axis=2)
     # Row j of flat[p] is client j % M of task j // M: the same memory.
     flat = client_grads.reshape(len(points), k * num_clients, -1)
 
-    # A shard no larger than the batch is used whole: its full-shard gradient
-    # is its only stochastic gradient.
-    whole = np.array([[len(s.data) <= size for s in ts] for ts in shards_by_task])
     b_max = max([0.0, *np.sqrt(row_dots(client_grads))[:, whole].ravel().tolist()])
     sigma_l_sq = 0.0
-    for p, theta in enumerate(thetas):
-        for i, task_shards in enumerate(shards_by_task):
-            drawn = np.flatnonzero(~whole[i]).tolist()
-            if not drawn:
-                continue
-            g = _minibatch_grads(spec, theta, task_shards, drawn, probe_cfg, seed, p, i)
+    for i, task_shards in enumerate(shards_by_task):
+        drawn = np.flatnonzero(~whole[i]).tolist()
+        if not drawn:
+            continue
+        pool = task_pool(task_shards, size)
+        for p, theta in enumerate(thetas):
+            g = _minibatch_grads(spec, theta, pool, drawn, probe_cfg, seed, p, i)
             b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
             deviation_sq = row_dots(g - client_grads[p, i, drawn][:, None, :])
             # In draw order: np.sum adds 8 or more draws pairwise.
             totals = np.add.accumulate(deviation_sq, axis=1)[:, -1]
             sigma_l_sq = max([sigma_l_sq, *(totals / draws).tolist()])
+        del pool  # released before the next task's pool is built
 
     l_max = 0.0
     for p, q in combinations(range(len(points)), 2):
@@ -288,14 +304,17 @@ def estimate_constants(
 def _inf_on_overflow(bound):
     """Report a bound whose float evaluation overflows as infinite (vacuous).
 
-    The wrapped bound's ``checked`` attribute returns ``(value, overflowed)``,
-    which tells such an inf apart from a bound that is infinite by design.
+    A divisor that underflows to zero, such as ``lambda ** 2`` at a tiny
+    positive lambda, leaves a quotient too large for a float, so it counts
+    as an overflow too.  The wrapped bound's ``checked`` attribute returns
+    ``(value, overflowed)``, which tells such an inf apart from a bound that
+    is infinite by design.
     """
 
     def checked(*args, **kwargs):
         try:
             return bound(*args, **kwargs), False
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return math.inf, True
 
     @functools.wraps(bound)
@@ -402,6 +421,12 @@ def _bkt_gamma_l_cap(
     return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
 
 
+@_inf_on_overflow
+def _suggested_gamma_g(n: int, epochs: int, k: int, lam: float, l_smooth: float) -> float:
+    """Global rate of the suggested schedule; infinite if a term overflows."""
+    return math.sqrt(n * epochs) / ((k - 1) * lam * l_smooth)
+
+
 @dataclass
 class StepSizeReport:
     """Step-size conditions of the retention and convergence bounds."""
@@ -419,6 +444,7 @@ class StepSizeReport:
     bkt_gamma_g_ok: bool
     suggested_gamma_l: float
     suggested_gamma_g: float
+    suggested_gamma_g_overflowed: bool
 
 
 def check_step_sizes(
@@ -432,8 +458,9 @@ def check_step_sizes(
 
     The backward-transfer local-rate cap shrinks with t, so callers wanting
     the strictest value over a run should pass the final round.  A cap too
-    large for a float is infinite, and ``bkt_gamma_l_overflowed`` tells that
-    inf apart from one by design.
+    large for a float is infinite, and ``bkt_gamma_l_overflowed`` and
+    ``suggested_gamma_g_overflowed`` tell such an inf apart from one by
+    design.
     """
     gg, gl = hp.gamma_g(k), hp.local_lr
     e, lam = hp.local_epochs, hp.prox_lambda
@@ -459,9 +486,9 @@ def check_step_sizes(
     else:
         suggested_gl = 0.0
     if lam > 0 and l_s > 0 and k >= 2:
-        suggested_gg = math.sqrt(n * e) / ((k - 1) * lam * l_s)
+        suggested_gg, suggested_gg_overflowed = _suggested_gamma_g.checked(n, e, k, lam, l_s)
     else:
-        suggested_gg = math.inf
+        suggested_gg, suggested_gg_overflowed = math.inf, False
 
     return StepSizeReport(
         conv_gamma_g_cap=conv_gg_cap,
@@ -477,6 +504,7 @@ def check_step_sizes(
         bkt_gamma_g_ok=gg <= bkt_gg_cap,
         suggested_gamma_l=suggested_gl,
         suggested_gamma_g=suggested_gg,
+        suggested_gamma_g_overflowed=suggested_gg_overflowed,
     )
 
 

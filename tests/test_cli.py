@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,15 @@ import pytest
 from fdilsim.cli import main
 from fdilsim.runio import ROUNDS_FILE, SUMMARY_FILE
 from conftest import small_config
+
+
+def _limit_address_space():
+    # A size check that fails to fire must not take the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# For each fdilsim subprocess of a test: 1 GiB of address space, 2 minutes.
+LIMITS = dict(preexec_fn=_limit_address_space, timeout=120)
 
 
 def write_config(tmp_path, name="config.ini", **overrides):
@@ -233,15 +243,52 @@ HUGE = 2**62
             "data.train_samples_per_task: train pool 480 cannot satisfy "
             f"num_clients * min_samples_per_client = {HUGE * 4}",
         ),
+        (
+            "num_random_probes = 8",
+            f"num_random_probes = {HUGE}",
+            # The random probes and K + 1 = 4 checkpoints, d = 9 values each.
+            f"probe.num_random_probes: {HUGE} needs an array of {(HUGE + 4) * 9} values, "
+            "more than numpy can hold",
+        ),
+        (
+            "minibatch_draws = 4",
+            f"minibatch_draws = {HUGE}",
+            f"probe.minibatch_draws: {HUGE} needs an array of {HUGE * 32} values, "
+            "more than numpy can hold",
+        ),
+        (
+            # Above ceil(480 / 8) rows no shard must draw, but some do.
+            "minibatch_draws = 4\nbatch_size = 32",
+            f"minibatch_draws = {HUGE}\nbatch_size = 64",
+            f"probe.minibatch_draws: {HUGE} needs an array of {HUGE * 64} values, "
+            "more than numpy can hold",
+        ),
     ],
-    ids=["train_samples", "test_samples", "hidden_dim", "local_epochs", "num_clients"],
+    ids=[
+        "train_samples", "test_samples", "hidden_dim", "local_epochs", "num_clients",
+        "random_probes", "minibatch_draws", "minibatch_draws_batch64",
+    ],
 )
 def test_sizes_numpy_refuses_exit_1_with_one_line_and_no_run_dir(tmp_path, old, new, message):
     # Each used to end in a traceback (numpy's ``array is too big`` or
     # ``Maximum allowed dimension exceeded``) during data generation,
-    # initialisation or the first round.  numpy refuses these sizes before
+    # initialisation, the first round or the probe draws, except the random
+    # probes, which never finished.  numpy refuses these sizes before
     # allocating anything, so the run allocates nothing large either way.
     assert_one_line_config_error(tmp_path, old, new, message)
+
+
+def test_huge_probe_draws_complete_when_no_shard_draws(tmp_path):
+    # A probe batch of the whole train pool uses every shard whole: nothing draws.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    old = "minibatch_draws = 4\nbatch_size = 32"
+    assert old in text
+    text = text.replace(old, f"minibatch_draws = {HUGE}\nbatch_size = 480")
+    out, _ = run_and_verify(tmp_path, "huge_draws", text)
+    summary = (out / "metrics_summary.csv").read_text(encoding="utf-8")
+    # 12 probe points x 3 tasks x 8 clients x the draws.
+    assert f"minibatch_draws,{12 * 3 * 8 * HUGE}" in summary.splitlines()
 
 
 def assert_one_line_config_error(tmp_path, old, new, message):
@@ -255,10 +302,35 @@ def assert_one_line_config_error(tmp_path, old, new, message):
     proc = subprocess.run(
         [sys.executable, "-m", "fdilsim", "run", str(config), "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        **LIMITS,
     )
     assert proc.returncode == 1
     assert (proc.stdout, proc.stderr) == ("", f"config error: {message}\n")
     assert not out.exists()
+
+
+def run_and_verify(tmp_path, name, config_text):
+    """``fdilsim run`` then ``verify`` in subprocesses, each exit 0 without a traceback.
+
+    Returns the run directory and its bound-report rows by name.
+    """
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    config = tmp_path / f"{name}.ini"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / name
+    for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdilsim", *argv],
+            capture_output=True, text=True, env=env, **LIMITS,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+    rows = {
+        line.split(",")[0]: line
+        for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
+    }
+    return out, rows
 
 
 def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
@@ -267,24 +339,8 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
     text = text.replace("prox_lambda = 0.25", "prox_lambda = 1e300")
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
 
-    def run_and_verify(name, config_text):
-        config = tmp_path / f"{name}.ini"
-        config.write_text(config_text, encoding="utf-8")
-        out = tmp_path / name
-        for argv in (["run", str(config), "--out", str(out)], ["verify", str(out)]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "fdilsim", *argv], capture_output=True, text=True, env=env
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-        rows = {
-            line.split(",")[0]: line
-            for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
-        }
-        return out, rows
-
-    out, rows = run_and_verify("huge_lambda", text)
+    out, rows = run_and_verify(tmp_path, "huge_lambda", text)
     for name in ("drift_cap_task_2", "drift_cap_task_3", "stationarity_residual"):
         assert rows[name].split(",")[1] == "inf"
         assert rows[name].endswith(";vacuous=overflow")
@@ -303,9 +359,24 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
     # local-rate cap is evaluated, and it overflows too.
     unshifted = text.replace("rotation_angle = 0.5235987755982988", "rotation_angle = 0")
     unshifted = unshifted.replace("mean_drift = 0.1", "mean_drift = 0")
-    _, rows = run_and_verify("huge_lambda_unshifted", unshifted)
+    _, rows = run_and_verify(tmp_path, "huge_lambda_unshifted", unshifted)
     assert rows["stepsize_bkt_gamma_l"].split(",")[1] == "inf"
     assert rows["stepsize_bkt_gamma_l"].endswith(";first_violating_round=none;vacuous=overflow")
+
+
+@pytest.mark.parametrize("lam", ["1e-200", "5e-324"])
+def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
+    # lambda ** 2 underflows to 0 at these values, and dividing by it used to
+    # end run and verify in a ZeroDivisionError traceback.  The caps that
+    # divide by it are inf because their evaluation overflowed.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    text = text.replace("prox_lambda = 0.25", f"prox_lambda = {lam}")
+    _, rows = run_and_verify(tmp_path, "tiny_lambda", text)
+    for name in ("drift_cap_task_2", "drift_cap_task_3", "stationarity_residual"):
+        assert rows[name].split(",")[1] == "inf"
+        assert rows[name].endswith(";vacuous=overflow")
+    assert "vacuous=overflow" not in rows["drift_cap_task_1"]
 
 
 def test_run_prints_bound_summary(tmp_path, capsys):

@@ -20,10 +20,10 @@ from fdilsim import (
 )
 from fdilsim import rng as rngmod
 from fdilsim import server
-from fdilsim.client import task_pool
+from fdilsim.client import plan_batches, task_pool
 from fdilsim.metrics import STACK_ROWS
 from fdilsim.runio import compare_runlogs, emit_runlog
-from fdilsim.server import ServerState, plan_rounds, run_round, run_task
+from fdilsim.server import run_round, run_task
 from test_datagen import make_shift
 from helpers import (
     LocalConfig,
@@ -55,13 +55,20 @@ def make_hp(**overrides):
     return HyperParams(**base)
 
 
-def one_round(spec, state, shards, hp):
-    """Round ``state.round_index`` of task ``state.task_index`` on ``shards``, planned alone."""
+def one_round(spec, params, anchor, task_index, round_index, shards, hp):
+    """Round ``round_index`` of task ``task_index`` on ``shards``, planned alone.
+
+    Returns ``run_round``'s (params, delta, max grad norm, mean squared grad
+    norm) and the round's selected client ids.
+    """
     pool = task_pool(shards, hp.batch_size)
-    key = (rngmod.CLIENT_SAMPLING, state.task_index, state.round_index)
+    key = (rngmod.CLIENT_SAMPLING, task_index, round_index)
     selected = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, [key])
-    plan = plan_rounds(pool, hp, state.task_index, selected, state.round_index)
-    return run_round(spec, state, hp, pool, plan)
+    index, counts = plan_batches(
+        pool, selected, hp.batch_size, hp.local_epochs, hp.master_seed, task_index, round_index
+    )
+    result = run_round(spec, hp, task_index, params, anchor, pool, index[0], counts[0])
+    return result + (tuple(selected[0].tolist()),)
 
 
 def make_problem(seed=25, num_tasks=2, rotation=0.4, hp=None):
@@ -212,16 +219,10 @@ def test_first_task_skips_blend():
     # contracted every step toward the start point.
     assert all(r.task in (1, 2) for r in log.records)
     # Re-run one round manually and check the unblended result matches.
-    state = ServerState(
-        task_index=1,
-        round_index=0,
-        params=log.initial_params.copy(),
-        anchor=log.initial_params.copy(),
-        task_start=log.initial_params.copy(),
-    )
-    state, delta, _, _, _ = one_round(SPEC, state, shards[0], hp)
+    theta0 = log.initial_params
+    params, delta, _, _, _ = one_round(SPEC, theta0.copy(), theta0.copy(), 1, 0, shards[0], hp)
     expected = log.initial_params + hp.gamma_g(1) * delta
-    assert np.array_equal(state.params, expected)
+    assert np.array_equal(params, expected)
     # The round is the first of the run's task 1, so it is the logged one.
     assert float(np.linalg.norm(delta)) == log.records[0].delta_norm
 
@@ -262,49 +263,50 @@ def test_round_count_and_record_shape():
         assert list(r.selected) == sorted(set(r.selected))
 
 
-def test_anchor_chain_is_previous_task_model():
+def test_anchor_chain_is_previous_task_model(monkeypatch):
     sequence, shards, hp = make_problem(num_tasks=3)
     anchors_seen = []
+    real_run_round = server.run_round
+
+    def recording_run_round(spec, hyper, task_index, params, anchor, *rest):
+        anchors_seen.append((task_index, anchor.copy()))
+        return real_run_round(spec, hyper, task_index, params, anchor, *rest)
 
     # Drive the loop manually to observe the anchor at every round.
     from fdilsim.server import RunLog
     from fdilsim.metrics import AccuracyMatrix
     from fdilsim.models import init_params
 
+    monkeypatch.setattr(server, "run_round", recording_run_round)
     theta0 = init_params(SPEC, derive_stream(hp.master_seed, (0,)))
     log = RunLog(accuracy=AccuracyMatrix(3), initial_params=theta0.copy())
-    state = ServerState(
-        task_index=0, round_index=0, params=theta0.copy(), anchor=theta0.copy(), task_start=theta0.copy()
-    )
+    params = theta0.copy()
     finals = []
     for i in (1, 2, 3):
-        state = run_task(SPEC, state, sequence, shards, hp, i, EvalConfig(), log)
-        finals.append(state.params.copy())
-        anchors_seen.append(state.anchor.copy())
+        params = run_task(SPEC, params, sequence, shards, hp, i, EvalConfig(), log)
+        finals.append(params.copy())
+    monkeypatch.undo()
 
-    # The anchor during task i equals the final model of task i-1.
-    assert np.array_equal(anchors_seen[1], finals[0])
-    assert np.array_equal(anchors_seen[2], finals[1])
+    # The anchor of every round of task i equals the final model of task i-1.
+    rounds = hp.rounds_per_task
+    assert [task for task, _ in anchors_seen] == [i for i in (1, 2, 3) for _ in range(rounds)]
+    starts = [theta0] + finals
+    for task, anchor in anchors_seen:
+        assert np.array_equal(anchor, starts[task - 1])
 
     # Round-level check: every round of task i blends toward the stored
     # previous-task model, never toward the previous round's iterate.
-    state = ServerState(
-        task_index=2,
-        round_index=0,
-        params=finals[0].copy(),
-        anchor=finals[0].copy(),
-        task_start=finals[0].copy(),
-    )
-    previous_iterate = state.params.copy()
-    for _ in range(hp.rounds_per_task):
-        state, delta, _, _, _ = one_round(SPEC, state, shards[1], hp)
+    params = finals[0].copy()
+    previous_iterate = params.copy()
+    for t in range(hp.rounds_per_task):
+        params, delta, _, _, _ = one_round(SPEC, params, finals[0].copy(), 2, t, shards[1], hp)
         theta_bar = previous_iterate + hp.gamma_g(2) * delta
-        assert np.array_equal(state.params, proximal_blend(theta_bar, finals[0], hp.prox_lambda))
+        assert np.array_equal(params, proximal_blend(theta_bar, finals[0], hp.prox_lambda))
         if not np.array_equal(previous_iterate, finals[0]):
             toward_iterate = proximal_blend(theta_bar, previous_iterate, hp.prox_lambda)
-            assert not np.array_equal(state.params, toward_iterate)
-        previous_iterate = state.params.copy()
-    assert np.array_equal(state.params, finals[1])
+            assert not np.array_equal(params, toward_iterate)
+        previous_iterate = params.copy()
+    assert np.array_equal(params, finals[1])
 
 
 def test_full_participation_matches_reference_loop():
@@ -350,10 +352,9 @@ def test_streams_derived_only_for_clients_that_draw(monkeypatch):
     monkeypatch.setattr(rngmod, "stream_integers", counting_read)
     monkeypatch.setattr(rngmod, "derive_stream", counting_derive)
     theta0 = 0.1 * np.random.default_rng(3).standard_normal(9)
-    state = ServerState(
-        task_index=1, round_index=0, params=theta0.copy(), anchor=theta0, task_start=theta0
+    params, delta, gmax, gsq_mean, selected = one_round(
+        SPEC, theta0.copy(), theta0, 1, 0, shards[0], hp
     )
-    state, delta, gmax, gsq_mean, selected = one_round(SPEC, state, shards[0], hp)
     local = [labels for labels in derived if labels[0] == rngmod.LOCAL_TRAINING]
     assert local == [(rngmod.LOCAL_TRAINING, 1, 0, m) for m in selected if sizes[m] > 30]
 
@@ -365,7 +366,7 @@ def test_streams_derived_only_for_clients_that_draw(monkeypatch):
     ]
     ref_delta = aggregate(np.stack([ref.delta for _, ref in refs]))
     assert np.array_equal(delta, ref_delta)
-    assert np.array_equal(state.params, theta0 + hp.gamma_g(1) * ref_delta)
+    assert np.array_equal(params, theta0 + hp.gamma_g(1) * ref_delta)
     assert gmax == max(ref.grad_norm_max for _, ref in refs)
     assert gsq_mean == float(np.mean([ref.grad_norm_sq_mean for _, ref in refs]))
 
@@ -378,12 +379,9 @@ def test_server_step_overflow_fails_the_round():
     )
     sequence, shards, _ = make_problem(hp=hp)
     theta0 = np.zeros(9)
-    state = ServerState(
-        task_index=1, round_index=0, params=theta0, anchor=theta0, task_start=theta0
-    )
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite parameter values"):
-            one_round(SPEC, state, shards[0], hp)
+            one_round(SPEC, theta0, theta0, 1, 0, shards[0], hp)
         with pytest.raises(ValueError, match="non-finite parameter values"):
             run_sequence(SPEC, sequence, shards, hp, EvalConfig(eval_every=1))
 
@@ -391,9 +389,8 @@ def test_server_step_overflow_fails_the_round():
 def test_nan_parameters_fail_in_local_training():
     sequence, shards, hp = make_problem()
     theta = np.full(9, np.nan)
-    state = ServerState(task_index=1, round_index=0, params=theta, anchor=theta, task_start=theta)
     with pytest.raises(ValueError, match="diverged"):
-        one_round(SPEC, state, shards[0], hp)
+        one_round(SPEC, theta, theta, 1, 0, shards[0], hp)
 
 
 def _oracle_prefixes(params, shards_by_task):
@@ -409,7 +406,7 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 
     def recording_run_round(*args):
         result = real_run_round(*args)
-        round_params.append(result[0].params.copy())
+        round_params.append(result[0].copy())
         return result
 
     monkeypatch.setattr(server, "run_round", recording_run_round)
@@ -493,7 +490,7 @@ def _joint_run(spec, num_tasks, rounds, every, num_clients, train, monkeypatch):
 
     def recording_run_round(*args):
         result = real_run_round(*args)
-        round_params.append(result[0].params.copy())
+        round_params.append(result[0].copy())
         return result
 
     monkeypatch.setattr(server, "run_round", recording_run_round)

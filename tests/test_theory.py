@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from fdilsim import (
     psi_residual,
     sigma_t_alignment_bounds,
 )
+from fdilsim import theory
 from fdilsim.datagen import TaskData
 from fdilsim.theory import ProbeScaleError, _cosines
 from fdilsim.models import param_count
@@ -91,6 +93,21 @@ def test_bound_calculators_report_overflow_as_inf():
     assert psi_residual(unit_consts(), make_hp(local_lr=1e300), 2, 1.0) == math.inf
     report = check_step_sizes(make_hp(prox_lambda=1e300), unit_consts(), 2, 100, 1.0)
     assert report.bkt_gamma_l_cap == math.inf and report.bkt_gamma_l_ok
+
+
+@pytest.mark.parametrize("lam", [1e-200, 5e-324])
+def test_tiny_lambda_reports_underflowed_divisors_as_overflow(lam):
+    # lambda ** 2 underflows to 0.0, and so does (K - 1) * lambda * L at
+    # 5e-324 with K = 2 and L = 0.3: each division used to raise
+    # ZeroDivisionError.
+    assert lam ** 2 == 0.0
+    assert drift_bound.checked(1.0, 0.1, 5, 2.0, lam) == (math.inf, True)
+    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=lam), 2, 1.0) == (math.inf, True)
+    report = check_step_sizes(make_hp(prox_lambda=lam), unit_consts(L=0.3), 2, 100, 1.0)
+    if lam == 5e-324:
+        assert (report.suggested_gamma_g, report.suggested_gamma_g_overflowed) == (math.inf, True)
+    else:
+        assert math.isfinite(report.suggested_gamma_g) and not report.suggested_gamma_g_overflowed
 
 
 # --- backward-transfer correction -------------------------------------------
@@ -360,6 +377,30 @@ def test_estimator_equals_scalar_loop(seed, spec, cfg):
     checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(2))
     with np.errstate(all="ignore"):
         assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints)
+
+
+def test_estimator_builds_one_pool_per_task_with_a_drawing_shard(monkeypatch):
+    # At this probe batch the middle task's shards are all used whole.
+    sequence, shards = probe_problem(9)
+    largest = [max(len(shard.data) for shard in task) for task in shards]
+    size = min(largest)
+    assert largest.index(size) == 1 and largest.count(size) == 1
+    built = []
+    real_pool = theory.task_pool
+
+    def recording_pool(task_shards, batch_size):
+        # The previous task's pool is released before the next one is built.
+        assert all(ref() is None for _, _, ref in built)
+        pool = real_pool(task_shards, batch_size)
+        built.append((task_shards, batch_size, weakref.ref(pool)))
+        return pool
+
+    monkeypatch.setattr(theory, "task_pool", recording_pool)
+    cfg = ProbeConfig(num_random_probes=3, minibatch_draws=2, batch_size=size)
+    assert_matches_loop(SPEC, sequence, shards, cfg, 9)
+    assert [(task_shards, batch_size) for task_shards, batch_size, _ in built] == [
+        (shards[0], size), (shards[2], size)
+    ]
 
 
 def test_cosines_equal_the_loop_on_edge_rows():

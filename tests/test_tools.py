@@ -56,8 +56,8 @@ def test_every_corpus_entry_parses():
 
 # The tier-1 share of the byte-contract gate: each model kind, each
 # algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
-# overflow entries, and protocol-long, whose tasks plan their rounds in
-# several chunks.  The tool checks the whole corpus.
+# overflow entries, a lambda whose square underflows, and protocol-long,
+# whose tasks plan their rounds in several chunks.  The tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -75,6 +75,7 @@ GATE_SUBSET = (
     "partition.min_samples_per_client=1 partition.dirichlet_alpha=0.05 "
     "federation.batch_size=100 probe.batch_size=1",
     "profiles/default.ini federation.prox_lambda=1e300",
+    "profiles/default.ini federation.prox_lambda=1e-200",
     "profiles/default.ini federation.local_lr=1e300",
     "profiles/default.ini probe.probe_scale=5e307",
 )

@@ -136,6 +136,8 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
         for input_dim in (1, 5)
         if model != RELU or input_dim == 5
     ),
+    # An underflowing setting: lambda ** 2 is 0, so the caps divided by it are inf.
+    (DEFAULT, ("federation.prox_lambda=1e-200",)),
 )
 
 
