@@ -7,9 +7,10 @@ Subcommands::
     fdilsim verify <run-dir>
     fdilsim compare <run-dir-a> <run-dir-b>
 
-Exit codes: 0 success, 1 usage/config error, 2 invariant violation
-(verify failures or compare differences), 3 I/O error, 4 training diverged
-to a non-finite update or model (no run directory is written for it).
+Exit codes: 0 success, 1 usage/config error (a run too large for the
+memory it can get included; no run directory is written for it), 2 invariant
+violation (verify failures or compare differences), 3 I/O error, 4 training
+diverged to a non-finite update or model (no run directory is written for it).
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ConfigError, DataOverflowError, ProbeScaleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)

@@ -13,6 +13,20 @@ values exactly, so identical runs produce identical bytes and everything in
 the directory can be recomputed from the directory alone.  ``compare``
 diffs the four output tables (the config snapshot is excluded so runs of
 equivalent configurations can be checked for equality).
+
+Each column of ``rounds.csv`` and ``bound_report.csv``, and each
+``RunStats``/``ConstantEstimates`` row of ``metrics_summary.csv``, is
+declared once, in a table: ``ROUND_COLUMNS`` and ``BOUND_COLUMNS`` hold
+``(field, codec)`` pairs in the field order of ``RoundRecord`` (its
+``accuracies`` excepted) and ``BoundReport``, and ``STATS_ROWS`` and
+``CONSTANT_ROWS`` hold ``(key, field, codec)`` triples.  A codec is a
+``(write, read)`` pair that turns a whole column of values into its texts
+and back.  ``emit_runlog`` writes through the tables, the headers are made
+from them, ``load_runlog`` reads through them (and rejects a rounds or bound
+table whose header or row widths differ from what emit writes), and
+``verify_runlog`` compares each recomputed bound row with the loaded one as
+both would be written.  The accuracy matrix, the checksums and the ACC/BWT
+rows are written by hand.
 """
 
 from __future__ import annotations
@@ -21,6 +35,9 @@ import contextlib
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,8 +63,98 @@ def fmt(value: float | None) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+# A codec is the (write, read) pair of one column.  write takes the column's
+# values in row order and returns their texts; read takes the texts and
+# returns the values.  A whole column goes through one call, so no value
+# costs a Python call of its own.  The float writes give fmt's text, as
+# format() gives an int or a Python or numpy float the text of its float.
+INT = (partial(map, str), partial(map, int))
+FLOAT = (lambda values: map(format, values, repeat(".17g")), partial(map, float))
+OPTIONAL_FLOAT = (
+    lambda values: ["" if value is None else format(value, ".17g") for value in values],
+    lambda texts: [float(text) if text else None for text in texts],
+)
+TEXT = (tuple, tuple)  # a column of text passes through
+BOOL = (partial(map, {False: "false", True: "true"}.__getitem__), partial(map, "true".__eq__))
+CLIENT_IDS = (
+    lambda values: [("%d+" * len(ids) % ids)[:-1] for ids in values],  # ids joined by "+"
+    lambda texts: [tuple(map(int, text.split("+"))) for text in texts],
+)
+
+# (field, codec), in the field order of RoundRecord, ``accuracies`` excepted:
+# one acc_task_<j> column per task follows them.
+ROUND_COLUMNS = (
+    ("task", INT),
+    ("round", INT),
+    ("selected", CLIENT_IDS),
+    ("delta_norm", FLOAT),
+    ("drift_sq", FLOAT),
+    ("joint_grad_sq", OPTIONAL_FLOAT),
+    ("prev_task_loss", OPTIONAL_FLOAT),
+    ("grad_norm_max", FLOAT),
+    ("grad_sq_mean", FLOAT),
+)
+# (field, codec), in the field order of BoundReport.
+BOUND_COLUMNS = (
+    ("name", TEXT),
+    ("analytical", OPTIONAL_FLOAT),
+    ("empirical", OPTIONAL_FLOAT),
+    ("satisfied", BOOL),
+    ("inputs", TEXT),
+)
+# (key, field, codec) of the metrics_summary.csv rows, in field order.  A
+# RunStats row is keyed by its field name.
+STATS_ROWS = (
+    ("grad_norm_prev_sq", "grad_norm_prev_sq", FLOAT),
+    ("f_prev_start", "f_prev_start", FLOAT),
+    ("f_joint_start", "f_joint_start", FLOAT),
+    ("best_joint_loss", "best_joint_loss", OPTIONAL_FLOAT),
+)
+CONSTANT_ROWS = (
+    ("const_B", "B", FLOAT),
+    ("const_L", "L", FLOAT),
+    ("const_sigma_l", "sigma_l", FLOAT),
+    ("const_sigma_g", "sigma_g", FLOAT),
+    ("const_sigma_t", "sigma_t", FLOAT),
+    ("const_eps_bkt", "eps_bkt", FLOAT),
+    ("const_eps_corr", "eps_corr", FLOAT),
+    ("probe_points", "num_probe_points", INT),
+    ("minibatch_draws", "num_minibatch_draws", INT),
+)
+_BOUNDS_HEADER = ",".join(field for field, _ in BOUND_COLUMNS)
+
+
+def _rounds_header(num_tasks: int) -> str:
+    accuracies = [f"acc_task_{j}" for j in range(1, num_tasks + 1)]
+    return ",".join([field for field, _ in ROUND_COLUMNS] + accuracies)
+
+
+def _write_rows(records, columns, *extra) -> list[str]:
+    """One line per record: its fields written through ``columns``, then ``extra``'s texts.
+
+    Column by column: each codec's write takes one field of every record.
+    """
+    values = zip(*map(attrgetter(*[field for field, _ in columns]), records))
+    texts = [write(column) for (_, (write, _)), column in zip(columns, values)]
+    return list(map(",".join, zip(*texts, *extra)))
+
+
+def _read_rows(lines: list[str], header: str, name: str, columns, maxsplit: int = -1) -> list:
+    """The fields of a table's rows, column by column, read through ``columns``.
+
+    Columns past ``columns`` stay text.  A table that does not start with
+    ``header``, or has a row of another width, raises ``ValueError``.
+    """
+    rows = [line.split(",", maxsplit) for line in lines[1:]]
+    width = header.count(",") + 1
+    if lines[:1] != [header] or any(len(row) != width for row in rows):
+        raise ValueError(f"{name} is not a table of {width} columns under the header {header}")
+    texts = list(zip(*rows)) or [()] * width
+    return [read(text) for (_, (_, read)), text in zip(columns, texts)] + texts[len(columns) :]
+
+
+def _read_accuracies(texts: tuple[str, ...]) -> tuple[float, ...] | None:
+    return tuple(map(float, texts)) if any(texts) else None
 
 
 def params_checksum(params: np.ndarray) -> str:
@@ -65,30 +172,12 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
     log = artifacts.log
     k = artifacts.config.shift.num_tasks
 
-    header = (
-        "task,round,selected,delta_norm,drift_sq,joint_grad_sq,prev_task_loss,"
-        "grad_norm_max,grad_sq_mean,"
-        + ",".join(f"acc_task_{j}" for j in range(1, k + 1))
-    )
-    lines = [header]
-    for r in log.records:
-        accs = [""] * k if r.accuracies is None else [fmt(a) for a in r.accuracies]
-        lines.append(
-            ",".join(
-                [
-                    str(r.task),
-                    str(r.round),
-                    "+".join(str(c) for c in r.selected),
-                    fmt(r.delta_norm),
-                    fmt(r.drift_sq),
-                    fmt(r.joint_grad_sq),
-                    fmt(r.prev_task_loss),
-                    fmt(r.grad_norm_max),
-                    fmt(r.grad_sq_mean),
-                ]
-                + accs
-            )
-        )
+    no_accuracies = "," * (k - 1)
+    accuracies = [
+        no_accuracies if r.accuracies is None else ",".join(map(fmt, r.accuracies))
+        for r in log.records
+    ]
+    lines = [_rounds_header(k), *_write_rows(log.records, ROUND_COLUMNS, accuracies)]
     files[ROUNDS_FILE] = "\n".join(lines) + "\n"
 
     lines = ["after_task,eval_task,accuracy"]
@@ -103,36 +192,11 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
     lines.append(f"checksum_init,{params_checksum(log.initial_params)}")
     for i, params in enumerate(log.task_params, start=1):
         lines.append(f"checksum_task_{i},{params_checksum(params)}")
-    stats = log.stats
-    lines.append(f"grad_norm_prev_sq,{fmt(stats.grad_norm_prev_sq)}")
-    lines.append(f"f_prev_start,{fmt(stats.f_prev_start)}")
-    lines.append(f"f_joint_start,{fmt(stats.f_joint_start)}")
-    lines.append(f"best_joint_loss,{fmt(stats.best_joint_loss)}")
-    c = artifacts.constants
-    lines.append(f"const_B,{fmt(c.B)}")
-    lines.append(f"const_L,{fmt(c.L)}")
-    lines.append(f"const_sigma_l,{fmt(c.sigma_l)}")
-    lines.append(f"const_sigma_g,{fmt(c.sigma_g)}")
-    lines.append(f"const_sigma_t,{fmt(c.sigma_t)}")
-    lines.append(f"const_eps_bkt,{fmt(c.eps_bkt)}")
-    lines.append(f"const_eps_corr,{fmt(c.eps_corr)}")
-    lines.append(f"probe_points,{c.num_probe_points}")
-    lines.append(f"minibatch_draws,{c.num_minibatch_draws}")
+    for obj, rows in ((log.stats, STATS_ROWS), (artifacts.constants, CONSTANT_ROWS)):
+        lines += [f"{key},{text}" for key, field, (write, _) in rows for text in write((getattr(obj, field),))]
     files[SUMMARY_FILE] = "\n".join(lines) + "\n"
 
-    lines = ["name,analytical,empirical,satisfied,inputs"]
-    for report in artifacts.reports:
-        lines.append(
-            ",".join(
-                [
-                    report.name,
-                    fmt(report.analytical),
-                    fmt(report.empirical),
-                    "true" if report.satisfied else "false",
-                    report.inputs,
-                ]
-            )
-        )
+    lines = [_BOUNDS_HEADER, *_write_rows(artifacts.reports, BOUND_COLUMNS)]
     files[BOUNDS_FILE] = "\n".join(lines) + "\n"
 
     files[CONFIG_FILE] = artifacts.config_text
@@ -171,38 +235,23 @@ class LoadedRun:
     records: list[RoundRecord]
     accuracy: AccuracyMatrix
     summary: dict[str, str]
+    stats: RunStats
+    constants: ConstantEstimates
     reports: list[BoundReport]
 
 
 def load_runlog(run_dir) -> LoadedRun:
-    """Parse a run directory back into structured form."""
+    """Parse a run directory back into structured form.
+
+    A rounds or bound table whose header is not the one ``emit_runlog``
+    writes, or with a row of another width, raises ``ValueError``.
+    """
     for name in ALL_FILES:
         if not os.path.exists(os.path.join(run_dir, name)):
             raise FileNotFoundError(f"missing run file: {os.path.join(run_dir, name)}")
 
     with open(os.path.join(run_dir, CONFIG_FILE), encoding="utf-8") as fh:
         config_text = fh.read()
-
-    records = []
-    rounds_lines = _read(run_dir, ROUNDS_FILE)
-    for line in rounds_lines[1:]:
-        parts = line.split(",")
-        accs = parts[9:]
-        has_acc = any(a != "" for a in accs)
-        records.append(
-            RoundRecord(
-                task=int(parts[0]),
-                round=int(parts[1]),
-                selected=tuple(int(v) for v in parts[2].split("+")),
-                delta_norm=float(parts[3]),
-                drift_sq=float(parts[4]),
-                joint_grad_sq=_parse_float(parts[5]),
-                prev_task_loss=_parse_float(parts[6]),
-                grad_norm_max=float(parts[7]),
-                grad_sq_mean=float(parts[8]),
-                accuracies=tuple(float(a) for a in accs) if has_acc else None,
-            )
-        )
 
     summary: dict[str, str] = {}
     for line in _read(run_dir, SUMMARY_FILE)[1:]:
@@ -215,53 +264,24 @@ def load_runlog(run_dir) -> LoadedRun:
         i, j, value = line.split(",")
         matrix.set(int(i), int(j), float(value))
 
-    reports = []
-    for line in _read(run_dir, BOUNDS_FILE)[1:]:
-        name, analytical, empirical, satisfied, inputs = line.split(",", maxsplit=4)
-        reports.append(
-            BoundReport(
-                name=name,
-                analytical=_parse_float(analytical),
-                empirical=_parse_float(empirical),
-                satisfied=satisfied == "true",
-                inputs=inputs,
-            )
-        )
+    n = len(ROUND_COLUMNS)
+    values = _read_rows(_read(run_dir, ROUNDS_FILE), _rounds_header(k), ROUNDS_FILE, ROUND_COLUMNS)
+    records = list(map(RoundRecord, *values[:n], map(_read_accuracies, zip(*values[n:]))))
+    bounds = _read_rows(_read(run_dir, BOUNDS_FILE), _BOUNDS_HEADER, BOUNDS_FILE, BOUND_COLUMNS, 4)
     return LoadedRun(
         config_text=config_text,
         records=records,
         accuracy=matrix,
         summary=summary,
-        reports=reports,
+        stats=RunStats(*[v for key, _, (_, read) in STATS_ROWS for v in read((summary[key],))]),
+        constants=ConstantEstimates(*[v for key, _, (_, read) in CONSTANT_ROWS for v in read((summary[key],))]),
+        reports=list(map(BoundReport, *bounds)),
     )
 
 
 def _read(run_dir, name: str) -> list[str]:
     with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
         return fh.read().splitlines()
-
-
-def _summary_constants(summary: dict[str, str]) -> ConstantEstimates:
-    return ConstantEstimates(
-        B=float(summary["const_B"]),
-        L=float(summary["const_L"]),
-        sigma_l=float(summary["const_sigma_l"]),
-        sigma_g=float(summary["const_sigma_g"]),
-        sigma_t=float(summary["const_sigma_t"]),
-        eps_bkt=float(summary["const_eps_bkt"]),
-        eps_corr=float(summary["const_eps_corr"]),
-        num_probe_points=int(summary["probe_points"]),
-        num_minibatch_draws=int(summary["minibatch_draws"]),
-    )
-
-
-def _summary_stats(summary: dict[str, str]) -> RunStats:
-    return RunStats(
-        grad_norm_prev_sq=float(summary["grad_norm_prev_sq"]),
-        f_prev_start=float(summary["f_prev_start"]),
-        f_joint_start=float(summary["f_joint_start"]),
-        best_joint_loss=_parse_float(summary["best_joint_loss"]),
-    )
 
 
 def verify_runlog(run_dir) -> list[str]:
@@ -284,15 +304,10 @@ def verify_runlog(run_dir) -> list[str]:
         violations.append(
             f"round count {len(run.records)} != num_tasks * rounds_per_task = {expected}"
         )
-    position = 0
-    for i in range(1, k + 1):
-        for t in range(hp.rounds_per_task):
-            if position >= len(run.records):
-                break
-            r = run.records[position]
-            if (r.task, r.round) != (i, t):
-                violations.append(f"record {position} is ({r.task},{r.round}), expected ({i},{t})")
-            position += 1
+    order = ((i, t) for i in range(1, k + 1) for t in range(hp.rounds_per_task))
+    for position, (r, (i, t)) in enumerate(zip(run.records, order)):
+        if (r.task, r.round) != (i, t):
+            violations.append(f"record {position} is ({r.task},{r.round}), expected ({i},{t})")
 
     for r in run.records:
         if len(r.selected) != hp.participants_per_round:
@@ -340,25 +355,15 @@ def verify_runlog(run_dir) -> list[str]:
         if f"checksum_task_{i}" not in run.summary:
             violations.append(f"summary missing checksum_task_{i}")
 
-    rebuilt = build_bound_reports(
-        config.model, hp, k, run.records, _summary_constants(run.summary),
-        _summary_stats(run.summary),
-    )
+    rebuilt = build_bound_reports(config.model, hp, k, run.records, run.constants, run.stats)
     if len(rebuilt) != len(run.reports):
         violations.append(
             f"bound report row count {len(run.reports)} != recomputed {len(rebuilt)}"
         )
     else:
-        for mine, theirs in zip(rebuilt, run.reports):
-            same = (
-                mine.name == theirs.name
-                and fmt(mine.analytical) == fmt(theirs.analytical)
-                and fmt(mine.empirical) == fmt(theirs.empirical)
-                and mine.satisfied == theirs.satisfied
-                and mine.inputs == theirs.inputs
-            )
-            if not same:
-                violations.append(f"bound report row {mine.name} does not recompute")
+        # Each row is compared as written, so a float by its 17-digit text.
+        rows = zip(rebuilt, _write_rows(rebuilt, BOUND_COLUMNS), _write_rows(run.reports, BOUND_COLUMNS))
+        violations += [f"bound report row {r.name} does not recompute" for r, a, b in rows if a != b]
     return violations
 
 

@@ -25,11 +25,12 @@ plain loop over probes, tasks, clients and draws bit for bit.
 
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
-term by term; one whose float evaluation overflows, or divides by a term
-that underflows to zero, is reported as inf (vacuous), and its report row
-is flagged ``vacuous=overflow``.  Bounds are always reported as "holds under
-the estimated constants": nothing here enforces an assumption, it only
-measures.
+term by term; one whose float evaluation overflows, whether it raises or
+evaluates to inf, or divides by a term that underflows to zero, is reported
+as inf (vacuous), and its report row is flagged ``vacuous=overflow``.  A cap
+that is infinite by design, such as the drift cap at lambda = 0, is not
+flagged.  Bounds are always reported as "holds under the estimated
+constants": nothing here enforces an assumption, it only measures.
 """
 
 from __future__ import annotations
@@ -301,21 +302,30 @@ def estimate_constants(
     )
 
 
+class _InfiniteByDesign(Exception):
+    """Raised by a bound whose arguments make it infinite (vacuous) by design."""
+
+
 def _inf_on_overflow(bound):
     """Report a bound whose float evaluation overflows as infinite (vacuous).
 
-    A divisor that underflows to zero, such as ``lambda ** 2`` at a tiny
-    positive lambda, leaves a quotient too large for a float, so it counts
-    as an overflow too.  The wrapped bound's ``checked`` attribute returns
-    ``(value, overflowed)``, which tells such an inf apart from a bound that
-    is infinite by design.
+    A term too large for a float either raises (``**``) or becomes inf
+    (``*`` and ``/``, as when a divisor such as ``lambda ** 2`` underflows
+    at a tiny positive lambda), and a divisor that underflows to zero
+    raises; each counts as an overflow.  A bound that is infinite by design
+    raises :class:`_InfiniteByDesign` instead.  The wrapped bound's
+    ``checked`` attribute returns ``(value, overflowed)``, which tells the
+    two kinds of inf apart.
     """
 
     def checked(*args, **kwargs):
         try:
-            return bound(*args, **kwargs), False
+            value = bound(*args, **kwargs)
+        except _InfiniteByDesign:
+            return math.inf, False
         except (OverflowError, ZeroDivisionError):
             return math.inf, True
+        return value, value == math.inf
 
     @functools.wraps(bound)
     def evaluate(*args, **kwargs):
@@ -335,7 +345,7 @@ def drift_bound(gamma_g: float, gamma_l: float, epochs: int, b: float, lam: floa
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0.0:
-        return math.inf
+        raise _InfiniteByDesign
     return (gamma_g ** 2) * (gamma_l ** 2) * (epochs ** 2) * (b ** 2) / (lam ** 2)
 
 
@@ -394,7 +404,7 @@ def psi_residual(
     elif gl * e * l_s * b == 0.0:
         drift_b = 0.0
     else:
-        drift_b = math.inf
+        raise _InfiniteByDesign  # no anchor bounds the drift term
     term_b = drift_b + (k + 3.0 * gg * gl * e * k * l_s * partial / (1.0 + lam)) * b ** 2
     term_sg = 12.0 * gg * gl * e * k * l_s * partial * s_g ** 2 / (1.0 + lam)
     mid_coeff = (5.0 * gl ** 2 * k * e * l_s ** 2) + (

@@ -291,6 +291,26 @@ def test_huge_probe_draws_complete_when_no_shard_draws(tmp_path):
     assert f"minibatch_draws,{12 * 3 * 8 * HUGE}" in summary.splitlines()
 
 
+def test_unallocatable_size_exits_1_with_one_line_and_no_run_dir(tmp_path):
+    # numpy accepts 2**50 draws of 32 rows, but not under a 1 GiB address
+    # space: the allocation raised MemoryError, which used to end in a traceback.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    config = tmp_path / "huge_draws.ini"
+    config.write_text(text.replace("minibatch_draws = 4", f"minibatch_draws = {2**50}"), encoding="utf-8")
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdilsim", "run", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        **LIMITS,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("out of memory: Unable to allocate ")
+    assert not out.exists()
+
+
 def assert_one_line_config_error(tmp_path, old, new, message):
     """``fdilsim run`` on default.ini with ``old`` replaced: exit 1, one stderr line, no run dir."""
     root = Path(__file__).resolve().parent.parent
@@ -364,11 +384,12 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
     assert rows["stepsize_bkt_gamma_l"].endswith(";first_violating_round=none;vacuous=overflow")
 
 
-@pytest.mark.parametrize("lam", ["1e-200", "5e-324"])
+@pytest.mark.parametrize("lam", ["1e-160", "1e-200", "5e-324"])
 def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
-    # lambda ** 2 underflows to 0 at these values, and dividing by it used to
-    # end run and verify in a ZeroDivisionError traceback.  The caps that
-    # divide by it are inf because their evaluation overflowed.
+    # lambda ** 2 underflows to 0 at 1e-200 and 5e-324, and dividing by it
+    # used to end run and verify in a ZeroDivisionError traceback.  At 1e-160
+    # it is subnormal, and the quotients became inf without a flag.  The caps
+    # that divide by it are inf because their evaluation overflowed.
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
     text = text.replace("prox_lambda = 0.25", f"prox_lambda = {lam}")

@@ -1,7 +1,15 @@
-import pytest
+import functools
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
-from fdilsim import run_experiment, runio
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdilsim import BoundReport, ConstantEstimates, RoundRecord, run_experiment, runio
 from fdilsim.metrics import acc, bwt
+from fdilsim.server import RunStats
 from fdilsim.runio import (
     BOUNDS_FILE,
     CONFIG_FILE,
@@ -138,6 +146,28 @@ def test_verify_detects_dropped_round(tmp_path, small_config_text):
     assert any("round count" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "name, tamper",
+    [
+        (ROUNDS_FILE, lambda lines: [lines[0] + ",acc_task_3"] + lines[1:]),
+        (ROUNDS_FILE, lambda lines: lines[:1] + [lines[1] + ",0.5"] + lines[2:]),
+        (ROUNDS_FILE, lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0]] + lines[2:]),
+        (BOUNDS_FILE, lambda lines: ["name,cap,empirical,satisfied,inputs"] + lines[1:]),
+        (BOUNDS_FILE, lambda lines: lines[:1] + [lines[1].rsplit(",", 2)[0]] + lines[2:]),
+    ],
+    ids=["rounds_header", "rounds_wide_row", "rounds_short_row", "bounds_header", "bounds_short_row"],
+)
+def test_load_rejects_a_table_unlike_the_one_emitted(tmp_path, small_config_text, name, tamper):
+    # A row of another width used to load (extra fields as accuracies) or
+    # raise IndexError, and a header was never read.
+    run_and_emit(small_config_text, tmp_path / "run")
+    path = tmp_path / "run" / name
+    lines = tamper(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{name} is not a table of"):
+        load_runlog(tmp_path / "run")
+
+
 def test_compare_detects_changed_metrics(tmp_path):
     run_and_emit(small_config(), tmp_path / "a")
     run_and_emit(small_config(seed=26), tmp_path / "b")
@@ -186,3 +216,73 @@ def test_float_formatting_roundtrips():
         assert float(fmt(value)) == value
     assert fmt(None) == ""
     assert fmt(float("inf")) == "inf"
+
+
+def test_tables_declare_each_field_once_in_field_order():
+    # load_runlog builds each object from its table positionally.
+    round_fields = [f.name for f in fields(RoundRecord)]
+    assert round_fields[-1] == "accuracies"
+    assert [field for field, _ in runio.ROUND_COLUMNS] == round_fields[:-1]
+    assert [field for field, _ in runio.BOUND_COLUMNS] == [f.name for f in fields(BoundReport)]
+    assert [field for _, field, _ in runio.STATS_ROWS] == [f.name for f in fields(RunStats)]
+    assert [field for _, field, _ in runio.CONSTANT_ROWS] == [f.name for f in fields(ConstantEstimates)]
+    keys = [key for key, _, _ in runio.STATS_ROWS + runio.CONSTANT_ROWS]
+    assert len(set(keys)) == len(keys)
+
+
+@functools.lru_cache(maxsize=1)
+def small_artifacts():
+    return run_experiment(small_config())
+
+
+# Every float a run can hold: None where optional, +-inf, nan, -0.0 and
+# subnormals included.
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+OPTIONAL = st.none() | FLOATS
+COUNTS = st.integers(0, 2**70)  # above 2**53, where a float would round
+# One line of text: no line break of any kind, and no comma in a name.
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+
+@st.composite
+def run_values(draw):
+    """Records, stats, constants and reports of a two-task run."""
+    record = st.builds(
+        RoundRecord, COUNTS, COUNTS, st.lists(COUNTS, min_size=1, max_size=4).map(tuple),
+        FLOATS, FLOATS, OPTIONAL, OPTIONAL, FLOATS, FLOATS,
+        st.none() | st.tuples(FLOATS, FLOATS),
+    )
+    report = st.builds(
+        BoundReport, TEXT.filter(lambda text: "," not in text), OPTIONAL, OPTIONAL,
+        st.booleans(), TEXT,
+    )
+    return (
+        draw(st.lists(record, min_size=1, max_size=6)),
+        draw(st.builds(RunStats, FLOATS, FLOATS, FLOATS, OPTIONAL)),
+        draw(st.builds(ConstantEstimates, *[FLOATS] * 7, COUNTS, COUNTS)),
+        draw(st.lists(report, max_size=4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=run_values())
+def test_emit_load_emit_round_trips_every_byte(values):
+    records, stats, constants, reports = values
+    base = small_artifacts()
+    artifacts = replace(
+        base, log=replace(base.log, records=records, stats=stats), constants=constants,
+        reports=reports,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        emit_runlog(artifacts, first)
+        loaded = load_runlog(first)
+        emit_runlog(
+            replace(
+                artifacts, log=replace(artifacts.log, records=loaded.records, stats=loaded.stats),
+                constants=loaded.constants, reports=loaded.reports,
+            ),
+            second,
+        )
+        for name in (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE, CONFIG_FILE):
+            assert (first / name).read_bytes() == (second / name).read_bytes()

@@ -110,6 +110,18 @@ def test_tiny_lambda_reports_underflowed_divisors_as_overflow(lam):
         assert math.isfinite(report.suggested_gamma_g) and not report.suggested_gamma_g_overflowed
 
 
+def test_formula_that_evaluates_to_inf_is_flagged_and_inf_by_design_is_not():
+    # lambda ** 2 = 1e-320 is subnormal, not 0: the quotients become inf
+    # through "/" without raising.  2.0 * 1e308 becomes inf through "*".
+    assert drift_bound.checked(1.0, 0.1, 5, 2.0, 1e-160) == (math.inf, True)
+    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=1e-160), 2, 1.0) == (math.inf, True)
+    assert bkt_bound.checked(1.0, 1e154, 1e154, 2, 1, 1, 1, 1, 1.0, 1.0) == (math.inf, True)
+    # No anchor at lambda = 0: the drift cap and psi's drift term are inf by design.
+    assert drift_bound.checked(1.0, 0.1, 5, 2.0, 0.0) == (math.inf, False)
+    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=0.0), 2, 1.0) == (math.inf, False)
+    assert not drift_bound.checked(1.0, 0.1, 5, 2.0, 0.5)[1]
+
+
 # --- backward-transfer correction -------------------------------------------
 
 def test_bkt_bound_frozen_regression():

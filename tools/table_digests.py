@@ -138,6 +138,8 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     # An underflowing setting: lambda ** 2 is 0, so the caps divided by it are inf.
     (DEFAULT, ("federation.prox_lambda=1e-200",)),
+    # lambda ** 2 is subnormal: the caps divided by it become inf without raising.
+    (DEFAULT, ("federation.prox_lambda=1e-160",)),
 )
 
 
