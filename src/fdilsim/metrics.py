@@ -89,8 +89,8 @@ def bwt(matrix: AccuracyMatrix) -> float:
 
 
 def client_objective_grad(
-    spec: ModelSpec, params: np.ndarray, shard: ClientShard
-) -> tuple[float | np.ndarray, np.ndarray]:
+    spec: ModelSpec, params: np.ndarray, shard: ClientShard, with_loss: bool = True
+) -> tuple[float | np.ndarray | None, np.ndarray]:
     """Full-shard loss and gradient for one client (no sampling).
 
     Params ``(d,)`` give ``(float, (d,) gradient)`` from one plain kernel
@@ -100,23 +100,29 @@ def client_objective_grad(
     bias-augmented rows, so every point's values equal the plain call's bit
     for bit.  Where only one point
     fits, or only one is given, each point takes the plain call, which
-    needs no copy.
+    needs no copy.  ``with_loss=False`` skips the kernel's loss terms and
+    returns ``None`` for the losses; the gradients' bits do not depend on it.
     """
     if params.ndim == 1:
-        return loss_and_grad(spec, params, shard.data)
+        return loss_and_grad(spec, params, shard.data, with_loss=with_loss)
     num_points = params.shape[0]
     width = min(num_points, STACK_ROWS // len(shard.data))
-    losses, grads = np.empty(num_points), np.empty(params.shape)
+    losses = np.empty(num_points) if with_loss else None
+    grads = np.empty(params.shape)
     if width <= 1:
         for p in range(num_points):
-            losses[p], grads[p] = loss_and_grad(spec, params[p], shard.data)
+            loss, grads[p] = loss_and_grad(spec, params[p], shard.data, with_loss=with_loss)
+            if with_loss:
+                losses[p] = loss
         return losses, grads
     rows = np.repeat(shard.data.augmented[None], width, axis=0)
     labels = np.repeat(shard.data.labels[None], width, axis=0)
     for lo in range(0, num_points, width):
         hi = min(lo + width, num_points)
         batch = Minibatch.of_rows(rows[: hi - lo], labels[: hi - lo])
-        losses[lo:hi], grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch)
+        loss, grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch, with_loss=with_loss)
+        if with_loss:
+            losses[lo:hi] = loss
     return losses, grads
 
 

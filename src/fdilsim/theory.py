@@ -8,20 +8,24 @@ supplies.  By construction every estimate is a lower bound on the true
 supremum (or an upper bound on the true infimum for the epsilons), and
 enlarging the probe set can only move an estimate toward the truth.
 
-The estimator works in stacked passes.  Full-shard gradients at every probe
-point take one stacked call per shard through the full-shard helper
-:func:`fdilsim.metrics.client_objective_grad`.  The minibatch passes run
-task by task: a task with a drawing shard builds its
-:class:`fdilsim.client.TaskPool`, the pool local training uses, once, and
-the draws of all its clients at one probe go through one stacked pass
-without the loss, gathered from that pool, each client drawing all its
-batches from its own stream by the draw rule of local training,
+The estimator works task by task in stacked passes, and holds one task's
+gradients at a time.  A task's full-shard gradients at every probe point,
+a ``(P, M, d)`` block, take one stacked call per shard through the
+full-shard helper :func:`fdilsim.metrics.client_objective_grad`; only
+their task mean is kept, in a ``(P, K, d)`` table.  A task with a drawing
+shard builds its :class:`fdilsim.client.TaskPool`, the pool local training
+uses, once, and the draws of all its clients at one probe go through one
+stacked pass without the loss, gathered from that pool, each client drawing
+all its batches from its own stream by the draw rule of local training,
 :func:`fdilsim.client.draw_rows`.  A shard no larger than the batch is used
-whole, so its full-shard gradient is reused.  Every norm, squared gap and
-cosine in the reductions comes from :func:`fdilsim.models.row_dots`, the
-BLAS dot that ``np.dot`` calls, so each is exact, and each constant is a
-plain ``max``/``min`` over them.  The estimates therefore equal those of a
-plain loop over probes, tasks, clients and draws bit for bit.
+whole, so its full-shard gradient is reused.  The task's block and pool are
+released before the next task starts, so the estimator's memory is one
+task's block plus temporaries no larger than it, whatever K is.  Every
+norm, squared gap and cosine in the reductions comes from
+:func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so
+each is exact, and each constant is a plain ``max``/``min`` over them.  The
+estimates therefore equal those of a plain loop over probes, tasks, clients
+and draws bit for bit.
 
 The bound calculators evaluate the drift cap, the backward-transfer
 correction term, the convergence residual, and the step-size conditions
@@ -38,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -131,18 +134,16 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> list[float]:
 
 
 def _full_shard_grads(
-    spec: ModelSpec, thetas: np.ndarray, shards_by_task: list[list[ClientShard]]
+    spec: ModelSpec, thetas: np.ndarray, task_shards: list[ClientShard]
 ) -> np.ndarray:
-    """Gradient of every client objective at every probe, ``(P, K, M, d)``.
+    """Gradient of each client objective of one task at every probe, ``(P, M, d)``.
 
-    One stacked :func:`client_objective_grad` call per shard.
+    One stacked :func:`client_objective_grad` call per shard, without the
+    loss.  The block is one task's: the estimator holds no more than one.
     """
-    grads = np.empty(
-        (thetas.shape[0], len(shards_by_task), len(shards_by_task[0]), thetas.shape[1])
-    )
-    for i, task_shards in enumerate(shards_by_task):
-        for m, shard in enumerate(task_shards):
-            _, grads[:, i, m] = client_objective_grad(spec, thetas, shard)
+    grads = np.empty((thetas.shape[0], len(task_shards), thetas.shape[1]))
+    for m, shard in enumerate(task_shards):
+        _, grads[:, m] = client_objective_grad(spec, thetas, shard, with_loss=False)
     return grads
 
 
@@ -201,26 +202,33 @@ def estimate_constants(
     need an index array numpy cannot hold while some shard draws, raise
     :class:`ProbeScaleError`.
 
-    The work is done in stacked passes:
+    The work is done task by task, in stacked passes:
 
-    * full-shard gradients, one stacked kernel call per (task, client) over
-      the probe points, into a ``(P, K, M, d)`` tensor;
-    * minibatch gradients, task by task: a task with a drawing shard builds
-      its :func:`fdilsim.client.task_pool` once, and each probe makes one
+    * full-shard gradients, one stacked kernel call per client over the
+      probe points, without the loss, into the task's ``(P, M, d)`` block,
+      whose client mean goes into a ``(P, K, d)`` table of task gradients;
+    * minibatch gradients: a task with a drawing shard builds its
+      :func:`fdilsim.client.task_pool` once, and each probe makes one
       stacked pass over every client's draws, gathered from that pool.  A
       shard no larger than the batch is used whole and draws nothing, so its
       stochastic gradient is its full-shard gradient (deviation exactly 0)
       and is not computed again;
-    * reductions, one block per (task, probe) (B, sigma_L), per probe (sigma_G,
-      eps_bkt), per probe pair (L) or over all probes (the task pairs of
-      sigma_T and eps_corr).  Every norm, squared gap and cosine comes from
-      :func:`row_dots`, the BLAS dot of each row pair, so it equals the
-      scalar ``np.linalg.norm``/dot expression bit for bit.  sigma_L sums
-      each client's draws in draw order.  Each estimate is then a Python
-      ``max``/``min`` over exact values from its start value: NaN never sets
-      an extreme and +-inf does, so the order of the blocks moves no
-      estimate, and cosines with a zero norm and probe pairs with a zero gap
-      are skipped, as in a plain loop over probes, tasks, clients and draws.
+    * reductions of the block: B and sigma_L per probe, L per probe against
+      all its later probes, sigma_G over the whole block and, for the last
+      task, eps_bkt against the sum of the earlier task gradients.  The block
+      and the pool are then released, so at most one task's block is held,
+      with temporaries no larger than it;
+    * after the last task, sigma_T and eps_corr over the task pairs of the
+      table, each first task against all its later ones.
+
+    Every norm, squared gap and cosine comes from :func:`row_dots`, the BLAS
+    dot of each row pair, so it equals the scalar ``np.linalg.norm``/dot
+    expression bit for bit.  sigma_L sums each client's draws in draw order.
+    Each estimate is then a Python ``max``/``min`` over exact values from
+    its start value: NaN never sets an extreme and +-inf does, so the order
+    of the blocks moves no estimate, and cosines with a zero norm and probe
+    pairs with a zero gap are skipped, as in a plain loop over probes, tasks,
+    clients and draws.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     # A shard no larger than the batch is used whole: its full-shard gradient
@@ -244,50 +252,53 @@ def estimate_constants(
     k = sequence.num_tasks
     num_clients = len(shards_by_task[0])
     thetas = np.stack(points)
-    client_grads = _full_shard_grads(spec, thetas, shards_by_task)
-    task_grads = client_grads.mean(axis=2)
-    # Row j of flat[p] is client j % M of task j // M: the same memory.
-    flat = client_grads.reshape(len(points), k * num_clients, -1)
+    # gaps[p] is the column of |theta_p - theta_q| over the later probes q.  A
+    # zero gap is set to inf, so its pairs give 0 or NaN, which set no extreme:
+    # the L estimate skips them.
+    gaps = []
+    for p in range(len(points) - 1):
+        gap = np.sqrt(row_dots(thetas[p] - thetas[p + 1 :]))[:, None]
+        gaps.append(np.where(gap != 0.0, gap, np.inf))
+    task_grads = np.empty((len(points), k, thetas.shape[1]))
 
-    b_max = max([0.0, *np.sqrt(row_dots(client_grads))[:, whole].ravel().tolist()])
-    sigma_l_sq = 0.0
-    for i, task_shards in enumerate(shards_by_task):
-        drawn = np.flatnonzero(~whole[i]).tolist()
-        if not drawn:
-            continue
-        pool = task_pool(task_shards, size)
-        for p, theta in enumerate(thetas):
-            g = _minibatch_grads(spec, theta, pool, drawn, probe_cfg, seed, p, i)
-            b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
-            deviation_sq = row_dots(g - client_grads[p, i, drawn][:, None, :])
-            # In draw order: np.sum adds 8 or more draws pairwise.
-            totals = np.add.accumulate(deviation_sq, axis=1)[:, -1]
-            sigma_l_sq = max([sigma_l_sq, *(totals / draws).tolist()])
-        del pool  # released before the next task's pool is built
-
-    l_max = 0.0
-    for p, q in combinations(range(len(points)), 2):
-        gap = float(np.linalg.norm(points[p] - points[q]))
-        if gap != 0.0:
-            l_max = max([l_max, *(np.sqrt(row_dots(flat[p] - flat[q])) / gap).tolist()])
-
-    sigma_g_sq = 0.0
-    for p in range(len(points)):
-        spread_sq = row_dots(client_grads[p] - task_grads[p][:, None, :])
-        sigma_g_sq = max([sigma_g_sq, *spread_sq.ravel().tolist()])
-
-    # Task pairs, probe-major.
-    pairs = list(combinations(range(k), 2))
-    first = task_grads[:, [a for a, _ in pairs]]
-    second = task_grads[:, [b for _, b in pairs]]
-    sigma_t_sq = max([0.0, *row_dots(first - second).ravel().tolist()])
-    eps_corr = min([1.0, *_cosines(first, second)])
-
+    b_max = l_max = sigma_l_sq = sigma_g_sq = 0.0
     eps_bkt = 1.0
-    if k >= 2:
-        for p in range(len(points)):
-            prev_grad = task_grads[p, : k - 1].sum(axis=0)
-            eps_bkt = min([eps_bkt, *_cosines(prev_grad, client_grads[p, k - 1])])
+    for i, task_shards in enumerate(shards_by_task):
+        grads = _full_shard_grads(spec, thetas, task_shards)
+        task_grads[:, i] = grads.mean(axis=1)
+        b_max = max([b_max, *np.sqrt(row_dots(grads))[:, whole[i]].ravel().tolist()])
+
+        drawn = np.flatnonzero(~whole[i]).tolist()
+        if drawn:
+            pool = task_pool(task_shards, size)
+            for p, theta in enumerate(thetas):
+                g = _minibatch_grads(spec, theta, pool, drawn, probe_cfg, seed, p, i)
+                b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
+                deviation_sq = row_dots(g - grads[p, drawn][:, None, :])
+                # In draw order: np.sum adds 8 or more draws pairwise.
+                totals = np.add.accumulate(deviation_sq, axis=1)[:, -1]
+                sigma_l_sq = max([sigma_l_sq, *(totals / draws).tolist()])
+            del pool  # released before the next task's pool is built
+
+        for p, gap in enumerate(gaps):
+            ratios = np.sqrt(row_dots(grads[p] - grads[p + 1 :])) / gap
+            l_max = max([l_max, *ratios.ravel().tolist()])
+
+        if i == k - 1 and k >= 2:
+            prev_grads = task_grads[:, : k - 1].sum(axis=1)
+            eps_bkt = min([eps_bkt, *_cosines(prev_grads[:, None, :], grads)])
+
+        # Last use of the block: each client's gap to its task mean, in place.
+        grads -= task_grads[:, i, None, :]
+        sigma_g_sq = max([sigma_g_sq, *row_dots(grads).ravel().tolist()])
+        del grads  # released before the next task's block is computed
+
+    # Task pairs (a, b), a < b: each first task against all its later ones.
+    sigma_t_sq, eps_corr = 0.0, 1.0
+    for a in range(k - 1):
+        first, second = task_grads[:, a, None, :], task_grads[:, a + 1 :]
+        sigma_t_sq = max([sigma_t_sq, *row_dots(first - second).ravel().tolist()])
+        eps_corr = min([eps_corr, *_cosines(first, second)])
 
     return ConstantEstimates(
         B=b_max,

@@ -200,6 +200,10 @@ def test_stacked_full_shard_equals_plain_calls(spec, num_points):
             loss, grad = loss_and_grad(spec, params[p], data.data)
             assert losses[p] == loss
             assert np.array_equal(grads[p], grad)
+        # Without the loss the gradients keep their bits, stacked and plain.
+        for points, expected in ((params, grads), (params[0], grads[0])):
+            no_loss, bare = client_objective_grad(spec, points, data, with_loss=False)
+            assert no_loss is None and np.array_equal(bare, expected)
 
 
 def test_stacked_joint_pass_equals_plain_passes():

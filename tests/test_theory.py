@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,14 @@ from fdilsim import (
     sigma_t_alignment_bounds,
 )
 from fdilsim import theory
+from fdilsim.config import parse_config
 from fdilsim.datagen import TaskData
 from fdilsim.theory import ProbeScaleError, _cosines
 from fdilsim.models import param_count
 from test_datagen import make_shift
 from helpers import _cosine, estimate_constants_loop, psi_full_participation
 
+ROOT = Path(__file__).resolve().parent.parent
 SPEC = ModelSpec("logreg", 2, 3)
 
 # Frozen by an independent exact-fraction evaluation of the same expressions
@@ -460,3 +464,39 @@ def test_estimator_equals_scalar_loop_with_repeated_or_only_checkpoints():
     assert_matches_loop(SPEC, sequence, shards, ProbeConfig(num_random_probes=3), 9, (a, a, b))
     only = assert_matches_loop(SPEC, sequence, shards, ProbeConfig(num_random_probes=0), 9, (a, b))
     assert only.num_probe_points == 2
+
+
+@pytest.mark.parametrize("num_tasks", [4, 6])
+@pytest.mark.parametrize("spec", [SPEC, ModelSpec("mlp1", 2, 3, hidden_dim=5), MLP_RELU])
+def test_estimator_equals_scalar_loop_on_longer_sequences(spec, num_tasks):
+    sequence, shards = probe_problem(num_tasks, num_tasks=num_tasks, num_clients=5)
+    rng = np.random.default_rng(num_tasks)
+    checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(num_tasks + 1))
+    assert_matches_loop(spec, sequence, shards, PROBES, num_tasks, checkpoints)
+    # Repeated checkpoints: a run whose model stays put over several tasks
+    # gives zero gaps between them, which the L estimate skips.
+    a, b, c = checkpoints[:3]
+    repeated = (a, a, b, b, b, c, a)[: num_tasks + 1]
+    consts = assert_matches_loop(spec, sequence, shards, PROBES, num_tasks, repeated)
+    assert consts.num_probe_points == num_tasks + 1 + PROBES.num_random_probes
+
+
+def test_estimator_memory_does_not_grow_with_the_task_count():
+    # The estimator holds one task's full-shard gradients at a time, so its
+    # peak is set by one task's block and minibatch pass, not by K.
+    config = parse_config(ROOT / "profiles" / "default.ini")
+    spec = ModelSpec("mlp1", 2, 3, hidden_dim=16)
+    part = replace(config.partition, num_clients=32)
+    cfg = replace(config.probe, num_random_probes=16)
+
+    def traced_peak(num_tasks):
+        sequence = generate_sequence(replace(config.shift, num_tasks=num_tasks), 25)
+        shards = partition_sequence(sequence, part, 25)
+        tracemalloc.start()
+        try:
+            estimate_constants(spec, sequence, shards, cfg, 25)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(8) <= 1.5 * traced_peak(2)

@@ -56,8 +56,9 @@ def test_every_corpus_entry_parses():
 
 # The tier-1 share of the byte-contract gate: each model kind, each
 # algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
-# overflow entries, lambdas whose square underflows or is subnormal, and protocol-long,
-# whose tasks plan their rounds in several chunks.  The tool checks the whole corpus.
+# overflow entries, lambdas whose square underflows or is subnormal, an eight-task
+# sequence, and protocol-long, whose tasks plan their rounds in several chunks.  The
+# tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -79,6 +80,7 @@ GATE_SUBSET = (
     "profiles/default.ini federation.local_lr=1e300",
     "profiles/default.ini probe.probe_scale=5e307",
     "profiles/default.ini federation.prox_lambda=1e-160",
+    "profiles/default.ini data.num_tasks=8",
 )
 
 

@@ -140,6 +140,9 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     (DEFAULT, ("federation.prox_lambda=1e-200",)),
     # lambda ** 2 is subnormal: the caps divided by it become inf without raising.
     (DEFAULT, ("federation.prox_lambda=1e-160",)),
+    # Longer task sequences: more checkpoints and task pairs for the estimator.
+    (DEFAULT, ("data.num_tasks=8",)),
+    (DEFAULT, TANH + ("data.num_tasks=8", "federation.master_seed=3")),
 )
 
 
