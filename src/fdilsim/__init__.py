@@ -32,7 +32,6 @@ from .theory import (
     ConstantEstimates,
     ProbeConfig,
     bkt_bound,
-    check_step_sizes,
     drift_bound,
     estimate_constants,
     psi_residual,
@@ -66,7 +65,6 @@ __all__ = [
     "bkt_bound",
     "build_bound_reports",
     "bwt",
-    "check_step_sizes",
     "compare_runlogs",
     "derive_stream",
     "drift_bound",

@@ -42,10 +42,10 @@ from operator import attrgetter
 import numpy as np
 
 from .config import parse_config_text
-from .experiment import RunArtifacts, build_bound_reports, effective_lambda
+from .experiment import RunArtifacts, build_bound_reports
 from .metrics import AccuracyMatrix, acc, bwt
 from .server import RoundRecord, RunStats
-from .theory import BoundReport, ConstantEstimates, drift_bound
+from .theory import DRIFT_ROW, UNDERFLOW, BoundReport, ConstantEstimates
 
 ROUNDS_FILE = "rounds.csv"
 MATRIX_FILE = "accuracy_matrix.csv"
@@ -336,26 +336,23 @@ def verify_runlog(run_dir) -> list[str]:
                 f"summary bwt {run.summary.get('bwt')} != recomputed {recomputed_bwt}"
             )
 
-    lam = effective_lambda(hp)
-    if lam > 0:
-        for i in range(2, k + 1):
-            task_records = [r for r in run.records if r.task == i]
-            if not task_records:
-                continue
-            b_hat = max(r.grad_norm_max for r in task_records)
-            cap = drift_bound(hp.gamma_g(i), hp.local_lr, hp.local_epochs, b_hat, lam)
-            for r in task_records:
-                if r.drift_sq > cap:
-                    violations.append(
-                        f"task {i} round {r.round}: drift {fmt(r.drift_sq)} exceeds "
-                        f"anchored cap {fmt(cap)}"
-                    )
+    # Each round's drift against its task's drift row, unless that cap underflowed.
+    rebuilt = build_bound_reports(config.model, hp, k, run.records, run.constants, run.stats)
+    rows = {report.name: report for report in rebuilt}
+    for i in range(2, k + 1):
+        row = rows[DRIFT_ROW.format(i=i)]
+        if row.vacuous == UNDERFLOW:
+            continue
+        violations += [
+            f"task {i} round {r.round}: drift {fmt(r.drift_sq)} exceeds anchored cap {fmt(row.analytical)}"
+            for r in run.records
+            if r.task == i and r.drift_sq > row.analytical
+        ]
 
     for i in range(1, k + 1):
         if f"checksum_task_{i}" not in run.summary:
             violations.append(f"summary missing checksum_task_{i}")
 
-    rebuilt = build_bound_reports(config.model, hp, k, run.records, run.constants, run.stats)
     if len(rebuilt) != len(run.reports):
         violations.append(
             f"bound report row count {len(run.reports)} != recomputed {len(rebuilt)}"

@@ -27,21 +27,27 @@ each is exact, and each constant is a plain ``max``/``min`` over them.  The
 estimates therefore equal those of a plain loop over probes, tasks, clients
 and draws bit for bit.
 
-The bound calculators evaluate the drift cap, the backward-transfer
-correction term, the convergence residual, and the step-size conditions
-term by term; one whose float evaluation overflows, whether it raises or
-evaluates to inf, or divides by a term that underflows to zero, is reported
-as inf (vacuous), and its report row is flagged ``vacuous=overflow``.  A cap
-that is infinite by design, such as the drift cap at lambda = 0, is not
-flagged.  Bounds are always reported as "holds under the estimated
+Each row of ``bound_report.csv`` is declared once, in ``BOUND_ROWS``: its
+name, cap, empirical value, satisfied rule and ``inputs`` template.
+:func:`fdilsim.experiment.build_bound_reports` writes the rows, and
+``verify`` and the ``run`` summary read them.  Every cap goes through
+:func:`evaluate`, which returns its value and a flag.  A cap whose float
+evaluation overflows, whether it raises, evaluates to inf, or divides by a
+term that underflows to zero, reads inf, flagged ``overflow``; one whose
+nonzero factors round to 0.0 is flagged ``underflow``.  A flag ends the
+row's ``inputs`` as ``;vacuous=<flag>``.  A cap that is infinite by design,
+such as the drift cap of task 1 or at lambda = 0, is :data:`UNBOUNDED` and
+not flagged.  Bounds are always reported as "holds under the estimated
 constants": nothing here enforces an assumption, it only measures.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Real
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,6 +110,12 @@ class BoundReport:
     empirical: float | None
     satisfied: bool
     inputs: str
+
+    @property
+    def vacuous(self) -> str | None:
+        """The flag that ends ``inputs`` (``OVERFLOW`` or ``UNDERFLOW``), or None."""
+        _, flagged, flag = self.inputs.rpartition(";vacuous=")
+        return flag if flagged else None
 
 
 def _probe_points(
@@ -313,54 +325,48 @@ def estimate_constants(
     )
 
 
-class _InfiniteByDesign(Exception):
-    """Raised by a bound whose arguments make it infinite (vacuous) by design."""
+class _Unbounded(float):
+    """The type of :data:`UNBOUNDED`."""
 
 
-def _inf_on_overflow(bound):
-    """Report a bound whose float evaluation overflows as infinite (vacuous).
+# A cap that is infinite by design (no anchor, no curvature): an inf that
+# the bound formulas return and arithmetic never makes.
+UNBOUNDED = _Unbounded("inf")
+OVERFLOW, UNDERFLOW = "overflow", "underflow"
 
-    A term too large for a float either raises (``**``) or becomes inf
-    (``*`` and ``/``, as when a divisor such as ``lambda ** 2`` underflows
-    at a tiny positive lambda), and a divisor that underflows to zero
-    raises; each counts as an overflow.  A bound that is infinite by design
-    raises :class:`_InfiniteByDesign` instead.  The wrapped bound's
-    ``checked`` attribute returns ``(value, overflowed)``, which tells the
-    two kinds of inf apart.
+
+def evaluate(formula, *args) -> tuple[float, str | None]:
+    """``formula(*args)`` as a cap, with its flag: None, ``OVERFLOW`` or ``UNDERFLOW``.
+
+    An evaluation that raises ``OverflowError``, or ``ZeroDivisionError``
+    because a divisor underflowed to 0, or that gives inf, overflowed: it
+    reads inf.  An inf that is :data:`UNBOUNDED` is infinite by design and
+    has no flag.  A 0.0 from arguments that are all finite nonzero numbers
+    underflowed.
     """
-
-    def checked(*args, **kwargs):
-        try:
-            value = bound(*args, **kwargs)
-        except _InfiniteByDesign:
-            return math.inf, False
-        except (OverflowError, ZeroDivisionError):
-            return math.inf, True
-        return value, value == math.inf
-
-    @functools.wraps(bound)
-    def evaluate(*args, **kwargs):
-        return checked(*args, **kwargs)[0]
-
-    evaluate.checked = checked
-    return evaluate
+    try:
+        value = formula(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf, OVERFLOW
+    if value == math.inf and value is not UNBOUNDED:
+        return value, OVERFLOW
+    if value == 0.0 and all(isinstance(a, Real) and 0.0 < abs(a) < math.inf for a in args):
+        return value, UNDERFLOW
+    return value, None
 
 
-@_inf_on_overflow
 def drift_bound(gamma_g: float, gamma_l: float, epochs: int, b: float, lam: float) -> float:
     """Cap on ||theta_i^t - theta_i^0||^2 under the server anchor.
 
-    A zero lambda makes the bound vacuous (infinite), as does a value too
-    large for a float.
+    With no anchor (lambda = 0) it is :data:`UNBOUNDED`.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0.0:
-        raise _InfiniteByDesign
+        return UNBOUNDED
     return (gamma_g ** 2) * (gamma_l ** 2) * (epochs ** 2) * (b ** 2) / (lam ** 2)
 
 
-@_inf_on_overflow
 def bkt_bound(
     eps: float,
     sigma_l: float,
@@ -376,27 +382,27 @@ def bkt_bound(
     """Vanishing correction of the backward-transfer bound at round t.
 
     The caller adds the earlier-task loss at the task start to obtain the full
-    right-hand side.  A term too large for a float makes it infinite.
+    right-hand side.
     """
     if k < 2:
         raise ValueError("backward transfer needs at least two tasks")
     if t < 1:
         raise ValueError("t must be >= 1")
-    denom = (k - 1) * t * epochs * m * n * l_smooth * b ** 2
-    if denom == 0:
+    if l_smooth == 0 or b == 0:
         raise ValueError("bound denominator is zero; all constants must be positive")
+    denom = (k - 1) * t * epochs * m * n * l_smooth * b ** 2
     return 2.0 * eps ** 2 * sigma_l ** 2 * grad_norm_prev ** 2 / denom
 
 
-@_inf_on_overflow
 def psi_residual(
     consts: ConstantEstimates, hp: HyperParams, k: int, grad_norm_prev: float
 ) -> float:
     """The constant residual of the task-uniform convergence bound.
 
     Evaluated term by term; at N = M every partial-participation
-    term vanishes exactly, leaving the full-participation residual.  A term
-    too large for a float makes it infinite.
+    term vanishes exactly, leaving the full-participation residual.  At
+    lambda = 0 no anchor bounds the drift term, and the residual is
+    :data:`UNBOUNDED` unless that term is 0.
     """
     m, n = hp.num_clients, hp.participants_per_round
     if n > m:
@@ -415,7 +421,7 @@ def psi_residual(
     elif gl * e * l_s * b == 0.0:
         drift_b = 0.0
     else:
-        raise _InfiniteByDesign  # no anchor bounds the drift term
+        return UNBOUNDED
     term_b = drift_b + (k + 3.0 * gg * gl * e * k * l_s * partial / (1.0 + lam)) * b ** 2
     term_sg = 12.0 * gg * gl * e * k * l_s * partial * s_g ** 2 / (1.0 + lam)
     mid_coeff = (5.0 * gl ** 2 * k * e * l_s ** 2) + (
@@ -433,108 +439,249 @@ def psi_residual(
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 
-@_inf_on_overflow
-def _bkt_gamma_l_cap(
-    eps: float, gprev: float, b: float, l_smooth: float, epochs: int, t: int, m: int, lam: float
-) -> float:
-    """Retention cap on the local rate at round t; infinite if a term overflows."""
-    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
-    return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
-
-
-@_inf_on_overflow
-def _suggested_gamma_g(n: int, epochs: int, k: int, lam: float, l_smooth: float) -> float:
-    """Global rate of the suggested schedule; infinite if a term overflows."""
-    return math.sqrt(n * epochs) / ((k - 1) * lam * l_smooth)
-
-
-@dataclass
-class StepSizeReport:
-    """Step-size conditions of the retention and convergence bounds."""
-
-    conv_gamma_g_cap: float
-    conv_gamma_g_ok: bool
-    conv_gamma_l_cap: float
-    conv_gamma_l_ok: bool
-    conv_product_cap: float
-    conv_product_ok: bool
-    bkt_gamma_l_cap: float
-    bkt_gamma_l_ok: bool
-    bkt_gamma_l_overflowed: bool
-    bkt_gamma_g_cap: float
-    bkt_gamma_g_ok: bool
-    suggested_gamma_l: float
-    suggested_gamma_g: float
-    suggested_gamma_g_overflowed: bool
-
-
-def check_step_sizes(
-    hp: HyperParams,
-    consts: ConstantEstimates,
-    k: int,
-    t: int,
-    grad_norm_prev: float,
-) -> StepSizeReport:
-    """Evaluate every learning-rate condition at round ``t``.
-
-    The backward-transfer local-rate cap shrinks with t, so callers wanting
-    the strictest value over a run should pass the final round.  A cap too
-    large for a float is infinite, and ``bkt_gamma_l_overflowed`` and
-    ``suggested_gamma_g_overflowed`` tell such an inf apart from one by
-    design.
-    """
-    gg, gl = hp.gamma_g(k), hp.local_lr
-    e, lam = hp.local_epochs, hp.prox_lambda
-    m, n = hp.num_clients, hp.participants_per_round
-    l_s = consts.L
-
-    conv_gg_cap = 1.0 / (k - 1) if k >= 2 else math.inf
-    conv_gl_cap = 1.0 / (8.0 * e * l_s) if l_s > 0 else math.inf
-    conv_prod_cap = (1.0 + lam) / (3.0 * e * l_s) if l_s > 0 else math.inf
-
-    if lam > 0 and l_s > 0 and consts.B > 0 and consts.eps_bkt > 0 and k >= 2 and t >= 1:
-        bkt_gl_cap, bkt_gl_overflowed = _bkt_gamma_l_cap.checked(
-            consts.eps_bkt, grad_norm_prev, consts.B, l_s, e, t, m, lam
-        )
-    else:
-        # No anchor, no curvature, or a failed alignment premise admits no
-        # positive local rate.
-        bkt_gl_cap, bkt_gl_overflowed = 0.0, False
-    bkt_gg_cap = 1.0 / (math.sqrt(n) * (k - 1)) if k >= 2 else math.inf
-
-    if lam > 0 and l_s > 0:
-        suggested_gl = lam / (math.sqrt(k * hp.rounds_per_task) * e * l_s)
-    else:
-        suggested_gl = 0.0
-    if lam > 0 and l_s > 0 and k >= 2:
-        suggested_gg, suggested_gg_overflowed = _suggested_gamma_g.checked(n, e, k, lam, l_s)
-    else:
-        suggested_gg, suggested_gg_overflowed = math.inf, False
-
-    return StepSizeReport(
-        conv_gamma_g_cap=conv_gg_cap,
-        conv_gamma_g_ok=gg <= conv_gg_cap,
-        conv_gamma_l_cap=conv_gl_cap,
-        conv_gamma_l_ok=gl <= conv_gl_cap,
-        conv_product_cap=conv_prod_cap,
-        conv_product_ok=gg * gl <= conv_prod_cap,
-        bkt_gamma_l_cap=bkt_gl_cap,
-        bkt_gamma_l_ok=gl <= bkt_gl_cap,
-        bkt_gamma_l_overflowed=bkt_gl_overflowed,
-        bkt_gamma_g_cap=bkt_gg_cap,
-        bkt_gamma_g_ok=gg <= bkt_gg_cap,
-        suggested_gamma_l=suggested_gl,
-        suggested_gamma_g=suggested_gg,
-        suggested_gamma_g_overflowed=suggested_gg_overflowed,
-    )
-
-
 def sigma_t_alignment_bounds(eps_corr: float, b: float) -> tuple[float, float, bool]:
     """Both forms of the inter-task-gap cap under positive correlation.
 
     Returns the linear form (3 - 2e) * B^2, the tighter max(B^2, 2(1 - e) B^2)
     a direct expansion yields, and a flag set when the two differ.
     """
-    stated = (3.0 - 2.0 * eps_corr) * b ** 2
-    proof = max(b ** 2, 2.0 * (1.0 - eps_corr) * b ** 2)
+    stated, proof = _sigma_t_stated(eps_corr, b), _sigma_t_derived(eps_corr, b)
     return stated, proof, stated != proof
+
+
+def _sigma_t_stated(eps_corr: float, b: float) -> float:
+    return (3.0 - 2.0 * eps_corr) * b ** 2
+
+
+def _sigma_t_derived(eps_corr: float, b: float) -> float:
+    return max(b ** 2, 2.0 * (1.0 - eps_corr) * b ** 2)
+
+
+def _vanishing(
+    f_gap: float, k: int, lam: float, epochs: int, gg: float, gl: float, rounds: int
+) -> float:
+    """The vanishing term of the stationarity cap: the joint-loss gap over the step budget."""
+    return f_gap / ((1.0 - 1.0 / k) / (2.0 * (1.0 + lam)) * epochs * gg * gl * rounds)
+
+
+def _bkt_gamma_l_cap(
+    eps: float, gprev: float, b: float, l_smooth: float, epochs: int, t: int, m: int, lam: float
+) -> float:
+    """Retention cap on the local rate at round t."""
+    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
+    return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
+
+
+def _suggested_gamma_l(lam: float, k: int, rounds: int, epochs: int, l_smooth: float) -> float:
+    return lam / (math.sqrt(k * rounds) * epochs * l_smooth) if l_smooth > 0 else 0.0
+
+
+def _suggested_gamma_g(n: int, epochs: int, k: int, lam: float, l_smooth: float) -> float:
+    if lam > 0 and l_smooth > 0:
+        return math.sqrt(n * epochs) / ((k - 1) * lam * l_smooth)
+    return UNBOUNDED
+
+
+def _conv_gamma_l(epochs: int, l_smooth: float) -> float:
+    return 1.0 / (8.0 * epochs * l_smooth) if l_smooth > 0 else UNBOUNDED
+
+
+def _conv_product(lam: float, epochs: int, l_smooth: float) -> float:
+    return (1.0 + lam) / (3.0 * epochs * l_smooth) if l_smooth > 0 else UNBOUNDED
+
+
+def _summed(flags) -> str | None:
+    """The flag of a sum: an overflowed term makes it vacuous, an underflowed one does not."""
+    return OVERFLOW if OVERFLOW in flags else None
+
+
+# --- the bound table ----------------------------------------------------------
+#
+# A row is evaluated in scopes: the run's scope holds the inputs every row
+# reads, and a row's ``scopes`` yields one scope per row written, with the
+# row's own values added (none when the row does not apply).
+
+
+def _with(v: SimpleNamespace, **values) -> SimpleNamespace:
+    return SimpleNamespace(**vars(v), **values)
+
+
+def _when(test):
+    """Scopes of a row written once, when ``test(run)`` holds."""
+    return lambda v: [v] if test(v) else []
+
+
+def _tasks(v):
+    """One scope per task i: its global rate, largest local gradient norm and largest drift."""
+    for i in range(1, v.k + 1):
+        task = [r for r in v.records if r.task == i]
+        yield _with(
+            v, i=i, gg_i=v.hp.gamma_g(i),
+            b_hat=max(r.grad_norm_max for r in task), worst=max(r.drift_sq for r in task),
+        )
+
+
+def _retention(v):
+    """The tracked rounds of task K: the worst excess over the correction term at each."""
+    tracked = [r for r in v.records if r.task == v.k and r.prev_task_loss is not None]
+    if v.k < 2 or not tracked or not (v.c.B > 0 and v.c.L > 0):
+        return []
+    excess, flags = -math.inf, set()
+    for r in tracked:
+        args = (v.c.eps_bkt, v.c.sigma_l, v.gprev, v.k, r.round + 1, v.e, v.m, v.n, v.c.L, v.c.B)
+        corr, flag = evaluate(bkt_bound, *args)
+        excess = max(excess, r.prev_task_loss - corr)
+        flags.add(flag)
+    return [_with(v, tracked=len(tracked), excess=excess, flag=_summed(flags))]
+
+
+def _stationarity(v):
+    """The stationarity cap, vanishing term plus psi, and the smallest tracked joint gradient."""
+    joint = [r.joint_grad_sq for r in v.records if r.task == v.k and r.joint_grad_sq is not None]
+    if v.k < 2 or not joint or v.stats.best_joint_loss is None:
+        return []
+    psi, psi_flag = evaluate(psi_residual, v.c, v.hp, v.k, v.gprev)
+    f_gap = v.stats.f_joint_start - v.stats.best_joint_loss
+    vanishing, flag = evaluate(_vanishing, f_gap, v.k, v.lam, v.e, v.gg, v.gl, v.T)
+    return [_with(v, psi=psi, vanishing=vanishing, flag=_summed((psi_flag, flag)), observed=min(joint))]
+
+
+def _retention_rate(v):
+    """The retention cap on the local rate at the last round, and the first round it is broken."""
+    if v.k < 2:
+        return []
+    # No anchor, no curvature, or a failed alignment premise admits no
+    # positive local rate.
+    premise = v.lam > 0 and v.c.L > 0 and v.c.B > 0 and v.c.eps_bkt > 0
+
+    def cap(t):
+        args = (v.c.eps_bkt, v.gprev, v.c.B, v.c.L, v.e, t, v.m, v.lam)
+        return evaluate(_bkt_gamma_l_cap, *args) if premise else (0.0, None)
+
+    first = next((t for t in range(1, v.T + 1) if not v.gl <= cap(t)[0]), "none")
+    return [_with(v, rate_cap=cap(v.T), first=first)]
+
+
+def _aligned(v):
+    """Both sigma_T caps, when the positive-correlation premise holds."""
+    if v.k < 2 or not v.c.B > 0 or not 0.0 < v.c.eps_corr <= 1.0:
+        return []
+    stated = evaluate(_sigma_t_stated, v.c.eps_corr, v.c.B)
+    derived = evaluate(_sigma_t_derived, v.c.eps_corr, v.c.B)
+    forms = "forms_differ" if stated[0] != derived[0] else "forms_agree"
+    return [_with(v, stated=stated, derived=derived, forms=forms)]
+
+
+def _at_most(cap, empirical) -> bool:
+    return empirical <= cap
+
+
+def _always(cap, empirical) -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    """One row of ``bound_report.csv``, declared once.
+
+    ``name`` and ``inputs`` are ``str.format`` templates over a scope's
+    names; ``cap`` gives a scope's ``(cap, flag)``, through :func:`evaluate`
+    for a formula, and ``empirical`` its measured value.  A flag ends the
+    inputs as ``;vacuous=<flag>``.
+    """
+
+    name: str
+    scopes: Callable
+    cap: Callable
+    empirical: Callable
+    inputs: str
+    satisfied: Callable = _at_most
+
+    def report(self, v: SimpleNamespace) -> BoundReport:
+        (cap, flag), empirical = self.cap(v), self.empirical(v)
+        return BoundReport(
+            name=self.name.format_map(vars(v)),
+            analytical=cap,
+            empirical=empirical,
+            satisfied=self.satisfied(cap, empirical),
+            inputs=self.inputs.format_map(vars(v)) + (f";vacuous={flag}" if flag else ""),
+        )
+
+
+DRIFT_ROW = "drift_cap_task_{i}"
+_STEPS, _SUGGESTED = "evaluated_at_t={T}", "suggested-schedule;informational"
+_MULTITASK = _when(lambda v: v.k >= 2)
+
+# The rows in the order they are written.
+BOUND_ROWS = (
+    BoundRow(
+        DRIFT_ROW, _tasks,
+        # Task 1 trains without an anchor: its cap is that of lambda = 0.
+        lambda v: evaluate(drift_bound, v.gg_i, v.gl, v.e, v.b_hat, v.lam if v.i > 1 else 0.0),
+        lambda v: v.worst,
+        "gamma_g={gg_i!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}",
+    ),
+    BoundRow(
+        "bkt_loss_retention", _retention,
+        lambda v: (v.stats.f_prev_start, v.flag),
+        lambda v: v.excess,
+        "eps={c.eps_bkt!r};sigma_l={c.sigma_l!r};grad_norm_prev={gprev!r};rounds_tracked={tracked}",
+    ),
+    BoundRow(
+        "stationarity_residual", _stationarity,
+        lambda v: (v.vanishing + v.psi, v.flag),
+        lambda v: v.observed,
+        "psi={psi!r};vanishing={vanishing!r};f_star=best-observed-joint-loss-surrogate",
+    ),
+    BoundRow(
+        "stepsize_conv_gamma_g", _MULTITASK,
+        lambda v: evaluate(lambda k: 1.0 / (k - 1), v.k), lambda v: v.gg, _STEPS,
+    ),
+    BoundRow(
+        "stepsize_conv_gamma_l", _MULTITASK,
+        lambda v: evaluate(_conv_gamma_l, v.e, v.c.L), lambda v: v.gl, _STEPS,
+    ),
+    BoundRow(
+        "stepsize_conv_product", _MULTITASK,
+        lambda v: evaluate(_conv_product, v.lam, v.e, v.c.L), lambda v: v.gg * v.gl, _STEPS,
+    ),
+    BoundRow(
+        "stepsize_bkt_gamma_l", _retention_rate,
+        lambda v: v.rate_cap, lambda v: v.gl, _STEPS + ";first_violating_round={first}",
+    ),
+    BoundRow(
+        "stepsize_bkt_gamma_g", _MULTITASK,
+        lambda v: evaluate(lambda n, k: 1.0 / (math.sqrt(n) * (k - 1)), v.n, v.k), lambda v: v.gg, _STEPS,
+    ),
+    BoundRow(
+        "suggested_schedule_gamma_l", _MULTITASK,
+        lambda v: evaluate(_suggested_gamma_l, v.lam, v.k, v.T, v.e, v.c.L), lambda v: v.gl,
+        _SUGGESTED, _always,
+    ),
+    BoundRow(
+        "suggested_schedule_gamma_g", _MULTITASK,
+        lambda v: evaluate(_suggested_gamma_g, v.n, v.e, v.k, v.lam, v.c.L), lambda v: v.gg,
+        _SUGGESTED, _always,
+    ),
+    BoundRow(
+        "sigma_t_cap_stated", _aligned,
+        lambda v: v.stated, lambda v: v.c.sigma_t ** 2, "eps_corr={c.eps_corr!r};{forms}",
+    ),
+    BoundRow(
+        "sigma_t_cap_derived", _aligned,
+        lambda v: v.derived, lambda v: v.c.sigma_t ** 2, "eps_corr={c.eps_corr!r};{forms}",
+    ),
+    BoundRow(
+        "sigma_t_cap_premise",
+        _when(lambda v: v.k >= 2 and v.c.B > 0 and not 0.0 < v.c.eps_corr <= 1.0),
+        lambda v: (None, None), lambda v: v.c.eps_corr,
+        "positive-correlation premise fails;cap not applicable", _always,
+    ),
+    BoundRow(
+        "smoothness_model_flag",
+        _when(lambda v: v.spec.kind == "mlp1" and v.spec.activation == "relu"),
+        lambda v: (None, None), lambda v: None,
+        "relu activation is not L-smooth;L estimate is a probe max only",
+        lambda cap, empirical: False,
+    ),
+)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -10,6 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from fdilsim import (
+    BoundReport,
     ClientShard,
     ClientUpdate,
     ConstantEstimates,
@@ -31,6 +33,7 @@ from fdilsim.client import (
     prox_map,
     task_pool,
 )
+from fdilsim.experiment import effective_lambda
 from fdilsim.models import row_dots
 from fdilsim.server import RunStats
 
@@ -484,3 +487,331 @@ def joint_fields_loop(
         final = joint_prefixes(spec, round_params[-1], shards_by_task)[-1][0]
         stats.best_joint_loss = min(stats.best_joint_loss, final)
     return fields, stats
+
+
+# --- The bound layer before the bound table, kept as a reference ------------
+#
+# ``build_bound_reports_reference`` is the hand-assembled bound builder that
+# the table in ``fdilsim.theory`` replaced, with the formulas it called.  A
+# cap whose float evaluation overflows reads inf and is flagged, one that is
+# infinite by design is not; an underflowed cap reads 0 unflagged, and a
+# divisor that underflows outside the decorated formulas raises.
+
+
+class _InfiniteByDesignReference(Exception):
+    """Raised by a reference bound whose arguments make it infinite by design."""
+
+
+def _inf_on_overflow_reference(bound):
+    """``bound`` reporting an overflow as inf; ``.checked`` returns ``(value, overflowed)``."""
+
+    def checked(*args, **kwargs):
+        try:
+            value = bound(*args, **kwargs)
+        except _InfiniteByDesignReference:
+            return math.inf, False
+        except (OverflowError, ZeroDivisionError):
+            return math.inf, True
+        return value, value == math.inf
+
+    @functools.wraps(bound)
+    def evaluate(*args, **kwargs):
+        return checked(*args, **kwargs)[0]
+
+    evaluate.checked = checked
+    return evaluate
+
+
+@_inf_on_overflow_reference
+def drift_bound_reference(gamma_g, gamma_l, epochs, b, lam):
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if lam == 0.0:
+        raise _InfiniteByDesignReference
+    return (gamma_g ** 2) * (gamma_l ** 2) * (epochs ** 2) * (b ** 2) / (lam ** 2)
+
+
+@_inf_on_overflow_reference
+def bkt_bound_reference(eps, sigma_l, grad_norm_prev, k, t, epochs, m, n, l_smooth, b):
+    if k < 2:
+        raise ValueError("backward transfer needs at least two tasks")
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    denom = (k - 1) * t * epochs * m * n * l_smooth * b ** 2
+    if denom == 0:
+        raise ValueError("bound denominator is zero; all constants must be positive")
+    return 2.0 * eps ** 2 * sigma_l ** 2 * grad_norm_prev ** 2 / denom
+
+
+@_inf_on_overflow_reference
+def psi_residual_reference(consts, hp, k, grad_norm_prev):
+    m, n = hp.num_clients, hp.participants_per_round
+    if n > m:
+        raise ValueError("participants_per_round cannot exceed num_clients")
+    gg, gl = hp.gamma_g(k), hp.local_lr
+    e, lam = hp.local_epochs, hp.prox_lambda
+    l_s, b = consts.L, consts.B
+    s_l, s_g, s_t = consts.sigma_l, consts.sigma_g, consts.sigma_t
+
+    if m == 1:
+        partial = 0.0
+    else:
+        partial = (m - n) / (n * (m - 1))
+    if lam > 0.0:
+        drift_b = gl ** 2 * e ** 2 * l_s ** 2 * b ** 2 / lam ** 2
+    elif gl * e * l_s * b == 0.0:
+        drift_b = 0.0
+    else:
+        raise _InfiniteByDesignReference
+    term_b = drift_b + (k + 3.0 * gg * gl * e * k * l_s * partial / (1.0 + lam)) * b ** 2
+    term_sg = 12.0 * gg * gl * e * k * l_s * partial * s_g ** 2 / (1.0 + lam)
+    mid_coeff = (5.0 * gl ** 2 * k * e * l_s ** 2) + (
+        60.0 * gg * gl ** 3 * e ** 2 * k * l_s ** 3 * partial / (1.0 + lam)
+    )
+    term_mid = mid_coeff * (s_l ** 2 + 6.0 * e * s_g ** 2)
+    term_sl = 3.0 * gg * gl * l_s * s_l ** 2 / (2.0 * n * (1.0 + lam))
+    term_st = (
+        ((k - 1) ** 2 * e / k)
+        * (3.0 * gg * gl * l_s / (1.0 + lam))
+        * (0.5 + 4.0 * partial)
+        * s_t ** 2
+    )
+    bracket = term_b + term_sg + term_mid + term_sl + term_st + grad_norm_prev ** 2
+    return 2.0 / (1.0 - 1.0 / k) * bracket
+
+
+@_inf_on_overflow_reference
+def _bkt_gamma_l_cap_reference(eps, gprev, b, l_smooth, epochs, t, m, lam):
+    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
+    return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
+
+
+@_inf_on_overflow_reference
+def _suggested_gamma_g_reference(n, epochs, k, lam, l_smooth):
+    return math.sqrt(n * epochs) / ((k - 1) * lam * l_smooth)
+
+
+@dataclass
+class StepSizeReference:
+    """The step-size conditions of the reference, one field each."""
+
+    conv_gamma_g_cap: float
+    conv_gamma_g_ok: bool
+    conv_gamma_l_cap: float
+    conv_gamma_l_ok: bool
+    conv_product_cap: float
+    conv_product_ok: bool
+    bkt_gamma_l_cap: float
+    bkt_gamma_l_ok: bool
+    bkt_gamma_l_overflowed: bool
+    bkt_gamma_g_cap: float
+    bkt_gamma_g_ok: bool
+    suggested_gamma_l: float
+    suggested_gamma_g: float
+    suggested_gamma_g_overflowed: bool
+
+
+def check_step_sizes_reference(hp, consts, k, t, grad_norm_prev) -> StepSizeReference:
+    """Every learning-rate condition at round ``t``, as the reference builder evaluates them."""
+    gg, gl = hp.gamma_g(k), hp.local_lr
+    e, lam = hp.local_epochs, hp.prox_lambda
+    m, n = hp.num_clients, hp.participants_per_round
+    l_s = consts.L
+
+    conv_gg_cap = 1.0 / (k - 1) if k >= 2 else math.inf
+    conv_gl_cap = 1.0 / (8.0 * e * l_s) if l_s > 0 else math.inf
+    conv_prod_cap = (1.0 + lam) / (3.0 * e * l_s) if l_s > 0 else math.inf
+
+    if lam > 0 and l_s > 0 and consts.B > 0 and consts.eps_bkt > 0 and k >= 2 and t >= 1:
+        bkt_gl_cap, bkt_gl_overflowed = _bkt_gamma_l_cap_reference.checked(
+            consts.eps_bkt, grad_norm_prev, consts.B, l_s, e, t, m, lam
+        )
+    else:
+        bkt_gl_cap, bkt_gl_overflowed = 0.0, False
+    bkt_gg_cap = 1.0 / (math.sqrt(n) * (k - 1)) if k >= 2 else math.inf
+
+    if lam > 0 and l_s > 0:
+        suggested_gl = lam / (math.sqrt(k * hp.rounds_per_task) * e * l_s)
+    else:
+        suggested_gl = 0.0
+    if lam > 0 and l_s > 0 and k >= 2:
+        suggested_gg, suggested_gg_overflowed = _suggested_gamma_g_reference.checked(n, e, k, lam, l_s)
+    else:
+        suggested_gg, suggested_gg_overflowed = math.inf, False
+
+    return StepSizeReference(
+        conv_gamma_g_cap=conv_gg_cap,
+        conv_gamma_g_ok=gg <= conv_gg_cap,
+        conv_gamma_l_cap=conv_gl_cap,
+        conv_gamma_l_ok=gl <= conv_gl_cap,
+        conv_product_cap=conv_prod_cap,
+        conv_product_ok=gg * gl <= conv_prod_cap,
+        bkt_gamma_l_cap=bkt_gl_cap,
+        bkt_gamma_l_ok=gl <= bkt_gl_cap,
+        bkt_gamma_l_overflowed=bkt_gl_overflowed,
+        bkt_gamma_g_cap=bkt_gg_cap,
+        bkt_gamma_g_ok=gg <= bkt_gg_cap,
+        suggested_gamma_l=suggested_gl,
+        suggested_gamma_g=suggested_gg,
+        suggested_gamma_g_overflowed=suggested_gg_overflowed,
+    )
+
+
+def _overflow_note_reference(overflowed: bool) -> str:
+    return ";vacuous=overflow" if overflowed else ""
+
+
+def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -> list[BoundReport]:
+    """Every bound row, assembled by hand as the builder did before the bound table."""
+    reports: list[BoundReport] = []
+    lam = effective_lambda(hp)
+    hp_eff = hp if hp.prox_lambda == lam else dataclasses.replace(hp, prox_lambda=lam)
+    k = num_tasks
+    e, gl = hp.local_epochs, hp.local_lr
+    m, n = hp.num_clients, hp.participants_per_round
+
+    for i in range(1, k + 1):
+        task_records = [r for r in records if r.task == i]
+        b_hat = max(r.grad_norm_max for r in task_records)
+        worst = max(r.drift_sq for r in task_records)
+        overflowed = False
+        if i >= 2:
+            cap, overflowed = drift_bound_reference.checked(hp.gamma_g(i), gl, e, b_hat, lam)
+            satisfied = worst <= cap
+        else:
+            cap = math.inf
+            satisfied = True
+        reports.append(
+            BoundReport(
+                name=f"drift_cap_task_{i}",
+                analytical=cap,
+                empirical=worst,
+                satisfied=satisfied,
+                inputs=f"gamma_g={hp.gamma_g(i)!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}"
+                + _overflow_note_reference(overflowed),
+            )
+        )
+
+    if k >= 2:
+        gprev = math.sqrt(stats.grad_norm_prev_sq)
+        tracked = [r for r in records if r.task == k and r.prev_task_loss is not None]
+        if tracked and consts.B > 0 and consts.L > 0:
+            worst_excess = -math.inf
+            overflowed = False
+            for r in tracked:
+                corr, corr_overflowed = bkt_bound_reference.checked(
+                    consts.eps_bkt, consts.sigma_l, gprev, k, r.round + 1, e, m, n,
+                    consts.L, consts.B,
+                )
+                worst_excess = max(worst_excess, r.prev_task_loss - corr)
+                overflowed = overflowed or corr_overflowed
+            reports.append(
+                BoundReport(
+                    name="bkt_loss_retention",
+                    analytical=stats.f_prev_start,
+                    empirical=worst_excess,
+                    satisfied=worst_excess <= stats.f_prev_start,
+                    inputs=f"eps={consts.eps_bkt!r};sigma_l={consts.sigma_l!r};"
+                    f"grad_norm_prev={gprev!r};rounds_tracked={len(tracked)}"
+                    + _overflow_note_reference(overflowed),
+                )
+            )
+
+        joint = [r.joint_grad_sq for r in records if r.task == k and r.joint_grad_sq is not None]
+        if joint and stats.best_joint_loss is not None:
+            psi, overflowed = psi_residual_reference.checked(consts, hp_eff, k, gprev)
+            denom = (1.0 - 1.0 / k) / (2.0 * (1.0 + lam)) * e * hp.gamma_g(k) * gl * hp.rounds_per_task
+            vanishing = (stats.f_joint_start - stats.best_joint_loss) / denom
+            cap = vanishing + psi
+            observed = min(joint)
+            reports.append(
+                BoundReport(
+                    name="stationarity_residual",
+                    analytical=cap,
+                    empirical=observed,
+                    satisfied=observed <= cap,
+                    inputs=f"psi={psi!r};vanishing={vanishing!r};"
+                    "f_star=best-observed-joint-loss-surrogate" + _overflow_note_reference(overflowed),
+                )
+            )
+
+        steps = check_step_sizes_reference(hp_eff, consts, k, hp.rounds_per_task, gprev)
+        first_violation = None
+        for t in range(1, hp.rounds_per_task + 1):
+            if not check_step_sizes_reference(hp_eff, consts, k, t, gprev).bkt_gamma_l_ok:
+                first_violation = t
+                break
+        for name, cap, actual, ok, note in (
+            ("stepsize_conv_gamma_g", steps.conv_gamma_g_cap, hp.gamma_g(k), steps.conv_gamma_g_ok, ""),
+            ("stepsize_conv_gamma_l", steps.conv_gamma_l_cap, gl, steps.conv_gamma_l_ok, ""),
+            ("stepsize_conv_product", steps.conv_product_cap, hp.gamma_g(k) * gl, steps.conv_product_ok, ""),
+            (
+                "stepsize_bkt_gamma_l", steps.bkt_gamma_l_cap, gl, steps.bkt_gamma_l_ok,
+                f";first_violating_round={first_violation if first_violation is not None else 'none'}"
+                + _overflow_note_reference(steps.bkt_gamma_l_overflowed),
+            ),
+            ("stepsize_bkt_gamma_g", steps.bkt_gamma_g_cap, hp.gamma_g(k), steps.bkt_gamma_g_ok, ""),
+        ):
+            reports.append(
+                BoundReport(
+                    name=name, analytical=cap, empirical=actual, satisfied=ok,
+                    inputs=f"evaluated_at_t={hp.rounds_per_task}" + note,
+                )
+            )
+        reports.append(
+            BoundReport(
+                name="suggested_schedule_gamma_l",
+                analytical=steps.suggested_gamma_l,
+                empirical=gl,
+                satisfied=True,
+                inputs="suggested-schedule;informational",
+            )
+        )
+        reports.append(
+            BoundReport(
+                name="suggested_schedule_gamma_g",
+                analytical=steps.suggested_gamma_g,
+                empirical=hp.gamma_g(k),
+                satisfied=True,
+                inputs="suggested-schedule;informational"
+                + _overflow_note_reference(steps.suggested_gamma_g_overflowed),
+            )
+        )
+
+    if k >= 2 and consts.B > 0:
+        if 0.0 < consts.eps_corr <= 1.0:
+            stated = (3.0 - 2.0 * consts.eps_corr) * consts.B ** 2
+            proof = max(consts.B ** 2, 2.0 * (1.0 - consts.eps_corr) * consts.B ** 2)
+            note = "forms_differ" if stated != proof else "forms_agree"
+            for name, cap in (("sigma_t_cap_stated", stated), ("sigma_t_cap_derived", proof)):
+                reports.append(
+                    BoundReport(
+                        name=name,
+                        analytical=cap,
+                        empirical=consts.sigma_t ** 2,
+                        satisfied=consts.sigma_t ** 2 <= cap,
+                        inputs=f"eps_corr={consts.eps_corr!r};{note}",
+                    )
+                )
+        else:
+            reports.append(
+                BoundReport(
+                    name="sigma_t_cap_premise",
+                    analytical=None,
+                    empirical=consts.eps_corr,
+                    satisfied=True,
+                    inputs="positive-correlation premise fails;cap not applicable",
+                )
+            )
+
+    if spec.kind == "mlp1" and spec.activation == "relu":
+        reports.append(
+            BoundReport(
+                name="smoothness_model_flag",
+                analytical=None,
+                empirical=None,
+                satisfied=False,
+                inputs="relu activation is not L-smooth;L estimate is a probe max only",
+            )
+        )
+    return reports

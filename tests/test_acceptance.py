@@ -32,7 +32,7 @@ from fdilsim.datagen import DomainShiftSpec
 from fdilsim.metrics import acc, bwt
 from fdilsim.models import accuracy
 from fdilsim.server import EvalConfig
-from fdilsim.theory import check_step_sizes, drift_bound
+from fdilsim.theory import drift_bound
 from conftest import small_config
 from helpers import central_difference_grad, gradient_descent_minimize, psi_full_participation
 from test_theory import (
@@ -42,6 +42,7 @@ from test_theory import (
     SCHED_GL_FROZEN,
     SCHED_GG_FROZEN,
     make_hp,
+    step_rows,
     unit_consts,
 )
 
@@ -322,9 +323,11 @@ def test_criterion_10_formula_regressions():
     drift = drift_bound(1.0, 0.1, 5, 2.0, 0.5)
     assert abs(drift - DRIFT_FROZEN) <= 1e-12 * DRIFT_FROZEN
 
-    sched = check_step_sizes(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 5, 100, 1.0)
-    assert abs(sched.suggested_gamma_l - SCHED_GL_FROZEN) <= 1e-12 * SCHED_GL_FROZEN
-    assert abs(sched.suggested_gamma_g - SCHED_GG_FROZEN) <= 1e-12 * SCHED_GG_FROZEN
+    rows = step_rows(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 5, 1.0)
+    suggested_gl = rows["suggested_schedule_gamma_l"].analytical
+    suggested_gg = rows["suggested_schedule_gamma_g"].analytical
+    assert abs(suggested_gl - SCHED_GL_FROZEN) <= 1e-12 * SCHED_GL_FROZEN
+    assert abs(suggested_gg - SCHED_GG_FROZEN) <= 1e-12 * SCHED_GG_FROZEN
 
     for lam in (0.1, 0.25, 1.0, 3.0):
         hp = make_hp(participants_per_round=8, prox_lambda=lam)

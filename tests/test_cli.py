@@ -400,6 +400,48 @@ def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
     assert "vacuous=overflow" not in rows["drift_cap_task_1"]
 
 
+@pytest.mark.parametrize("lr", ["1e-300", "5e-324"])
+def test_tiny_local_rate_flags_underflowed_caps_and_verifies(tmp_path, capsys, lr):
+    # gamma_l ** 2 underflows to 0, so the anchored drift caps read 0, while
+    # the server blend's rounding leaves a drift near 1e-36 in task 2: run
+    # reported it violated and verify failed.  At 5e-324 the stationarity
+    # cap's divisor underflows to 0 too, which ended run in a traceback.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    config = tmp_path / "tiny_rate.ini"
+    config.write_text(text.replace("local_lr = 0.001", f"local_lr = {lr}"), encoding="utf-8")
+    out = tmp_path / "tiny_rate"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("run complete: ")
+    assert lines[1].startswith("bounds: ") and "drift_cap" not in lines[1]
+    assert main(["verify", str(out)]) == 0
+    rows = {
+        line.split(",")[0]: line
+        for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
+    }
+    for name in ("drift_cap_task_2", "drift_cap_task_3"):
+        assert rows[name].split(",")[1] == "0"
+        assert rows[name].endswith(";vacuous=underflow")
+    assert rows["drift_cap_task_2"].split(",")[3] == "false"
+    stationarity = rows["stationarity_residual"]
+    assert stationarity.endswith(";vacuous=overflow") == (lr == "5e-324")
+
+
+def test_small_representable_drift_cap_stays_violated(tmp_path, capsys):
+    # At local_lr = 1e-20 the drift cap of task 2 is about 4e-38: representable,
+    # and below the drift the blend's rounding leaves, so it is not masked.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    config = tmp_path / "small_rate.ini"
+    config.write_text(text.replace("local_lr = 0.001", "local_lr = 1e-20"), encoding="utf-8")
+    out = tmp_path / "small_rate"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert "drift_cap_task_2" in capsys.readouterr().out.splitlines()[1]
+    assert main(["verify", str(out)]) == 2
+    assert "task 2 round 19: drift" in capsys.readouterr().out
+
+
 def test_run_prints_bound_summary(tmp_path, capsys):
     profile = Path(__file__).resolve().parent.parent / "profiles" / "default.ini"
     assert main(["run", str(profile), "--out", str(tmp_path / "default")]) == 0

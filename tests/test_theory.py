@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fdilsim import (
     ClientShard,
@@ -16,8 +18,9 @@ from fdilsim import (
     PartitionSpec,
     ProbeConfig,
     TaskSequence,
+    RoundRecord,
     bkt_bound,
-    check_step_sizes,
+    build_bound_reports,
     drift_bound,
     estimate_constants,
     generate_sequence,
@@ -28,10 +31,17 @@ from fdilsim import (
 from fdilsim import theory
 from fdilsim.config import parse_config
 from fdilsim.datagen import TaskData
-from fdilsim.theory import ProbeScaleError, _cosines
+from fdilsim.runio import BOUND_COLUMNS, _write_rows
+from fdilsim.server import ALGORITHMS, SCHEDULES, RunStats
+from fdilsim.theory import OVERFLOW, UNDERFLOW, ProbeScaleError, _cosines, evaluate
 from fdilsim.models import param_count
 from test_datagen import make_shift
-from helpers import _cosine, estimate_constants_loop, psi_full_participation
+from helpers import (
+    _cosine,
+    build_bound_reports_reference,
+    estimate_constants_loop,
+    psi_full_participation,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ModelSpec("logreg", 2, 3)
@@ -72,6 +82,21 @@ def make_hp(**overrides):
     return HyperParams(**base)
 
 
+def step_rows(hp, consts, k, grad_norm_prev):
+    """The bound rows of a run with these settings, by name, evaluated at t = rounds_per_task.
+
+    The step-size and suggested-schedule rows read no round record.
+    """
+    records = [
+        RoundRecord(i, t, (0,), 0.0, 0.0, None, None, 1.0, 1.0, None)
+        for i in range(1, k + 1)
+        for t in range(hp.rounds_per_task)
+    ]
+    stats = RunStats(grad_norm_prev_sq=grad_norm_prev ** 2)
+    reports = build_bound_reports(SPEC, hp, k, records, consts, stats)
+    return {report.name: report for report in reports}
+
+
 # --- drift bound ------------------------------------------------------------
 
 def test_drift_bound_formula():
@@ -92,11 +117,11 @@ def test_drift_bound_lambda_scaling():
 
 
 def test_bound_calculators_report_overflow_as_inf():
-    assert drift_bound(1.0, 1e300, 5, 2.0, 0.5) == math.inf
-    assert bkt_bound(0.5, 1e300, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == math.inf
-    assert psi_residual(unit_consts(), make_hp(local_lr=1e300), 2, 1.0) == math.inf
-    report = check_step_sizes(make_hp(prox_lambda=1e300), unit_consts(), 2, 100, 1.0)
-    assert report.bkt_gamma_l_cap == math.inf and report.bkt_gamma_l_ok
+    assert evaluate(drift_bound, 1.0, 1e300, 5, 2.0, 0.5) == (math.inf, OVERFLOW)
+    assert evaluate(bkt_bound, 0.5, 1e300, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == (math.inf, OVERFLOW)
+    assert evaluate(psi_residual, unit_consts(), make_hp(local_lr=1e300), 2, 1.0) == (math.inf, OVERFLOW)
+    row = step_rows(make_hp(prox_lambda=1e300), unit_consts(), 2, 1.0)["stepsize_bkt_gamma_l"]
+    assert row.analytical == math.inf and row.satisfied
 
 
 @pytest.mark.parametrize("lam", [1e-200, 5e-324])
@@ -105,25 +130,37 @@ def test_tiny_lambda_reports_underflowed_divisors_as_overflow(lam):
     # 5e-324 with K = 2 and L = 0.3: each division used to raise
     # ZeroDivisionError.
     assert lam ** 2 == 0.0
-    assert drift_bound.checked(1.0, 0.1, 5, 2.0, lam) == (math.inf, True)
-    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=lam), 2, 1.0) == (math.inf, True)
-    report = check_step_sizes(make_hp(prox_lambda=lam), unit_consts(L=0.3), 2, 100, 1.0)
+    assert evaluate(drift_bound, 1.0, 0.1, 5, 2.0, lam) == (math.inf, OVERFLOW)
+    assert evaluate(psi_residual, unit_consts(), make_hp(prox_lambda=lam), 2, 1.0) == (math.inf, OVERFLOW)
+    row = step_rows(make_hp(prox_lambda=lam), unit_consts(L=0.3), 2, 1.0)["suggested_schedule_gamma_g"]
     if lam == 5e-324:
-        assert (report.suggested_gamma_g, report.suggested_gamma_g_overflowed) == (math.inf, True)
+        assert (row.analytical, row.vacuous) == (math.inf, OVERFLOW)
     else:
-        assert math.isfinite(report.suggested_gamma_g) and not report.suggested_gamma_g_overflowed
+        assert math.isfinite(row.analytical) and row.vacuous is None
 
 
 def test_formula_that_evaluates_to_inf_is_flagged_and_inf_by_design_is_not():
     # lambda ** 2 = 1e-320 is subnormal, not 0: the quotients become inf
     # through "/" without raising.  2.0 * 1e308 becomes inf through "*".
-    assert drift_bound.checked(1.0, 0.1, 5, 2.0, 1e-160) == (math.inf, True)
-    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=1e-160), 2, 1.0) == (math.inf, True)
-    assert bkt_bound.checked(1.0, 1e154, 1e154, 2, 1, 1, 1, 1, 1.0, 1.0) == (math.inf, True)
+    assert evaluate(drift_bound, 1.0, 0.1, 5, 2.0, 1e-160) == (math.inf, OVERFLOW)
+    assert evaluate(psi_residual, unit_consts(), make_hp(prox_lambda=1e-160), 2, 1.0) == (math.inf, OVERFLOW)
+    assert evaluate(bkt_bound, 1.0, 1e154, 1e154, 2, 1, 1, 1, 1, 1.0, 1.0) == (math.inf, OVERFLOW)
     # No anchor at lambda = 0: the drift cap and psi's drift term are inf by design.
-    assert drift_bound.checked(1.0, 0.1, 5, 2.0, 0.0) == (math.inf, False)
-    assert psi_residual.checked(unit_consts(), make_hp(prox_lambda=0.0), 2, 1.0) == (math.inf, False)
-    assert not drift_bound.checked(1.0, 0.1, 5, 2.0, 0.5)[1]
+    assert evaluate(drift_bound, 1.0, 0.1, 5, 2.0, 0.0) == (math.inf, None)
+    assert evaluate(psi_residual, unit_consts(), make_hp(prox_lambda=0.0), 2, 1.0) == (math.inf, None)
+    assert evaluate(drift_bound, 1.0, 0.1, 5, 2.0, 0.5)[1] is None
+
+
+def test_formula_that_rounds_to_zero_is_flagged_and_zero_by_a_factor_is_not():
+    # gamma_l ** 2 = 1e-600 rounds to 0.0, though no factor is 0.
+    assert evaluate(drift_bound, 0.5, 1e-300, 5, 2.0, 0.25) == (0.0, UNDERFLOW)
+    assert evaluate(bkt_bound, 0.5, 1e-200, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == (0.0, UNDERFLOW)
+    # A zero factor makes the cap exactly 0, and a tiny cap that is
+    # representable is not masked.
+    assert evaluate(drift_bound, 0.5, 1e-300, 5, 0.0, 0.25) == (0.0, None)
+    assert evaluate(bkt_bound, 0.5, 0.0, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == (0.0, None)
+    cap, flag = evaluate(drift_bound, 0.5, 1e-20, 5, 2.063481500700561, 0.25)
+    assert 0.0 < cap < 1e-37 and flag is None
 
 
 # --- backward-transfer correction -------------------------------------------
@@ -208,24 +245,114 @@ def test_psi_rejects_oversampling():
 # --- step sizes ---------------------------------------------------------------
 
 def test_step_size_caps():
-    report = check_step_sizes(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 2, 100, 1.0)
-    assert report.conv_gamma_l_cap == pytest.approx(1.0 / 40.0, rel=1e-12)
-    assert report.conv_gamma_g_cap == pytest.approx(1.0, rel=1e-12)
-    assert report.conv_product_cap == pytest.approx(1.25 / 15.0, rel=1e-12)
-    assert report.conv_gamma_l_ok and report.conv_gamma_g_ok and report.conv_product_ok
-    assert report.bkt_gamma_g_cap == pytest.approx(0.5, rel=1e-12)
+    rows = step_rows(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 2, 1.0)
+    assert rows["stepsize_conv_gamma_l"].analytical == pytest.approx(1.0 / 40.0, rel=1e-12)
+    assert rows["stepsize_conv_gamma_g"].analytical == pytest.approx(1.0, rel=1e-12)
+    assert rows["stepsize_conv_product"].analytical == pytest.approx(1.25 / 15.0, rel=1e-12)
+    assert all(rows[f"stepsize_conv_{name}"].satisfied for name in ("gamma_l", "gamma_g", "product"))
+    assert rows["stepsize_bkt_gamma_g"].analytical == pytest.approx(0.5, rel=1e-12)
 
 
 def test_suggested_schedule_frozen():
-    report = check_step_sizes(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 5, 100, 1.0)
-    assert report.suggested_gamma_l == pytest.approx(SCHED_GL_FROZEN, rel=1e-12)
-    assert report.suggested_gamma_g == pytest.approx(SCHED_GG_FROZEN, rel=1e-12)
+    rows = step_rows(make_hp(local_lr=0.001), unit_consts(eps_bkt=1.0), 5, 1.0)
+    assert rows["suggested_schedule_gamma_l"].analytical == pytest.approx(SCHED_GL_FROZEN, rel=1e-12)
+    assert rows["suggested_schedule_gamma_g"].analytical == pytest.approx(SCHED_GG_FROZEN, rel=1e-12)
 
 
 def test_bkt_cap_shrinks_with_round():
-    early = check_step_sizes(make_hp(), unit_consts(), 2, 1, 1.0)
-    late = check_step_sizes(make_hp(), unit_consts(), 2, 100, 1.0)
-    assert late.bkt_gamma_l_cap == pytest.approx(early.bkt_gamma_l_cap / 100.0, rel=1e-12)
+    early = step_rows(make_hp(rounds_per_task=1), unit_consts(), 2, 1.0)["stepsize_bkt_gamma_l"]
+    late = step_rows(make_hp(), unit_consts(), 2, 1.0)["stepsize_bkt_gamma_l"]
+    assert late.analytical == pytest.approx(early.analytical / 100.0, rel=1e-12)
+
+
+# --- the bound table against the hand-assembled reference ---------------------
+
+# 0, +inf and magnitudes from 1e-300 to 1e300, with moderate values weighted up
+# so that the premises of the step-size and sigma_T rows hold often.
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, math.inf]), st.floats(1e-300, 1e300), st.floats(1e-3, 1e3)
+)
+SIGNED = st.one_of(MAGNITUDES, MAGNITUDES.map(lambda x: -x), st.floats(-1.0, 1.0))
+RATES = st.one_of(st.floats(1e-300, 1e300), st.floats(1e-4, 1.0), st.just(5e-324))
+
+
+@st.composite
+def bound_inputs(draw):
+    """Records, constants, hyperparameters and stats of a run, as the bound builder reads them.
+
+    Norms and losses are >= 0, a sigma is the root of a drawn value (as the
+    estimator makes it), and the best joint loss is at most the start loss.
+    """
+    k, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    hp = HyperParams(
+        num_clients=m,
+        participants_per_round=draw(st.integers(1, m)),
+        rounds_per_task=rounds,
+        local_epochs=draw(st.integers(1, 6)),
+        local_lr=draw(RATES),
+        batch_size=1,
+        global_lr_schedule=draw(st.sampled_from(SCHEDULES)),
+        global_lr=draw(RATES),
+        prox_lambda=draw(st.one_of(st.just(0.0), RATES)),
+        algorithm=draw(st.sampled_from(("special",) + ALGORITHMS)),
+    )
+    mlp = ModelSpec("mlp1", 2, 3, hidden_dim=4)
+    spec = draw(st.sampled_from([SPEC, mlp, replace(mlp, activation="relu")]))
+    # Each task's largest drift and local gradient norm are in its first round;
+    # only task K's joint gradients and earlier-task losses are read.
+    optional = st.one_of(st.none(), MAGNITUDES)
+    records = []
+    for i in range(1, k + 1):
+        drift, grad_norm = draw(MAGNITUDES), draw(MAGNITUDES)
+        for t in range(rounds):
+            joint, prev = (draw(optional), draw(optional)) if i == k else (None, None)
+            top = (drift, grad_norm) if t == 0 else (0.0, 0.0)
+            records.append(RoundRecord(i, t, (0,), 0.0, top[0], joint, prev, top[1], 0.0, None))
+    root = MAGNITUDES.map(math.sqrt)
+    consts = ConstantEstimates(
+        B=draw(MAGNITUDES), L=draw(MAGNITUDES), sigma_l=draw(root), sigma_g=draw(root),
+        sigma_t=draw(root), eps_bkt=draw(SIGNED), eps_corr=draw(SIGNED),
+        num_probe_points=2, num_minibatch_draws=1,
+    )
+    f_joint_start = draw(MAGNITUDES)
+    best = st.one_of(st.just(f_joint_start), st.floats(0.0, f_joint_start))
+    stats = RunStats(
+        grad_norm_prev_sq=draw(MAGNITUDES),
+        f_prev_start=draw(MAGNITUDES),
+        f_joint_start=f_joint_start,
+        best_joint_loss=draw(st.one_of(st.none(), best)),
+    )
+    return spec, hp, k, records, consts, stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=bound_inputs())
+def test_bound_table_matches_the_hand_assembled_reference(inputs):
+    rows = _write_rows(build_bound_reports(*inputs), BOUND_COLUMNS)
+    try:
+        expected = _write_rows(build_bound_reports_reference(*inputs), BOUND_COLUMNS)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        # The reference raised: a divisor of the vanishing term or of the
+        # retention correction underflowed to 0, or B ** 2 overflowed in a
+        # sigma_T cap.  The table completes and flags such a cap.
+        assert any(row.endswith(";vacuous=overflow") for row in rows)
+        event(f"reference raised {type(exc).__name__}")
+        return
+    assert [row.split(",")[0] for row in rows] == [row.split(",")[0] for row in expected]
+    for row, old in zip(rows, expected):
+        if row == old:
+            continue
+        # The only other differences are a flag the reference did not write:
+        # a cap that rounded to 0 from nonzero factors (the reference wrote 0
+        # unflagged), or an inf in a cap or term the reference did not check:
+        # the stationarity cap's vanishing term, the convergence caps, the
+        # suggested local rate and the sigma_T caps.
+        flag = row[len(old):]
+        assert row.startswith(old), (row, old)
+        inf = old.split(",")[1] == "inf" or ";vanishing=inf;" in old
+        assert flag == ";vacuous=underflow" or (flag == ";vacuous=overflow" and inf), (row, old)
+        event(f"{row.split(',')[0]}{flag}")
 
 
 # --- sigma_t alignment cap --------------------------------------------------

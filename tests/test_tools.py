@@ -57,8 +57,8 @@ def test_every_corpus_entry_parses():
 # The tier-1 share of the byte-contract gate: each model kind, each
 # algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
 # overflow entries, lambdas whose square underflows or is subnormal, an eight-task
-# sequence, and protocol-long, whose tasks plan their rounds in several chunks.  The
-# tool checks the whole corpus.
+# sequence, local rates whose square underflows, and protocol-long, whose tasks plan
+# their rounds in several chunks.  The tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -81,6 +81,8 @@ GATE_SUBSET = (
     "profiles/default.ini probe.probe_scale=5e307",
     "profiles/default.ini federation.prox_lambda=1e-160",
     "profiles/default.ini data.num_tasks=8",
+    "profiles/default.ini federation.local_lr=1e-300",
+    "profiles/default.ini federation.local_lr=5e-324",
 )
 
 
@@ -108,3 +110,50 @@ def test_check_names_each_differing_table(tmp_path, monkeypatch):
     assert table_digests.check([("profiles/default.ini", ("data.num_tasks=2",))]) == [
         "missing from the listing: profiles/default.ini data.num_tasks=2"
     ]
+
+
+def load_code_lines():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import code_lines
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return code_lines
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+
+# A comment line.
+import os  # a trailing comment
+
+
+@property
+def f(x):
+    """Function docstring."""
+
+    text = """a string
+that is not a docstring"""
+    return x
+
+
+class C:
+    """Class docstring
+    over two lines."""
+
+    y = 1
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+    code_lines = load_code_lines()
+    # import, decorator, def, the two lines of the string, return, class, y.
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 8
+    assert code_lines.code_lines("x = 1\n\n\n# only a comment\n") == 1
+    path = tmp_path / "fixture.py"
+    path.write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(path)],
+        check=True, capture_output=True, text=True,
+    )
+    assert proc.stdout.splitlines() == [f"8  {path}", "8  total"]

@@ -143,6 +143,10 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # Longer task sequences: more checkpoints and task pairs for the estimator.
     (DEFAULT, ("data.num_tasks=8",)),
     (DEFAULT, TANH + ("data.num_tasks=8", "federation.master_seed=3")),
+    # Underflowing local rates: gamma_l ** 2 is 0, so the drift caps round to 0;
+    # at 5e-324 the stationarity cap's divisor is 0 too.
+    (DEFAULT, ("federation.local_lr=1e-300",)),
+    (DEFAULT, ("federation.local_lr=5e-324",)),
 )
 
 
