@@ -9,29 +9,32 @@ gradient is computed so results never depend on draw order.
 
 Everything a round needs apart from the model is fixed when its task
 starts, so it is built ahead of the rounds.  :class:`TaskPool` holds the
-task's M shards as one array of bias-augmented rows plus one all-zero pad
-row, built once per task by :func:`task_pool`; the server's task loop and
-the probe estimator both gather their batches from it.  Every client's
-batch has the same P rows, where P is ``min(batch_size, largest shard of
-the task)``.  :func:`plan_batches` turns the selections of a run of rounds
-into an ``(R, E, N, P)`` tensor of pool rows: a client that draws (more
-rows than the batch, so P is the batch size) fills its P rows with its
-drawn rows, and a client whose shard is used whole takes its n rows and
-then P - n pad rows.  A drawing client takes the indices of all its E steps
-of a round from its own ``(task, round, client)`` stream, and all the
-round's streams are read in one bulk call (:func:`draw_rows`, shared with
-the probe estimator, over :func:`fdilsim.rng.stream_integers`), which
-gives the very batches that E one-batch draws from each stream would.  A
-client that never draws needs no stream.
+task's M shards as one :class:`Minibatch` of bias-augmented rows plus one
+all-zero pad row, with each shard's start and size, built once per task by
+:func:`task_pool`; nothing in it depends on a batch size.  The server's
+task loop and the probe estimator both draw and gather their batches from
+it: :meth:`TaskPool.draw` draws rows within each shard and returns them as
+pool rows, and ``pool.data.take`` gathers them.  Every client's batch has
+the same P rows, where P is ``min(batch_size, largest shard of the task)``
+(:meth:`TaskPool.width`).  :func:`plan_batches` turns the selections of a
+run of rounds into an ``(R, E, N, P)`` tensor of pool rows: a client that
+draws (more rows than the batch, so P is the batch size) fills its P rows
+with its drawn rows, and a client whose shard is used whole takes its n
+rows and then P - n pad rows.  A drawing client takes the indices of all
+its E steps of a round from its own ``(task, round, client)`` stream, and
+all the round's streams are read in one bulk call (:meth:`TaskPool.draw`,
+over :func:`fdilsim.rng.stream_integers`), which gives the very batches
+that E one-batch draws from each stream would.  A client that never draws
+needs no stream.
 
-:func:`local_update` runs one round: it gathers the round's rows with two
-``take`` calls and makes one stacked :func:`loss_and_grad` call per step
-over all N clients, which skips the loss the step discards.  Per-client row
-counts make the kernel divide each client by its own count, so a client's
-gradient is that of its own batch: logreg reads the all-zero pad rows as
-they are, which adds only +-0 products to its gradient sums, and mlp1
-masks their softmax residuals to exactly 0.0.  The update, the proximal
-step and the gradient statistics are elementwise over the stack.
+:func:`local_update` runs one round: it gathers the round's rows from the
+pool with one ``take`` and makes one stacked :func:`loss_and_grad` call per
+step over all N clients, which skips the loss the step discards.
+Per-client row counts make the kernel divide each client by its own count,
+so a client's gradient is that of its own batch: logreg reads the all-zero
+pad rows as they are, which adds only +-0 products to its gradient sums,
+and mlp1 masks their softmax residuals to exactly 0.0.  The update, the
+proximal step and the gradient statistics are elementwise over the stack.
 
 Every client's result equals running it alone at the same P, bit for bit,
 so it never depends on who else was sampled.  Against an unpadded call on
@@ -47,7 +50,8 @@ Two modes:
 * client prox (an anchor) -- each step is followed by the proximal map
   ``prox(x) = (x + 2*lambda*anchor) / (1 + 2*lambda)``, the minimizer of
   0.5*||theta - x||^2 + lambda*||theta - anchor||^2, pulling the iterate
-  toward the previous task's model during local training.
+  toward the previous task's model during local training.  Where 2*lambda
+  overflows it is evaluated as ``(x/lambda + 2*anchor) / (1/lambda + 2)``.
 """
 
 from __future__ import annotations
@@ -83,71 +87,61 @@ def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form minimizer of 0.5*||t - x||^2 + lam*||t - anchor||^2."""
     if lam == 0.0:
         return x
+    if 2.0 * lam == np.inf:  # the same minimizer without forming 2 * lam
+        return (x / lam + 2.0 * anchor) / (1.0 / lam + 2.0)
     return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
 
 
 @dataclass(frozen=True)
 class TaskPool:
-    """One task's M shards as one array of rows, built once per task.
+    """One task's M shards as one batch of rows, built once per task.
 
-    ``rows`` holds every shard's bias-augmented rows in client order and then
-    one all-zero pad row (bias included), with ``labels`` alongside (the pad
-    row's label is 0).  Shard ``m`` is rows ``start[m]`` to
-    ``start[m] + size[m] - 1``.  ``batch[m]`` is client m's batch when its
-    shard is used whole, P row indices: its first ``counts[m] = min(n,
-    batch_size)`` rows and then the pad row, where P, the :attr:`width` of
-    every client's batch, is ``min(batch_size, largest shard)``.
+    ``data`` holds every shard's bias-augmented rows in client order and then
+    one all-zero pad row (bias included, label 0).  Shard ``m`` is rows
+    ``start[m]`` to ``start[m] + size[m] - 1``, and the pad row is row
+    ``size.sum()``.
     """
 
-    rows: np.ndarray
-    labels: np.ndarray
+    data: Minibatch
     start: np.ndarray
     size: np.ndarray
-    batch: np.ndarray
-    counts: np.ndarray
 
-    @property
-    def width(self) -> int:
-        """P, the rows of every client's batch."""
-        return self.batch.shape[1]
+    def width(self, batch_size: int) -> int:
+        """P, the rows of every client's batch: ``min(batch_size, largest shard)``."""
+        return min(batch_size, int(self.size.max()))
+
+    def draw(self, master_seed: int, keys, clients, batch_size: int, count: int) -> np.ndarray:
+        """``count`` sorted uniform-with-replacement batches of each shard ``clients[j]``.
+
+        Shard ``clients[j]`` of ``n`` rows draws its ``(count, batch_size)``
+        block from the stream of ``(master_seed, keys[j])``: the values of
+        one ``integers(0, n, (count, batch_size))`` call on that stream,
+        which takes the stream's words in the same order as ``count``
+        one-batch draws.  All streams are read in one
+        :func:`fdilsim.rng.stream_integers` call.  Each batch is sorted, and
+        then the shard's start is added in place.  Returns
+        ``(len(keys), count, batch_size)`` pool rows.
+        """
+        sizes = self.size[clients][:, None, None]
+        rows = rngmod.stream_integers(master_seed, keys, 0, sizes, (count, batch_size))
+        rows.sort(axis=-1)
+        rows += self.start[clients][:, None, None]
+        return rows
 
 
-def task_pool(shards: list[ClientShard], batch_size: int) -> TaskPool:
-    """The :class:`TaskPool` of one task's shards at ``batch_size``."""
+def task_pool(shards: list[ClientShard]) -> TaskPool:
+    """The :class:`TaskPool` of one task's shards."""
     size = np.array([len(shard.data) for shard in shards])
-    start = np.cumsum(size) - size
-    counts = np.minimum(size, batch_size)
-    col = np.arange(counts.max())
-    width = shards[0].data.augmented.shape[1]
-    return TaskPool(
-        rows=np.concatenate([shard.data.augmented for shard in shards] + [np.zeros((1, width))]),
-        labels=np.concatenate([shard.data.labels for shard in shards] + [np.zeros(1, np.int64)]),
-        start=start,
-        size=size,
-        batch=np.where(col < counts[:, None], start[:, None] + col, size.sum()),
-        counts=counts,
+    rows = [shard.data.augmented for shard in shards]
+    data = Minibatch.of_rows(
+        np.concatenate(rows + [np.zeros_like(rows[0][:1])]),
+        np.concatenate([shard.data.labels for shard in shards] + [np.zeros(1, np.int64)]),
     )
-
-
-def draw_rows(master_seed: int, keys, sizes: np.ndarray, batch_size: int, count: int) -> np.ndarray:
-    """``count`` sorted uniform-with-replacement batches from each shard.
-
-    Shard ``j`` of ``sizes[j]`` rows draws its ``(count, batch_size)`` block
-    from the stream of ``(master_seed, keys[j])``: the values of one
-    ``integers(0, sizes[j], (count, batch_size))`` call on that stream, which
-    takes the stream's words in the same order as ``count`` one-batch draws.
-    All streams are read in one :func:`fdilsim.rng.stream_integers` call.
-    Returns ``(len(keys), count, batch_size)`` row indices within each
-    shard, each batch sorted.
-    """
-    shape = (count, batch_size)
-    rows = rngmod.stream_integers(master_seed, keys, 0, np.asarray(sizes)[:, None, None], shape)
-    rows.sort(axis=-1)
-    return rows
+    return TaskPool(data=data, start=np.cumsum(size) - size, size=size)
 
 
 def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sorted batches of rows below ``n`` from ``stream``, as :func:`draw_rows` reads."""
+    """``count`` sorted batches of rows below ``n`` from ``stream``, as :meth:`TaskPool.draw` reads."""
     rows = stream.integers(0, n, size=(count, batch_size))
     rows.sort(axis=-1)
     return rows
@@ -178,10 +172,10 @@ def plan_batches(
 
     ``selected`` is ``(R, N)``: each round's client ids, ascending.  Returns
     the ``(R, E, N, P)`` row index and the ``(R, N)`` row counts
-    ``min(n, batch_size)``.  A client whose shard is used whole takes its
-    :attr:`TaskPool.batch` at every step; a drawing client takes its E
-    batches from the ``(LOCAL_TRAINING, task_index, round, client)``
-    stream, all of the rounds' streams in one :func:`draw_rows` call.
+    ``min(n, batch_size)``.  A client whose shard is used whole takes, at
+    every step, its n rows and then P - n pad rows; a drawing client takes
+    its E batches from the ``(LOCAL_TRAINING, task_index, round, client)``
+    stream, all of the rounds' streams in one :meth:`TaskPool.draw` call.
     """
     r, j = np.nonzero(pool.size[selected] > batch_size)
     clients = selected[r, j]
@@ -192,12 +186,14 @@ def plan_batches(
     keys[:, 3] = clients
     # Drawn before the index is built, so the draw's words and the index are
     # never held at once.
-    drawn = draw_rows(master_seed, keys, pool.size[clients], batch_size, epochs)
-    drawn += pool.start[clients][:, None, None]
-    index = np.repeat(pool.batch[selected][:, None], epochs, axis=1)
-    if r.size:  # with no drawing client the batch can be wider than P
+    drawn = pool.draw(master_seed, keys, clients, batch_size, epochs)
+    counts = np.minimum(pool.size[selected], batch_size)
+    col = np.arange(pool.width(batch_size))
+    whole = np.where(col < counts[..., None], pool.start[selected][..., None] + col, len(pool.data) - 1)
+    index = np.repeat(whole[:, None], epochs, axis=1)
+    if r.size:  # with no drawing client P can be narrower than the batch
         index[r, :, j] = drawn
-    return index, pool.counts[selected]
+    return index, counts
 
 
 def local_update(
@@ -214,7 +210,7 @@ def local_update(
 
     ``index`` is the round's ``(E, N, P)`` slice of :func:`plan_batches` and
     ``counts`` its ``(N,)`` row counts.  The round's rows are gathered from
-    ``pool`` step-major with two ``take`` calls, so each step's
+    ``pool.data`` step-major with one ``take``, so each step's
     ``(N, P, D + 1)`` stack is contiguous.  Each step is one stacked
     :func:`loss_and_grad` call over all clients, without the loss, and with
     an ``anchor`` each step is followed by the proximal map at
@@ -226,15 +222,13 @@ def local_update(
     if any delta has a non-finite entry.
     """
     epochs, clients = index.shape[:2]
-    # take copies the same rows as fancy indexing at a fraction of its cost.
-    step_rows = pool.rows.take(index, axis=0)
-    step_labels = pool.labels.take(index)
+    steps = pool.data.take(index)
 
     theta = np.tile(global_params, (clients, 1))
     grad_norm_max = np.zeros(clients)
     grad_sq_sum = np.zeros(clients)
     for e in range(epochs):
-        batch = Minibatch.of_rows(step_rows[e], step_labels[e])
+        batch = Minibatch.of_rows(steps.augmented[e], steps.labels[e])
         _, grad = loss_and_grad(spec, theta, batch, counts, with_loss=False)
         norm_sq = row_dots(grad)  # each row's grad @ grad, bit for bit
         grad_norm_max = np.maximum(grad_norm_max, np.sqrt(norm_sq))

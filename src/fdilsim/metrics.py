@@ -9,17 +9,19 @@ matrix match bit for bit.
 
 The joint objective is the sum over tasks of each task's client-averaged
 full-shard training objective.  :func:`client_objective_grad` is the one
-full-shard helper: it evaluates a client's loss and gradient at one
-parameter point, or at a stack of points through stacked kernel calls of at
-most ``STACK_ROWS`` rows.  The probe estimator uses it for its probe points,
-and :func:`joint_objective_grad` for the parameter snapshots a task tracked:
-the server defers them to the end of the task and evaluates them together,
-one stacked call per (task, client) shard.  The joint pass returns each
-task's (loss, gradient), summed over clients in shard order from +0.0 per
-snapshot.  Callers sum the entries in task order, so the joint objective
-over every prefix of the tasks (the earlier tasks alone, or all of them)
-comes from the same pass.  This is simulator-side instrumentation with full
-data access and is never consulted by the client/server update paths.
+full-shard helper, with one code path: it evaluates a client's losses and
+gradients at a ``(P, d)`` stack of points through stacked kernel calls of
+at most ``STACK_ROWS`` rows, and of one point each for a shard of more
+than ``STACK_ROWS // 2`` rows.  The probe estimator uses it for its probe
+points, and :func:`joint_objective_grad` for the parameter snapshots a
+task tracked: the server defers them to the end of the task and evaluates
+them together, one stacked call per (task, client) shard.  The joint pass
+returns each task's (loss, gradient), summed over clients in shard order
+from +0.0 per snapshot.  Callers sum the entries in task order, so the
+joint objective over every prefix of the tasks (the earlier tasks alone, or
+all of them) comes from the same pass.  This is simulator-side
+instrumentation with full data access and is never consulted by the
+client/server update paths.
 """
 
 from __future__ import annotations
@@ -90,31 +92,19 @@ def bwt(matrix: AccuracyMatrix) -> float:
 
 def client_objective_grad(
     spec: ModelSpec, params: np.ndarray, shard: ClientShard, with_loss: bool = True
-) -> tuple[float | np.ndarray | None, np.ndarray]:
-    """Full-shard loss and gradient for one client (no sampling).
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Full-shard losses ``(P,)`` and gradients ``(P, d)`` of one client at points ``(P, d)``.
 
-    Params ``(d,)`` give ``(float, (d,) gradient)`` from one plain kernel
-    call.  A stack of points ``(P, d)`` gives losses ``(P,)`` and gradients
-    ``(P, d)``: each kernel call covers as many points as fit in
-    ``STACK_ROWS`` rows over a contiguous repeat of the shard's
-    bias-augmented rows, so every point's values equal the plain call's bit
-    for bit.  Where only one point
-    fits, or only one is given, each point takes the plain call, which
-    needs no copy.  ``with_loss=False`` skips the kernel's loss terms and
-    returns ``None`` for the losses; the gradients' bits do not depend on it.
+    Each kernel call covers as many points as fit in ``STACK_ROWS`` rows, at
+    least one, over a contiguous repeat of the shard's bias-augmented rows,
+    so every point's values equal the plain call's bit for bit.
+    ``with_loss=False`` skips the kernel's loss terms and returns ``None``
+    for the losses; the gradients' bits do not depend on it.
     """
-    if params.ndim == 1:
-        return loss_and_grad(spec, params, shard.data, with_loss=with_loss)
     num_points = params.shape[0]
-    width = min(num_points, STACK_ROWS // len(shard.data))
+    width = max(1, min(num_points, STACK_ROWS // len(shard.data)))
     losses = np.empty(num_points) if with_loss else None
     grads = np.empty(params.shape)
-    if width <= 1:
-        for p in range(num_points):
-            loss, grads[p] = loss_and_grad(spec, params[p], shard.data, with_loss=with_loss)
-            if with_loss:
-                losses[p] = loss
-        return losses, grads
     rows = np.repeat(shard.data.augmented[None], width, axis=0)
     labels = np.repeat(shard.data.labels[None], width, axis=0)
     for lo in range(0, num_points, width):
@@ -128,12 +118,11 @@ def client_objective_grad(
 
 def joint_objective_grad(
     spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> list[tuple[float | np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-task objective (1/M) sum_m f_{task,m} and its gradient, in task order.
 
-    ``params`` is one point ``(d,)``, giving ``(float, (d,))`` per task, or a
-    stack of snapshots ``(P, d)``, giving ``((P,), (P, d))`` per task from
-    one stacked :func:`client_objective_grad` call per shard.
+    ``params`` is a stack of snapshots ``(P, d)``, giving ``((P,), (P, d))``
+    per task from one :func:`client_objective_grad` call per shard.
     """
     per_task = []
     for task_shards in shards_by_task:

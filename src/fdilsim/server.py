@@ -19,8 +19,8 @@ the model it started from, which is also the start its drift is measured
 from.  Everything else a round needs is fixed when its task starts, so a
 task builds its :class:`fdilsim.client.TaskPool` once, samples the
 selections of all its rounds, each from its own ``(task, round)`` stream
-and all read in one bulk call, and plans the drawing clients' batches in
-chunks of rounds of at most ``PLAN_BYTES`` of row index
+and all read in one bulk call, and plans the clients' batches, P rows each,
+in chunks of rounds of at most ``PLAN_BYTES`` of row index
 (:func:`fdilsim.client.plan_batches`).  A client's minibatch stream is
 derived from (seed, task, round, client) only when its shard is larger than
 the batch; a client that uses its whole shard never draws, and one that
@@ -38,8 +38,8 @@ evaluates all of them in one stacked pass through the full-shard helper of
 which fills those rounds' ``joint_grad_sq`` and ``prev_task_loss``.  The
 last two tasks also evaluate their end model: the end of task K-1 gives the
 start-of-last-task stats, taking tasks 1..K-1 from that pass and task K from
-one more call, and the end of task K gives the final joint loss.  Nothing on
-the update path reads these values.
+one more call on the one-row stack of that snapshot, and the end of task K
+gives the final joint loss.  Nothing on the update path reads these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -277,8 +277,8 @@ def _joint_pass(
     if task_index == k - 1:
         stats.grad_norm_prev_sq = float(grad[-1] @ grad[-1])
         stats.f_prev_start = float(loss[-1])
-        ((last_task_loss, _),) = joint_objective_grad(spec, snapshots[-1], shards_by_task[-1:])
-        stats.f_joint_start = stats.f_prev_start + last_task_loss
+        ((last_task_loss, _),) = joint_objective_grad(spec, params[-1:], shards_by_task[-1:])
+        stats.f_joint_start = stats.f_prev_start + float(last_task_loss[0])
         stats.best_joint_loss = stats.f_joint_start
     elif task_index == k and k >= 2:
         for value in loss.tolist():
@@ -314,10 +314,11 @@ def run_task(
     tracked: list[RoundRecord] = []
     snapshots: list[np.ndarray] = []
 
-    pool = task_pool(shards, hp.batch_size)
+    pool = task_pool(shards)
     keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(hp.rounds_per_task)]
     selections = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, keys)
-    step_bytes = hp.local_epochs * hp.participants_per_round * pool.width * np.intp(0).itemsize
+    width = pool.width(hp.batch_size)
+    step_bytes = hp.local_epochs * hp.participants_per_round * width * np.intp(0).itemsize
     chunk = max(1, PLAN_BYTES // step_bytes)
 
     for t in range(hp.rounds_per_task):

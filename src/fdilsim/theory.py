@@ -17,10 +17,10 @@ shard builds its :class:`fdilsim.client.TaskPool`, the pool local training
 uses, once, and the draws of all its clients at one probe go through one
 stacked pass without the loss, gathered from that pool, each client drawing
 all its batches from its own stream by the draw rule of local training,
-:func:`fdilsim.client.draw_rows`.  A shard no larger than the batch is used
-whole, so its full-shard gradient is reused.  The task's block and pool are
-released before the next task starts, so the estimator's memory is one
-task's block plus temporaries no larger than it, whatever K is.  Every
+:meth:`fdilsim.client.TaskPool.draw`.  A shard no larger than the batch is
+used whole, so its full-shard gradient is reused.  The task's block and
+pool are released before the next task starts, so the estimator's memory is
+one task's block plus temporaries no larger than it, whatever K is.  Every
 norm, squared gap and cosine in the reductions comes from
 :func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so
 each is exact, and each constant is a plain ``max``/``min`` over them.  The
@@ -52,7 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import rng as rngmod
-from .client import TaskPool, draw_rows, task_pool
+from .client import TaskPool, task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
@@ -145,20 +145,6 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> list[float]:
     return cosines[(nu != 0.0) & (nv != 0.0)].tolist()
 
 
-def _full_shard_grads(
-    spec: ModelSpec, thetas: np.ndarray, task_shards: list[ClientShard]
-) -> np.ndarray:
-    """Gradient of each client objective of one task at every probe, ``(P, M, d)``.
-
-    One stacked :func:`client_objective_grad` call per shard, without the
-    loss.  The block is one task's: the estimator holds no more than one.
-    """
-    grads = np.empty((thetas.shape[0], len(task_shards), thetas.shape[1]))
-    for m, shard in enumerate(task_shards):
-        _, grads[:, m] = client_objective_grad(spec, thetas, shard, with_loss=False)
-    return grads
-
-
 def _minibatch_grads(
     spec: ModelSpec,
     theta: np.ndarray,
@@ -172,23 +158,20 @@ def _minibatch_grads(
     """Stochastic gradients ``(len(clients), draws, d)`` at one probe and task.
 
     Each client draws all its batches from its own ``(PROBE_BATCH, probe,
-    task, client)`` stream through :func:`draw_rows`, the draw rule of local
-    training.  The drawn rows are gathered bias-augmented from the task's
-    ``pool``, shard ``m`` at ``pool.start[m]``, and go through stacked kernel
-    calls of at most ``STACK_ROWS`` rows, which skip the loss.
+    task, client)`` stream through :meth:`TaskPool.draw`, the draw rule of
+    local training.  The drawn rows are gathered from the task's ``pool``
+    and go through stacked kernel calls of at most ``STACK_ROWS`` rows,
+    which skip the loss.
     """
     size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
     keys = [(rngmod.PROBE_BATCH, probe, task, m) for m in clients]
-    idx = draw_rows(seed, keys, pool.size[clients], size, draws)
-    idx += pool.start[clients][:, None, None]
-    idx = idx.reshape(-1, size)
-    rows = pool.rows.take(idx, axis=0)
-    targets = pool.labels.take(idx)
+    idx = pool.draw(seed, keys, clients, size, draws).reshape(-1, size)
+    batches = pool.data.take(idx)
 
     grads = np.empty((idx.shape[0], theta.shape[0]))
     width = max(1, STACK_ROWS // size)
     for lo in range(0, idx.shape[0], width):
-        batch = Minibatch.of_rows(rows[lo : lo + width], targets[lo : lo + width])
+        batch = Minibatch.of_rows(batches.augmented[lo : lo + width], batches.labels[lo : lo + width])
         _, grads[lo : lo + width] = loss_and_grad(spec, theta, batch, with_loss=False)
     return grads.reshape(len(clients), draws, -1)
 
@@ -216,9 +199,10 @@ def estimate_constants(
 
     The work is done task by task, in stacked passes:
 
-    * full-shard gradients, one stacked kernel call per client over the
-      probe points, without the loss, into the task's ``(P, M, d)`` block,
-      whose client mean goes into a ``(P, K, d)`` table of task gradients;
+    * full-shard gradients, one stacked :func:`client_objective_grad` call
+      per client over the probe points, without the loss, into the task's
+      ``(P, M, d)`` block, whose client mean goes into a ``(P, K, d)`` table
+      of task gradients;
     * minibatch gradients: a task with a drawing shard builds its
       :func:`fdilsim.client.task_pool` once, and each probe makes one
       stacked pass over every client's draws, gathered from that pool.  A
@@ -276,13 +260,16 @@ def estimate_constants(
     b_max = l_max = sigma_l_sq = sigma_g_sq = 0.0
     eps_bkt = 1.0
     for i, task_shards in enumerate(shards_by_task):
-        grads = _full_shard_grads(spec, thetas, task_shards)
+        # The task's (P, M, d) block: the estimator holds no more than one.
+        grads = np.empty((len(thetas), len(task_shards), thetas.shape[1]))
+        for m, shard in enumerate(task_shards):
+            _, grads[:, m] = client_objective_grad(spec, thetas, shard, with_loss=False)
         task_grads[:, i] = grads.mean(axis=1)
         b_max = max([b_max, *np.sqrt(row_dots(grads))[:, whole[i]].ravel().tolist()])
 
         drawn = np.flatnonzero(~whole[i]).tolist()
         if drawn:
-            pool = task_pool(task_shards, size)
+            pool = task_pool(task_shards)
             for p, theta in enumerate(thetas):
                 g = _minibatch_grads(spec, theta, pool, drawn, probe_cfg, seed, p, i)
                 b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
@@ -468,7 +455,10 @@ def _bkt_gamma_l_cap(
     eps: float, gprev: float, b: float, l_smooth: float, epochs: int, t: int, m: int, lam: float
 ) -> float:
     """Retention cap on the local rate at round t."""
-    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
+    denom = lam ** 2 + 2.0 * lam
+    ratio = m * epochs / denom
+    # At a tiny lambda the ratio overflows where its root does not.
+    root = math.sqrt(ratio) if ratio != math.inf else math.sqrt(m * epochs) / math.sqrt(denom)
     return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
 
 

@@ -187,13 +187,12 @@ def lockstep_update(
     ``(seed, (LOCAL_TRAINING, 1, 0, m))`` whoever else takes part.
     ``rows`` raises the pool's P with more pad rows.
     """
-    pool = task_pool(shards, cfg.batch_size)
-    if rows is not None:
-        extra = rows - pool.width  # more pad rows after every whole-shard batch
-        batch = np.pad(pool.batch, ((0, 0), (0, extra)), constant_values=len(pool.rows) - 1)
-        pool = dataclasses.replace(pool, batch=batch)
+    pool = task_pool(shards)
     selected = np.array([range(len(shards)) if clients is None else clients])
     index, counts = plan_batches(pool, selected, cfg.batch_size, cfg.epochs, seed, 1, 0)
+    if rows is not None:
+        extra = rows - index.shape[-1]  # more pad rows after every client's batch
+        index = np.pad(index, ((0, 0),) * 3 + ((0, extra),), constant_values=len(pool.data) - 1)
     anchor = cfg.anchor if cfg.mode == "client_prox" else None
     return local_update(
         spec, global_params, pool, index[0], counts[0], cfg.local_lr, anchor, cfg.prox_lambda
@@ -582,7 +581,12 @@ def psi_residual_reference(consts, hp, k, grad_norm_prev):
 
 @_inf_on_overflow_reference
 def _bkt_gamma_l_cap_reference(eps, gprev, b, l_smooth, epochs, t, m, lam):
-    root = math.sqrt(m * epochs / (lam ** 2 + 2.0 * lam))
+    denom = lam ** 2 + 2.0 * lam
+    if m * epochs / denom == math.inf:
+        # A tiny lambda: the quotient overflows, so each side's root is taken.
+        root = math.sqrt(m * epochs) / math.sqrt(denom)
+    else:
+        root = math.sqrt(m * epochs / denom)
     return 2.0 * eps * gprev / (b * l_smooth * epochs * t * root)
 
 

@@ -384,6 +384,16 @@ def test_overflowing_lambda_flags_vacuous_caps_and_verifies(tmp_path):
     assert rows["stepsize_bkt_gamma_l"].endswith(";first_violating_round=none;vacuous=overflow")
 
 
+def test_client_prox_at_a_lambda_whose_double_overflows_runs_and_verifies(tmp_path):
+    # 2 * lambda is inf above about 8.99e307: the client-side proximal map
+    # used to turn it into NaN, and the run exited 4 as diverged.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    text = text.replace("algorithm = special\n", "algorithm = special_c\n")
+    text = text.replace("prox_lambda = 0.25", "prox_lambda = 9e307")
+    run_and_verify(tmp_path, "huge_client_lambda", text)
+
+
 @pytest.mark.parametrize("lam", ["1e-160", "1e-200", "5e-324"])
 def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
     # lambda ** 2 underflows to 0 at 1e-200 and 5e-324, and dividing by it

@@ -19,7 +19,7 @@ from fdilsim import (
     run_experiment,
 )
 from fdilsim import client as client_module
-from fdilsim.client import draw_indices, draw_rows, task_pool
+from fdilsim.client import TaskPool, draw_indices, plan_batches, task_pool
 from fdilsim.runio import compare_runlogs, emit_runlog
 from helpers import (
     LocalConfig,
@@ -104,6 +104,18 @@ def test_prox_map_example_and_oracle():
         step=0.9 / (1.0 + 2.0 * lam),
     )
     assert np.max(np.abs(closed - numeric)) <= 1e-8
+
+
+def test_prox_map_at_a_lambda_whose_double_overflows_is_the_anchor():
+    # 2 * 9e307 is inf, which made the map inf / inf = NaN.  The minimizer is
+    # the anchor to within an ulp.
+    lam = 9e307
+    assert 2.0 * lam == np.inf
+    x = np.array([1e10, -3.0, 0.7, 0.0])
+    anchor = np.array([0.3, -1.2, 5e-3, 0.0])
+    theta = prox_map(x, anchor, lam)
+    assert np.isfinite(theta).all()
+    assert (np.abs(theta - anchor) <= np.spacing(np.abs(anchor))).all()
 
 
 def test_prox_optimality_and_stationarity():
@@ -302,23 +314,29 @@ def test_task_pool_width_covers_every_effective_batch():
     # P is the largest effective batch min(n, b), so no client's rows are cut.
     sizes = (5, 2, 12, 1)
     shards = [make_shard(seed=3 + m, size=n, client=m) for m, n in enumerate(sizes)]
+    pool = task_pool(shards)
+    everyone = np.array([range(len(sizes))])
     for b, width in ((8, 8), (4, 4), (12, 12), (100, 12), (1, 1)):
-        pool = task_pool(shards, b)
-        assert pool.width == width >= max(min(n, b) for n in sizes)
-    pool = task_pool(shards, 8)
+        assert pool.width(b) == width >= max(min(n, b) for n in sizes)
+        assert plan_batches(pool, everyone, b, 1, 0, 1, 0)[0].shape[-1] == width
     assert pool.size.tolist() == list(sizes) and pool.start.tolist() == [0, 5, 7, 19]
     for m, shard in enumerate(shards):
         rows = slice(pool.start[m], pool.start[m] + pool.size[m])
-        assert np.array_equal(pool.rows[rows], shard.data.augmented)
-        assert np.array_equal(pool.labels[rows], shard.data.labels)
+        assert np.array_equal(pool.data.augmented[rows], shard.data.augmented)
+        assert np.array_equal(pool.data.labels[rows], shard.data.labels)
     # One pad row at the end, all zeros with the bias column included, fills
     # each whole-shard batch after its counted rows.
-    pad = len(pool.rows) - 1
-    assert pad == sum(sizes) and not pool.rows[pad].any() and pool.labels[pad] == 0
-    assert pool.counts.tolist() == [5, 2, 8, 1]
-    for m, n in enumerate(pool.counts):
+    pad = len(pool.data) - 1
+    assert pad == sum(sizes) and not pool.data.augmented[pad].any() and pool.data.labels[pad] == 0
+    index, counts = plan_batches(pool, everyone, 8, 2, 0, 1, 0)
+    assert counts.tolist() == [[5, 2, 8, 1]]
+    for m, n in enumerate(counts[0]):
         own = list(range(pool.start[m], pool.start[m] + n))
-        assert pool.batch[m].tolist() == own + [pad] * (8 - n)
+        for step in index[0, :, m].tolist():
+            if sizes[m] <= 8:
+                assert step == own + [pad] * (8 - n)
+            else:  # a drawing client's rows lie in its own shard
+                assert step == sorted(step) and own[0] <= min(step) <= max(step) < own[0] + sizes[m]
 
 
 def test_lockstep_divergence_raises_divergence_error():
@@ -347,9 +365,10 @@ def test_bulk_draw_equals_draws_in_turn():
                 assert bulk.random() == loop.random()
                 # The bulk reading of many streams gives each stream's own draw.
                 other = (5,) + labels[1:]
-                many = draw_rows(1, [labels, other], [n, n + 1], b, count)
+                pool = TaskPool(data=None, start=np.array([0, 7]), size=np.array([n, n + 1]))
+                many = pool.draw(1, [labels, other], [0, 1], b, count)
                 assert np.array_equal(many[0], rows)
-                assert np.array_equal(many[1], draw_indices(n + 1, b, derive_stream(1, other), count))
+                assert np.array_equal(many[1], draw_indices(n + 1, b, derive_stream(1, other), count) + 7)
 
 
 def test_batch_far_above_every_shard_pads_only_to_the_largest_shard(tmp_path, monkeypatch):

@@ -111,11 +111,24 @@ def shard(inputs, labels, task=1, client=0):
     return ClientShard(task, client, Minibatch(np.array(inputs), np.array(labels)))
 
 
+def joint_objective_plain(spec, params, shards_by_task):
+    """Per-task (loss, gradient) at one point ``(d,)``: plain kernel calls summed from +0.0."""
+    per_task = []
+    for task_shards in shards_by_task:
+        loss_total, grad_total = 0.0, np.zeros_like(params)
+        for s in task_shards:
+            loss, grad = loss_and_grad(spec, params, s.data)
+            loss_total += loss
+            grad_total += grad
+        per_task.append((loss_total / len(task_shards), grad_total / len(task_shards)))
+    return per_task
+
+
 def joint_grad_norm_sq(spec, params, shards_by_task):
     """Squared norm of the joint gradient: per-task gradients summed in order."""
     grad = np.zeros_like(params)
-    for _, task_grad in joint_objective_grad(spec, params, shards_by_task):
-        grad = grad + task_grad
+    for _, task_grad in joint_objective_grad(spec, params[None], shards_by_task):
+        grad = grad + task_grad[0]
     return float(grad @ grad)
 
 
@@ -123,14 +136,14 @@ def test_joint_pass_returns_one_entry_per_task():
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3]], [1, 0], client=1)
     params = np.array([0.3, -0.2, 0.1, 0.4])
-    per_task = joint_objective_grad(SPEC, params, [[a, b], [b]])
+    per_task = joint_objective_grad(SPEC, params[None], [[a, b], [b]])
     assert len(per_task) == 2
     loss_a, grad_a = loss_and_grad(SPEC, params, a.data)
     loss_b, grad_b = loss_and_grad(SPEC, params, b.data)
-    assert per_task[0][0] == (0.0 + loss_a + loss_b) / 2
-    assert np.array_equal(per_task[0][1], (grad_a + grad_b) / 2)
-    assert per_task[1][0] == loss_b
-    assert np.array_equal(per_task[1][1], grad_b)
+    assert per_task[0][0][0] == (0.0 + loss_a + loss_b) / 2
+    assert np.array_equal(per_task[0][1][0], (grad_a + grad_b) / 2)
+    assert per_task[1][0][0] == loss_b
+    assert np.array_equal(per_task[1][1][0], grad_b)
 
 
 def test_joint_grad_single_task_single_client_is_full_batch():
@@ -201,7 +214,7 @@ def test_stacked_full_shard_equals_plain_calls(spec, num_points):
             assert losses[p] == loss
             assert np.array_equal(grads[p], grad)
         # Without the loss the gradients keep their bits, stacked and plain.
-        for points, expected in ((params, grads), (params[0], grads[0])):
+        for points, expected in ((params, grads), (params[:1], grads[:1])):
             no_loss, bare = client_objective_grad(spec, points, data, with_loss=False)
             assert no_loss is None and np.array_equal(bare, expected)
 
@@ -212,7 +225,7 @@ def test_stacked_joint_pass_equals_plain_passes():
     params = np.random.default_rng(5).standard_normal((3, 4))
     stacked = joint_objective_grad(SPEC, params, [[a, b], [b]])
     for p in range(3):
-        plain = joint_objective_grad(SPEC, params[p], [[a, b], [b]])
+        plain = joint_objective_plain(SPEC, params[p], [[a, b], [b]])
         for (losses, grads), (loss, grad) in zip(stacked, plain):
             assert type(loss) is float
             assert losses[p] == loss

@@ -61,7 +61,7 @@ def one_round(spec, params, anchor, task_index, round_index, shards, hp):
     Returns ``run_round``'s (params, delta, max grad norm, mean squared grad
     norm) and the round's selected client ids.
     """
-    pool = task_pool(shards, hp.batch_size)
+    pool = task_pool(shards)
     key = (rngmod.CLIENT_SAMPLING, task_index, round_index)
     selected = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, [key])
     index, counts = plan_batches(

@@ -33,7 +33,7 @@ from fdilsim.config import parse_config
 from fdilsim.datagen import TaskData
 from fdilsim.runio import BOUND_COLUMNS, _write_rows
 from fdilsim.server import ALGORITHMS, SCHEDULES, RunStats
-from fdilsim.theory import OVERFLOW, UNDERFLOW, ProbeScaleError, _cosines, evaluate
+from fdilsim.theory import OVERFLOW, UNDERFLOW, ProbeScaleError, _bkt_gamma_l_cap, _cosines, evaluate
 from fdilsim.models import param_count
 from test_datagen import make_shift
 from helpers import (
@@ -161,6 +161,10 @@ def test_formula_that_rounds_to_zero_is_flagged_and_zero_by_a_factor_is_not():
     assert evaluate(bkt_bound, 0.5, 0.0, 2.0, 3, 10, 5, 8, 4, 2.0, 1.5) == (0.0, None)
     cap, flag = evaluate(drift_bound, 0.5, 1e-20, 5, 2.063481500700561, 0.25)
     assert 0.0 < cap < 1e-37 and flag is None
+    # At lambda = 5e-324 m * E / (lambda ** 2 + 2 * lambda) overflows, but
+    # the retention cap on the local rate is representable.
+    cap, flag = evaluate(_bkt_gamma_l_cap, 0.5, 1.0, 1.0, 1.0, 5, 20, 8, 5e-324)
+    assert cap == pytest.approx(4.97e-165, rel=1e-3) and flag is None
 
 
 # --- backward-transfer correction -------------------------------------------
@@ -531,19 +535,17 @@ def test_estimator_builds_one_pool_per_task_with_a_drawing_shard(monkeypatch):
     built = []
     real_pool = theory.task_pool
 
-    def recording_pool(task_shards, batch_size):
+    def recording_pool(task_shards):
         # The previous task's pool is released before the next one is built.
-        assert all(ref() is None for _, _, ref in built)
-        pool = real_pool(task_shards, batch_size)
-        built.append((task_shards, batch_size, weakref.ref(pool)))
+        assert all(ref() is None for _, ref in built)
+        pool = real_pool(task_shards)
+        built.append((task_shards, weakref.ref(pool)))
         return pool
 
     monkeypatch.setattr(theory, "task_pool", recording_pool)
     cfg = ProbeConfig(num_random_probes=3, minibatch_draws=2, batch_size=size)
     assert_matches_loop(SPEC, sequence, shards, cfg, 9)
-    assert [(task_shards, batch_size) for task_shards, batch_size, _ in built] == [
-        (shards[0], size), (shards[2], size)
-    ]
+    assert [task_shards for task_shards, _ in built] == [shards[0], shards[2]]
 
 
 def test_cosines_equal_the_loop_on_edge_rows():

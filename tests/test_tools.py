@@ -57,8 +57,10 @@ def test_every_corpus_entry_parses():
 # The tier-1 share of the byte-contract gate: each model kind, each
 # algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
 # overflow entries, lambdas whose square underflows or is subnormal, an eight-task
-# sequence, local rates whose square underflows, and protocol-long, whose tasks plan
-# their rounds in several chunks.  The tool checks the whole corpus.
+# sequence, local rates whose square underflows, protocol-long, whose tasks plan
+# their rounds in several chunks, shards over STACK_ROWS // 2 rows, whose
+# full-shard stacks hold one point, and a client-side lambda whose double
+# overflows.  The tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -83,6 +85,9 @@ GATE_SUBSET = (
     "profiles/default.ini data.num_tasks=8",
     "profiles/default.ini federation.local_lr=1e-300",
     "profiles/default.ini federation.local_lr=5e-324",
+    "profiles/default.ini data.train_samples_per_task=2400",
+    "profiles/default.ini data.train_samples_per_task=2400 model.kind=mlp1 model.hidden_dim=8",
+    "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=9e307",
 )
 
 

@@ -147,6 +147,11 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # at 5e-324 the stationarity cap's divisor is 0 too.
     (DEFAULT, ("federation.local_lr=1e-300",)),
     (DEFAULT, ("federation.local_lr=5e-324",)),
+    # Shards over STACK_ROWS // 2 rows, whose full-shard stacks hold one point.
+    (DEFAULT, ("data.train_samples_per_task=2400",)),
+    (DEFAULT, ("data.train_samples_per_task=2400",) + TANH),
+    # 2 * lambda overflows in the client-side proximal map.
+    (DEFAULT, ("federation.algorithm=special_c", "federation.prox_lambda=9e307")),
 )
 
 
