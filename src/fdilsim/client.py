@@ -84,12 +84,18 @@ class ClientUpdate:
 
 
 def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form minimizer of 0.5*||t - x||^2 + lam*||t - anchor||^2."""
+    """Closed-form minimizer of 0.5*||t - x||^2 + lam*||t - anchor||^2.
+
+    It is ``(x + 2 lam anchor) / (1 + 2 lam)``.  Where that numerator is not
+    finite (``2 lam`` or ``2 lam anchor`` overflows, or ``x`` has diverged)
+    it takes the same minimizer without forming ``2 lam anchor``.
+    """
     if lam == 0.0:
         return x
-    if 2.0 * lam == np.inf:  # the same minimizer without forming 2 * lam
-        return (x / lam + 2.0 * anchor) / (1.0 / lam + 2.0)
-    return (x + 2.0 * lam * anchor) / (1.0 + 2.0 * lam)
+    numerator = x + 2.0 * lam * anchor
+    if np.isfinite(numerator).all():
+        return numerator / (1.0 + 2.0 * lam)
+    return (x / lam + 2.0 * anchor) / (1.0 / lam + 2.0)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,24 @@ along a fixed unit direction.  Task i (1-based) uses ``i - 1`` applications
 of the transform, so the first task always sees the base means and a zero
 rotation/drift spec yields identical distributions for every task.
 
+A pool is drawn as one array: its labels are the classes in order, each
+repeated for its balanced count, and its noise is one standard-normal draw
+of the whole pool from the pool's own stream.
+
 Each task's train pool is split across clients class by class with
 proportions drawn from Dirichlet(alpha) (realized as normalized Gamma draws),
 rounded by largest remainder, then repaired so every client meets a minimum
 shard size.  Test pools are global: one per task, shared by all clients.
+
+A sequence, with or without its shards, is written to and read from the
+plain-text dataset file documented in the README (:func:`export_sequence`,
+:func:`load_sequence`), one block of lines per pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -155,30 +164,22 @@ def task_class_means(shift: DomainShiftSpec, task_index: int) -> np.ndarray:
     return means
 
 
-def _balanced_label_counts(total: int, num_classes: int) -> np.ndarray:
-    counts = np.full(num_classes, total // num_classes, dtype=np.int64)
-    counts[: total % num_classes] += 1
-    return counts
-
-
 def _sample_pool(
     means: np.ndarray, cov_scale: float, total: int, stream: np.random.Generator
 ) -> Minibatch:
-    """``total`` class-balanced samples around ``means``.
+    """``total`` class-balanced samples around ``means``, class by class.
 
-    Raises :class:`DataOverflowError`, naming ``data.class_cov_scale``, if a
-    sample overflows.
+    Class c takes ``total // C`` rows, one more for the first ``total % C``
+    classes.  All rows' noise comes from one draw, which reads the stream
+    exactly as one draw per class in class order would.  Raises
+    :class:`DataOverflowError`, naming ``data.class_cov_scale``, if a sample
+    overflows.
     """
     num_classes, dim = means.shape
-    counts = _balanced_label_counts(total, num_classes)
-    inputs = np.empty((total, dim))
-    labels = np.empty(total, dtype=np.int64)
-    pos = 0
-    for c in range(num_classes):
-        n = int(counts[c])
-        inputs[pos : pos + n] = means[c] + cov_scale * stream.standard_normal((n, dim))
-        labels[pos : pos + n] = c
-        pos += n
+    counts = np.full(num_classes, total // num_classes)
+    counts[: total % num_classes] += 1
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
+    inputs = means[labels] + cov_scale * stream.standard_normal((total, dim))
     if not np.isfinite(inputs).all():
         raise DataOverflowError(f"data.class_cov_scale: {cov_scale!r} overflows the generated inputs")
     return Minibatch(inputs, labels)
@@ -276,9 +277,15 @@ def partition_sequence(
 
 # ---------------------------------------------------------------------------
 # Dataset export (documented in README): a plain-text format with a header
-# describing the sequence shape followed by one sample per line.
+# describing the sequence shape, then per task its class means and one line
+# per sample, then the shard index lists.
 
 FORMAT_MAGIC = "fdilsim-dataset 1"
+
+
+def _row(values) -> str:
+    """Floats as one line of 17-significant-digit fields, which read back to the same doubles."""
+    return " ".join(f"{v:.17g}" for v in values)
 
 
 def export_sequence(sequence: TaskSequence, path, shards: list[list[ClientShard]] | None = None) -> None:
@@ -292,71 +299,70 @@ def export_sequence(sequence: TaskSequence, path, shards: list[list[ClientShard]
     )
     for task in sequence.tasks:
         lines.append(f"task {task.task_index} train {len(task.train)} test {len(task.test)} cov {task.cov_scale:.17g}")
-        for row in task.class_means:
-            lines.append("mean " + " ".join(f"{v:.17g}" for v in row))
+        lines += ("mean " + _row(row) for row in task.class_means)
         for pool in (task.train, task.test):
-            for x, y in zip(pool.inputs, pool.labels):
-                lines.append(" ".join(f"{v:.17g}" for v in x) + f" {int(y)}")
-    if shards:
-        for task_shards in shards:
-            for shard in task_shards:
-                if shard.pool_indices is None:
-                    raise ValueError("only shards cut from a task pool can be exported")
-                lines.append(
-                    f"shard {shard.task_index} {shard.client_index} "
-                    + " ".join(str(i) for i in shard.pool_indices)
-                )
+            lines += (f"{_row(x)} {y}" for x, y in zip(pool.inputs, pool.labels))
+    for task_shards in shards or ():
+        for shard in task_shards:
+            if shard.pool_indices is None:
+                raise ValueError("only shards cut from a task pool can be exported")
+            indices = " ".join(map(str, shard.pool_indices))
+            lines.append(f"shard {shard.task_index} {shard.client_index} {indices}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _fields(lines, count: int, width: int) -> np.ndarray:
+    """The next ``count`` of ``lines`` as a ``(count, width)`` array of their fields.
+
+    Raises ``ValueError`` if a line has another number of fields or the
+    lines run out.
+    """
+    return np.array([line.split() for line in islice(lines, count)]).reshape(count, width)
+
+
+def _pool(fields: np.ndarray) -> Minibatch:
+    """Sample lines' fields, D numbers and then the label, as a validated batch."""
+    return Minibatch(fields[:, :-1].astype(np.float64), fields[:, -1].astype(np.int64))
+
+
 def load_sequence(path) -> tuple[TaskSequence, list[list[ClientShard]] | None]:
-    """Inverse of :func:`export_sequence`."""
+    """Inverse of :func:`export_sequence`.
+
+    A task's mean lines, and each of its pools' sample lines, are converted
+    to doubles and labels with one numpy conversion per block, which gives
+    the bits that ``float()`` gives each field.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if lines[0] != FORMAT_MAGIC:
+        lines = iter(fh.read().splitlines())
+    if next(lines, None) != FORMAT_MAGIC:
         raise ValueError(f"not a fdilsim dataset file: {path}")
-    header = lines[1].split()
-    num_tasks, num_clients = int(header[1]), int(header[3])
-    input_dim = int(header[7])
-    cursor = 2
+    num_tasks, num_clients, _, input_dim = (int(v) for v in next(lines, "").split()[1::2])
     tasks = []
     for _ in range(num_tasks):
-        fields = lines[cursor].split()
-        task_index, n_train, n_test = int(fields[1]), int(fields[3]), int(fields[5])
-        cov = float(fields[7])
-        cursor += 1
-        means = []
-        while lines[cursor].startswith("mean "):
-            means.append([float(v) for v in lines[cursor].split()[1:]])
-            cursor += 1
-        pools = []
-        for count in (n_train, n_test):
-            inputs = np.empty((count, input_dim))
-            labels = np.empty(count, dtype=np.int64)
-            for r in range(count):
-                parts = lines[cursor].split()
-                inputs[r] = [float(v) for v in parts[:-1]]
-                labels[r] = int(parts[-1])
-                cursor += 1
-            pools.append(Minibatch(inputs, labels))
+        _, task_index, _, n_train, _, n_test, _, cov = next(lines, "").split()
+        means, line = [], next(lines, "")
+        while line.startswith("mean "):
+            means.append(line.split()[1:])
+            line = next(lines, "")
+        rows = chain([line], lines)  # the line after the means is the first sample line
+        train, test = (_pool(_fields(rows, int(n), input_dim + 1)) for n in (n_train, n_test))
         tasks.append(
             TaskData(
-                task_index=task_index,
-                class_means=np.array(means),
-                cov_scale=cov,
-                train=pools[0],
-                test=pools[1],
+                task_index=int(task_index),
+                class_means=np.array(means).astype(np.float64),
+                cov_scale=float(cov),
+                train=train,
+                test=test,
             )
         )
     sequence = TaskSequence(tasks)
     if num_clients == 0:
         return sequence, None
     shards: list[list[ClientShard]] = [[] for _ in range(num_tasks)]
-    for line in lines[cursor:]:
-        parts = line.split()
-        task_index, client = int(parts[1]), int(parts[2])
-        idx = np.array([int(v) for v in parts[3:]], dtype=np.int64)
+    for line in lines:
+        values = np.array(line.split()[1:], dtype=np.int64)
+        task_index, client, idx = int(values[0]), int(values[1]), values[2:]
         shards[task_index - 1].append(
             ClientShard(task_index, client, sequence.task(task_index).train.take(idx), idx)
         )

@@ -9,9 +9,11 @@ ascending client-id order, applies the global step
 the server-anchored algorithm, blends the result with the previous task's
 final model:
 
-    theta' = theta_bar / (1 + lambda) + lambda * anchor / (1 + lambda)
+    theta' = theta_bar / (1 + lambda) + (lambda / (1 + lambda)) * anchor
 
-which is the exact minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2.
+evaluated in that order, which is the minimizer of
+||u - theta_bar||^2 + lambda*||u - anchor||^2 up to rounding (it rounds
+differently from ``(theta_bar + lambda * anchor) / (1 + lambda)``).
 With lambda = 0 every round reduces to plain FedAvg.
 
 The round loop holds plain values: the global model, and the task's anchor,

@@ -33,6 +33,7 @@ from fdilsim.client import (
     prox_map,
     task_pool,
 )
+from fdilsim.datagen import FORMAT_MAGIC, TaskData
 from fdilsim.experiment import effective_lambda
 from fdilsim.models import row_dots
 from fdilsim.server import RunStats
@@ -819,3 +820,91 @@ def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -
             )
         )
     return reports
+
+
+def export_sequence_reference(sequence: TaskSequence, path, shards=None) -> None:
+    """The dataset writer with one formatting loop per line kind, one value at a time.
+
+    ``fdilsim.datagen.export_sequence`` must write these bytes exactly.
+    """
+    first = sequence.tasks[0]
+    num_clients = len(shards[0]) if shards else 0
+    lines = [FORMAT_MAGIC]
+    lines.append(
+        f"tasks {sequence.num_tasks} clients {num_clients} "
+        f"classes {int(first.train.labels.max()) + 1} input_dim {first.train.inputs.shape[1]}"
+    )
+    for task in sequence.tasks:
+        lines.append(f"task {task.task_index} train {len(task.train)} test {len(task.test)} cov {task.cov_scale:.17g}")
+        for row in task.class_means:
+            lines.append("mean " + " ".join(f"{v:.17g}" for v in row))
+        for pool in (task.train, task.test):
+            for x, y in zip(pool.inputs, pool.labels):
+                lines.append(" ".join(f"{v:.17g}" for v in x) + f" {int(y)}")
+    if shards:
+        for task_shards in shards:
+            for shard in task_shards:
+                if shard.pool_indices is None:
+                    raise ValueError("only shards cut from a task pool can be exported")
+                lines.append(
+                    f"shard {shard.task_index} {shard.client_index} "
+                    + " ".join(str(i) for i in shard.pool_indices)
+                )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_sequence_reference(path):
+    """The dataset reader line by line, with ``float()``/``int()`` per field and a row cursor.
+
+    ``fdilsim.datagen.load_sequence`` must load these bits exactly.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if lines[0] != FORMAT_MAGIC:
+        raise ValueError(f"not a fdilsim dataset file: {path}")
+    header = lines[1].split()
+    num_tasks, num_clients = int(header[1]), int(header[3])
+    input_dim = int(header[7])
+    cursor = 2
+    tasks = []
+    for _ in range(num_tasks):
+        fields = lines[cursor].split()
+        task_index, n_train, n_test = int(fields[1]), int(fields[3]), int(fields[5])
+        cov = float(fields[7])
+        cursor += 1
+        means = []
+        while lines[cursor].startswith("mean "):
+            means.append([float(v) for v in lines[cursor].split()[1:]])
+            cursor += 1
+        pools = []
+        for count in (n_train, n_test):
+            inputs = np.empty((count, input_dim))
+            labels = np.empty(count, dtype=np.int64)
+            for r in range(count):
+                parts = lines[cursor].split()
+                inputs[r] = [float(v) for v in parts[:-1]]
+                labels[r] = int(parts[-1])
+                cursor += 1
+            pools.append(Minibatch(inputs, labels))
+        tasks.append(
+            TaskData(
+                task_index=task_index,
+                class_means=np.array(means),
+                cov_scale=cov,
+                train=pools[0],
+                test=pools[1],
+            )
+        )
+    sequence = TaskSequence(tasks)
+    if num_clients == 0:
+        return sequence, None
+    shards = [[] for _ in range(num_tasks)]
+    for line in lines[cursor:]:
+        parts = line.split()
+        task_index, client = int(parts[1]), int(parts[2])
+        idx = np.array([int(v) for v in parts[3:]], dtype=np.int64)
+        shards[task_index - 1].append(
+            ClientShard(task_index, client, sequence.task(task_index).train.take(idx), idx)
+        )
+    return sequence, shards

@@ -394,6 +394,18 @@ def test_client_prox_at_a_lambda_whose_double_overflows_runs_and_verifies(tmp_pa
     run_and_verify(tmp_path, "huge_client_lambda", text)
 
 
+def test_client_prox_where_two_lambda_times_the_anchor_overflows_runs_and_verifies(tmp_path):
+    # At 8.9e307, 2 * lambda is finite, but 2 * lambda * anchor overflows
+    # once an anchor entry passes about 1.01 in magnitude, which local_lr =
+    # 0.2 brings about: the map's -inf made the run exit 4 as diverged.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
+    text = text.replace("algorithm = special\n", "algorithm = special_c\n")
+    text = text.replace("prox_lambda = 0.25", "prox_lambda = 8.9e307")
+    text = text.replace("local_lr = 0.001", "local_lr = 0.2")
+    run_and_verify(tmp_path, "huge_client_lambda_anchor", text)
+
+
 @pytest.mark.parametrize("lam", ["1e-160", "1e-200", "5e-324"])
 def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
     # lambda ** 2 underflows to 0 at 1e-200 and 5e-324, and dividing by it

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdilsim import (
     DomainShiftSpec,
@@ -10,6 +15,7 @@ from fdilsim import (
     generate_sequence,
     partition_task,
 )
+from fdilsim.config import parse_config
 from fdilsim.datagen import (
     DataOverflowError,
     export_sequence,
@@ -17,6 +23,7 @@ from fdilsim.datagen import (
     partition_sequence,
     task_class_means,
 )
+from helpers import export_sequence_reference, load_sequence_reference
 
 TRIANGLE = ((0.0, 2.0), (-1.7320508075688772, -1.0), (1.7320508075688772, -1.0))
 
@@ -271,3 +278,118 @@ def test_finite_settings_that_overflow_the_data_name_their_key(overrides, messag
         with pytest.raises(DataOverflowError) as info:
             generate_sequence(make_shift(**overrides), seed=1)
     assert str(info.value) == message
+
+
+# Finite doubles a dataset file must carry exactly: signed zero, the smallest
+# subnormal, other subnormals, the normal boundary and the largest magnitudes.
+EDGE_DOUBLES = (
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    -2.2250738585072009e-308,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+)
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def dataset_sequences(draw):
+    """Hand-built sequences of edge-case doubles, with or without shards.
+
+    Labels are drawn freely, so the header's class count, taken from task
+    1's train labels, may differ from the C mean lines of each task.
+    """
+    num_tasks = draw(st.integers(1, 3))
+    num_classes = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+
+    def pool(rows: int) -> Minibatch:
+        inputs = draw(st.lists(st.lists(doubles, min_size=dim, max_size=dim), min_size=rows, max_size=rows))
+        labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=rows, max_size=rows))
+        return Minibatch(np.array(inputs, dtype=np.float64).reshape(rows, dim), np.array(labels))
+
+    tasks = []
+    for i in range(1, num_tasks + 1):
+        means = draw(st.lists(doubles, min_size=num_classes * dim, max_size=num_classes * dim))
+        tasks.append(
+            TaskData(
+                task_index=i,
+                class_means=np.array(means).reshape(num_classes, dim),
+                cov_scale=draw(doubles),
+                train=pool(draw(st.integers(num_classes, 9))),
+                test=pool(draw(st.integers(num_classes, 5))),
+            )
+        )
+    sequence = TaskSequence(tasks)
+    clients = draw(st.sampled_from((0, 1, 2)))
+    if not clients:
+        return sequence, None
+    part = PartitionSpec(num_clients=clients, dirichlet_alpha=draw(st.sampled_from((0.1, 1.0))))
+    return sequence, partition_sequence(sequence, part, seed=draw(st.integers(0, 50)))
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
+
+
+def assert_bit_equal_sequences(got, want):
+    """Loaded sequences and shards agree bit for bit: inputs and means by their uint64 views."""
+    (seq_a, shards_a), (seq_b, shards_b) = got, want
+    assert seq_a.num_tasks == seq_b.num_tasks
+    for a, b in zip(seq_a.tasks, seq_b.tasks):
+        assert a.task_index == b.task_index
+        assert bits(np.array(a.cov_scale)) == bits(np.array(b.cov_scale))
+        assert bits(a.class_means) == bits(b.class_means)
+        for pool_a, pool_b in ((a.train, b.train), (a.test, b.test)):
+            assert bits(pool_a.inputs) == bits(pool_b.inputs)
+            assert pool_a.labels.tolist() == pool_b.labels.tolist()
+    assert (shards_a is None) == (shards_b is None)
+    for task_a, task_b in zip(shards_a or (), shards_b or ()):
+        assert len(task_a) == len(task_b)
+        for shard_a, shard_b in zip(task_a, task_b):
+            assert (shard_a.task_index, shard_a.client_index) == (shard_b.task_index, shard_b.client_index)
+            assert shard_a.pool_indices.tolist() == shard_b.pool_indices.tolist()
+            assert bits(shard_a.data.inputs) == bits(shard_b.data.inputs)
+            assert shard_a.data.labels.tolist() == shard_b.data.labels.tolist()
+
+
+def assert_matches_the_oracles(sequence, shards, directory: Path):
+    ours, theirs = directory / "ours.txt", directory / "theirs.txt"
+    export_sequence(sequence, ours, shards)
+    export_sequence_reference(sequence, theirs, shards)
+    assert ours.read_bytes() == theirs.read_bytes()
+    loaded = load_sequence(ours)
+    assert_bit_equal_sequences(loaded, load_sequence_reference(ours))
+    assert_bit_equal_sequences(loaded, (sequence, shards))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=dataset_sequences())
+def test_dataset_file_round_trip_matches_the_oracles_bit_for_bit(values):
+    sequence, shards = values
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_the_oracles(sequence, shards, Path(tmp))
+
+
+@pytest.mark.parametrize("profile", ["profiles/default.ini", "profiles/wide.ini"])
+@pytest.mark.parametrize("seed", [1, 25])
+@pytest.mark.parametrize("with_shards", [False, True])
+def test_profile_datasets_match_the_oracles_bit_for_bit(tmp_path, profile, seed, with_shards):
+    config = parse_config(Path(__file__).resolve().parent.parent / profile)
+    sequence = generate_sequence(config.shift, seed)
+    shards = partition_sequence(sequence, config.partition, seed) if with_shards else None
+    assert_matches_the_oracles(sequence, shards, tmp_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    value=doubles,
+    digits=st.integers(1, 17),
+    decimal=st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{1,40})?(e-?[0-9]{1,3})?", fullmatch=True),
+)
+def test_numpy_string_conversion_gives_the_bits_of_float(value, digits, decimal):
+    texts = [f"{value:.17g}", f"{value:.{digits}g}", repr(value), decimal]
+    assert bits(np.array(texts).astype(np.float64)) == bits(np.array([float(t) for t in texts]))

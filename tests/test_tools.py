@@ -59,8 +59,9 @@ def test_every_corpus_entry_parses():
 # overflow entries, lambdas whose square underflows or is subnormal, an eight-task
 # sequence, local rates whose square underflows, protocol-long, whose tasks plan
 # their rounds in several chunks, shards over STACK_ROWS // 2 rows, whose
-# full-shard stacks hold one point, and a client-side lambda whose double
-# overflows.  The tool checks the whole corpus.
+# full-shard stacks hold one point, client-side lambdas where 2 lambda or
+# 2 lambda anchor overflows, and per-round accuracies with a joint-objective
+# cadence that does not divide T.  The tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -88,6 +89,11 @@ GATE_SUBSET = (
     "profiles/default.ini data.train_samples_per_task=2400",
     "profiles/default.ini data.train_samples_per_task=2400 model.kind=mlp1 model.hidden_dim=8",
     "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=9e307",
+    "profiles/default.ini io.eval_every=7 io.joint_grad_every=3",
+    "profiles/default.ini data.num_tasks=2 io.joint_grad_every=3",
+    "profiles/default.ini model.kind=mlp1 model.hidden_dim=8 io.eval_every=4 io.joint_grad_every=3",
+    "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=8.9e307 "
+    "federation.local_lr=0.2",
 )
 
 

@@ -152,6 +152,16 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     (DEFAULT, ("data.train_samples_per_task=2400",) + TANH),
     # 2 * lambda overflows in the client-side proximal map.
     (DEFAULT, ("federation.algorithm=special_c", "federation.prox_lambda=9e307")),
+    # Per-round accuracies, and a joint-objective cadence that does not divide
+    # T, so the last round of a task is not tracked.
+    (DEFAULT, ("io.eval_every=7", "io.joint_grad_every=3")),
+    (DEFAULT, ("data.num_tasks=2", "io.joint_grad_every=3")),
+    (DEFAULT, TANH + ("io.eval_every=4", "io.joint_grad_every=3")),
+    # 2 * lambda is finite, but 2 * lambda * anchor overflows in the proximal map.
+    (
+        DEFAULT,
+        ("federation.algorithm=special_c", "federation.prox_lambda=8.9e307", "federation.local_lr=0.2"),
+    ),
 )
 
 
