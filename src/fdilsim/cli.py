@@ -3,7 +3,7 @@
 Subcommands::
 
     fdilsim run <config> [--out DIR]   (prints a run line and a bound summary)
-    fdilsim sweep <config> --lambda 0,0.25,0.5 [--out DIR]
+    fdilsim sweep <config> --lambda 0,0.25,0.5 [--out DIR]   (all sub-runs or none)
     fdilsim verify <run-dir>
     fdilsim compare <run-dir-a> <run-dir-b>
 
@@ -27,7 +27,7 @@ from .config import ConfigError, parse_config_text, serialize_config, with_lambd
 from .datagen import DataOverflowError
 from .experiment import run_experiment
 from .metrics import acc, bwt
-from .runio import compare_runlogs, emit_runlog, fmt, verify_runlog
+from .runio import compare_runlogs, emit_runlog, emit_sweep, fmt, verify_runlog
 from .theory import UNDERFLOW, ProbeScaleError
 
 EXIT_OK = 0
@@ -123,19 +123,19 @@ def _cmd_sweep(args) -> int:
     grid = [lam + 0.0 for lam in grid]  # -0.0 runs and is written as 0.0
 
     root = args.out if args.out else base.output_dir
-    lines = ["lambda,acc,bwt"]
+    # Every value runs before anything is written, so a run that diverges
+    # leaves no files behind.
+    runs, lines, printed = [], ["lambda,acc,bwt"], []
     for lam in grid:
         sub_dir = os.path.join(root, f"lambda_{fmt(lam)}")
-        effective = serialize_config(with_lambda(base, lam, sub_dir))
-        artifacts = _experiment(effective)
-        emit_runlog(artifacts, sub_dir)
+        artifacts = _experiment(serialize_config(with_lambda(base, lam, sub_dir)))
+        runs.append((sub_dir, artifacts))
         matrix = artifacts.log.accuracy
         bwt_text = fmt(bwt(matrix)) if matrix.num_tasks >= 2 else ""
         lines.append(f"{fmt(lam)},{fmt(acc(matrix))},{bwt_text}")
-        print(f"lambda={fmt(lam)}: acc={fmt(acc(matrix))} bwt={bwt_text}")
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "sweep_summary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        printed.append(f"lambda={fmt(lam)}: acc={fmt(acc(matrix))} bwt={bwt_text}")
+    emit_sweep(root, runs, "\n".join(lines) + "\n")
+    print("\n".join(printed))
     return EXIT_OK
 
 

@@ -48,10 +48,9 @@ Two modes:
 * plain (no anchor) -- theta <- theta - gamma_L * g, the inner loop of the
   main protocol, giving delta = -gamma_L * sum of step gradients exactly.
 * client prox (an anchor) -- each step is followed by the proximal map
-  ``prox(x) = (x + 2*lambda*anchor) / (1 + 2*lambda)``, the minimizer of
+  ``prox(x) = anchor + (x - anchor) / (1 + 2*lambda)``, the minimizer of
   0.5*||theta - x||^2 + lambda*||theta - anchor||^2, pulling the iterate
-  toward the previous task's model during local training.  Where 2*lambda
-  overflows it is evaluated as ``(x/lambda + 2*anchor) / (1/lambda + 2)``.
+  toward the previous task's model during local training.
 """
 
 from __future__ import annotations
@@ -86,16 +85,13 @@ class ClientUpdate:
 def prox_map(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form minimizer of 0.5*||t - x||^2 + lam*||t - anchor||^2.
 
-    It is ``(x + 2 lam anchor) / (1 + 2 lam)``.  Where that numerator is not
-    finite (``2 lam`` or ``2 lam anchor`` overflows, or ``x`` has diverged)
-    it takes the same minimizer without forming ``2 lam anchor``.
+    It is ``anchor + (x - anchor) / (1 + 2 lam)``, which maps the anchor to
+    itself exactly; where ``2 lam`` overflows the quotient is 0 and the map
+    is the anchor.
     """
-    if lam == 0.0:
+    if lam == 0.0:  # anchor + (x - anchor) need not be x bit for bit
         return x
-    numerator = x + 2.0 * lam * anchor
-    if np.isfinite(numerator).all():
-        return numerator / (1.0 + 2.0 * lam)
-    return (x / lam + 2.0 * anchor) / (1.0 / lam + 2.0)
+    return anchor + (x - anchor) / (1.0 + 2.0 * lam)
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def export_sequence(sequence: TaskSequence, path, shards: list[list[ClientShard]
     lines = [FORMAT_MAGIC]
     lines.append(
         f"tasks {sequence.num_tasks} clients {num_clients} "
-        f"classes {int(first.train.labels.max()) + 1} input_dim {first.train.inputs.shape[1]}"
+        f"classes {len(first.class_means)} input_dim {first.train.inputs.shape[1]}"
     )
     for task in sequence.tasks:
         lines.append(f"task {task.task_index} train {len(task.train)} test {len(task.test)} cov {task.cov_scale:.17g}")

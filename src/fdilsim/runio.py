@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import shutil
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -54,6 +55,7 @@ BOUNDS_FILE = "bound_report.csv"
 CONFIG_FILE = "config.ini"
 OUTPUT_FILES = (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE)
 ALL_FILES = OUTPUT_FILES + (CONFIG_FILE,)
+SWEEP_SUMMARY_FILE = "sweep_summary.csv"
 
 
 def fmt(value: float | None) -> str:
@@ -201,6 +203,29 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
 
     files[CONFIG_FILE] = artifacts.config_text
     _write_all(out_dir, files)
+
+
+def emit_sweep(root, runs: list[tuple[str, RunArtifacts]], summary: str) -> None:
+    """Write each ``(sub_dir, artifacts)`` run, then ``summary`` as the sweep summary in ``root``.
+
+    If a write fails, every directory and file that did not exist before the
+    call is removed again, and the error propagates.  A sub-directory that
+    already existed keeps whatever complete run was last written into it.
+    """
+    summary_path = os.path.join(root, SWEEP_SUMMARY_FILE)
+    paths = [root, *(sub_dir for sub_dir, _ in runs), summary_path]
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for sub_dir, artifacts in runs:
+            emit_runlog(artifacts, sub_dir)
+        _write_all(root, {SWEEP_SUMMARY_FILE: summary})
+    except OSError:
+        for path in reversed(created):  # the summary, then the sub-runs, then the root
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            elif os.path.lexists(path):
+                os.remove(path)
+        raise
 
 
 def _write_all(out_dir, files: dict[str, str]) -> None:

@@ -9,12 +9,11 @@ ascending client-id order, applies the global step
 the server-anchored algorithm, blends the result with the previous task's
 final model:
 
-    theta' = theta_bar / (1 + lambda) + (lambda / (1 + lambda)) * anchor
+    theta' = anchor + (theta_bar - anchor) / (1 + lambda)
 
-evaluated in that order, which is the minimizer of
-||u - theta_bar||^2 + lambda*||u - anchor||^2 up to rounding (it rounds
-differently from ``(theta_bar + lambda * anchor) / (1 + lambda)``).
-With lambda = 0 every round reduces to plain FedAvg.
+the minimizer of ||u - theta_bar||^2 + lambda*||u - anchor||^2, which maps
+the anchor to itself exactly.  With lambda = 0 every round reduces to plain
+FedAvg.
 
 The round loop holds plain values: the global model, and the task's anchor,
 the model it started from, which is also the start its drift is measured
@@ -198,9 +197,9 @@ def proximal_blend(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.
         raise ValueError("theta_bar and anchor must share a length")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if lam == 0.0:
+    if lam == 0.0:  # anchor + (theta_bar - anchor) need not be theta_bar bit for bit
         return theta_bar.copy()
-    return theta_bar / (1.0 + lam) + (lam / (1.0 + lam)) * anchor
+    return anchor + (theta_bar - anchor) / (1.0 + lam)
 
 
 # Largest row index, in bytes, that one chunk of planned rounds holds.  A

@@ -822,6 +822,34 @@ def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -
     return reports
 
 
+def proximal_blend_reference(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
+    """The server blend as first written: ``theta_bar / (1 + lam) + (lam / (1 + lam)) * anchor``.
+
+    The same minimizer as :func:`fdilsim.server.proximal_blend`, rounded
+    otherwise: it does not map the anchor to itself exactly, and it stays
+    finite where ``theta_bar - anchor`` overflows.
+    """
+    if lam == 0.0:
+        return theta_bar.copy()
+    return theta_bar / (1.0 + lam) + (lam / (1.0 + lam)) * anchor
+
+
+def prox_map_reference(x: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
+    """The client prox as first written: ``(x + 2 lam anchor) / (1 + 2 lam)``.
+
+    Where that numerator is not finite it takes the same minimizer as
+    ``(x / lam + 2 anchor) / (1 / lam + 2)``.  Like
+    :func:`proximal_blend_reference`, it rounds otherwise than
+    :func:`fdilsim.client.prox_map`.
+    """
+    if lam == 0.0:
+        return x
+    numerator = x + 2.0 * lam * anchor
+    if np.isfinite(numerator).all():
+        return numerator / (1.0 + 2.0 * lam)
+    return (x / lam + 2.0 * anchor) / (1.0 / lam + 2.0)
+
+
 def export_sequence_reference(sequence: TaskSequence, path, shards=None) -> None:
     """The dataset writer with one formatting loop per line kind, one value at a time.
 
@@ -832,7 +860,7 @@ def export_sequence_reference(sequence: TaskSequence, path, shards=None) -> None
     lines = [FORMAT_MAGIC]
     lines.append(
         f"tasks {sequence.num_tasks} clients {num_clients} "
-        f"classes {int(first.train.labels.max()) + 1} input_dim {first.train.inputs.shape[1]}"
+        f"classes {len(first.class_means)} input_dim {first.train.inputs.shape[1]}"
     )
     for task in sequence.tasks:
         lines.append(f"task {task.task_index} train {len(task.train)} test {len(task.test)} cov {task.cov_scale:.17g}")

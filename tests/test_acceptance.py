@@ -138,7 +138,7 @@ def test_criterion_03_blend_and_prox_optimality():
         lams = rng.uniform(0.01, 5.0, size=(1000, 1))
 
         if kind == "server":
-            closed = x / (1.0 + lams) + (lams / (1.0 + lams)) * anchor
+            closed = anchor + (x - anchor) / (1.0 + lams)
             check = np.stack([
                 proximal_blend(x[i], anchor[i], float(lams[i, 0])) for i in range(1000)
             ])
@@ -152,7 +152,7 @@ def test_criterion_03_blend_and_prox_optimality():
 
             residual = 2.0 * (closed - x) + 2.0 * lams * (closed - anchor)
         else:
-            closed = (x + 2.0 * lams * anchor) / (1.0 + 2.0 * lams)
+            closed = anchor + (x - anchor) / (1.0 + 2.0 * lams)
             check = np.stack([
                 prox_map(x[i], anchor[i], float(lams[i, 0])) for i in range(1000)
             ])

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from fdilsim import cli, run_experiment
 from fdilsim.cli import main
+from fdilsim.client import DivergenceError
 from fdilsim.runio import ROUNDS_FILE, SUMMARY_FILE
 from conftest import small_config
 
@@ -101,6 +103,41 @@ def test_sweep_writes_summary_and_subruns(tmp_path):
     assert (tmp_path / "sweep" / "lambda_0.5" / ROUNDS_FILE).exists()
     # Each sub-run verifies against its own effective config snapshot.
     assert main(["verify", str(tmp_path / "sweep" / "lambda_0.5")]) == 0
+
+
+def test_sweep_that_cannot_write_a_subrun_leaves_nothing_it_created(tmp_path, capsys):
+    # A file in the way of the second sub-run once left a complete lambda_0/
+    # and no summary behind.
+    config = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "lambda_0.25").touch()
+    assert main(["sweep", str(config), "--lambda", "0,0.25"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("io error: ")
+    assert [p.name for p in (tmp_path / "sweep").iterdir()] == ["lambda_0.25"]
+    # With nothing in the way, the same sweep completes.
+    (tmp_path / "sweep" / "lambda_0.25").unlink()
+    assert main(["sweep", str(config), "--lambda", "0,0.25"]) == 0
+    written = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert written == ["lambda_0", "lambda_0.25", "sweep_summary.csv"]
+
+
+def test_sweep_that_diverges_at_a_later_lambda_writes_nothing(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+    calls = []
+
+    def diverge_on_second(text):
+        calls.append(text)
+        if len(calls) == 2:
+            raise DivergenceError("non-finite parameter values")
+        return run_experiment(text)
+
+    monkeypatch.setattr(cli, "run_experiment", diverge_on_second)
+    assert main(["sweep", str(config), "--lambda", "0,0.5,1"]) == 4
+    out, err = capsys.readouterr()
+    assert len(calls) == 2 and out == ""
+    assert err == "diverged: non-finite parameter values\n"
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -424,10 +461,11 @@ def test_tiny_lambda_flags_vacuous_caps_and_verifies(tmp_path, lam):
 
 @pytest.mark.parametrize("lr", ["1e-300", "5e-324"])
 def test_tiny_local_rate_flags_underflowed_caps_and_verifies(tmp_path, capsys, lr):
-    # gamma_l ** 2 underflows to 0, so the anchored drift caps read 0, while
-    # the server blend's rounding leaves a drift near 1e-36 in task 2: run
-    # reported it violated and verify failed.  At 5e-324 the stationarity
-    # cap's divisor underflows to 0 too, which ended run in a traceback.
+    # gamma_l ** 2 underflows to 0, so the anchored drift caps read 0 and are
+    # flagged.  The local steps do not move the model and the blend maps the
+    # anchor to itself, so the drift is exactly 0 and the caps hold.  At
+    # 5e-324 the stationarity cap's divisor underflows to 0 too, which ended
+    # run in a traceback.
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
     config = tmp_path / "tiny_rate.ini"
@@ -445,23 +483,40 @@ def test_tiny_local_rate_flags_underflowed_caps_and_verifies(tmp_path, capsys, l
     for name in ("drift_cap_task_2", "drift_cap_task_3"):
         assert rows[name].split(",")[1] == "0"
         assert rows[name].endswith(";vacuous=underflow")
-    assert rows["drift_cap_task_2"].split(",")[3] == "false"
+    assert rows["drift_cap_task_2"].split(",")[3] == "true"
+    assert anchored_drifts(out) == {"0"}
     stationarity = rows["stationarity_residual"]
     assert stationarity.endswith(";vacuous=overflow") == (lr == "5e-324")
 
 
-def test_small_representable_drift_cap_stays_violated(tmp_path, capsys):
+def anchored_drifts(out):
+    """The set of ``drift_sq`` texts that tasks 2 and on log in the run's rounds file."""
+    lines = (out / ROUNDS_FILE).read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("drift_sq")
+    return {row.split(",")[column] for row in lines[1:] if row.split(",")[0] != "1"}
+
+
+def test_small_representable_drift_cap_is_not_flagged(tmp_path, capsys):
     # At local_lr = 1e-20 the drift cap of task 2 is about 4e-38: representable,
-    # and below the drift the blend's rounding leaves, so it is not masked.
+    # so it carries no flag.  The local steps do not move the model and the
+    # blend maps the anchor to itself, so the drift is exactly 0 and the cap
+    # holds (the old blend's rounding left a drift near 6e-36 and broke it).
     root = Path(__file__).resolve().parent.parent
     text = (root / "profiles" / "default.ini").read_text(encoding="utf-8")
     config = tmp_path / "small_rate.ini"
     config.write_text(text.replace("local_lr = 0.001", "local_lr = 1e-20"), encoding="utf-8")
     out = tmp_path / "small_rate"
     assert main(["run", str(config), "--out", str(out)]) == 0
-    assert "drift_cap_task_2" in capsys.readouterr().out.splitlines()[1]
-    assert main(["verify", str(out)]) == 2
-    assert "task 2 round 19: drift" in capsys.readouterr().out
+    assert "drift_cap_task_2" not in capsys.readouterr().out.splitlines()[1]
+    assert main(["verify", str(out)]) == 0
+    rows = {
+        line.split(",")[0]: line
+        for line in (out / "bound_report.csv").read_text(encoding="utf-8").splitlines()
+    }
+    fields = rows["drift_cap_task_2"].split(",")
+    assert 0.0 < float(fields[1]) < 1e-37 and fields[3] == "true"
+    assert ";vacuous=" not in rows["drift_cap_task_2"]
+    assert anchored_drifts(out) == {"0"}
 
 
 def test_run_prints_bound_summary(tmp_path, capsys):

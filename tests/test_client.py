@@ -107,27 +107,26 @@ def test_prox_map_example_and_oracle():
 
 
 def test_prox_map_at_a_lambda_whose_double_overflows_is_the_anchor():
-    # 2 * 9e307 is inf, which made the map inf / inf = NaN.  The minimizer is
-    # the anchor to within an ulp.
+    # 2 * 9e307 is inf, which once made the map inf / inf = NaN.  The
+    # minimizer is the anchor to within an ulp.
     lam = 9e307
     assert 2.0 * lam == np.inf
     x = np.array([1e10, -3.0, 0.7, 0.0])
     anchor = np.array([0.3, -1.2, 5e-3, 0.0])
-    with np.errstate(invalid="ignore"):  # 2 * lam * 0.0 is inf * 0 = NaN
-        theta = prox_map(x, anchor, lam)
+    theta = prox_map(x, anchor, lam)
     assert np.isfinite(theta).all()
     assert (np.abs(theta - anchor) <= np.spacing(np.abs(anchor))).all()
 
 
 def test_prox_map_where_only_two_lambda_times_the_anchor_overflows_is_the_anchor():
-    # 2 * 8.9e307 is finite, but 2 * 8.9e307 * -1.2 is not, which made the
-    # map -inf in that entry.  The minimizer is the anchor to within an ulp.
+    # 2 * 8.9e307 is finite, but 2 * 8.9e307 * -1.2 is not, which once made
+    # the map -inf in that entry when it formed that product.  The minimizer
+    # is the anchor to within an ulp.
     lam = 8.9e307
     assert np.isfinite(2.0 * lam)
     x = np.array([1e10, -3.0, 0.7])
     anchor = np.array([0.3, -1.2, 5e-3])
-    with np.errstate(over="ignore"):
-        theta = prox_map(x, anchor, lam)
+    theta = prox_map(x, anchor, lam)
     assert np.isfinite(theta).all()
     assert (np.abs(theta - anchor) <= np.spacing(np.abs(anchor))).all()
 

@@ -299,8 +299,8 @@ doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, al
 def dataset_sequences(draw):
     """Hand-built sequences of edge-case doubles, with or without shards.
 
-    Labels are drawn freely, so the header's class count, taken from task
-    1's train labels, may differ from the C mean lines of each task.
+    Labels are drawn freely, so task 1's train labels need not reach every
+    one of the C classes that the header counts from its mean lines.
     """
     num_tasks = draw(st.integers(1, 3))
     num_classes = draw(st.integers(2, 4))
@@ -382,6 +382,26 @@ def test_profile_datasets_match_the_oracles_bit_for_bit(tmp_path, profile, seed,
     sequence = generate_sequence(config.shift, seed)
     shards = partition_sequence(sequence, config.partition, seed) if with_shards else None
     assert_matches_the_oracles(sequence, shards, tmp_path)
+    # Every class has train rows in task 1, so the header's class count, now
+    # the mean rows', is the one the largest label gave: these bytes are unchanged.
+    first = sequence.tasks[0]
+    assert int(first.train.labels.max()) + 1 == len(first.class_means)
+
+
+def test_export_header_counts_classes_by_mean_rows(tmp_path):
+    # Task 1's train labels reach only classes 0 and 1 of 3; the header
+    # wrote "classes 2" above 3 mean lines.
+    pool = Minibatch(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 1]))
+    task = TaskData(
+        task_index=1, class_means=np.array([[0.0], [1.0], [2.0]]), cov_scale=0.5, train=pool, test=pool
+    )
+    path = tmp_path / "dataset.txt"
+    export_sequence(TaskSequence([task]), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "tasks 1 clients 0 classes 3 input_dim 1"
+    assert sum(line.startswith("mean ") for line in lines) == 3
+    loaded, _ = load_sequence(path)
+    assert_bit_equal_sequences((loaded, None), (TaskSequence([task]), None))
 
 
 @settings(max_examples=200, deadline=None)

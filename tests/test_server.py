@@ -1,11 +1,17 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdilsim import (
+    ClientShard,
+    DivergenceError,
     EvalConfig,
     HyperParams,
+    Minibatch,
     ModelSpec,
     PartitionSpec,
     aggregate,
@@ -13,15 +19,17 @@ from fdilsim import (
     generate_sequence,
     partition_sequence,
     parse_config_text,
+    prox_map,
     proximal_blend,
     run_experiment,
     run_sequence,
     sample_clients,
 )
 from fdilsim import rng as rngmod
+from fdilsim import client as client_module
 from fdilsim import server
 from fdilsim.client import plan_batches, task_pool
-from fdilsim.metrics import STACK_ROWS
+from fdilsim.metrics import STACK_ROWS, acc, bwt
 from fdilsim.runio import compare_runlogs, emit_runlog
 from fdilsim.server import run_round, run_task
 from test_datagen import make_shift
@@ -31,6 +39,8 @@ from helpers import (
     joint_fields_loop,
     joint_prefixes,
     local_update_loop,
+    prox_map_reference,
+    proximal_blend_reference,
     sample_clients_loop,
 )
 
@@ -232,6 +242,72 @@ def test_zero_updates_blend_toward_anchor():
     theta = np.array([3.0, 4.0])
     blended = proximal_blend(theta, anchor, 0.5)
     assert np.allclose(blended, (theta + 0.5 * anchor) / 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    lam=st.floats(0.0, 1.7e308),
+)
+def test_anchor_pulls_map_the_anchor_to_itself(values, lam):
+    # The old closed forms moved the anchor by rounding, so a round that did
+    # not move the model still logged drift.
+    anchor = np.array(values)
+    assert (proximal_blend(anchor, anchor, lam) == anchor).all()
+    assert (prox_map(anchor, anchor, lam) == anchor).all()
+
+
+def test_an_overflowing_anchor_difference_diverges():
+    # The model and the anchor are finite, but their difference overflows, so
+    # both exact pulls are not finite and the round stops with DivergenceError,
+    # never a NaN model.  The old closed forms stayed finite here.  Input 1 is
+    # 0 on every row, so the weights on it never reach the kernel.
+    rng = np.random.default_rng(5)
+    inputs = rng.standard_normal((12, 2))
+    inputs[:, 1] = 0.0
+    shards = [
+        ClientShard(2, m, Minibatch(inputs[6 * m : 6 * m + 6], rng.integers(0, 3, 6)))
+        for m in range(2)
+    ]
+    params = np.zeros(9)
+    params[3:6] = 1e308  # the weights on input 1
+    anchor = -params
+    assert np.isfinite(proximal_blend_reference(params, anchor, 0.25)).all()
+    assert np.isfinite(prox_map_reference(params, anchor, 0.25)).all()
+    for algorithm, message in (("special", "non-finite parameter"), ("special_c", "diverged")):
+        hp = make_hp(
+            num_clients=2, participants_per_round=2, local_epochs=1, batch_size=4, algorithm=algorithm
+        )
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=message):
+            one_round(SPEC, params, anchor, 2, 0, shards, hp)
+
+
+@pytest.mark.parametrize("algorithm", ["special", "special_c"])
+def test_exact_anchor_pulls_track_the_old_forms_over_seeds(monkeypatch, algorithm):
+    # Over 50 seeds of default.ini, runs with the old closed forms agree with
+    # the exact pulls: |dACC|, |dBWT| <= 0.01, and each round's drift_sq, and
+    # the final model, within 1e-12 relative wherever the old value is nonzero.
+    config = parse_config_text((ROOT / "profiles" / "default.ini").read_text(encoding="utf-8"))
+    moved = 0
+    for seed in range(50):
+        hp = replace(config.hyper, algorithm=algorithm, master_seed=seed)
+        sequence = generate_sequence(config.shift, seed)
+        shards = partition_sequence(sequence, config.partition, seed)
+        new = run_sequence(config.model, sequence, shards, hp)
+        with monkeypatch.context() as patch:
+            patch.setattr(server, "proximal_blend", proximal_blend_reference)
+            patch.setattr(client_module, "prox_map", prox_map_reference)
+            old = run_sequence(config.model, sequence, shards, hp)
+        assert abs(acc(new.accuracy) - acc(old.accuracy)) <= 0.01
+        assert abs(bwt(new.accuracy) - bwt(old.accuracy)) <= 0.01
+        new_drift = np.array([r.drift_sq for r in new.records])
+        old_drift = np.array([r.drift_sq for r in old.records])
+        nonzero = old_drift != 0.0
+        assert (np.abs(new_drift - old_drift)[nonzero] <= 1e-12 * old_drift[nonzero]).all()
+        final_new, final_old = new.task_params[-1], old.task_params[-1]
+        assert np.linalg.norm(final_new - final_old) <= 1e-12 * np.linalg.norm(final_old)
+        moved += not np.array_equal(new_drift, old_drift)
+    assert moved  # the old forms were in effect
 
 
 def test_fedavg_equals_special_lambda_zero():

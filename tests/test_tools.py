@@ -86,6 +86,8 @@ GATE_SUBSET = (
     "profiles/default.ini data.num_tasks=8",
     "profiles/default.ini federation.local_lr=1e-300",
     "profiles/default.ini federation.local_lr=5e-324",
+    "profiles/default.ini federation.local_lr=1e-20",
+    "profiles/default.ini federation.local_lr=1e-20 federation.algorithm=special_c",
     "profiles/default.ini data.train_samples_per_task=2400",
     "profiles/default.ini data.train_samples_per_task=2400 model.kind=mlp1 model.hidden_dim=8",
     "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=9e307",

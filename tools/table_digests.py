@@ -147,17 +147,22 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # at 5e-324 the stationarity cap's divisor is 0 too.
     (DEFAULT, ("federation.local_lr=1e-300",)),
     (DEFAULT, ("federation.local_lr=5e-324",)),
+    # Local steps that cannot move a float: the anchor pulls keep the drift at
+    # exactly 0 under a small but representable drift cap.
+    (DEFAULT, ("federation.local_lr=1e-20",)),
+    (DEFAULT, ("federation.local_lr=1e-20", "federation.algorithm=special_c")),
     # Shards over STACK_ROWS // 2 rows, whose full-shard stacks hold one point.
     (DEFAULT, ("data.train_samples_per_task=2400",)),
     (DEFAULT, ("data.train_samples_per_task=2400",) + TANH),
-    # 2 * lambda overflows in the client-side proximal map.
+    # 2 * lambda overflows in the client-side proximal map, whose pull is then
+    # the anchor.
     (DEFAULT, ("federation.algorithm=special_c", "federation.prox_lambda=9e307")),
     # Per-round accuracies, and a joint-objective cadence that does not divide
     # T, so the last round of a task is not tracked.
     (DEFAULT, ("io.eval_every=7", "io.joint_grad_every=3")),
     (DEFAULT, ("data.num_tasks=2", "io.joint_grad_every=3")),
     (DEFAULT, TANH + ("io.eval_every=4", "io.joint_grad_every=3")),
-    # 2 * lambda is finite, but 2 * lambda * anchor overflows in the proximal map.
+    # 2 * lambda is finite and near the top of the range in the proximal map.
     (
         DEFAULT,
         ("federation.algorithm=special_c", "federation.prox_lambda=8.9e307", "federation.local_lr=0.2"),
