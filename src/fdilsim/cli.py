@@ -4,8 +4,11 @@ Subcommands::
 
     fdilsim run <config> [--out DIR]   (prints a run line and a bound summary)
     fdilsim sweep <config> --lambda 0,0.25,0.5 [--out DIR]   (all sub-runs or none)
-    fdilsim verify <run-dir>
+    fdilsim verify <run-dir>   (K from the config snapshot)
     fdilsim compare <run-dir-a> <run-dir-b>
+
+``run`` and ``sweep`` publish all their files at once: a failed write
+leaves every earlier file as it was (see ``runio._publish``).
 
 Exit codes: 0 success, 1 usage/config error (a run too large for the
 memory it can get included; no run directory is written for it), 2 invariant
@@ -26,9 +29,8 @@ from .client import DivergenceError
 from .config import ConfigError, parse_config_text, serialize_config, with_lambda
 from .datagen import DataOverflowError
 from .experiment import run_experiment
-from .metrics import acc, bwt
-from .runio import compare_runlogs, emit_runlog, emit_sweep, fmt, verify_runlog
-from .theory import UNDERFLOW, ProbeScaleError
+from .runio import acc_bwt, compare_runlogs, emit_runlog, emit_sweep, fmt, verify_runlog
+from .theory import ProbeScaleError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,14 +92,10 @@ def _cmd_run(args) -> int:
     artifacts = _experiment(text)
     out_dir = args.out if args.out else artifacts.config.output_dir
     emit_runlog(artifacts, out_dir)
-    matrix = artifacts.log.accuracy
-    line = f"run complete: {out_dir} acc={fmt(acc(matrix))}"
-    if matrix.num_tasks >= 2:
-        line += f" bwt={fmt(bwt(matrix))}"
-    print(line)
-    # A row whose cap underflowed to 0 says nothing, so it is not counted as violated.
+    acc_text, bwt_text = acc_bwt(artifacts.log.accuracy)
+    print(f"run complete: {out_dir} acc={acc_text}" + (f" bwt={bwt_text}" if bwt_text else ""))
     reports = artifacts.reports
-    violated = [r.name for r in reports if not r.satisfied and r.vacuous != UNDERFLOW]
+    violated = [r.name for r in reports if r.violated]
     print(
         f"bounds: {len(reports) - len(violated)}/{len(reports)} satisfied; "
         f"violated: {', '.join(violated) or 'none'}"
@@ -130,10 +128,9 @@ def _cmd_sweep(args) -> int:
         sub_dir = os.path.join(root, f"lambda_{fmt(lam)}")
         artifacts = _experiment(serialize_config(with_lambda(base, lam, sub_dir)))
         runs.append((sub_dir, artifacts))
-        matrix = artifacts.log.accuracy
-        bwt_text = fmt(bwt(matrix)) if matrix.num_tasks >= 2 else ""
-        lines.append(f"{fmt(lam)},{fmt(acc(matrix))},{bwt_text}")
-        printed.append(f"lambda={fmt(lam)}: acc={fmt(acc(matrix))} bwt={bwt_text}")
+        acc_text, bwt_text = acc_bwt(artifacts.log.accuracy)
+        lines.append(f"{fmt(lam)},{acc_text},{bwt_text}")
+        printed.append(f"lambda={fmt(lam)}: acc={acc_text} bwt={bwt_text}")
     emit_sweep(root, runs, "\n".join(lines) + "\n")
     print("\n".join(printed))
     return EXIT_OK

@@ -25,8 +25,15 @@ and back.  ``emit_runlog`` writes through the tables, the headers are made
 from them, ``load_runlog`` reads through them (and rejects a rounds or bound
 table whose header or row widths differ from what emit writes), and
 ``verify_runlog`` compares each recomputed bound row with the loaded one as
-both would be written.  The accuracy matrix, the checksums and the ACC/BWT
-rows are written by hand.
+both would be written.  The accuracy matrix and the checksums are written
+by hand; the ACC/BWT texts of the summary, of ``verify`` and of the
+``run``/``sweep`` lines all come from ``acc_bwt``.
+
+``emit_runlog`` and ``emit_sweep`` write through one ``_publish``: every
+file of the run, or of the whole sweep, appears at once, or none is created
+or replaced and no directory the call made is left behind.
+``load_runlog`` takes the number of tasks from the config snapshot, not
+from the summary it checks, and reads every file through one ``_read``.
 """
 
 from __future__ import annotations
@@ -42,11 +49,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import parse_config_text
+from .config import ExperimentConfig, parse_config_text
 from .experiment import RunArtifacts, build_bound_reports
 from .metrics import AccuracyMatrix, acc, bwt
 from .server import RoundRecord, RunStats
-from .theory import DRIFT_ROW, UNDERFLOW, BoundReport, ConstantEstimates
+from .theory import DRIFT_ROW, BoundReport, ConstantEstimates
 
 ROUNDS_FILE = "rounds.csv"
 MATRIX_FILE = "accuracy_matrix.csv"
@@ -54,7 +61,6 @@ SUMMARY_FILE = "metrics_summary.csv"
 BOUNDS_FILE = "bound_report.csv"
 CONFIG_FILE = "config.ini"
 OUTPUT_FILES = (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE)
-ALL_FILES = OUTPUT_FILES + (CONFIG_FILE,)
 SWEEP_SUMMARY_FILE = "sweep_summary.csv"
 
 
@@ -163,13 +169,13 @@ def params_checksum(params: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype=np.float64).tobytes()).hexdigest()
 
 
-def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
-    """Write the five run files into ``out_dir`` (created if needed).
+def acc_bwt(matrix: AccuracyMatrix) -> tuple[str, str]:
+    """The ACC and BWT texts of ``matrix`` as every output writes them; BWT is empty for one task."""
+    return fmt(acc(matrix)), fmt(bwt(matrix)) if matrix.num_tasks >= 2 else ""
 
-    The files appear together: if writing any of them fails, none of them
-    is created or replaced.
-    """
-    os.makedirs(out_dir, exist_ok=True)
+
+def _run_files(artifacts: RunArtifacts, out_dir) -> dict[str, str]:
+    """The five run files of ``artifacts`` in ``out_dir``, as ``{path: text}``."""
     files = {}
     log = artifacts.log
     k = artifacts.config.shift.num_tasks
@@ -187,10 +193,8 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
         lines.append(f"{i},{j},{fmt(value)}")
     files[MATRIX_FILE] = "\n".join(lines) + "\n"
 
-    lines = ["key,value"]
-    lines.append(f"num_tasks,{k}")
-    lines.append(f"acc,{fmt(acc(log.accuracy))}")
-    lines.append(f"bwt,{fmt(bwt(log.accuracy)) if k >= 2 else ''}")
+    acc_text, bwt_text = acc_bwt(log.accuracy)
+    lines = ["key,value", f"num_tasks,{k}", f"acc,{acc_text}", f"bwt,{bwt_text}"]
     lines.append(f"checksum_init,{params_checksum(log.initial_params)}")
     for i, params in enumerate(log.task_params, start=1):
         lines.append(f"checksum_task_{i},{params_checksum(params)}")
@@ -202,49 +206,67 @@ def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
     files[BOUNDS_FILE] = "\n".join(lines) + "\n"
 
     files[CONFIG_FILE] = artifacts.config_text
-    _write_all(out_dir, files)
+    return {os.path.join(out_dir, name): text for name, text in files.items()}
+
+
+def emit_runlog(artifacts: RunArtifacts, out_dir) -> None:
+    """Publish the five run files into ``out_dir``: all of them, or none (see :func:`_publish`)."""
+    _publish(_run_files(artifacts, out_dir))
 
 
 def emit_sweep(root, runs: list[tuple[str, RunArtifacts]], summary: str) -> None:
-    """Write each ``(sub_dir, artifacts)`` run, then ``summary`` as the sweep summary in ``root``.
+    """Publish each ``(sub_dir, artifacts)`` run and ``summary`` as the sweep summary in ``root``.
 
-    If a write fails, every directory and file that did not exist before the
-    call is removed again, and the error propagates.  A sub-directory that
-    already existed keeps whatever complete run was last written into it.
+    Every file appears, or none is created or replaced (see :func:`_publish`).
     """
-    summary_path = os.path.join(root, SWEEP_SUMMARY_FILE)
-    paths = [root, *(sub_dir for sub_dir, _ in runs), summary_path]
-    created = [path for path in paths if not os.path.lexists(path)]
-    try:
-        for sub_dir, artifacts in runs:
-            emit_runlog(artifacts, sub_dir)
-        _write_all(root, {SWEEP_SUMMARY_FILE: summary})
-    except OSError:
-        for path in reversed(created):  # the summary, then the sub-runs, then the root
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-            elif os.path.lexists(path):
-                os.remove(path)
-        raise
+    files = {}
+    for sub_dir, artifacts in runs:
+        files.update(_run_files(artifacts, sub_dir))
+    files[os.path.join(root, SWEEP_SUMMARY_FILE)] = summary
+    _publish(files)
 
 
-def _write_all(out_dir, files: dict[str, str]) -> None:
-    """Write every file under a temporary name, then rename them all into place.
+def _publish(files: dict[str, str]) -> None:
+    """Write ``{path: text}`` so that every file appears, or none is created or replaced.
 
-    A failure while writing leaves no new run file in ``out_dir``, and no
-    temporary file survives the call.
+    Missing directories are made first.  Each file is written under a
+    temporary name beside its target, and only then are they all renamed
+    into place.  If a write fails, the temporary files and every directory
+    the call made, parents included, are removed, and the error propagates.
     """
-    temps = []
+    made, temps = [], []
     try:
-        for name, text in files.items():
-            temps.append(os.path.join(out_dir, f".{name}.tmp"))
-            _write(temps[-1], text)
-        for temp, name in zip(temps, files):
-            os.replace(temp, os.path.join(out_dir, name))
-    finally:
+        for path in files:
+            _make_dirs(os.path.dirname(path), made)
+        for path in files:
+            head, name = os.path.split(path)
+            temps.append(os.path.join(head, f".{name}.tmp"))
+            _write(temps[-1], files[path])
+        for temp, path in zip(temps, files):
+            os.replace(temp, path)
+    except BaseException:
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
+        for path in reversed(made):
+            shutil.rmtree(path, ignore_errors=True)
+        raise
+
+
+def _make_dirs(path: str, made: list[str]) -> None:
+    """Make ``path`` and its missing parents, outermost first, appending each one made to ``made``."""
+    missing = []
+    while path and not os.path.isdir(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    for path in reversed(missing):
+        try:
+            os.mkdir(path)
+        except FileExistsError:
+            if not os.path.isdir(path):  # a file is in the way
+                raise
+        else:
+            made.append(path)
 
 
 def _write(path, text: str) -> None:
@@ -256,7 +278,7 @@ def _write(path, text: str) -> None:
 class LoadedRun:
     """Parsed contents of a run directory."""
 
-    config_text: str
+    config: ExperimentConfig
     records: list[RoundRecord]
     accuracy: AccuracyMatrix
     summary: dict[str, str]
@@ -268,33 +290,36 @@ class LoadedRun:
 def load_runlog(run_dir) -> LoadedRun:
     """Parse a run directory back into structured form.
 
-    A rounds or bound table whose header is not the one ``emit_runlog``
-    writes, or with a row of another width, raises ``ValueError``.
+    The number of tasks K, which sizes the accuracy matrix and the rounds
+    header, is the config snapshot's, and the matrix file must hold its
+    K(K+1)/2 entries.  A missing file raises ``FileNotFoundError``; a matrix
+    of another size, or a rounds or bound table whose header is not the one
+    ``emit_runlog`` writes or with a row of another width, raises
+    ``ValueError``.
     """
-    for name in ALL_FILES:
-        if not os.path.exists(os.path.join(run_dir, name)):
-            raise FileNotFoundError(f"missing run file: {os.path.join(run_dir, name)}")
-
-    with open(os.path.join(run_dir, CONFIG_FILE), encoding="utf-8") as fh:
-        config_text = fh.read()
-
+    config = parse_config_text(_read(run_dir, CONFIG_FILE).decode("utf-8"))
+    k = config.shift.num_tasks
     summary: dict[str, str] = {}
-    for line in _read(run_dir, SUMMARY_FILE)[1:]:
+    for line in _lines(run_dir, SUMMARY_FILE)[1:]:
         key, _, value = line.partition(",")
         summary[key] = value
 
-    k = int(summary["num_tasks"])
+    # A run writes every entry of the lower triangle, so this count ties K
+    # to the file's size before anything is sized by K.
+    entries, expected = _lines(run_dir, MATRIX_FILE)[1:], k * (k + 1) // 2
+    if len(entries) != expected:
+        raise ValueError(f"{MATRIX_FILE} holds {len(entries)} entries, not the {expected} of {k} tasks")
     matrix = AccuracyMatrix(k)
-    for line in _read(run_dir, MATRIX_FILE)[1:]:
+    for line in entries:
         i, j, value = line.split(",")
         matrix.set(int(i), int(j), float(value))
 
     n = len(ROUND_COLUMNS)
-    values = _read_rows(_read(run_dir, ROUNDS_FILE), _rounds_header(k), ROUNDS_FILE, ROUND_COLUMNS)
+    values = _read_rows(_lines(run_dir, ROUNDS_FILE), _rounds_header(k), ROUNDS_FILE, ROUND_COLUMNS)
     records = list(map(RoundRecord, *values[:n], map(_read_accuracies, zip(*values[n:]))))
-    bounds = _read_rows(_read(run_dir, BOUNDS_FILE), _BOUNDS_HEADER, BOUNDS_FILE, BOUND_COLUMNS, 4)
+    bounds = _read_rows(_lines(run_dir, BOUNDS_FILE), _BOUNDS_HEADER, BOUNDS_FILE, BOUND_COLUMNS, 4)
     return LoadedRun(
-        config_text=config_text,
+        config=config,
         records=records,
         accuracy=matrix,
         summary=summary,
@@ -304,9 +329,14 @@ def load_runlog(run_dir) -> LoadedRun:
     )
 
 
-def _read(run_dir, name: str) -> list[str]:
-    with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _read(run_dir, name: str) -> bytes:
+    """The bytes of one run file; a missing file raises ``FileNotFoundError`` naming its path."""
+    with open(os.path.join(run_dir, name), "rb") as fh:
+        return fh.read()
+
+
+def _lines(run_dir, name: str) -> list[str]:
+    return _read(run_dir, name).decode("utf-8").splitlines()
 
 
 def verify_runlog(run_dir) -> list[str]:
@@ -317,9 +347,8 @@ def verify_runlog(run_dir) -> list[str]:
     """
     violations: list[str] = []
     run = load_runlog(run_dir)
-    config = parse_config_text(run.config_text)
-    hp = config.hyper
-    k = config.shift.num_tasks
+    hp = run.config.hyper
+    k = run.config.shift.num_tasks
 
     if int(run.summary["num_tasks"]) != k:
         violations.append("summary num_tasks disagrees with the config snapshot")
@@ -349,30 +378,21 @@ def verify_runlog(run_dir) -> list[str]:
     except ValueError as exc:
         violations.append(str(exc))
 
-    recomputed_acc = fmt(acc(run.accuracy))
-    if run.summary.get("acc") != recomputed_acc:
-        violations.append(
-            f"summary acc {run.summary.get('acc')} != recomputed {recomputed_acc}"
-        )
-    if k >= 2:
-        recomputed_bwt = fmt(bwt(run.accuracy))
-        if run.summary.get("bwt") != recomputed_bwt:
-            violations.append(
-                f"summary bwt {run.summary.get('bwt')} != recomputed {recomputed_bwt}"
-            )
+    for key, recomputed in zip(("acc", "bwt"), acc_bwt(run.accuracy)):
+        if run.summary.get(key) != recomputed:
+            violations.append(f"summary {key} {run.summary.get(key)} != recomputed {recomputed}")
 
-    # Each round's drift against its task's drift row, unless that cap underflowed.
-    rebuilt = build_bound_reports(config.model, hp, k, run.records, run.constants, run.stats)
+    # A task's rounds are held to the cap of its drift row where that row is violated.
+    rebuilt = build_bound_reports(run.config.model, hp, k, run.records, run.constants, run.stats)
     rows = {report.name: report for report in rebuilt}
     for i in range(2, k + 1):
         row = rows[DRIFT_ROW.format(i=i)]
-        if row.vacuous == UNDERFLOW:
-            continue
-        violations += [
-            f"task {i} round {r.round}: drift {fmt(r.drift_sq)} exceeds anchored cap {fmt(row.analytical)}"
-            for r in run.records
-            if r.task == i and r.drift_sq > row.analytical
-        ]
+        if row.violated:
+            violations += [
+                f"task {i} round {r.round}: drift {fmt(r.drift_sq)} exceeds anchored cap {fmt(row.analytical)}"
+                for r in run.records
+                if r.task == i and r.drift_sq > row.analytical
+            ]
 
     for i in range(1, k + 1):
         if f"checksum_task_{i}" not in run.summary:
@@ -391,15 +411,4 @@ def verify_runlog(run_dir) -> list[str]:
 
 def compare_runlogs(dir_a, dir_b) -> list[str]:
     """Names of output files whose bytes differ (config snapshot excluded)."""
-    differing = []
-    for name in OUTPUT_FILES:
-        path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
-        if not os.path.exists(path_a) or not os.path.exists(path_b):
-            raise FileNotFoundError(f"missing run file {name}")
-        with open(path_a, "rb") as fh:
-            bytes_a = fh.read()
-        with open(path_b, "rb") as fh:
-            bytes_b = fh.read()
-        if bytes_a != bytes_b:
-            differing.append(name)
-    return differing
+    return [name for name in OUTPUT_FILES if _read(dir_a, name) != _read(dir_b, name)]

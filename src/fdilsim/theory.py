@@ -117,6 +117,11 @@ class BoundReport:
         _, flagged, flag = self.inputs.rpartition(";vacuous=")
         return flag if flagged else None
 
+    @property
+    def violated(self) -> bool:
+        """The comparison fails, and the cap did not underflow to 0 (such a cap says nothing)."""
+        return not self.satisfied and self.vacuous != UNDERFLOW
+
 
 def _probe_points(
     spec: ModelSpec,

@@ -75,6 +75,27 @@ joint_grad_every = {values['joint_grad_every']}
 """
 
 
+def fail_write(monkeypatch, number: int) -> list:
+    """Make the ``number``-th run-file write raise ``OSError("disk full")``; returns the paths tried."""
+    from fdilsim import runio
+
+    real_write, writes = runio._write, []
+
+    def failing_write(path, text):
+        writes.append(path)
+        if len(writes) == number:
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(runio, "_write", failing_write)
+    return writes
+
+
+def tree(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.fixture
 def small_config_text():
     return small_config()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdilsim import BoundReport, ConstantEstimates, RoundRecord, run_experiment, runio
-from fdilsim.metrics import acc, bwt
+from fdilsim.metrics import AccuracyMatrix, acc, bwt
 from fdilsim.server import RunStats
 from fdilsim.runio import (
     BOUNDS_FILE,
@@ -22,7 +22,7 @@ from fdilsim.runio import (
     load_runlog,
     verify_runlog,
 )
-from conftest import small_config
+from conftest import fail_write, small_config, tree
 
 
 def run_and_emit(text, out_dir):
@@ -61,6 +61,19 @@ def test_failed_emit_leaves_no_new_or_temporary_files(tmp_path, small_config_tex
     emit_runlog(artifacts, out)
     names = (ROUNDS_FILE, MATRIX_FILE, SUMMARY_FILE, BOUNDS_FILE, CONFIG_FILE)
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ("notes.txt",))
+
+
+@pytest.mark.parametrize("target", ["old/run", "new/run"], ids=["over_a_run", "new_parent_and_dir"])
+def test_failed_emit_changes_nothing(tmp_path, monkeypatch, target):
+    # old/run holds a complete run of another seed; new/ and new/run/ are made
+    # by the call.  Either way a failed third write leaves the tree as it was.
+    emit_runlog(small_artifacts(), tmp_path / "old" / "run")
+    before = tree(tmp_path)
+    writes = fail_write(monkeypatch, 3)
+    with pytest.raises(OSError, match="disk full"):
+        emit_runlog(run_experiment(small_config(seed=3)), tmp_path / target)
+    assert len(writes) == 3
+    assert tree(tmp_path) == before
 
 
 def test_identical_runs_are_byte_identical(tmp_path, small_config_text):
@@ -135,6 +148,39 @@ def test_verify_detects_tampered_summary(tmp_path, small_config_text):
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     violations = verify_runlog(tmp_path / "run")
     assert any("acc" in v for v in violations)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, error",
+    [
+        (SUMMARY_FILE, "num_tasks,2\n", "num_tasks,4\n", None),
+        (SUMMARY_FILE, "num_tasks,2\n", "num_tasks,100000\n", None),
+        (CONFIG_FILE, "num_tasks = 2\n", "num_tasks = 100000\n", "accuracy_matrix.csv holds 3 entries, not the"),
+    ],
+    ids=["summary_4", "summary_100000", "config_100000"],
+)
+def test_verify_sizes_nothing_by_an_edited_task_count(tmp_path, small_config_text, monkeypatch, name, old, new, error):
+    # K comes from the config snapshot; the summary's num_tasks is only
+    # checked against it.  A K that the matrix file's size does not bear out
+    # is refused before a K x K matrix is made.
+    run_and_emit(small_config_text, tmp_path / "run")
+    path = tmp_path / "run" / name
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    sizes = []
+
+    def spy(num_tasks):
+        sizes.append(num_tasks)
+        assert num_tasks == 2, "a matrix sized by the edited count would be allocated"
+        return AccuracyMatrix(num_tasks)
+
+    monkeypatch.setattr(runio, "AccuracyMatrix", spy)
+    if error is None:
+        assert verify_runlog(tmp_path / "run") == ["summary num_tasks disagrees with the config snapshot"]
+        assert sizes == [2]
+    else:
+        with pytest.raises(ValueError, match=error):
+            verify_runlog(tmp_path / "run")
+        assert sizes == []
 
 
 def test_verify_detects_dropped_round(tmp_path, small_config_text):
