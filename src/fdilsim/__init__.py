@@ -35,7 +35,6 @@ from .theory import (
     drift_bound,
     estimate_constants,
     psi_residual,
-    sigma_t_alignment_bounds,
 )
 
 __all__ = [
@@ -88,6 +87,5 @@ __all__ = [
     "run_sequence",
     "sample_clients",
     "serialize_config",
-    "sigma_t_alignment_bounds",
     "verify_runlog",
 ]

@@ -73,8 +73,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
+    """The config file's text; a file that is not UTF-8 is a config error."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _experiment(text: str):

@@ -244,8 +244,11 @@ def partition_task(task: TaskData, part: PartitionSpec, seed: int) -> list[Clien
         stream_order = stream.permutation(len(class_idx))
         class_idx = class_idx[stream_order]
         raw = stream.gamma(part.dirichlet_alpha, size=m)
-        total_raw = raw.sum()
-        proportions = raw / total_raw if total_raw > 0 else np.full(m, 1.0 / m)
+        # Draws whose sum overflows come from an alpha so large that they are
+        # equal to within float resolution: Dir(alpha) tends to uniform.
+        with np.errstate(over="ignore"):
+            total_raw = raw.sum()
+        proportions = raw / total_raw if 0 < total_raw < np.inf else np.full(m, 1.0 / m)
         counts = _largest_remainder(proportions * len(class_idx), len(class_idx))
         pos = 0
         for client, n in enumerate(counts):

@@ -50,10 +50,10 @@ from operator import attrgetter
 import numpy as np
 
 from .config import ExperimentConfig, parse_config_text
-from .experiment import RunArtifacts, build_bound_reports
+from .experiment import RunArtifacts
 from .metrics import AccuracyMatrix, acc, bwt
 from .server import RoundRecord, RunStats
-from .theory import DRIFT_ROW, BoundReport, ConstantEstimates
+from .theory import DRIFT_ROW, BoundReport, ConstantEstimates, build_bound_reports
 
 ROUNDS_FILE = "rounds.csv"
 MATRIX_FILE = "accuracy_matrix.csv"

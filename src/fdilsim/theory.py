@@ -27,10 +27,9 @@ each is exact, and each constant is a plain ``max``/``min`` over them.  The
 estimates therefore equal those of a plain loop over probes, tasks, clients
 and draws bit for bit.
 
-Each row of ``bound_report.csv`` is declared once, in ``BOUND_ROWS``: its
-name, cap, empirical value, satisfied rule and ``inputs`` template.
-:func:`fdilsim.experiment.build_bound_reports` writes the rows, and
-``verify`` and the ``run`` summary read them.  Every cap goes through
+:func:`build_bound_reports` writes the rows of ``bound_report.csv`` in
+order, with plain loops and conditions, beside the formulas it calls;
+``verify`` and the ``run`` summary read the rows.  Every cap goes through
 :func:`evaluate`, which returns its value and a flag.  A cap whose float
 evaluation overflows, whether it raises, evaluates to inf, or divides by a
 term that underflows to zero, reads inf, flagged ``overflow``; one whose
@@ -44,10 +43,8 @@ constants": nothing here enforces an assumption, it only measures.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,7 +53,7 @@ from .client import TaskPool, task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
-from .server import HyperParams
+from .server import HyperParams, RoundRecord, RunStats
 
 class ProbeScaleError(ValueError):
     """A probe setting the estimator cannot carry out; the message names its key.
@@ -431,16 +428,6 @@ def psi_residual(
     return 2.0 / (1.0 - 1.0 / k) * bracket
 
 
-def sigma_t_alignment_bounds(eps_corr: float, b: float) -> tuple[float, float, bool]:
-    """Both forms of the inter-task-gap cap under positive correlation.
-
-    Returns the linear form (3 - 2e) * B^2, the tighter max(B^2, 2(1 - e) B^2)
-    a direct expansion yields, and a flag set when the two differ.
-    """
-    stated, proof = _sigma_t_stated(eps_corr, b), _sigma_t_derived(eps_corr, b)
-    return stated, proof, stated != proof
-
-
 def _sigma_t_stated(eps_corr: float, b: float) -> float:
     return (3.0 - 2.0 * eps_corr) * b ** 2
 
@@ -490,193 +477,106 @@ def _summed(flags) -> str | None:
     return OVERFLOW if OVERFLOW in flags else None
 
 
-# --- the bound table ----------------------------------------------------------
-#
-# A row is evaluated in scopes: the run's scope holds the inputs every row
-# reads, and a row's ``scopes`` yields one scope per row written, with the
-# row's own values added (none when the row does not apply).
+def effective_lambda(hp: HyperParams) -> float:
+    """Proximal weight actually applied at the server.
 
-
-def _with(v: SimpleNamespace, **values) -> SimpleNamespace:
-    return SimpleNamespace(**vars(v), **values)
-
-
-def _when(test):
-    """Scopes of a row written once, when ``test(run)`` holds."""
-    return lambda v: [v] if test(v) else []
-
-
-def _tasks(v):
-    """One scope per task i: its global rate, largest local gradient norm and largest drift."""
-    for i in range(1, v.k + 1):
-        task = [r for r in v.records if r.task == i]
-        yield _with(
-            v, i=i, gg_i=v.hp.gamma_g(i),
-            b_hat=max(r.grad_norm_max for r in task), worst=max(r.drift_sq for r in task),
-        )
-
-
-def _retention(v):
-    """The tracked rounds of task K: the worst excess over the correction term at each."""
-    tracked = [r for r in v.records if r.task == v.k and r.prev_task_loss is not None]
-    if v.k < 2 or not tracked or not (v.c.B > 0 and v.c.L > 0):
-        return []
-    excess, flags = -math.inf, set()
-    for r in tracked:
-        args = (v.c.eps_bkt, v.c.sigma_l, v.gprev, v.k, r.round + 1, v.e, v.m, v.n, v.c.L, v.c.B)
-        corr, flag = evaluate(bkt_bound, *args)
-        excess = max(excess, r.prev_task_loss - corr)
-        flags.add(flag)
-    return [_with(v, tracked=len(tracked), excess=excess, flag=_summed(flags))]
-
-
-def _stationarity(v):
-    """The stationarity cap, vanishing term plus psi, and the smallest tracked joint gradient."""
-    joint = [r.joint_grad_sq for r in v.records if r.task == v.k and r.joint_grad_sq is not None]
-    if v.k < 2 or not joint or v.stats.best_joint_loss is None:
-        return []
-    psi, psi_flag = evaluate(psi_residual, v.c, v.hp, v.k, v.gprev)
-    f_gap = v.stats.f_joint_start - v.stats.best_joint_loss
-    vanishing, flag = evaluate(_vanishing, f_gap, v.k, v.lam, v.e, v.gg, v.gl, v.T)
-    return [_with(v, psi=psi, vanishing=vanishing, flag=_summed((psi_flag, flag)), observed=min(joint))]
-
-
-def _retention_rate(v):
-    """The retention cap on the local rate at the last round, and the first round it is broken."""
-    if v.k < 2:
-        return []
-    # No anchor, no curvature, or a failed alignment premise admits no
-    # positive local rate.
-    premise = v.lam > 0 and v.c.L > 0 and v.c.B > 0 and v.c.eps_bkt > 0
-
-    def cap(t):
-        args = (v.c.eps_bkt, v.gprev, v.c.B, v.c.L, v.e, t, v.m, v.lam)
-        return evaluate(_bkt_gamma_l_cap, *args) if premise else (0.0, None)
-
-    first = next((t for t in range(1, v.T + 1) if not v.gl <= cap(t)[0]), "none")
-    return [_with(v, rate_cap=cap(v.T), first=first)]
-
-
-def _aligned(v):
-    """Both sigma_T caps, when the positive-correlation premise holds."""
-    if v.k < 2 or not v.c.B > 0 or not 0.0 < v.c.eps_corr <= 1.0:
-        return []
-    stated = evaluate(_sigma_t_stated, v.c.eps_corr, v.c.B)
-    derived = evaluate(_sigma_t_derived, v.c.eps_corr, v.c.B)
-    forms = "forms_differ" if stated[0] != derived[0] else "forms_agree"
-    return [_with(v, stated=stated, derived=derived, forms=forms)]
-
-
-def _at_most(cap, empirical) -> bool:
-    return empirical <= cap
-
-
-def _always(cap, empirical) -> bool:
-    return True
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    """One row of ``bound_report.csv``, declared once.
-
-    ``name`` and ``inputs`` are ``str.format`` templates over a scope's
-    names; ``cap`` gives a scope's ``(cap, flag)``, through :func:`evaluate`
-    for a formula, and ``empirical`` its measured value.  A flag ends the
-    inputs as ``;vacuous=<flag>``.
+    Only the server-anchored algorithm blends; for the others the anchor
+    bounds are evaluated at lambda = 0 (vacuous).
     """
-
-    name: str
-    scopes: Callable
-    cap: Callable
-    empirical: Callable
-    inputs: str
-    satisfied: Callable = _at_most
-
-    def report(self, v: SimpleNamespace) -> BoundReport:
-        (cap, flag), empirical = self.cap(v), self.empirical(v)
-        return BoundReport(
-            name=self.name.format_map(vars(v)),
-            analytical=cap,
-            empirical=empirical,
-            satisfied=self.satisfied(cap, empirical),
-            inputs=self.inputs.format_map(vars(v)) + (f";vacuous={flag}" if flag else ""),
-        )
+    return hp.prox_lambda if hp.algorithm == "special" else 0.0
 
 
+# The drift row of task i: ``verify`` looks each task's row up by this name.
 DRIFT_ROW = "drift_cap_task_{i}"
-_STEPS, _SUGGESTED = "evaluated_at_t={T}", "suggested-schedule;informational"
-_MULTITASK = _when(lambda v: v.k >= 2)
 
-# The rows in the order they are written.
-BOUND_ROWS = (
-    BoundRow(
-        DRIFT_ROW, _tasks,
+
+def build_bound_reports(
+    spec: ModelSpec,
+    hp: HyperParams,
+    num_tasks: int,
+    records: list[RoundRecord],
+    consts: ConstantEstimates,
+    stats: RunStats,
+) -> list[BoundReport]:
+    """Every row of ``bound_report.csv``, in the order it is written.
+
+    A pure function of persistable inputs, so a verifier rebuilds the rows
+    from files alone.  The settings go by their symbols in the bounds: E,
+    gamma_L, gamma_G of task K, M, N and T.
+    """
+    reports = []
+
+    def add(name, capped, empirical, inputs, satisfied=None):
+        """A row whose ``capped`` is ``(cap, flag)``: a flag ends its inputs as ``;vacuous=<flag>``."""
+        cap, flag = capped
+        satisfied = empirical <= cap if satisfied is None else satisfied
+        reports.append(BoundReport(name, cap, empirical, satisfied, inputs + (f";vacuous={flag}" if flag else "")))
+
+    k, c, lam = num_tasks, consts, effective_lambda(hp)
+    e, gl, gg = hp.local_epochs, hp.local_lr, hp.gamma_g(k)
+    m, n, T = hp.num_clients, hp.participants_per_round, hp.rounds_per_task
+    gprev = math.sqrt(stats.grad_norm_prev_sq)
+
+    for i in range(1, k + 1):
+        task = [r for r in records if r.task == i]
+        gg_i, b_hat, worst = hp.gamma_g(i), max(r.grad_norm_max for r in task), max(r.drift_sq for r in task)
         # Task 1 trains without an anchor: its cap is that of lambda = 0.
-        lambda v: evaluate(drift_bound, v.gg_i, v.gl, v.e, v.b_hat, v.lam if v.i > 1 else 0.0),
-        lambda v: v.worst,
-        "gamma_g={gg_i!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}",
-    ),
-    BoundRow(
-        "bkt_loss_retention", _retention,
-        lambda v: (v.stats.f_prev_start, v.flag),
-        lambda v: v.excess,
-        "eps={c.eps_bkt!r};sigma_l={c.sigma_l!r};grad_norm_prev={gprev!r};rounds_tracked={tracked}",
-    ),
-    BoundRow(
-        "stationarity_residual", _stationarity,
-        lambda v: (v.vanishing + v.psi, v.flag),
-        lambda v: v.observed,
-        "psi={psi!r};vanishing={vanishing!r};f_star=best-observed-joint-loss-surrogate",
-    ),
-    BoundRow(
-        "stepsize_conv_gamma_g", _MULTITASK,
-        lambda v: evaluate(lambda k: 1.0 / (k - 1), v.k), lambda v: v.gg, _STEPS,
-    ),
-    BoundRow(
-        "stepsize_conv_gamma_l", _MULTITASK,
-        lambda v: evaluate(_conv_gamma_l, v.e, v.c.L), lambda v: v.gl, _STEPS,
-    ),
-    BoundRow(
-        "stepsize_conv_product", _MULTITASK,
-        lambda v: evaluate(_conv_product, v.lam, v.e, v.c.L), lambda v: v.gg * v.gl, _STEPS,
-    ),
-    BoundRow(
-        "stepsize_bkt_gamma_l", _retention_rate,
-        lambda v: v.rate_cap, lambda v: v.gl, _STEPS + ";first_violating_round={first}",
-    ),
-    BoundRow(
-        "stepsize_bkt_gamma_g", _MULTITASK,
-        lambda v: evaluate(lambda n, k: 1.0 / (math.sqrt(n) * (k - 1)), v.n, v.k), lambda v: v.gg, _STEPS,
-    ),
-    BoundRow(
-        "suggested_schedule_gamma_l", _MULTITASK,
-        lambda v: evaluate(_suggested_gamma_l, v.lam, v.k, v.T, v.e, v.c.L), lambda v: v.gl,
-        _SUGGESTED, _always,
-    ),
-    BoundRow(
-        "suggested_schedule_gamma_g", _MULTITASK,
-        lambda v: evaluate(_suggested_gamma_g, v.n, v.e, v.k, v.lam, v.c.L), lambda v: v.gg,
-        _SUGGESTED, _always,
-    ),
-    BoundRow(
-        "sigma_t_cap_stated", _aligned,
-        lambda v: v.stated, lambda v: v.c.sigma_t ** 2, "eps_corr={c.eps_corr!r};{forms}",
-    ),
-    BoundRow(
-        "sigma_t_cap_derived", _aligned,
-        lambda v: v.derived, lambda v: v.c.sigma_t ** 2, "eps_corr={c.eps_corr!r};{forms}",
-    ),
-    BoundRow(
-        "sigma_t_cap_premise",
-        _when(lambda v: v.k >= 2 and v.c.B > 0 and not 0.0 < v.c.eps_corr <= 1.0),
-        lambda v: (None, None), lambda v: v.c.eps_corr,
-        "positive-correlation premise fails;cap not applicable", _always,
-    ),
-    BoundRow(
-        "smoothness_model_flag",
-        _when(lambda v: v.spec.kind == "mlp1" and v.spec.activation == "relu"),
-        lambda v: (None, None), lambda v: None,
-        "relu activation is not L-smooth;L estimate is a probe max only",
-        lambda cap, empirical: False,
-    ),
-)
+        cap = evaluate(drift_bound, gg_i, gl, e, b_hat, lam if i > 1 else 0.0)
+        add(DRIFT_ROW.format(i=i), cap, worst, f"gamma_g={gg_i!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}")
+
+    if k >= 2:
+        # Loss retention: the worst excess over the correction term at each tracked round of task K.
+        tracked = [r for r in records if r.task == k and r.prev_task_loss is not None]
+        if tracked and c.B > 0 and c.L > 0:
+            excess, flags = -math.inf, set()
+            for r in tracked:
+                corr, flag = evaluate(bkt_bound, c.eps_bkt, c.sigma_l, gprev, k, r.round + 1, e, m, n, c.L, c.B)
+                excess = max(excess, r.prev_task_loss - corr)
+                flags.add(flag)
+            inputs = f"eps={c.eps_bkt!r};sigma_l={c.sigma_l!r};grad_norm_prev={gprev!r};rounds_tracked={len(tracked)}"
+            add("bkt_loss_retention", (stats.f_prev_start, _summed(flags)), excess, inputs)
+
+        # Stationarity: the vanishing term plus psi against the smallest tracked joint gradient.
+        joint = [r.joint_grad_sq for r in records if r.task == k and r.joint_grad_sq is not None]
+        if joint and stats.best_joint_loss is not None:
+            psi, psi_flag = evaluate(psi_residual, c, replace(hp, prox_lambda=lam), k, gprev)
+            f_gap = stats.f_joint_start - stats.best_joint_loss
+            vanishing, flag = evaluate(_vanishing, f_gap, k, lam, e, gg, gl, T)
+            inputs = f"psi={psi!r};vanishing={vanishing!r};f_star=best-observed-joint-loss-surrogate"
+            add("stationarity_residual", (vanishing + psi, _summed((psi_flag, flag))), min(joint), inputs)
+
+        steps = f"evaluated_at_t={T}"
+        add("stepsize_conv_gamma_g", evaluate(lambda k: 1.0 / (k - 1), k), gg, steps)
+        add("stepsize_conv_gamma_l", evaluate(_conv_gamma_l, e, c.L), gl, steps)
+        add("stepsize_conv_product", evaluate(_conv_product, lam, e, c.L), gg * gl, steps)
+
+        def rate_cap(t):
+            """The retention cap on the local rate at round t."""
+            # No anchor, no curvature, or a failed alignment premise admits
+            # no positive local rate.
+            if lam > 0 and c.L > 0 and c.B > 0 and c.eps_bkt > 0:
+                return evaluate(_bkt_gamma_l_cap, c.eps_bkt, gprev, c.B, c.L, e, t, m, lam)
+            return 0.0, None
+
+        first = next((t for t in range(1, T + 1) if not gl <= rate_cap(t)[0]), "none")
+        add("stepsize_bkt_gamma_l", rate_cap(T), gl, f"{steps};first_violating_round={first}")
+        add("stepsize_bkt_gamma_g", evaluate(lambda n, k: 1.0 / (math.sqrt(n) * (k - 1)), n, k), gg, steps)
+        suggested = "suggested-schedule;informational"
+        add("suggested_schedule_gamma_l", evaluate(_suggested_gamma_l, lam, k, T, e, c.L), gl, suggested, True)
+        add("suggested_schedule_gamma_g", evaluate(_suggested_gamma_g, n, e, k, lam, c.L), gg, suggested, True)
+
+        # Both sigma_T caps when the positive-correlation premise holds.
+        if c.B > 0 and 0.0 < c.eps_corr <= 1.0:
+            stated = evaluate(_sigma_t_stated, c.eps_corr, c.B)
+            derived = evaluate(_sigma_t_derived, c.eps_corr, c.B)
+            inputs = f"eps_corr={c.eps_corr!r};" + ("forms_differ" if stated[0] != derived[0] else "forms_agree")
+            add("sigma_t_cap_stated", stated, c.sigma_t ** 2, inputs)
+            add("sigma_t_cap_derived", derived, c.sigma_t ** 2, inputs)
+        elif c.B > 0:
+            inputs = "positive-correlation premise fails;cap not applicable"
+            add("sigma_t_cap_premise", (None, None), c.eps_corr, inputs, True)
+
+    if spec.kind == "mlp1" and spec.activation == "relu":
+        inputs = "relu activation is not L-smooth;L estimate is a probe max only"
+        add("smoothness_model_flag", (None, None), None, inputs, False)
+    return reports

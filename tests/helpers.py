@@ -34,9 +34,9 @@ from fdilsim.client import (
     task_pool,
 )
 from fdilsim.datagen import FORMAT_MAGIC, TaskData
-from fdilsim.experiment import effective_lambda
 from fdilsim.models import row_dots
 from fdilsim.server import RunStats
+from fdilsim.theory import effective_lambda
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -489,13 +489,14 @@ def joint_fields_loop(
     return fields, stats
 
 
-# --- The bound layer before the bound table, kept as a reference ------------
+# --- The bound layer before ``theory.evaluate``, kept as a reference --------
 #
-# ``build_bound_reports_reference`` is the hand-assembled bound builder that
-# the table in ``fdilsim.theory`` replaced, with the formulas it called.  A
-# cap whose float evaluation overflows reads inf and is flagged, one that is
-# infinite by design is not; an underflowed cap reads 0 unflagged, and a
-# divisor that underflows outside the decorated formulas raises.
+# ``build_bound_reports_reference`` is the hand-assembled bound builder from
+# before ``fdilsim.theory.build_bound_reports`` evaluated every cap through
+# ``theory.evaluate``, with the formulas it called.  A cap whose float
+# evaluation overflows reads inf and is flagged, one that is infinite by
+# design is not; an underflowed cap reads 0 unflagged, and a divisor that
+# underflows outside the decorated formulas raises.
 
 
 class _InfiniteByDesignReference(Exception):
@@ -667,7 +668,7 @@ def _overflow_note_reference(overflowed: bool) -> str:
 
 
 def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -> list[BoundReport]:
-    """Every bound row, assembled by hand as the builder did before the bound table."""
+    """Every bound row, assembled by hand as the builder did before ``theory.evaluate``."""
     reports: list[BoundReport] = []
     lam = effective_lambda(hp)
     hp_eff = hp if hp.prox_lambda == lam else dataclasses.replace(hp, prox_lambda=lam)

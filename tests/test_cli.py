@@ -203,6 +203,18 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["run", str(bad)]) == 1
 
 
+def test_config_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff" + small_config().encode("utf-8"))
+    out = tmp_path / "out"
+    for argv in (["run", str(bad), "--out", str(out)], ["sweep", str(bad), "--lambda", "0", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and str(bad) in err
+        assert not out.exists()
+
+
 def test_sweep_rejects_bad_grid_before_any_subrun(tmp_path):
     for grid, out in (("0.5,-1", "negative"), ("0.5,nan", "nan"), ("0.5,inf", "inf")):
         config = write_config(tmp_path, f"{out}.ini", output_dir=str(tmp_path / out))

@@ -157,17 +157,19 @@ def test_exact_floor_pool_gives_floor_sized_shards():
 
 def test_high_alpha_is_nearly_uniform():
     # Monte-Carlo oracle: Dir(1e6) concentrates at the uniform simplex point,
-    # so largest-remainder shard sizes stay within +-2 of 100.
+    # so largest-remainder shard sizes stay within +-2 of 100.  At 1e308 the
+    # draws' sum overflows.
     shift = make_shift(
         train=400,
         means=((2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)),
     )
-    part = PartitionSpec(num_clients=4, dirichlet_alpha=1e6, min_samples_per_client=1)
-    for seed in range(100):
-        sequence = generate_sequence(shift, seed=seed)
-        shards = partition_task(sequence.task(1), part, seed=seed)
-        for shard in shards:
-            assert abs(len(shard.data) - 100) <= 2
+    for alpha in (1e6, 1e308):
+        part = PartitionSpec(num_clients=4, dirichlet_alpha=alpha, min_samples_per_client=1)
+        for seed in range(100):
+            sequence = generate_sequence(shift, seed=seed)
+            shards = partition_task(sequence.task(1), part, seed=seed)
+            for shard in shards:
+                assert abs(len(shard.data) - 100) <= 2
 
 
 def test_low_alpha_is_heavily_skewed():

@@ -27,11 +27,12 @@ from fdilsim import (
 )
 from fdilsim import rng as rngmod
 from fdilsim import client as client_module
-from fdilsim import server
+from fdilsim import metrics, server, theory
 from fdilsim.client import plan_batches, task_pool
 from fdilsim.metrics import STACK_ROWS, acc, bwt
 from fdilsim.runio import compare_runlogs, emit_runlog
 from fdilsim.server import run_round, run_task
+from conftest import small_config
 from test_datagen import make_shift
 from helpers import (
     LocalConfig,
@@ -739,5 +740,28 @@ def test_tables_do_not_depend_on_the_plan_chunk(tmp_path, monkeypatch, name):
     for cap in caps:
         monkeypatch.setattr(server, "PLAN_BYTES", cap)
         emit_runlog(run_experiment(text), tmp_path / str(cap))
+    for cap in caps[1:]:
+        assert compare_runlogs(tmp_path / str(caps[0]), tmp_path / str(cap)) == []
+
+
+STACK_CONFIGS = {
+    "logreg": small_config(),
+    # Two clients of about 240 rows each: more than the smaller caps.
+    "mlp1": small_config(train=480, num_clients=2, participants=2).replace(
+        "kind = logreg", "kind = mlp1\nhidden_dim = 8"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_tables_do_not_depend_on_the_stack_rows(tmp_path, monkeypatch, name):
+    # Kernel calls of one row up to the whole probe set, in the full-shard
+    # stacks and the estimator's minibatch stacks, write the same four
+    # tables.  ``theory`` binds the cap at import, so both names are patched.
+    caps = (1, 32, 100, metrics.STACK_ROWS, 4096)
+    for cap in caps:
+        monkeypatch.setattr(metrics, "STACK_ROWS", cap)
+        monkeypatch.setattr(theory, "STACK_ROWS", cap)
+        emit_runlog(run_experiment(STACK_CONFIGS[name]), tmp_path / str(cap))
     for cap in caps[1:]:
         assert compare_runlogs(tmp_path / str(caps[0]), tmp_path / str(cap)) == []

@@ -26,7 +26,6 @@ from fdilsim import (
     generate_sequence,
     partition_sequence,
     psi_residual,
-    sigma_t_alignment_bounds,
 )
 from fdilsim import theory
 from fdilsim.config import parse_config
@@ -362,14 +361,19 @@ def test_bound_table_matches_the_hand_assembled_reference(inputs):
 # --- sigma_t alignment cap --------------------------------------------------
 
 def test_sigma_t_forms():
-    stated, proof, differ = sigma_t_alignment_bounds(1.0, 1.0)
-    assert stated == 1.0 and proof == 1.0 and not differ
+    # The linear form (3 - 2e) * B^2 and the tighter max(B^2, 2(1 - e) B^2)
+    # of a direct expansion, at B = 1, as the builder writes them.
+    def forms(eps_corr):
+        rows = step_rows(make_hp(), unit_consts(B=1.0, eps_corr=eps_corr), 2, 1.0)
+        stated, derived = rows["sigma_t_cap_stated"], rows["sigma_t_cap_derived"]
+        assert stated.inputs == derived.inputs
+        return stated.analytical, derived.analytical, stated.inputs
 
-    stated, proof, differ = sigma_t_alignment_bounds(0.5, 1.0)
-    assert stated == 2.0 and proof == 1.0 and differ
-
-    stated, proof, differ = sigma_t_alignment_bounds(1e-9, 1.0)
-    assert stated == pytest.approx(3.0) and proof == pytest.approx(2.0) and differ
+    assert forms(1.0) == (1.0, 1.0, "eps_corr=1.0;forms_agree")
+    assert forms(0.5) == (2.0, 1.0, "eps_corr=0.5;forms_differ")
+    stated, derived, inputs = forms(1e-9)
+    assert stated == pytest.approx(3.0) and derived == pytest.approx(2.0)
+    assert inputs == "eps_corr=1e-09;forms_differ"
 
 
 # --- constant estimation ----------------------------------------------------------

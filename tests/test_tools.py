@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -170,3 +171,27 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
         check=True, capture_output=True, text=True,
     )
     assert proc.stdout.splitlines() == [f"8  {path}", "8  total"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never uses; names listed in ``__all__`` count as used."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_src_has_no_unused_imports():
+    assert unused_imports("import os\nimport sys as system\nfrom a import b, c\nprint(c, os.sep)\n") == [
+        "system (line 2)", "b (line 3)",
+    ]
+    assert unused_imports("from __future__ import annotations\nfrom a import b\n__all__ = ['b']\n") == []
+    for path in sorted((ROOT / "src" / "fdilsim").glob("*.py")):
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
