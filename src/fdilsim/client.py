@@ -142,13 +142,6 @@ def task_pool(shards: list[ClientShard]) -> TaskPool:
     return TaskPool(data=data, start=np.cumsum(size) - size, size=size)
 
 
-def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sorted batches of rows below ``n`` from ``stream``, as :meth:`TaskPool.draw` reads."""
-    rows = stream.integers(0, n, size=(count, batch_size))
-    rows.sort(axis=-1)
-    return rows
-
-
 def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -> Minibatch:
     """Uniform-with-replacement minibatch in canonical (sorted-index) order.
 
@@ -158,7 +151,7 @@ def draw_batch(shard: Minibatch, batch_size: int, stream: np.random.Generator) -
     n = len(shard)
     if batch_size >= n:
         return shard
-    return shard.take(draw_indices(n, batch_size, stream, 1)[0])
+    return shard.take(np.sort(stream.integers(0, n, size=batch_size)))
 
 
 def plan_batches(

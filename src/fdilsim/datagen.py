@@ -245,10 +245,15 @@ def partition_task(task: TaskData, part: PartitionSpec, seed: int) -> list[Clien
         class_idx = class_idx[stream_order]
         raw = stream.gamma(part.dirichlet_alpha, size=m)
         # Draws whose sum overflows come from an alpha so large that they are
-        # equal to within float resolution: Dir(alpha) tends to uniform.
+        # equal to within float resolution: Dir(alpha) tends to uniform.  Draws
+        # that all underflow come from an alpha so small that Dir(alpha) tends
+        # to a uniformly random vertex: the class goes to one client.
         with np.errstate(over="ignore"):
             total_raw = raw.sum()
-        proportions = raw / total_raw if 0 < total_raw < np.inf else np.full(m, 1.0 / m)
+        if total_raw == 0:
+            proportions = np.eye(m)[stream.integers(m)]
+        else:
+            proportions = raw / total_raw if total_raw < np.inf else np.full(m, 1.0 / m)
         counts = _largest_remainder(proportions * len(class_idx), len(class_idx))
         pos = 0
         for client, n in enumerate(counts):

@@ -36,11 +36,11 @@ The joint-objective instrumentation is deferred: a task keeps the global
 model of every ``joint_grad_every``-th round and, after its last round,
 evaluates all of them in one stacked pass through the full-shard helper of
 :mod:`fdilsim.metrics`, one stacked kernel call per (task, client) shard,
-which fills those rounds' ``joint_grad_sq`` and ``prev_task_loss``.  The
-last two tasks also evaluate their end model: the end of task K-1 gives the
-start-of-last-task stats, taking tasks 1..K-1 from that pass and task K from
-one more call on the one-row stack of that snapshot, and the end of task K
-gives the final joint loss.  Nothing on the update path reads these values.
+which fills those rounds' ``joint_grad_sq`` and ``prev_task_loss``.  In a
+run of K >= 2 tasks the last task's stack also holds its anchor first and
+its end model last: the anchor gives the start-of-last-task stats, and every
+row of the stack gives the best joint loss.  Nothing on the update path
+reads these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -251,39 +251,34 @@ def _joint_pass(
     task_index: int,
     tracked: list[RoundRecord],
     snapshots: list[np.ndarray],
-    stats: RunStats,
+    stats: RunStats | None,
 ) -> None:
     """Fill a finished task's joint-objective fields from one stacked pass.
 
-    ``snapshots`` holds the parameters of the ``tracked`` rounds, then, for
-    the last two tasks of a run, the task's end parameters unless its last
-    round was tracked.  Every snapshot is evaluated on tasks 1..task_index
-    in one :func:`joint_objective_grad` call, and the per-task values are
-    summed in task order from +0.0.  The end of task K-1 is the start of the
-    last task: its earlier-task sums are the start stats, and one more call
-    adds the last task's term.  The end of task K folds into the best joint
-    loss.
+    Every snapshot is evaluated on tasks 1..task_index in one
+    :func:`joint_objective_grad` call, and the per-task values are summed in
+    task order from +0.0; the sum before the last term is the earlier-task
+    prefix.  ``snapshots`` holds the parameters of the ``tracked`` rounds.
+    With ``stats``, the last task of a run of K >= 2 tasks, it also holds the
+    task's anchor first and its end parameters last unless its last round
+    was tracked: row 0 gives the start stats, and the best joint loss is the
+    least loss over all rows, start first.
     """
-    k = len(shards_by_task)
     params = np.stack(snapshots)
     prev_loss = loss = np.zeros(len(params))
-    grad = np.zeros_like(params)
+    prev_grad = grad = np.zeros_like(params)
     for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task[:task_index]):
-        prev_loss, loss, grad = loss, loss + task_loss, grad + task_grad
+        prev_loss, prev_grad, loss, grad = loss, grad, loss + task_loss, grad + task_grad
 
-    for j, record in enumerate(tracked):
+    for j, record in enumerate(tracked, start=int(stats is not None)):
         record.joint_grad_sq = float(grad[j] @ grad[j])
         if task_index >= 2:
             record.prev_task_loss = float(prev_loss[j])
-    if task_index == k - 1:
-        stats.grad_norm_prev_sq = float(grad[-1] @ grad[-1])
-        stats.f_prev_start = float(loss[-1])
-        ((last_task_loss, _),) = joint_objective_grad(spec, params[-1:], shards_by_task[-1:])
-        stats.f_joint_start = stats.f_prev_start + float(last_task_loss[0])
-        stats.best_joint_loss = stats.f_joint_start
-    elif task_index == k and k >= 2:
-        for value in loss.tolist():
-            stats.best_joint_loss = min(stats.best_joint_loss, value)
+    if stats is not None:
+        stats.grad_norm_prev_sq = float(prev_grad[0] @ prev_grad[0])
+        stats.f_prev_start = float(prev_loss[0])
+        stats.f_joint_start = float(loss[0])
+        stats.best_joint_loss = min(loss.tolist())
 
 
 def run_task(
@@ -312,8 +307,9 @@ def run_task(
     anchor = params
     shards = shards_by_task[task_index - 1]
     every = eval_cfg.joint_grad_every
+    last = task_index == len(shards_by_task) >= 2
     tracked: list[RoundRecord] = []
-    snapshots: list[np.ndarray] = []
+    snapshots: list[np.ndarray] = [anchor] if last else []
 
     pool = task_pool(shards)
     keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(hp.rounds_per_task)]
@@ -353,12 +349,10 @@ def run_task(
             snapshots.append(params)
     del pool, index  # not held through the joint pass, the task's largest arrays
 
-    k = len(shards_by_task)
-    last_round_tracked = every > 0 and hp.rounds_per_task % every == 0
-    if k >= 2 and task_index >= k - 1 and not last_round_tracked:
+    if last and not (every and hp.rounds_per_task % every == 0):
         snapshots.append(params)
     if snapshots:
-        _joint_pass(spec, shards_by_task, task_index, tracked, snapshots, log.stats)
+        _joint_pass(spec, shards_by_task, task_index, tracked, snapshots, log.stats if last else None)
     return params
 
 

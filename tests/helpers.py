@@ -27,7 +27,6 @@ from fdilsim import rng as rngmod
 from fdilsim.client import (
     DivergenceError,
     draw_batch,
-    draw_indices,
     local_update,
     plan_batches,
     prox_map,
@@ -198,6 +197,13 @@ def lockstep_update(
     return local_update(
         spec, global_params, pool, index[0], counts[0], cfg.local_lr, anchor, cfg.prox_lambda
     )
+
+
+def draw_indices(n: int, batch_size: int, stream: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sorted batches of rows below ``n`` from ``stream``, as :meth:`TaskPool.draw` reads."""
+    rows = stream.integers(0, n, size=(count, batch_size))
+    rows.sort(axis=-1)
+    return rows
 
 
 def sample_clients_loop(num_clients: int, sample_size: int, stream: np.random.Generator) -> tuple[int, ...]:

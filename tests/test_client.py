@@ -19,10 +19,11 @@ from fdilsim import (
     run_experiment,
 )
 from fdilsim import client as client_module
-from fdilsim.client import TaskPool, draw_indices, plan_batches, task_pool
+from fdilsim.client import TaskPool, plan_batches, task_pool
 from fdilsim.runio import compare_runlogs, emit_runlog
 from helpers import (
     LocalConfig,
+    draw_indices,
     gradient_descent_minimize,
     local_update_grouped,
     local_update_loop,

@@ -514,11 +514,9 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 @pytest.mark.parametrize("rounds, every", [(4, 2), (4, 4), (5, 2), (5, 3)])
 def test_joint_passes_per_run(monkeypatch, rounds, every):
     # Counts evaluated (snapshot, task) pairs.  Each tracked round is one
-    # snapshot on every task so far.  The start of the last task is one
-    # snapshot on all K tasks, of which only task K is evaluated again when
-    # the last round of task K-1 was tracked; the end of the run is one
-    # snapshot on all K tasks unless the last round was tracked.  One pass
-    # per task, plus the last task's term at its start.
+    # snapshot on every task so far.  The last task's anchor is one more
+    # snapshot on all K tasks, and the end of the run is one more unless the
+    # last round was tracked.  One pass per task.
     k = 3
     sequence, shards, hp = make_problem(num_tasks=k, hp=make_hp(rounds_per_task=rounds))
     calls = []
@@ -534,11 +532,9 @@ def test_joint_passes_per_run(monkeypatch, rounds, every):
     tracked = sum(r.joint_grad_sq is not None for r in log.records)
     assert tracked == k * (rounds // every)
     per_task = rounds // every
-    last_tracked = rounds % every == 0
-    start = 1 if last_tracked else k
-    end = 0 if last_tracked else k
-    assert sum(calls) == per_task * sum(range(1, k + 1)) + start + end
-    assert len(calls) == k + 1
+    end = 0 if rounds % every == 0 else k
+    assert sum(calls) == per_task * sum(range(1, k + 1)) + k + end
+    assert len(calls) == k
 
 
 MODEL_VARIANTS = {
@@ -587,11 +583,12 @@ def _assert_joint_fields_match(log, spec, shards, round_params, rounds, every):
 
 
 @pytest.mark.parametrize("rounds, every", [(4, 1), (4, 2), (5, 2), (5, 3), (4, 0)])
-@pytest.mark.parametrize("num_tasks", [1, 2, 3])
+@pytest.mark.parametrize("num_tasks", [1, 2, 3, 4])
 @pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
 def test_joint_fields_match_per_round_oracle(monkeypatch, model, num_tasks, rounds, every):
     # The deferred stacked pass logs, bit for bit, what one plain pass per
-    # tracked round gives.
+    # tracked round gives.  At K = 4 the last task's start stack spans three
+    # earlier tasks, and the middle tasks keep passes of their own.
     spec = MODEL_VARIANTS[model]
     log, shards, round_params = _joint_run(spec, num_tasks, rounds, every, 8, 240, monkeypatch)
     assert min(len(s.data) for task in shards for s in task) >= 1

@@ -61,8 +61,9 @@ def test_every_corpus_entry_parses():
 # sequence, local rates whose square underflows, protocol-long, whose tasks plan
 # their rounds in several chunks, shards over STACK_ROWS // 2 rows, whose
 # full-shard stacks hold one point, client-side lambdas where 2 lambda or
-# 2 lambda anchor overflows, and per-round accuracies with a joint-objective
-# cadence that does not divide T.  The tool checks the whole corpus.
+# 2 lambda anchor overflows, per-round accuracies with a joint-objective
+# cadence that does not divide T, and a Dirichlet alpha whose gamma draws all
+# underflow.  The tool checks the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -97,6 +98,7 @@ GATE_SUBSET = (
     "profiles/default.ini model.kind=mlp1 model.hidden_dim=8 io.eval_every=4 io.joint_grad_every=3",
     "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=8.9e307 "
     "federation.local_lr=0.2",
+    "profiles/default.ini partition.dirichlet_alpha=1e-300",
 )
 
 
@@ -195,3 +197,16 @@ def test_src_has_no_unused_imports():
     assert unused_imports("from __future__ import annotations\nfrom a import b\n__all__ = ['b']\n") == []
     for path in sorted((ROOT / "src" / "fdilsim").glob("*.py")):
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def wide_lines(source: str, limit: int = 119) -> list[str]:
+    """The lines of ``source`` wider than ``limit`` characters, as ``line <n> (<width>)``."""
+    return [f"line {n} ({len(line)})" for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
+def test_src_has_no_line_wider_than_119_characters():
+    assert wide_lines("x = 1\n" + "y" * 120 + "\n" + "z" * 119 + "\n# é" + "w" * 117 + "\n") == [
+        "line 2 (120)", "line 4 (120)",
+    ]
+    for path in sorted((ROOT / "src" / "fdilsim").glob("*.py")):
+        assert wide_lines(path.read_text(encoding="utf-8")) == [], path.name

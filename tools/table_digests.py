@@ -167,6 +167,8 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
         DEFAULT,
         ("federation.algorithm=special_c", "federation.prox_lambda=8.9e307", "federation.local_lr=0.2"),
     ),
+    # Every gamma draw of a class underflows to 0: the class goes to one client.
+    (DEFAULT, ("partition.dirichlet_alpha=1e-300",)),
 )
 
 
