@@ -20,7 +20,7 @@ from .runio import compare_runlogs, emit_runlog, load_runlog, verify_runlog
 from .server import (
     EvalConfig,
     HyperParams,
-    RoundRecord,
+    Rounds,
     RunLog,
     aggregate,
     proximal_blend,
@@ -53,7 +53,7 @@ __all__ = [
     "ModelSpec",
     "PartitionSpec",
     "ProbeConfig",
-    "RoundRecord",
+    "Rounds",
     "RunArtifacts",
     "RunLog",
     "TaskData",

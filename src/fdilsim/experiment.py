@@ -42,7 +42,7 @@ def run_experiment(config_text: str) -> RunArtifacts:
         config.model, sequence, shards, config.probe, seed, checkpoints
     )
     reports = build_bound_reports(
-        config.model, config.hyper, sequence.num_tasks, log.records, constants, log.stats
+        config.model, config.hyper, sequence.num_tasks, log.rounds, constants, log.stats
     )
     return RunArtifacts(
         config=config,

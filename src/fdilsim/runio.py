@@ -17,17 +17,21 @@ equivalent configurations can be checked for equality).
 Each column of ``rounds.csv`` and ``bound_report.csv``, and each
 ``RunStats``/``ConstantEstimates`` row of ``metrics_summary.csv``, is
 declared once, in a table: ``ROUND_COLUMNS`` and ``BOUND_COLUMNS`` hold
-``(field, codec)`` pairs in the field order of ``RoundRecord`` (its
+``(field, codec)`` pairs in the field order of ``Rounds`` (its
 ``accuracies`` excepted) and ``BoundReport``, and ``STATS_ROWS`` and
 ``CONSTANT_ROWS`` hold ``(key, field, codec)`` triples.  A codec is a
 ``(write, read)`` pair that turns a whole column of values into its texts
-and back.  ``emit_runlog`` writes through the tables, the headers are made
-from them, ``load_runlog`` reads through them (and rejects a rounds or bound
-table whose header or row widths differ from what emit writes), and
-``verify_runlog`` compares each recomputed bound row with the loaded one as
-both would be written.  The accuracy matrix and the checksums are written
-by hand; the ACC/BWT texts of the summary, of ``verify`` and of the
-``run``/``sweep`` lines all come from ``acc_bwt``.
+and back.  The trajectory is already a table of columns, a
+:class:`fdilsim.server.Rounds`: ``emit_runlog`` writes each of its columns
+through its codec, and ``load_runlog`` builds one from the columns it
+reads.  The headers are made from the tables, ``load_runlog`` rejects a
+rounds or bound table whose header or row widths differ from what emit
+writes, and ``verify_runlog`` checks the count and ``(task, round)`` order
+of the rounds before it rebuilds the bound rows from them, and compares
+each recomputed bound row with the loaded one as both would be written.
+The accuracy matrix and the checksums are written by hand; the ACC/BWT
+texts of the summary, of ``verify`` and of the ``run``/``sweep`` lines all
+come from ``acc_bwt``.
 
 ``emit_runlog`` and ``emit_sweep`` write through one ``_publish``: every
 file of the run, or of the whole sweep, appears at once, or none is created
@@ -52,7 +56,7 @@ import numpy as np
 from .config import ExperimentConfig, parse_config_text
 from .experiment import RunArtifacts
 from .metrics import AccuracyMatrix, acc, bwt
-from .server import RoundRecord, RunStats
+from .server import Rounds, RunStats
 from .theory import DRIFT_ROW, BoundReport, ConstantEstimates, build_bound_reports
 
 ROUNDS_FILE = "rounds.csv"
@@ -89,8 +93,8 @@ CLIENT_IDS = (
     lambda texts: [tuple(map(int, text.split("+"))) for text in texts],
 )
 
-# (field, codec), in the field order of RoundRecord, ``accuracies`` excepted:
-# one acc_task_<j> column per task follows them.
+# (field, codec), in the field order of Rounds, ``accuracies`` excepted: one
+# acc_task_<j> column per task follows them.
 ROUND_COLUMNS = (
     ("task", INT),
     ("round", INT),
@@ -137,14 +141,14 @@ def _rounds_header(num_tasks: int) -> str:
     return ",".join([field for field, _ in ROUND_COLUMNS] + accuracies)
 
 
-def _write_rows(records, columns, *extra) -> list[str]:
-    """One line per record: its fields written through ``columns``, then ``extra``'s texts.
+def _write_rows(records, columns) -> list[str]:
+    """One line per record: its fields written through ``columns``.
 
     Column by column: each codec's write takes one field of every record.
     """
     values = zip(*map(attrgetter(*[field for field, _ in columns]), records))
     texts = [write(column) for (_, (write, _)), column in zip(columns, values)]
-    return list(map(",".join, zip(*texts, *extra)))
+    return list(map(",".join, zip(*texts)))
 
 
 def _read_rows(lines: list[str], header: str, name: str, columns, maxsplit: int = -1) -> list:
@@ -180,12 +184,10 @@ def _run_files(artifacts: RunArtifacts, out_dir) -> dict[str, str]:
     log = artifacts.log
     k = artifacts.config.shift.num_tasks
 
-    no_accuracies = "," * (k - 1)
-    accuracies = [
-        no_accuracies if r.accuracies is None else ",".join(map(fmt, r.accuracies))
-        for r in log.records
-    ]
-    lines = [_rounds_header(k), *_write_rows(log.records, ROUND_COLUMNS, accuracies)]
+    rounds, no_accuracies = log.rounds, "," * (k - 1)
+    accuracies = [no_accuracies if a is None else ",".join(map(fmt, a)) for a in rounds.accuracies]
+    texts = [write(getattr(rounds, field)) for field, (write, _) in ROUND_COLUMNS]
+    lines = [_rounds_header(k), *map(",".join, zip(*texts, accuracies))]
     files[ROUNDS_FILE] = "\n".join(lines) + "\n"
 
     lines = ["after_task,eval_task,accuracy"]
@@ -279,7 +281,7 @@ class LoadedRun:
     """Parsed contents of a run directory."""
 
     config: ExperimentConfig
-    records: list[RoundRecord]
+    rounds: Rounds
     accuracy: AccuracyMatrix
     summary: dict[str, str]
     stats: RunStats
@@ -316,11 +318,11 @@ def load_runlog(run_dir) -> LoadedRun:
 
     n = len(ROUND_COLUMNS)
     values = _read_rows(_lines(run_dir, ROUNDS_FILE), _rounds_header(k), ROUNDS_FILE, ROUND_COLUMNS)
-    records = list(map(RoundRecord, *values[:n], map(_read_accuracies, zip(*values[n:]))))
+    rounds = Rounds(*map(list, values[:n]), list(map(_read_accuracies, zip(*values[n:]))))
     bounds = _read_rows(_lines(run_dir, BOUNDS_FILE), _BOUNDS_HEADER, BOUNDS_FILE, BOUND_COLUMNS, 4)
     return LoadedRun(
         config=config,
-        records=records,
+        rounds=rounds,
         accuracy=matrix,
         summary=summary,
         stats=RunStats(*[v for key, _, (_, read) in STATS_ROWS for v in read((summary[key],))]),
@@ -343,33 +345,36 @@ def verify_runlog(run_dir) -> list[str]:
     """Recompute every invariant from the files; returns violations found.
 
     Pure function of the directory contents: no RNG, no inputs beyond the
-    config snapshot and the emitted tables.
+    config snapshot and the emitted tables.  The round count and the
+    ``(task, round)`` order are checked first: if either is off, those
+    violations are returned alone, as the bound rows need every task's
+    rounds.
     """
     violations: list[str] = []
     run = load_runlog(run_dir)
-    hp = run.config.hyper
+    rounds, hp = run.rounds, run.config.hyper
     k = run.config.shift.num_tasks
+
+    expected = k * hp.rounds_per_task
+    if len(rounds.task) != expected:
+        violations.append(f"round count {len(rounds.task)} != num_tasks * rounds_per_task = {expected}")
+    order = ((i, t) for i in range(1, k + 1) for t in range(hp.rounds_per_task))
+    for position, (task, r, (i, t)) in enumerate(zip(rounds.task, rounds.round, order)):
+        if (task, r) != (i, t):
+            violations.append(f"record {position} is ({task},{r}), expected ({i},{t})")
+    if violations:
+        return violations
 
     if int(run.summary["num_tasks"]) != k:
         violations.append("summary num_tasks disagrees with the config snapshot")
 
-    expected = k * hp.rounds_per_task
-    if len(run.records) != expected:
-        violations.append(
-            f"round count {len(run.records)} != num_tasks * rounds_per_task = {expected}"
-        )
-    order = ((i, t) for i in range(1, k + 1) for t in range(hp.rounds_per_task))
-    for position, (r, (i, t)) in enumerate(zip(run.records, order)):
-        if (r.task, r.round) != (i, t):
-            violations.append(f"record {position} is ({r.task},{r.round}), expected ({i},{t})")
-
-    for r in run.records:
-        if len(r.selected) != hp.participants_per_round:
-            violations.append(f"task {r.task} round {r.round}: |selected| != N")
-        if list(r.selected) != sorted(set(r.selected)):
-            violations.append(f"task {r.task} round {r.round}: ids not strictly increasing")
-        if r.selected and (r.selected[0] < 0 or r.selected[-1] >= hp.num_clients):
-            violations.append(f"task {r.task} round {r.round}: client id out of range")
+    for task, r, ids in zip(rounds.task, rounds.round, rounds.selected):
+        if len(ids) != hp.participants_per_round:
+            violations.append(f"task {task} round {r}: |selected| != N")
+        if list(ids) != sorted(set(ids)):
+            violations.append(f"task {task} round {r}: ids not strictly increasing")
+        if ids and (ids[0] < 0 or ids[-1] >= hp.num_clients):
+            violations.append(f"task {task} round {r}: client id out of range")
 
     try:
         for i in range(1, k + 1):
@@ -383,15 +388,15 @@ def verify_runlog(run_dir) -> list[str]:
             violations.append(f"summary {key} {run.summary.get(key)} != recomputed {recomputed}")
 
     # A task's rounds are held to the cap of its drift row where that row is violated.
-    rebuilt = build_bound_reports(run.config.model, hp, k, run.records, run.constants, run.stats)
+    rebuilt = build_bound_reports(run.config.model, hp, k, rounds, run.constants, run.stats)
     rows = {report.name: report for report in rebuilt}
     for i in range(2, k + 1):
-        row = rows[DRIFT_ROW.format(i=i)]
+        row, task = rows[DRIFT_ROW.format(i=i)], rounds.of_task(i)
         if row.violated:
             violations += [
-                f"task {i} round {r.round}: drift {fmt(r.drift_sq)} exceeds anchored cap {fmt(row.analytical)}"
-                for r in run.records
-                if r.task == i and r.drift_sq > row.analytical
+                f"task {i} round {r}: drift {fmt(drift)} exceeds anchored cap {fmt(row.analytical)}"
+                for r, drift in zip(task.round, task.drift_sq)
+                if drift > row.analytical
             ]
 
     for i in range(1, k + 1):

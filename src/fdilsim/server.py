@@ -32,15 +32,19 @@ the model and its slice of the plan, gathers its rows, makes its E kernel
 calls, updates, aggregates and blends, and returns the new model
 (:func:`run_round`); its task loop logs it.
 
+The trajectory is one :class:`Rounds` table: a list per ``rounds.csv``
+column, plus the per-round accuracies, with one entry per round, tasks in
+order.  A task appends each round's values to the columns as it runs.
+
 The joint-objective instrumentation is deferred: a task keeps the global
 model of every ``joint_grad_every``-th round and, after its last round,
 evaluates all of them in one stacked pass through the full-shard helper of
-:mod:`fdilsim.metrics`, one stacked kernel call per (task, client) shard,
-which fills those rounds' ``joint_grad_sq`` and ``prev_task_loss``.  In a
-run of K >= 2 tasks the last task's stack also holds its anchor first and
-its end model last: the anchor gives the start-of-last-task stats, and every
-row of the stack gives the best joint loss.  Nothing on the update path
-reads these values.
+:mod:`fdilsim.metrics`, one stacked kernel call per (task, client) shard.
+The task then writes those rounds' ``joint_grad_sq`` and ``prev_task_loss``
+cells from the pass's arrays.  In a run of K >= 2 tasks the last task's
+stack also holds its anchor first and its end model last: the anchor gives
+the start-of-last-task stats, and every row of the stack gives the best
+joint loss.  Nothing on the update path reads these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -49,7 +53,8 @@ update or model raises :class:`DivergenceError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -109,19 +114,30 @@ class HyperParams:
 
 
 @dataclass
-class RoundRecord:
-    """Everything logged about one communication round."""
+class Rounds:
+    """The per-round trajectory as columns: one list per ``rounds.csv`` column, then ``accuracies``.
 
-    task: int
-    round: int
-    selected: tuple[int, ...]
-    delta_norm: float
-    drift_sq: float
-    joint_grad_sq: float | None
-    prev_task_loss: float | None
-    grad_norm_max: float
-    grad_sq_mean: float
-    accuracies: tuple[float, ...] | None
+    Entry r of every list belongs to the run's r-th round, tasks in order.
+    A cell off its cadence (``joint_grad_sq``, ``prev_task_loss``,
+    ``accuracies``) is None, which is distinct from NaN; ``prev_task_loss``
+    is None on task 1 too.
+    """
+
+    task: list[int] = field(default_factory=list)
+    round: list[int] = field(default_factory=list)
+    selected: list[tuple[int, ...]] = field(default_factory=list)
+    delta_norm: list[float] = field(default_factory=list)
+    drift_sq: list[float] = field(default_factory=list)
+    joint_grad_sq: list[float | None] = field(default_factory=list)
+    prev_task_loss: list[float | None] = field(default_factory=list)
+    grad_norm_max: list[float] = field(default_factory=list)
+    grad_sq_mean: list[float] = field(default_factory=list)
+    accuracies: list[tuple[float, ...] | None] = field(default_factory=list)
+
+    def of_task(self, task: int) -> Rounds:
+        """The entries whose ``task`` value is ``task``, in order."""
+        keep = [value == task for value in self.task]
+        return Rounds(*[list(compress(getattr(self, f.name), keep)) for f in fields(self)])
 
 
 @dataclass
@@ -138,7 +154,7 @@ class RunStats:
 class RunLog:
     """Complete trajectory output of one protocol run."""
 
-    records: list[RoundRecord] = field(default_factory=list)
+    rounds: Rounds = field(default_factory=Rounds)
     accuracy: AccuracyMatrix | None = None
     task_params: list[np.ndarray] = field(default_factory=list)
     initial_params: np.ndarray | None = None
@@ -246,39 +262,22 @@ def run_round(
 
 
 def _joint_pass(
-    spec: ModelSpec,
-    shards_by_task: list[list[ClientShard]],
-    task_index: int,
-    tracked: list[RoundRecord],
-    snapshots: list[np.ndarray],
-    stats: RunStats | None,
-) -> None:
-    """Fill a finished task's joint-objective fields from one stacked pass.
+    spec: ModelSpec, shards_by_task: list[list[ClientShard]], snapshots: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The joint objective over ``shards_by_task`` at every snapshot, from one stacked pass.
 
-    Every snapshot is evaluated on tasks 1..task_index in one
+    Every snapshot is evaluated on every task in one
     :func:`joint_objective_grad` call, and the per-task values are summed in
     task order from +0.0; the sum before the last term is the earlier-task
-    prefix.  ``snapshots`` holds the parameters of the ``tracked`` rounds.
-    With ``stats``, the last task of a run of K >= 2 tasks, it also holds the
-    task's anchor first and its end parameters last unless its last round
-    was tracked: row 0 gives the start stats, and the best joint loss is the
-    least loss over all rows, start first.
+    prefix.  Returns ``(prefix loss, prefix grad, loss, grad)``, a row per
+    snapshot.
     """
     params = np.stack(snapshots)
     prev_loss = loss = np.zeros(len(params))
     prev_grad = grad = np.zeros_like(params)
-    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task[:task_index]):
+    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task):
         prev_loss, prev_grad, loss, grad = loss, grad, loss + task_loss, grad + task_grad
-
-    for j, record in enumerate(tracked, start=int(stats is not None)):
-        record.joint_grad_sq = float(grad[j] @ grad[j])
-        if task_index >= 2:
-            record.prev_task_loss = float(prev_loss[j])
-    if stats is not None:
-        stats.grad_norm_prev_sq = float(prev_grad[0] @ prev_grad[0])
-        stats.f_prev_start = float(prev_loss[0])
-        stats.f_joint_start = float(loss[0])
-        stats.best_joint_loss = min(loss.tolist())
+    return prev_loss, prev_grad, loss, grad
 
 
 def run_task(
@@ -291,7 +290,7 @@ def run_task(
     eval_cfg: EvalConfig,
     log: RunLog,
 ) -> np.ndarray:
-    """Run the T rounds of one task from ``params``, logging a record per round.
+    """Run the T rounds of one task from ``params``, appending them to ``log.rounds``.
 
     ``params``, the previous task's final model, is the task's anchor and
     the start its drift is measured from.  The task's pool and its T
@@ -299,26 +298,35 @@ def run_task(
     stream, are made once, and its rounds' batches are planned in chunks of
     at most ``PLAN_BYTES`` of row index (:func:`fdilsim.client.plan_batches`).
     The parameters of every ``joint_grad_every``-th round are kept, and
-    their records get the joint-objective fields after the last round, from
-    one deferred pass over all of them (:func:`_joint_pass`).  Returns the
-    task's final model.
+    after the last round one deferred pass over all of them
+    (:func:`_joint_pass`) gives those rounds' joint-objective cells.  With
+    K >= 2 tasks, the last task's stack also holds its anchor first and its
+    end parameters last unless its last round was tracked: row 0 gives
+    ``log.stats``, and the best joint loss is the least loss over all rows,
+    start first.  Returns the task's final model.
     """
     # No round writes into a model array, so the anchor and snapshots need no copy.
     anchor = params
     shards = shards_by_task[task_index - 1]
-    every = eval_cfg.joint_grad_every
+    every, T = eval_cfg.joint_grad_every, hp.rounds_per_task
     last = task_index == len(shards_by_task) >= 2
-    tracked: list[RoundRecord] = []
+    tracked: list[int] = []  # rows of log.rounds
     snapshots: list[np.ndarray] = [anchor] if last else []
 
     pool = task_pool(shards)
-    keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(hp.rounds_per_task)]
+    keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(T)]
     selections = sample_clients(hp.num_clients, hp.participants_per_round, hp.master_seed, keys)
     width = pool.width(hp.batch_size)
     step_bytes = hp.local_epochs * hp.participants_per_round * width * np.intp(0).itemsize
     chunk = max(1, PLAN_BYTES // step_bytes)
 
-    for t in range(hp.rounds_per_task):
+    rounds, first = log.rounds, len(log.rounds.task)
+    rounds.task.extend([task_index] * T)
+    rounds.round.extend(range(T))
+    rounds.selected.extend(map(tuple, selections.tolist()))
+    for column in (rounds.joint_grad_sq, rounds.prev_task_loss, rounds.accuracies):
+        column.extend([None] * T)
+    for t in range(T):
         if t % chunk == 0:
             index, counts = plan_batches(
                 pool, selections[t : t + chunk], hp.batch_size, hp.local_epochs,
@@ -328,31 +336,29 @@ def run_task(
             spec, hp, task_index, params, anchor, pool, index[t % chunk], counts[t % chunk]
         )
         diff = params - anchor
-        accuracies = None
+        rounds.delta_norm.append(float(np.linalg.norm(delta)))
+        rounds.drift_sq.append(float(diff @ diff))
+        rounds.grad_norm_max.append(gmax)
+        rounds.grad_sq_mean.append(gsq_mean)
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
-            accuracies = tuple(accuracy(spec, params, task.test) for task in sequence.tasks)
-        record = RoundRecord(
-            task=task_index,
-            round=t,
-            selected=tuple(selections[t].tolist()),
-            delta_norm=float(np.linalg.norm(delta)),
-            drift_sq=float(diff @ diff),
-            joint_grad_sq=None,
-            prev_task_loss=None,
-            grad_norm_max=gmax,
-            grad_sq_mean=gsq_mean,
-            accuracies=accuracies,
-        )
-        log.records.append(record)
+            rounds.accuracies[first + t] = tuple(accuracy(spec, params, task.test) for task in sequence.tasks)
         if every and (t + 1) % every == 0:
-            tracked.append(record)
+            tracked.append(first + t)
             snapshots.append(params)
     del pool, index  # not held through the joint pass, the task's largest arrays
 
-    if last and not (every and hp.rounds_per_task % every == 0):
+    if last and not (every and T % every == 0):
         snapshots.append(params)
     if snapshots:
-        _joint_pass(spec, shards_by_task, task_index, tracked, snapshots, log.stats if last else None)
+        prev_loss, prev_grad, loss, grad = _joint_pass(spec, shards_by_task[:task_index], snapshots)
+        for j, row in enumerate(tracked, start=int(last)):
+            rounds.joint_grad_sq[row] = float(grad[j] @ grad[j])
+            if task_index >= 2:
+                rounds.prev_task_loss[row] = float(prev_loss[j])
+        if last:
+            log.stats = RunStats(
+                float(prev_grad[0] @ prev_grad[0]), float(prev_loss[0]), float(loss[0]), min(loss.tolist())
+            )
     return params
 
 

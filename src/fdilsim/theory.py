@@ -29,7 +29,9 @@ and draws bit for bit.
 
 :func:`build_bound_reports` writes the rows of ``bound_report.csv`` in
 order, with plain loops and conditions, beside the formulas it calls;
-``verify`` and the ``run`` summary read the rows.  Every cap goes through
+``verify`` and the ``run`` summary read the rows.  It reads the trajectory
+from the columns of a :class:`fdilsim.server.Rounds` table and takes each
+task's entries by their ``task`` value.  Every cap goes through
 :func:`evaluate`, which returns its value and a flag.  A cap whose float
 evaluation overflows, whether it raises, evaluates to inf, or divides by a
 term that underflows to zero, reads inf, flagged ``overflow``; one whose
@@ -53,7 +55,7 @@ from .client import TaskPool, task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import STACK_ROWS, client_objective_grad
 from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
-from .server import HyperParams, RoundRecord, RunStats
+from .server import HyperParams, Rounds, RunStats
 
 class ProbeScaleError(ValueError):
     """A probe setting the estimator cannot carry out; the message names its key.
@@ -494,15 +496,17 @@ def build_bound_reports(
     spec: ModelSpec,
     hp: HyperParams,
     num_tasks: int,
-    records: list[RoundRecord],
+    rounds: Rounds,
     consts: ConstantEstimates,
     stats: RunStats,
 ) -> list[BoundReport]:
     """Every row of ``bound_report.csv``, in the order it is written.
 
     A pure function of persistable inputs, so a verifier rebuilds the rows
-    from files alone.  The settings go by their symbols in the bounds: E,
-    gamma_L, gamma_G of task K, M, N and T.
+    from files alone.  A task's rounds are the entries of ``rounds`` whose
+    ``task`` value is its index, and every task needs at least one.  The
+    settings go by their symbols in the bounds: E, gamma_L, gamma_G of task
+    K, M, N and T.
     """
     reports = []
 
@@ -518,26 +522,27 @@ def build_bound_reports(
     gprev = math.sqrt(stats.grad_norm_prev_sq)
 
     for i in range(1, k + 1):
-        task = [r for r in records if r.task == i]
-        gg_i, b_hat, worst = hp.gamma_g(i), max(r.grad_norm_max for r in task), max(r.drift_sq for r in task)
+        task = rounds.of_task(i)
+        gg_i, b_hat, worst = hp.gamma_g(i), max(task.grad_norm_max), max(task.drift_sq)
         # Task 1 trains without an anchor: its cap is that of lambda = 0.
         cap = evaluate(drift_bound, gg_i, gl, e, b_hat, lam if i > 1 else 0.0)
         add(DRIFT_ROW.format(i=i), cap, worst, f"gamma_g={gg_i!r};gamma_l={gl!r};E={e};B_hat={b_hat!r};lambda={lam!r}")
 
     if k >= 2:
         # Loss retention: the worst excess over the correction term at each tracked round of task K.
-        tracked = [r for r in records if r.task == k and r.prev_task_loss is not None]
+        last = rounds.of_task(k)
+        tracked = [(t, loss) for t, loss in zip(last.round, last.prev_task_loss) if loss is not None]
         if tracked and c.B > 0 and c.L > 0:
             excess, flags = -math.inf, set()
-            for r in tracked:
-                corr, flag = evaluate(bkt_bound, c.eps_bkt, c.sigma_l, gprev, k, r.round + 1, e, m, n, c.L, c.B)
-                excess = max(excess, r.prev_task_loss - corr)
+            for t, loss in tracked:
+                corr, flag = evaluate(bkt_bound, c.eps_bkt, c.sigma_l, gprev, k, t + 1, e, m, n, c.L, c.B)
+                excess = max(excess, loss - corr)
                 flags.add(flag)
             inputs = f"eps={c.eps_bkt!r};sigma_l={c.sigma_l!r};grad_norm_prev={gprev!r};rounds_tracked={len(tracked)}"
             add("bkt_loss_retention", (stats.f_prev_start, _summed(flags)), excess, inputs)
 
         # Stationarity: the vanishing term plus psi against the smallest tracked joint gradient.
-        joint = [r.joint_grad_sq for r in records if r.task == k and r.joint_grad_sq is not None]
+        joint = [value for value in last.joint_grad_sq if value is not None]
         if joint and stats.best_joint_loss is not None:
             psi, psi_flag = evaluate(psi_residual, c, replace(hp, prox_lambda=lam), k, gprev)
             f_gap = stats.f_joint_start - stats.best_joint_loss

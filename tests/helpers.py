@@ -7,6 +7,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,8 +35,14 @@ from fdilsim.client import (
 )
 from fdilsim.datagen import FORMAT_MAGIC, TaskData
 from fdilsim.models import row_dots
-from fdilsim.server import RunStats
+from fdilsim.server import Rounds, RunStats
 from fdilsim.theory import effective_lambda
+
+
+def records(rounds: Rounds) -> list[SimpleNamespace]:
+    """The rows of a ``Rounds`` table, one namespace per round with a field per column."""
+    names = [f.name for f in dataclasses.fields(rounds)]
+    return [SimpleNamespace(**dict(zip(names, row))) for row in zip(*(getattr(rounds, n) for n in names))]
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -673,8 +680,9 @@ def _overflow_note_reference(overflowed: bool) -> str:
     return ";vacuous=overflow" if overflowed else ""
 
 
-def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -> list[BoundReport]:
-    """Every bound row, assembled by hand as the builder did before ``theory.evaluate``."""
+def build_bound_reports_reference(spec, hp, num_tasks, rounds, consts, stats) -> list[BoundReport]:
+    """Every bound row, assembled by hand as the builder did before ``theory.evaluate``, one round at a time."""
+    rows = records(rounds)
     reports: list[BoundReport] = []
     lam = effective_lambda(hp)
     hp_eff = hp if hp.prox_lambda == lam else dataclasses.replace(hp, prox_lambda=lam)
@@ -683,7 +691,7 @@ def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -
     m, n = hp.num_clients, hp.participants_per_round
 
     for i in range(1, k + 1):
-        task_records = [r for r in records if r.task == i]
+        task_records = [r for r in rows if r.task == i]
         b_hat = max(r.grad_norm_max for r in task_records)
         worst = max(r.drift_sq for r in task_records)
         overflowed = False
@@ -706,7 +714,7 @@ def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -
 
     if k >= 2:
         gprev = math.sqrt(stats.grad_norm_prev_sq)
-        tracked = [r for r in records if r.task == k and r.prev_task_loss is not None]
+        tracked = [r for r in rows if r.task == k and r.prev_task_loss is not None]
         if tracked and consts.B > 0 and consts.L > 0:
             worst_excess = -math.inf
             overflowed = False
@@ -729,7 +737,7 @@ def build_bound_reports_reference(spec, hp, num_tasks, records, consts, stats) -
                 )
             )
 
-        joint = [r.joint_grad_sq for r in records if r.task == k and r.joint_grad_sq is not None]
+        joint = [r.joint_grad_sq for r in rows if r.task == k and r.joint_grad_sq is not None]
         if joint and stats.best_joint_loss is not None:
             psi, overflowed = psi_residual_reference.checked(consts, hp_eff, k, gprev)
             denom = (1.0 - 1.0 / k) / (2.0 * (1.0 + lam)) * e * hp.gamma_g(k) * gl * hp.rounds_per_task

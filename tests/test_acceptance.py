@@ -115,12 +115,12 @@ def test_criterion_02_drift_cap_compliance():
             )
             log = run_sequence(spec, sequence, shards, hp)
             for i in range(2, sequence.num_tasks + 1):
-                records = [r for r in log.records if r.task == i]
-                b_hat = max(r.grad_norm_max for r in records)
+                task = log.rounds.of_task(i)
+                b_hat = max(task.grad_norm_max)
                 cap = drift_bound(hp.gamma_g(i), hp.local_lr, hp.local_epochs, b_hat, lam)
-                for r in records:
+                for drift_sq in task.drift_sq:
                     checked += 1
-                    if r.drift_sq > cap:
+                    if drift_sq > cap:
                         violations += 1
     elapsed = time.monotonic() - start
     assert checked == 3 * 20 * 20
@@ -224,9 +224,7 @@ def test_criterion_06_rounds_scaling_trend():
             log = run_sequence(
                 spec, sequence, shards, hp, EvalConfig(joint_grad_every=1)
             )
-            mins[rounds] = min(
-                r.joint_grad_sq for r in log.records if r.task == 2
-            )
+            mins[rounds] = min(log.rounds.of_task(2).joint_grad_sq)
         ratios.append(mins[200] / mins[50])
     mean_ratio = float(np.mean(ratios))
     elapsed = time.monotonic() - start
@@ -275,8 +273,7 @@ def test_criterion_08_anchor_dominance_limit():
     )
     log = run_sequence(spec, sequence, shards, hp)
     theta1, theta2 = log.task_params[0], log.task_params[1]
-    records = [r for r in log.records if r.task == 2]
-    b_hat = max(r.grad_norm_max for r in records)
+    b_hat = max(log.rounds.of_task(2).grad_norm_max)
     cap = drift_bound(hp.gamma_g(2), hp.local_lr, hp.local_epochs, b_hat, lam)
     gap_sq = float(np.sum((theta2 - theta1) ** 2))
     assert gap_sq <= cap

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdilsim import BoundReport, ConstantEstimates, RoundRecord, run_experiment, runio
+from fdilsim import BoundReport, ConstantEstimates, Rounds, run_experiment, runio
 from fdilsim.metrics import AccuracyMatrix, acc, bwt
 from fdilsim.server import RunStats
 from fdilsim.runio import (
@@ -98,19 +98,15 @@ def test_metrics_recompute_from_emitted_matrix(tmp_path, small_config_text):
     assert fmt(acc(artifacts.log.accuracy)) == loaded.summary["acc"]
 
 
-def test_roundtrip_preserves_records(tmp_path, small_config_text):
-    artifacts = run_and_emit(small_config_text, tmp_path / "run")
+def test_roundtrip_preserves_records(tmp_path):
+    # Every column, accuracy cells included, loads as the run logged it.
+    artifacts = run_and_emit(small_config(eval_every=3), tmp_path / "run")
     loaded = load_runlog(tmp_path / "run")
-    assert len(loaded.records) == len(artifacts.log.records)
-    for mine, theirs in zip(artifacts.log.records, loaded.records):
-        assert mine.task == theirs.task
-        assert mine.round == theirs.round
-        assert mine.selected == theirs.selected
-        assert mine.delta_norm == theirs.delta_norm
-        assert mine.drift_sq == theirs.drift_sq
-        assert mine.joint_grad_sq == theirs.joint_grad_sq
-        assert mine.grad_norm_max == theirs.grad_norm_max
-    assert len(loaded.reports) == len(artifacts.reports)
+    rounds = artifacts.log.rounds
+    assert any(a is not None for a in rounds.accuracies) and None in rounds.accuracies
+    assert None in rounds.prev_task_loss and any(v is not None for v in rounds.prev_task_loss)
+    assert loaded.rounds == rounds
+    assert loaded.reports == artifacts.reports
 
 
 def test_verify_passes_on_clean_run(tmp_path, small_config_text):
@@ -184,12 +180,16 @@ def test_verify_sizes_nothing_by_an_edited_task_count(tmp_path, small_config_tex
 
 
 def test_verify_detects_dropped_round(tmp_path, small_config_text):
+    # The last row, then every row of the last task.  Without its rows the
+    # last task has no drift row to rebuild, so the count check must come
+    # first and be reported.
     run_and_emit(small_config_text, tmp_path / "run")
     rounds_path = tmp_path / "run" / ROUNDS_FILE
     lines = rounds_path.read_text(encoding="utf-8").splitlines()
-    rounds_path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    violations = verify_runlog(tmp_path / "run")
-    assert any("round count" in v for v in violations)
+    for kept in (lines[:-1], [line for line in lines if not line.startswith("2,")]):
+        rounds_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        violations = verify_runlog(tmp_path / "run")
+        assert any("round count" in v for v in violations), violations
 
 
 @pytest.mark.parametrize(
@@ -266,7 +266,7 @@ def test_float_formatting_roundtrips():
 
 def test_tables_declare_each_field_once_in_field_order():
     # load_runlog builds each object from its table positionally.
-    round_fields = [f.name for f in fields(RoundRecord)]
+    round_fields = [f.name for f in fields(Rounds)]
     assert round_fields[-1] == "accuracies"
     assert [field for field, _ in runio.ROUND_COLUMNS] == round_fields[:-1]
     assert [field for field, _ in runio.BOUND_COLUMNS] == [f.name for f in fields(BoundReport)]
@@ -292,18 +292,20 @@ TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max
 
 @st.composite
 def run_values(draw):
-    """Records, stats, constants and reports of a two-task run."""
-    record = st.builds(
-        RoundRecord, COUNTS, COUNTS, st.lists(COUNTS, min_size=1, max_size=4).map(tuple),
-        FLOATS, FLOATS, OPTIONAL, OPTIONAL, FLOATS, FLOATS,
-        st.none() | st.tuples(FLOATS, FLOATS),
+    """Rounds, stats, constants and reports of a two-task run."""
+    n = draw(st.integers(1, 6))
+    column = functools.partial(st.lists, min_size=n, max_size=n)
+    rounds = st.builds(
+        Rounds, column(COUNTS), column(COUNTS), column(st.lists(COUNTS, min_size=1, max_size=4).map(tuple)),
+        column(FLOATS), column(FLOATS), column(OPTIONAL), column(OPTIONAL), column(FLOATS), column(FLOATS),
+        column(st.none() | st.tuples(FLOATS, FLOATS)),
     )
     report = st.builds(
         BoundReport, TEXT.filter(lambda text: "," not in text), OPTIONAL, OPTIONAL,
         st.booleans(), TEXT,
     )
     return (
-        draw(st.lists(record, min_size=1, max_size=6)),
+        draw(rounds),
         draw(st.builds(RunStats, FLOATS, FLOATS, FLOATS, OPTIONAL)),
         draw(st.builds(ConstantEstimates, *[FLOATS] * 7, COUNTS, COUNTS)),
         draw(st.lists(report, max_size=4)),
@@ -313,19 +315,21 @@ def run_values(draw):
 @settings(max_examples=60, deadline=None)
 @given(values=run_values())
 def test_emit_load_emit_round_trips_every_byte(values):
-    records, stats, constants, reports = values
+    rounds, stats, constants, reports = values
     base = small_artifacts()
     artifacts = replace(
-        base, log=replace(base.log, records=records, stats=stats), constants=constants,
+        base, log=replace(base.log, rounds=rounds, stats=stats), constants=constants,
         reports=reports,
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first", Path(tmp) / "second"
         emit_runlog(artifacts, first)
         loaded = load_runlog(first)
+        for name in ("joint_grad_sq", "prev_task_loss", "accuracies"):  # None is not NaN
+            assert [v is None for v in getattr(loaded.rounds, name)] == [v is None for v in getattr(rounds, name)]
         emit_runlog(
             replace(
-                artifacts, log=replace(artifacts.log, records=loaded.records, stats=loaded.stats),
+                artifacts, log=replace(artifacts.log, rounds=loaded.rounds, stats=loaded.stats),
                 constants=loaded.constants, reports=loaded.reports,
             ),
             second,

@@ -42,6 +42,7 @@ from helpers import (
     local_update_loop,
     prox_map_reference,
     proximal_blend_reference,
+    records,
     sample_clients_loop,
 )
 
@@ -228,14 +229,14 @@ def test_first_task_skips_blend():
     log = run_sequence(SPEC, sequence, shards, hp)
     # Task-1 drift is unconstrained by the anchor; the blend would have
     # contracted every step toward the start point.
-    assert all(r.task in (1, 2) for r in log.records)
+    assert all(r.task in (1, 2) for r in records(log.rounds))
     # Re-run one round manually and check the unblended result matches.
     theta0 = log.initial_params
     params, delta, _, _, _ = one_round(SPEC, theta0.copy(), theta0.copy(), 1, 0, shards[0], hp)
     expected = log.initial_params + hp.gamma_g(1) * delta
     assert np.array_equal(params, expected)
     # The round is the first of the run's task 1, so it is the logged one.
-    assert float(np.linalg.norm(delta)) == log.records[0].delta_norm
+    assert float(np.linalg.norm(delta)) == records(log.rounds)[0].delta_norm
 
 
 def test_zero_updates_blend_toward_anchor():
@@ -301,8 +302,8 @@ def test_exact_anchor_pulls_track_the_old_forms_over_seeds(monkeypatch, algorith
             old = run_sequence(config.model, sequence, shards, hp)
         assert abs(acc(new.accuracy) - acc(old.accuracy)) <= 0.01
         assert abs(bwt(new.accuracy) - bwt(old.accuracy)) <= 0.01
-        new_drift = np.array([r.drift_sq for r in new.records])
-        old_drift = np.array([r.drift_sq for r in old.records])
+        new_drift = np.array([r.drift_sq for r in records(new.rounds)])
+        old_drift = np.array([r.drift_sq for r in records(old.rounds)])
         nonzero = old_drift != 0.0
         assert (np.abs(new_drift - old_drift)[nonzero] <= 1e-12 * old_drift[nonzero]).all()
         final_new, final_old = new.task_params[-1], old.task_params[-1]
@@ -317,7 +318,7 @@ def test_fedavg_equals_special_lambda_zero():
     log_b = run_sequence(SPEC, sequence, shards, make_hp(prox_lambda=0.0, algorithm="fedavg"))
     for pa, pb in zip(log_a.task_params, log_b.task_params):
         assert np.array_equal(pa, pb)
-    for ra, rb in zip(log_a.records, log_b.records):
+    for ra, rb in zip(records(log_a.rounds), records(log_b.rounds)):
         assert ra == rb
 
 
@@ -327,15 +328,15 @@ def test_run_is_deterministic():
     log_b = run_sequence(SPEC, sequence, shards, hp)
     for pa, pb in zip(log_a.task_params, log_b.task_params):
         assert np.array_equal(pa, pb)
-    assert log_a.records == log_b.records
+    assert records(log_a.rounds) == records(log_b.rounds)
     assert log_a.accuracy.entries() == log_b.accuracy.entries()
 
 
 def test_round_count_and_record_shape():
     sequence, shards, hp = make_problem(hp=make_hp(rounds_per_task=7))
     log = run_sequence(SPEC, sequence, shards, hp)
-    assert len(log.records) == 2 * 7
-    for r in log.records:
+    assert len(records(log.rounds)) == 2 * 7
+    for r in records(log.rounds):
         assert len(r.selected) == hp.participants_per_round
         assert list(r.selected) == sorted(set(r.selected))
 
@@ -488,10 +489,10 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 
     monkeypatch.setattr(server, "run_round", recording_run_round)
     log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=1))
-    assert len(round_params) == len(log.records) == 12
+    assert len(round_params) == len(records(log.rounds)) == 12
 
     best = None
-    for record, params in zip(log.records, round_params):
+    for record, params in zip(records(log.rounds), round_params):
         prefixes = _oracle_prefixes(params, shards[: record.task])
         grad = prefixes[-1][1]
         assert record.joint_grad_sq == float(grad @ grad)
@@ -529,7 +530,7 @@ def test_joint_passes_per_run(monkeypatch, rounds, every):
 
     monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
     log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
-    tracked = sum(r.joint_grad_sq is not None for r in log.records)
+    tracked = sum(r.joint_grad_sq is not None for r in records(log.rounds))
     assert tracked == k * (rounds // every)
     per_task = rounds // every
     end = 0 if rounds % every == 0 else k
@@ -573,8 +574,8 @@ def _joint_run(spec, num_tasks, rounds, every, num_clients, train, monkeypatch):
 
 def _assert_joint_fields_match(log, spec, shards, round_params, rounds, every):
     fields, stats = joint_fields_loop(spec, shards, round_params, rounds, every)
-    assert len(fields) == len(log.records) == len(round_params)
-    for record, (joint_grad_sq, prev_task_loss) in zip(log.records, fields):
+    assert len(fields) == len(records(log.rounds)) == len(round_params)
+    for record, (joint_grad_sq, prev_task_loss) in zip(records(log.rounds), fields):
         assert record.joint_grad_sq == joint_grad_sq
         assert record.prev_task_loss == prev_task_loss
         assert type(record.joint_grad_sq) is type(joint_grad_sq)
@@ -614,7 +615,7 @@ def test_huge_lambda_pins_model_to_anchor():
     log = run_sequence(SPEC, sequence, shards, hp)
     anchor = log.task_params[0]
     final = log.task_params[1]
-    b_hat = max(r.grad_norm_max for r in log.records if r.task == 2)
+    b_hat = max(r.grad_norm_max for r in records(log.rounds) if r.task == 2)
     cap = (hp.gamma_g(2) ** 2) * (hp.local_lr ** 2) * (hp.local_epochs ** 2) * (b_hat ** 2) / (1e6 ** 2)
     assert float(np.sum((final - anchor) ** 2)) <= cap
 
@@ -623,7 +624,7 @@ def test_single_task_run_is_single_task_federated_avg():
     hp = make_hp(prox_lambda=0.3, rounds_per_task=5)
     sequence, shards, _ = make_problem(num_tasks=1, hp=hp)
     log = run_sequence(SPEC, sequence, shards, hp)
-    assert len(log.records) == 5
+    assert len(records(log.rounds)) == 5
     assert log.accuracy.num_tasks == 1
     # Single task means no blending anywhere: identical to a lambda=0 run.
     log_zero = run_sequence(SPEC, sequence, shards, make_hp(prox_lambda=0.0, rounds_per_task=5))
@@ -635,7 +636,7 @@ def test_drift_cap_holds_on_anchored_tasks():
     sequence, shards, _ = make_problem(hp=hp)
     log = run_sequence(SPEC, sequence, shards, hp)
     for i in (2,):
-        task_records = [r for r in log.records if r.task == i]
+        task_records = [r for r in records(log.rounds) if r.task == i]
         b_hat = max(r.grad_norm_max for r in task_records)
         cap = (
             (hp.gamma_g(i) ** 2)
@@ -683,7 +684,7 @@ def test_instrumentation_never_perturbs_the_protocol():
     )
     for pa, pb in zip(bare.task_params, instrumented.task_params):
         assert np.array_equal(pa, pb)
-    for ra, rb in zip(bare.records, instrumented.records):
+    for ra, rb in zip(records(bare.rounds), records(instrumented.rounds)):
         assert ra.selected == rb.selected
         assert ra.delta_norm == rb.delta_norm
         assert ra.drift_sq == rb.drift_sq
@@ -692,7 +693,7 @@ def test_instrumentation_never_perturbs_the_protocol():
 def test_eval_cadence_populates_accuracies():
     sequence, shards, hp = make_problem(hp=make_hp(rounds_per_task=6))
     log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(eval_every=3))
-    for r in log.records:
+    for r in records(log.rounds):
         if (r.round + 1) % 3 == 0:
             assert r.accuracies is not None and len(r.accuracies) == 2
             assert all(0.0 <= a <= 1.0 for a in r.accuracies)

@@ -17,8 +17,8 @@ from fdilsim import (
     ModelSpec,
     PartitionSpec,
     ProbeConfig,
+    Rounds,
     TaskSequence,
-    RoundRecord,
     bkt_bound,
     build_bound_reports,
     drift_bound,
@@ -84,15 +84,18 @@ def make_hp(**overrides):
 def step_rows(hp, consts, k, grad_norm_prev):
     """The bound rows of a run with these settings, by name, evaluated at t = rounds_per_task.
 
-    The step-size and suggested-schedule rows read no round record.
+    The step-size and suggested-schedule rows read no round entry.
     """
-    records = [
-        RoundRecord(i, t, (0,), 0.0, 0.0, None, None, 1.0, 1.0, None)
-        for i in range(1, k + 1)
-        for t in range(hp.rounds_per_task)
-    ]
+    n = k * hp.rounds_per_task
+    rounds = Rounds(
+        task=[i for i in range(1, k + 1) for _ in range(hp.rounds_per_task)],
+        round=list(range(hp.rounds_per_task)) * k,
+        selected=[(0,)] * n, delta_norm=[0.0] * n, drift_sq=[0.0] * n,
+        joint_grad_sq=[None] * n, prev_task_loss=[None] * n,
+        grad_norm_max=[1.0] * n, grad_sq_mean=[1.0] * n, accuracies=[None] * n,
+    )
     stats = RunStats(grad_norm_prev_sq=grad_norm_prev ** 2)
-    reports = build_bound_reports(SPEC, hp, k, records, consts, stats)
+    reports = build_bound_reports(SPEC, hp, k, rounds, consts, stats)
     return {report.name: report for report in reports}
 
 
@@ -281,7 +284,7 @@ RATES = st.one_of(st.floats(1e-300, 1e300), st.floats(1e-4, 1.0), st.just(5e-324
 
 @st.composite
 def bound_inputs(draw):
-    """Records, constants, hyperparameters and stats of a run, as the bound builder reads them.
+    """Rounds, constants, hyperparameters and stats of a run, as the bound builder reads them.
 
     Norms and losses are >= 0, a sigma is the root of a drawn value (as the
     estimator makes it), and the best joint loss is at most the start loss.
@@ -305,13 +308,20 @@ def bound_inputs(draw):
     # Each task's largest drift and local gradient norm are in its first round;
     # only task K's joint gradients and earlier-task losses are read.
     optional = st.one_of(st.none(), MAGNITUDES)
-    records = []
+    n = k * rounds
+    columns = Rounds(
+        task=[i for i in range(1, k + 1) for _ in range(rounds)], round=list(range(rounds)) * k,
+        selected=[(0,)] * n, delta_norm=[0.0] * n, grad_sq_mean=[0.0] * n, accuracies=[None] * n,
+    )
     for i in range(1, k + 1):
         drift, grad_norm = draw(MAGNITUDES), draw(MAGNITUDES)
-        for t in range(rounds):
-            joint, prev = (draw(optional), draw(optional)) if i == k else (None, None)
-            top = (drift, grad_norm) if t == 0 else (0.0, 0.0)
-            records.append(RoundRecord(i, t, (0,), 0.0, top[0], joint, prev, top[1], 0.0, None))
+        columns.drift_sq += [drift] + [0.0] * (rounds - 1)
+        columns.grad_norm_max += [grad_norm] + [0.0] * (rounds - 1)
+        if i < k:
+            columns.joint_grad_sq += [None] * rounds
+            columns.prev_task_loss += [None] * rounds
+    columns.joint_grad_sq += draw(st.lists(optional, min_size=rounds, max_size=rounds))
+    columns.prev_task_loss += draw(st.lists(optional, min_size=rounds, max_size=rounds))
     root = MAGNITUDES.map(math.sqrt)
     consts = ConstantEstimates(
         B=draw(MAGNITUDES), L=draw(MAGNITUDES), sigma_l=draw(root), sigma_g=draw(root),
@@ -326,7 +336,7 @@ def bound_inputs(draw):
         f_joint_start=f_joint_start,
         best_joint_loss=draw(st.one_of(st.none(), best)),
     )
-    return spec, hp, k, records, consts, stats
+    return spec, hp, k, columns, consts, stats
 
 
 @settings(max_examples=200, deadline=None)

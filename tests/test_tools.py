@@ -210,3 +210,13 @@ def test_src_has_no_line_wider_than_119_characters():
     ]
     for path in sorted((ROOT / "src" / "fdilsim").glob("*.py")):
         assert wide_lines(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_every_name_in_fdilsim_all_resolves_once():
+    # A stale export, such as a removed class, would otherwise fail only on
+    # ``from fdilsim import *``.
+    import fdilsim
+
+    names = fdilsim.__all__
+    assert [name for name in set(names) if names.count(name) > 1] == []
+    assert [name for name in names if not hasattr(fdilsim, name)] == []
