@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .client import DivergenceError
-from .config import ConfigError, parse_config_text, serialize_config, with_lambda
+from .config import ConfigError, parse_config_text, read_config_text, serialize_config, with_lambda
 from .datagen import DataOverflowError
 from .experiment import run_experiment
 from .runio import acc_bwt, compare_runlogs, emit_runlog, emit_sweep, fmt, verify_runlog
@@ -72,15 +72,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    """The config file's text; a file that is not UTF-8 is a config error."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _experiment(text: str):
     """``run_experiment`` with numpy's floating-point warnings silenced.
 
@@ -92,7 +83,7 @@ def _experiment(text: str):
 
 
 def _cmd_run(args) -> int:
-    text = _read_text(args.config)
+    text = read_config_text(args.config)
     artifacts = _experiment(text)
     out_dir = args.out if args.out else artifacts.config.output_dir
     emit_runlog(artifacts, out_dir)
@@ -108,7 +99,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = _read_text(args.config)
+    text = read_config_text(args.config)
     base = parse_config_text(text)
     try:
         grid = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]

@@ -247,10 +247,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
     )
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse a config file; missing files surface as OSError."""
+def read_config_text(path) -> str:
+    """A config file's text, read by ``parse_config``, ``run`` and ``sweep`` alike.
+
+    A missing file surfaces as OSError; a file that is not UTF-8 raises
+    ConfigError naming the path.
+    """
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Parse a config file read by :func:`read_config_text`."""
+    return parse_config_text(read_config_text(path))
 
 
 def _text(kind, value) -> str:

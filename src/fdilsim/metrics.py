@@ -15,13 +15,13 @@ at most ``STACK_ROWS`` rows, and of one point each for a shard of more
 than ``STACK_ROWS // 2`` rows.  The probe estimator uses it for its probe
 points, and :func:`joint_objective_grad` for the parameter snapshots a
 task tracked: the server defers them to the end of the task and evaluates
-them together, one stacked call per (task, client) shard.  The joint pass
-returns each task's (loss, gradient), summed over clients in shard order
-from +0.0 per snapshot.  Callers sum the entries in task order, so the
-joint objective over every prefix of the tasks (the earlier tasks alone, or
-all of them) comes from the same pass.  This is simulator-side
-instrumentation with full data access and is never consulted by the
-client/server update paths.
+them together in one call, one stacked call per (task, client) shard.  That
+call sums the tasks in order and returns the joint objective over the
+earlier tasks and over all of them, each with its gradient, a row per
+snapshot, so the earlier-task loss that the backward-transfer bound reads
+and the joint gradient that the rate bound reads come from one pass.  This
+is simulator-side instrumentation with full data access and is never
+consulted by the client/server update paths.
 """
 
 from __future__ import annotations
@@ -118,19 +118,23 @@ def client_objective_grad(
 
 def joint_objective_grad(
     spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-task objective (1/M) sum_m f_{task,m} and its gradient, in task order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The joint objective and its earlier-task prefix at a stack of snapshots ``(P, d)``.
 
-    ``params`` is a stack of snapshots ``(P, d)``, giving ``((P,), (P, d))``
-    per task from one :func:`client_objective_grad` call per shard.
+    Each task's objective (1/M) sum_m f_{task,m} sums one
+    :func:`client_objective_grad` call per shard in shard order and divides
+    by M; the tasks are summed in order from +0.0, and the prefix is the sum
+    before the last task's term (+0.0 for one task).  Returns ``(prefix
+    loss, prefix grad, loss, grad)``, a row per snapshot.
     """
-    per_task = []
+    prev_loss = loss = np.zeros(len(params))
+    prev_grad = grad = np.zeros_like(params)
     for task_shards in shards_by_task:
-        loss_total = 0.0
-        grad_total = np.zeros_like(params)
+        task_loss, task_grad = 0.0, np.zeros_like(params)
         for shard in task_shards:
-            loss, grad = client_objective_grad(spec, params, shard)
-            loss_total += loss
-            grad_total += grad
-        per_task.append((loss_total / len(task_shards), grad_total / len(task_shards)))
-    return per_task
+            shard_loss, shard_grad = client_objective_grad(spec, params, shard)
+            task_loss, task_grad = task_loss + shard_loss, task_grad + shard_grad
+        prev_loss, prev_grad = loss, grad
+        loss = loss + task_loss / len(task_shards)
+        grad = grad + task_grad / len(task_shards)
+    return prev_loss, prev_grad, loss, grad

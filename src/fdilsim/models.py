@@ -68,8 +68,9 @@ class Minibatch:
     ``augmented`` holds each row's inputs followed by a 1.0, the bias column
     the kernel multiplies into its first weight matrix, and ``inputs`` is the
     view of its first D columns.  The ones column is built once, when data
-    enters (:func:`generate_sequence`, :func:`load_sequence`), and rows
-    gathered from a batch carry it along, so no kernel call builds it.
+    enters (:func:`fdilsim.datagen.generate_sequence`,
+    :func:`fdilsim.datagen.load_sequence`), and rows gathered from a batch
+    carry it along, so no kernel call builds it.
 
     The constructor validates data that enters the program; the kernels
     below trust it and do not check again.

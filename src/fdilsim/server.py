@@ -38,13 +38,15 @@ order.  A task appends each round's values to the columns as it runs.
 
 The joint-objective instrumentation is deferred: a task keeps the global
 model of every ``joint_grad_every``-th round and, after its last round,
-evaluates all of them in one stacked pass through the full-shard helper of
-:mod:`fdilsim.metrics`, one stacked kernel call per (task, client) shard.
-The task then writes those rounds' ``joint_grad_sq`` and ``prev_task_loss``
-cells from the pass's arrays.  In a run of K >= 2 tasks the last task's
-stack also holds its anchor first and its end model last: the anchor gives
-the start-of-last-task stats, and every row of the stack gives the best
-joint loss.  Nothing on the update path reads these values.
+evaluates all of them in one :func:`fdilsim.metrics.joint_objective_grad`
+call, one stacked kernel call per (task, client) shard.  The call returns
+the joint objective over the earlier tasks and over all tasks so far, each
+with its gradient, a row per snapshot, and the task writes those rounds'
+``joint_grad_sq`` and ``prev_task_loss`` cells from them.  In a run of
+K >= 2 tasks the last task's stack also holds its anchor first and its end
+model last: the anchor gives the start-of-last-task stats, and every row of
+the stack gives the best joint loss.  Nothing on the update path reads
+these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -261,25 +263,6 @@ def run_round(
     return theta, delta, grad_norm_max, float(np.mean(update.grad_norm_sq_mean))
 
 
-def _joint_pass(
-    spec: ModelSpec, shards_by_task: list[list[ClientShard]], snapshots: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The joint objective over ``shards_by_task`` at every snapshot, from one stacked pass.
-
-    Every snapshot is evaluated on every task in one
-    :func:`joint_objective_grad` call, and the per-task values are summed in
-    task order from +0.0; the sum before the last term is the earlier-task
-    prefix.  Returns ``(prefix loss, prefix grad, loss, grad)``, a row per
-    snapshot.
-    """
-    params = np.stack(snapshots)
-    prev_loss = loss = np.zeros(len(params))
-    prev_grad = grad = np.zeros_like(params)
-    for task_loss, task_grad in joint_objective_grad(spec, params, shards_by_task):
-        prev_loss, prev_grad, loss, grad = loss, grad, loss + task_loss, grad + task_grad
-    return prev_loss, prev_grad, loss, grad
-
-
 def run_task(
     spec: ModelSpec,
     params: np.ndarray,
@@ -297,13 +280,14 @@ def run_task(
     selections, round t's from the ``(CLIENT_SAMPLING, task_index, t)``
     stream, are made once, and its rounds' batches are planned in chunks of
     at most ``PLAN_BYTES`` of row index (:func:`fdilsim.client.plan_batches`).
-    The parameters of every ``joint_grad_every``-th round are kept, and
-    after the last round one deferred pass over all of them
-    (:func:`_joint_pass`) gives those rounds' joint-objective cells.  With
-    K >= 2 tasks, the last task's stack also holds its anchor first and its
-    end parameters last unless its last round was tracked: row 0 gives
-    ``log.stats``, and the best joint loss is the least loss over all rows,
-    start first.  Returns the task's final model.
+    The parameters of every ``joint_grad_every``-th round are kept.  After
+    the last round one :func:`fdilsim.metrics.joint_objective_grad` call
+    over all of them gives the joint objective over tasks 1..task_index and
+    its earlier-task prefix, and from them those rounds' joint-objective
+    cells.  With K >= 2 tasks, the last task's stack also holds its anchor
+    first and its end parameters last unless its last round was tracked:
+    row 0 gives ``log.stats``, and the best joint loss is the least loss over
+    all rows, start first.  Returns the task's final model.
     """
     # No round writes into a model array, so the anchor and snapshots need no copy.
     anchor = params
@@ -350,7 +334,7 @@ def run_task(
     if last and not (every and T % every == 0):
         snapshots.append(params)
     if snapshots:
-        prev_loss, prev_grad, loss, grad = _joint_pass(spec, shards_by_task[:task_index], snapshots)
+        prev_loss, prev_grad, loss, grad = joint_objective_grad(spec, np.stack(snapshots), shards_by_task[:task_index])
         for j, row in enumerate(tracked, start=int(last)):
             rounds.joint_grad_sq[row] = float(grad[j] @ grad[j])
             if task_index >= 2:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fdilsim import (
+    AccuracyMatrix,
     BoundReport,
     ClientShard,
     ClientUpdate,
@@ -20,9 +21,17 @@ from fdilsim import (
     Minibatch,
     ModelSpec,
     ProbeConfig,
+    RunArtifacts,
+    RunLog,
     TaskSequence,
+    accuracy,
+    aggregate,
+    generate_sequence,
+    init_params,
     loss_and_grad,
     param_count,
+    parse_config_text,
+    partition_sequence,
 )
 from fdilsim import rng as rngmod
 from fdilsim.client import (
@@ -35,6 +44,7 @@ from fdilsim.client import (
 )
 from fdilsim.datagen import FORMAT_MAGIC, TaskData
 from fdilsim.models import row_dots
+from fdilsim.runio import BOUNDS_FILE, OUTPUT_FILES, _run_files
 from fdilsim.server import Rounds, RunStats
 from fdilsim.theory import effective_lambda
 
@@ -837,6 +847,35 @@ def build_bound_reports_reference(spec, hp, num_tasks, rounds, consts, stats) ->
     return reports
 
 
+# What ``build_bound_reports_reference`` raises where a divisor of the
+# vanishing term or of the retention correction underflows to 0, or B ** 2
+# overflows in a sigma_T cap; the program's table completes and flags the cap.
+REFERENCE_BOUND_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def reference_bound_flags(rows: list[str], expected: list[str]) -> list[str]:
+    """The flags by which written bound rows differ from the reference's rows ``expected``.
+
+    Asserts that there is no other difference: the rows have the same names,
+    and a differing row is the reference's row plus a flag it did not
+    write.  That is a cap that rounded to 0 from nonzero factors (the
+    reference wrote 0 unflagged), or an inf in a cap or term the reference
+    did not check: the stationarity cap's vanishing term, the convergence
+    caps, the suggested local rate and the sigma_T caps.
+    """
+    assert [row.split(",")[0] for row in rows] == [row.split(",")[0] for row in expected]
+    flags = []
+    for row, old in zip(rows, expected):
+        if row == old:
+            continue
+        flag = row[len(old):]
+        assert row.startswith(old), (row, old)
+        inf = old.split(",")[1] == "inf" or ";vanishing=inf;" in old
+        assert flag == ";vacuous=underflow" or (flag == ";vacuous=overflow" and inf), (row, old)
+        flags.append(f"{row.split(',')[0]}{flag}")
+    return flags
+
+
 def proximal_blend_reference(theta_bar: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:
     """The server blend as first written: ``theta_bar / (1 + lam) + (lam / (1 + lam)) * anchor``.
 
@@ -951,3 +990,89 @@ def load_sequence_reference(path):
             ClientShard(task_index, client, sequence.task(task_index).train.take(idx), idx)
         )
     return sequence, shards
+
+
+# --- A whole run from the oracles above --------------------------------------
+
+
+def run_experiment_reference(config_text: str) -> dict[str, str]:
+    """``run_experiment`` composed from the plain-loop oracles, as the four run tables.
+
+    Each round samples its clients with :func:`sample_clients_loop` on the
+    round's ``(CLIENT_SAMPLING, task, round)`` stream.  Each sampled client,
+    in ascending id order, takes its E steps alone with
+    :func:`local_update_loop` on its own ``(LOCAL_TRAINING, task, round,
+    client)`` stream.  The server averages the deltas with ``aggregate``,
+    takes the global step at 1/task or the constant rate, and under
+    ``special`` from task 2 on pulls the result toward the task's anchor
+    with weight 1/(1 + lambda).  The joint-objective cells and stats come
+    from :func:`joint_fields_loop`, the constants from
+    :func:`estimate_constants_loop` and the bound rows from
+    :func:`build_bound_reports_reference`.  Returns ``{file name: text}``
+    for ``runio.OUTPUT_FILES``, from runio's writer; the bound table is None
+    where the reference bound builder raises (``REFERENCE_BOUND_ERRORS``).
+    Raises where a client update or a global model is not finite, as the
+    program does.
+    """
+    config = parse_config_text(config_text)
+    spec, hp, seed = config.model, config.hyper, config.hyper.master_seed
+    sequence = generate_sequence(config.shift, seed)
+    shards = partition_sequence(sequence, config.partition, seed)
+    k, eval_every = sequence.num_tasks, config.eval_cfg.eval_every
+    theta = init_params(spec, rngmod.derive_stream(seed, (rngmod.INIT_PARAMS,)))
+    log = RunLog(accuracy=AccuracyMatrix(k), initial_params=theta.copy())
+    rounds, round_params = log.rounds, []
+    for i in range(1, k + 1):
+        anchor = theta
+        gamma_g = 1.0 / i if hp.global_lr_schedule == "task_decay" else hp.global_lr
+        mode = "client_prox" if hp.algorithm == "special_c" and i >= 2 else "plain"
+        cfg = LocalConfig(hp.local_epochs, hp.local_lr, hp.batch_size, mode, hp.prox_lambda, anchor)
+        for t in range(hp.rounds_per_task):
+            sampling = rngmod.derive_stream(seed, (rngmod.CLIENT_SAMPLING, i, t))
+            selected = sample_clients_loop(hp.num_clients, hp.participants_per_round, sampling)
+            updates = [
+                local_update_loop(
+                    spec, theta, shards[i - 1][m], cfg,
+                    rngmod.derive_stream(seed, (rngmod.LOCAL_TRAINING, i, t, m)),
+                )
+                for m in selected
+            ]
+            delta = aggregate(np.stack([u.delta for u in updates]))
+            theta = theta + gamma_g * delta
+            if hp.algorithm == "special" and i >= 2 and hp.prox_lambda != 0.0:
+                theta = anchor + (theta - anchor) / (1.0 + hp.prox_lambda)
+            if not np.isfinite(theta).all():
+                raise DivergenceError("non-finite parameter values")
+            round_params.append(theta)
+            drift = theta - anchor
+            rounds.task.append(i)
+            rounds.round.append(t)
+            rounds.selected.append(selected)
+            rounds.delta_norm.append(float(np.linalg.norm(delta)))
+            rounds.drift_sq.append(float(drift @ drift))
+            rounds.grad_norm_max.append(max(u.grad_norm_max for u in updates))
+            rounds.grad_sq_mean.append(float(np.mean([u.grad_norm_sq_mean for u in updates])))
+            evaluated = eval_every and (t + 1) % eval_every == 0
+            rounds.accuracies.append(
+                tuple(accuracy(spec, theta, task.test) for task in sequence.tasks) if evaluated else None
+            )
+        log.task_params.append(theta.copy())
+        for j in range(1, i + 1):
+            log.accuracy.set(i, j, accuracy(spec, theta, sequence.task(j).test))
+
+    fields, log.stats = joint_fields_loop(
+        spec, shards, round_params, hp.rounds_per_task, config.eval_cfg.joint_grad_every
+    )
+    rounds.joint_grad_sq = [grad_sq for grad_sq, _ in fields]
+    rounds.prev_task_loss = [prev_loss for _, prev_loss in fields]
+    checkpoints = tuple([log.initial_params] + log.task_params)
+    consts = estimate_constants_loop(spec, sequence, shards, config.probe, seed, checkpoints)
+    try:
+        reports = build_bound_reports_reference(spec, hp, k, rounds, consts, log.stats)
+    except REFERENCE_BOUND_ERRORS:
+        reports = None
+    artifacts = RunArtifacts(config, config_text, log, consts, reports or [])
+    tables = {name: text for name, text in _run_files(artifacts, "").items() if name in OUTPUT_FILES}
+    if reports is None:
+        tables[BOUNDS_FILE] = None
+    return tables

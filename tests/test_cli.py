@@ -642,8 +642,11 @@ def test_diverging_run_exits_4_without_traceback_or_run_dir(tmp_path):
 
 
 @st.composite
-def small_configs(draw) -> str:
-    """A small config, valid or near it: tiny and huge rates and lambdas included."""
+def small_configs(draw, activations=("", "tanh", "relu")) -> str:
+    """A small config, valid or near it: tiny and huge rates and lambdas included.
+
+    The model is logreg for an activation of ``""``, else mlp1 with it.
+    """
     num_clients = draw(st.integers(1, 6))
     text = small_config(
         num_tasks=draw(st.integers(1, 3)),
@@ -666,7 +669,7 @@ def small_configs(draw) -> str:
         eval_every=draw(st.integers(0, 2)),
         joint_grad_every=draw(st.integers(0, 2)),
     )
-    model = draw(st.sampled_from(["", "tanh", "relu"]))
+    model = draw(st.sampled_from(activations))
     if model:
         text = text.replace("kind = logreg", f"kind = mlp1\nhidden_dim = 3\nactivation = {model}")
     return text

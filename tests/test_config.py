@@ -103,6 +103,13 @@ def test_missing_file_is_oserror(tmp_path):
         parse_config(tmp_path / "nope.ini")
 
 
+def test_config_file_not_utf8_is_config_error_naming_the_path(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff" + profile_text().encode("utf-8"))
+    with pytest.raises(ConfigError, match=re.escape(str(bad)) + ": 'utf-8' codec can't decode"):
+        parse_config(bad)
+
+
 def test_mlp_profile_parses():
     text = profile_text().replace(
         "kind = logreg",

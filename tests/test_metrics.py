@@ -16,6 +16,7 @@ from fdilsim import (
     param_count,
 )
 from fdilsim.metrics import STACK_ROWS, client_objective_grad
+from helpers import joint_prefixes
 
 
 def test_acc_examples():
@@ -111,39 +112,45 @@ def shard(inputs, labels, task=1, client=0):
     return ClientShard(task, client, Minibatch(np.array(inputs), np.array(labels)))
 
 
-def joint_objective_plain(spec, params, shards_by_task):
-    """Per-task (loss, gradient) at one point ``(d,)``: plain kernel calls summed from +0.0."""
-    per_task = []
-    for task_shards in shards_by_task:
-        loss_total, grad_total = 0.0, np.zeros_like(params)
-        for s in task_shards:
-            loss, grad = loss_and_grad(spec, params, s.data)
-            loss_total += loss
-            grad_total += grad
-        per_task.append((loss_total / len(task_shards), grad_total / len(task_shards)))
-    return per_task
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def joint_values(spec, params, shards_by_task):
+    """``joint_objective_grad`` at a stack ``(P, d)``, checked row by row against the plain oracle.
+
+    Every row of the prefix equals ``joint_prefixes``' entry ``[-2]`` (+0.0
+    for one task) and every row of the total its entry ``[-1]``, bit for bit.
+    """
+    prev_loss, prev_grad, loss, grad = joint_objective_grad(spec, params, shards_by_task)
+    assert prev_loss.shape == loss.shape == (len(params),)
+    assert prev_grad.shape == grad.shape == params.shape
+    for p, point in enumerate(params):
+        prefixes = joint_prefixes(spec, point, shards_by_task)
+        prev = prefixes[-2] if len(prefixes) >= 2 else (0.0, np.zeros_like(point))
+        assert bits(prev_loss[p]) == bits(prev[0]) and bits(prev_grad[p]) == bits(prev[1])
+        assert bits(loss[p]) == bits(prefixes[-1][0]) and bits(grad[p]) == bits(prefixes[-1][1])
+    return prev_loss, prev_grad, loss, grad
 
 
 def joint_grad_norm_sq(spec, params, shards_by_task):
-    """Squared norm of the joint gradient: per-task gradients summed in order."""
-    grad = np.zeros_like(params)
-    for _, task_grad in joint_objective_grad(spec, params[None], shards_by_task):
-        grad = grad + task_grad[0]
+    """Squared norm of the joint gradient at one point ``(d,)``."""
+    grad = joint_values(spec, params[None], shards_by_task)[3][0]
     return float(grad @ grad)
 
 
 def test_joint_pass_returns_one_entry_per_task():
+    # The prefix is task 1's client mean and the total adds task 2's.
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3]], [1, 0], client=1)
     params = np.array([0.3, -0.2, 0.1, 0.4])
-    per_task = joint_objective_grad(SPEC, params[None], [[a, b], [b]])
-    assert len(per_task) == 2
+    prev_loss, prev_grad, loss, grad = joint_values(SPEC, params[None], [[a, b], [b]])
     loss_a, grad_a = loss_and_grad(SPEC, params, a.data)
     loss_b, grad_b = loss_and_grad(SPEC, params, b.data)
-    assert per_task[0][0][0] == (0.0 + loss_a + loss_b) / 2
-    assert np.array_equal(per_task[0][1][0], (grad_a + grad_b) / 2)
-    assert per_task[1][0][0] == loss_b
-    assert np.array_equal(per_task[1][1][0], grad_b)
+    assert prev_loss[0] == 0.0 + (0.0 + loss_a + loss_b) / 2
+    assert np.array_equal(prev_grad[0], 0.0 + (grad_a + grad_b) / 2)
+    assert loss[0] == prev_loss[0] + loss_b
+    assert np.array_equal(grad[0], prev_grad[0] + grad_b)
 
 
 def test_joint_grad_single_task_single_client_is_full_batch():
@@ -220,13 +227,15 @@ def test_stacked_full_shard_equals_plain_calls(spec, num_points):
 
 
 def test_stacked_joint_pass_equals_plain_passes():
+    # A stack of snapshots over two tasks, then one task alone: the prefix
+    # is +0.0 in every row.  Shard c has more than STACK_ROWS // 2 rows, so
+    # each of its kernel calls covers one point.
+    rng = np.random.default_rng(5)
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
-    params = np.random.default_rng(5).standard_normal((3, 4))
-    stacked = joint_objective_grad(SPEC, params, [[a, b], [b]])
-    for p in range(3):
-        plain = joint_objective_plain(SPEC, params[p], [[a, b], [b]])
-        for (losses, grads), (loss, grad) in zip(stacked, plain):
-            assert type(loss) is float
-            assert losses[p] == loss
-            assert np.array_equal(grads[p], grad)
+    rows = STACK_ROWS // 2 + 1
+    c = shard(rng.standard_normal((rows, 1)), rng.integers(0, 2, rows), client=2)
+    params = rng.standard_normal((3, 4))
+    joint_values(SPEC, params, [[a, b], [b, c]])
+    prev_loss, prev_grad, _, _ = joint_values(SPEC, params, [[a, c]])
+    assert bits(prev_loss) == bits(np.zeros(3)) and bits(prev_grad) == bits(np.zeros((3, 4)))

@@ -1,12 +1,17 @@
 import ast
+import dataclasses
 import hashlib
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fdilsim
 from fdilsim.config import parse_config_text
 from fdilsim.runio import OUTPUT_FILES
 
@@ -215,8 +220,80 @@ def test_src_has_no_line_wider_than_119_characters():
 def test_every_name_in_fdilsim_all_resolves_once():
     # A stale export, such as a removed class, would otherwise fail only on
     # ``from fdilsim import *``.
-    import fdilsim
-
     names = fdilsim.__all__
     assert [name for name in set(names) if names.count(name) > 1] == []
     assert [name for name in names if not hasattr(fdilsim, name)] == []
+
+
+# --- Cross-references: every name a docstring role or README.md points at exists.
+
+MODULES = {
+    info.name: importlib.import_module(f"fdilsim.{info.name}")
+    for info in pkgutil.iter_modules(fdilsim.__path__)
+    if info.name != "__main__"
+}
+CLASSES = {
+    name: obj
+    for module in MODULES.values()
+    for name, obj in vars(module).items()
+    if isinstance(obj, type) and obj.__module__ == module.__name__
+}
+ROLE = re.compile(r":(?:func|class|meth|data):`~?([\w.]+)`")
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)`")
+FILE_SUFFIXES = {"csv", "expected", "ini", "json", "md", "py", "toml", "txt"}
+
+
+def _has_path(obj, names: list[str]) -> bool:
+    """Whether ``obj.<names...>`` exists; a dataclass field counts as an attribute."""
+    for i, name in enumerate(names):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+            return i == len(names) - 1
+        else:
+            return False
+    return True
+
+
+def resolves(dotted: str, home=None) -> bool:
+    """Whether ``dotted`` names an object: from ``fdilsim``, a ``fdilsim`` module, ``home``'s namespace or a class."""
+    first, *rest = dotted.split(".")
+    if first == "fdilsim":
+        return _has_path(fdilsim, rest)
+    if first in MODULES:
+        return _has_path(MODULES[first], rest)
+    if home is not None and hasattr(home, first):
+        return _has_path(getattr(home, first), rest)
+    return first in CLASSES and _has_path(CLASSES[first], rest)
+
+
+def test_resolves_catches_stale_names():
+    assert not resolves("server._joint_pass")
+    assert not resolves("generate_sequence", MODULES["models"])
+    assert resolves("generate_sequence", MODULES["datagen"])
+    assert resolves("RunLog.rounds") and resolves("fdilsim.client.TaskPool.draw")
+    assert not resolves("Rounds.no_such_column")
+
+
+def test_every_docstring_role_in_src_resolves():
+    # An unqualified name resolves against the docstring's own module.
+    stale = []
+    for name, module in MODULES.items():
+        tree = ast.parse((ROOT / "src" / "fdilsim" / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                text = ast.get_docstring(node, clean=False) or ""
+                stale += [f"{name}: {target}" for target in ROLE.findall(text) if not resolves(target, module)]
+    assert stale == []
+
+
+def test_every_dotted_program_name_in_the_readme_resolves():
+    # Only spans that start with a fdilsim module or class are program names;
+    # file names (``config.ini``) and config keys (``io.eval_every``) are not.
+    spans = DOTTED.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    names = [
+        span for span in spans
+        if span.split(".")[-1] not in FILE_SUFFIXES and span.split(".")[0] in {"fdilsim", *MODULES, *CLASSES}
+    ]
+    assert len(names) >= 10
+    assert [name for name in names if not resolves(name)] == []
