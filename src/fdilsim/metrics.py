@@ -11,15 +11,17 @@ The joint objective is the sum over tasks of each task's client-averaged
 full-shard training objective.  :func:`client_objective_grad` is the one
 full-shard helper, with one code path: it evaluates a client's losses and
 gradients at a ``(P, d)`` stack of points through stacked kernel calls of
-at most ``STACK_ROWS`` rows, and of one point each for a shard of more
-than ``STACK_ROWS // 2`` rows.  The probe estimator uses it for its probe
-points, and :func:`joint_objective_grad` for the parameter snapshots a
-task tracked: the server defers them to the end of the task and evaluates
-them together in one call, one stacked call per (task, client) shard.  That
-call sums the tasks in order and returns the joint objective over the
-earlier tasks and over all of them, each with its gradient, a row per
-snapshot, so the earlier-task loss that the backward-transfer bound reads
-and the joint gradient that the rate bound reads come from one pass.  This
+at most :func:`stack_rows` rows, and of one point each for a shard of more
+than half of them.  The probe estimator uses it for its probe points, and
+:func:`joint_objective_grad` for the parameter snapshots a task tracked:
+the server defers them to the end of the task and evaluates them together
+in one call, one stacked call per (task, client) shard.  That call sums the
+tasks in order and returns the joint objective over the earlier tasks and
+over all of them, each with its gradient, a row per snapshot, so the
+earlier-task loss that the backward-transfer bound reads and the joint
+gradient that the rate bound reads come from one pass.  A snapshot whose
+earlier-task values the caller already has is evaluated on the last task
+only.  This
 is simulator-side instrumentation with full data access and is never
 consulted by the client/server update paths.
 """
@@ -33,10 +35,22 @@ import numpy as np
 from .datagen import ClientShard
 from .models import Minibatch, ModelSpec, loss_and_grad
 
-# Rows per stacked kernel call.  It bounds the temporaries of one call: mlp1
-# holds about six rows x hidden_dim float arrays at once, so 512 rows at
-# hidden 32 stay under 1 MB, where 1024 rows raised peak memory by 2 MB.
-STACK_ROWS = 512
+# Cells (rows x row width) per stacked kernel call.  It bounds the temporaries
+# of one call: mlp1 holds about six rows x hidden_dim float arrays at once, so
+# 512 rows at hidden 32 stay under 1 MB, where 1024 rows raised peak memory by
+# 2 MB.  logreg's rows are narrower, so its calls stack more of them: 1,877 at
+# desk scale, which cuts its kernel calls without raising peak memory.
+STACK_CELLS = 512 * 33
+
+
+def stack_rows(spec: ModelSpec) -> int:
+    """Rows per stacked kernel call: ``STACK_CELLS`` over the width of a row of the kernel's temporaries.
+
+    The width is ``hidden_dim + 1`` for mlp1 (its hidden activations) and
+    ``input_dim + 1 + 2 * num_classes`` for logreg (its inputs, scores and
+    softmax).  Callers stack at least one item whatever it gives.
+    """
+    return STACK_CELLS // (spec.hidden_dim + 1 if spec.kind == "mlp1" else spec.input_dim + 1 + 2 * spec.num_classes)
 
 
 class AccuracyMatrix:
@@ -95,14 +109,14 @@ def client_objective_grad(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Full-shard losses ``(P,)`` and gradients ``(P, d)`` of one client at points ``(P, d)``.
 
-    Each kernel call covers as many points as fit in ``STACK_ROWS`` rows, at
+    Each kernel call covers as many points as fit in :func:`stack_rows` rows, at
     least one, over a contiguous repeat of the shard's bias-augmented rows,
     so every point's values equal the plain call's bit for bit.
     ``with_loss=False`` skips the kernel's loss terms and returns ``None``
     for the losses; the gradients' bits do not depend on it.
     """
     num_points = params.shape[0]
-    width = max(1, min(num_points, STACK_ROWS // len(shard.data)))
+    width = max(1, min(num_points, stack_rows(spec) // len(shard.data)))
     losses = np.empty(num_points) if with_loss else None
     grads = np.empty(params.shape)
     rows = np.repeat(shard.data.augmented[None], width, axis=0)
@@ -117,24 +131,30 @@ def client_objective_grad(
 
 
 def joint_objective_grad(
-    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]]
+    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]], start: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The joint objective and its earlier-task prefix at a stack of snapshots ``(P, d)``.
 
     Each task's objective (1/M) sum_m f_{task,m} sums one
     :func:`client_objective_grad` call per shard in shard order and divides
     by M; the tasks are summed in order from +0.0, and the prefix is the sum
-    before the last task's term (+0.0 for one task).  Returns ``(prefix
-    loss, prefix grad, loss, grad)``, a row per snapshot.
+    before the last task's term (+0.0 for one task).  ``start``, the
+    ``(loss, grad)`` of the first snapshot over the earlier tasks from an
+    earlier call, is taken as that row's prefix, and the earlier tasks
+    evaluate the other rows only: the row's sums are the same additions in
+    the same order.  Returns ``(prefix loss, prefix grad, loss, grad)``, a
+    row per snapshot.
     """
-    prev_loss = loss = np.zeros(len(params))
-    prev_grad = grad = np.zeros_like(params)
-    for task_shards in shards_by_task:
-        task_loss, task_grad = 0.0, np.zeros_like(params)
+    loss, grad = np.zeros(len(params)), np.zeros_like(params)
+    if start is not None:
+        loss[0], grad[0] = start
+    for i, task_shards in enumerate(shards_by_task):
+        at = slice(int(start is not None and i < len(shards_by_task) - 1), None)
+        task_loss = task_grad = 0.0
         for shard in task_shards:
-            shard_loss, shard_grad = client_objective_grad(spec, params, shard)
+            shard_loss, shard_grad = client_objective_grad(spec, params[at], shard)
             task_loss, task_grad = task_loss + shard_loss, task_grad + shard_grad
-        prev_loss, prev_grad = loss, grad
-        loss = loss + task_loss / len(task_shards)
-        grad = grad + task_grad / len(task_shards)
+        prev_loss, prev_grad = loss.copy(), grad.copy()
+        loss[at] += task_loss / len(task_shards)
+        grad[at] += task_grad / len(task_shards)
     return prev_loss, prev_grad, loss, grad

@@ -244,12 +244,15 @@ def loss_and_grad(
     n = xa.shape[-2] if counts is None else counts
     num_classes = spec.num_classes
     columns = num_classes < COLUMN_CLASSES
+    # The scores are this call's own array: the shift, and without the loss the
+    # exp too, overwrite them, so a stacked call holds fewer temporaries.
+    zs = z
     if columns:
-        zs = z - reduce(np.maximum, [z[..., c] for c in range(num_classes)])[..., None]
+        zs -= reduce(np.maximum, [z[..., c] for c in range(num_classes)])[..., None]
     else:
-        zs = z - z.max(axis=-1, keepdims=True)
+        zs -= z.max(axis=-1, keepdims=True)
     # One exp and one class sum serve both the log-normaliser and the softmax.
-    p = np.exp(zs)
+    p = np.exp(zs) if with_loss else np.exp(zs, out=zs)
     norm = reduce(np.add, [p[..., c] for c in range(num_classes)]) if columns else p.sum(axis=-1)
     # Each row's label entry in the flat (rows x classes) scores.
     flat = np.arange(0, z.size, num_classes) + batch.labels.reshape(-1)

@@ -130,11 +130,14 @@ def stream_integers(master_seed: int, keys, low, high, size: tuple[int, ...]) ->
         span = np.where(odd.reshape(shape), 2, span)
     span = span.view(np.uint64)
 
-    # One Philox for all keys, set to each stream's fresh state in turn.
+    # One Philox for all keys, set to each stream's fresh state in turn.  The
+    # state setter takes Python ints and lists about four times as fast as arrays.
     philox = np.random.Philox(_key_sequence()(np.zeros(2, dtype=np.uint64)))
     fresh = philox.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     raw = np.empty((len(keys), (length + 1) // 2), dtype=np.uint64)
-    for s, key in enumerate(_keys(master_seed, keys)):
+    for s, key in enumerate(_keys(master_seed, keys).tolist()):
         fresh["state"]["key"] = key
         philox.state = fresh
         raw[s] = philox.random_raw(raw.shape[1])

@@ -45,8 +45,10 @@ with its gradient, a row per snapshot, and the task writes those rounds'
 ``joint_grad_sq`` and ``prev_task_loss`` cells from them.  In a run of
 K >= 2 tasks the last task's stack also holds its anchor first and its end
 model last: the anchor gives the start-of-last-task stats, and every row of
-the stack gives the best joint loss.  Nothing on the update path reads
-these values.
+the stack gives the best joint loss.  Where the cadence divides T, task
+K-1's pass already evaluated the anchor, its end model, on tasks 1..K-1;
+those values are carried over, and the anchor is evaluated on task K only.
+Nothing on the update path reads these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -161,6 +163,9 @@ class RunLog:
     task_params: list[np.ndarray] = field(default_factory=list)
     initial_params: np.ndarray | None = None
     stats: RunStats = field(default_factory=RunStats)
+    # The joint (loss, grad) of the latest task's end model over its tasks so
+    # far, where its pass evaluated it: the next task's anchor starts from it.
+    end_joint: tuple[float, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,10 @@ def run_task(
     cells.  With K >= 2 tasks, the last task's stack also holds its anchor
     first and its end parameters last unless its last round was tracked:
     row 0 gives ``log.stats``, and the best joint loss is the least loss over
-    all rows, start first.  Returns the task's final model.
+    all rows, start first.  A task whose last round was tracked leaves its
+    end model's values in ``log.end_joint``; the last task takes them as its
+    anchor's earlier-task values and evaluates the anchor on itself only.
+    Returns the task's final model.
     """
     # No round writes into a model array, so the anchor and snapshots need no copy.
     anchor = params
@@ -334,7 +342,10 @@ def run_task(
     if last and not (every and T % every == 0):
         snapshots.append(params)
     if snapshots:
-        prev_loss, prev_grad, loss, grad = joint_objective_grad(spec, np.stack(snapshots), shards_by_task[:task_index])
+        prev_loss, prev_grad, loss, grad = joint_objective_grad(
+            spec, np.stack(snapshots), shards_by_task[:task_index], log.end_joint if last else None
+        )
+        log.end_joint = (loss[-1], grad[-1]) if every and T % every == 0 else None
         for j, row in enumerate(tracked, start=int(last)):
             rounds.joint_grad_sq[row] = float(grad[j] @ grad[j])
             if task_index >= 2:

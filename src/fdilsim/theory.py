@@ -14,14 +14,18 @@ a ``(P, M, d)`` block, take one stacked call per shard through the
 full-shard helper :func:`fdilsim.metrics.client_objective_grad`; only
 their task mean is kept, in a ``(P, K, d)`` table.  A task with a drawing
 shard builds its :class:`fdilsim.client.TaskPool`, the pool local training
-uses, once, and the draws of all its clients at one probe go through one
-stacked pass without the loss, gathered from that pool, each client drawing
-all its batches from its own stream by the draw rule of local training,
-:meth:`fdilsim.client.TaskPool.draw`.  A shard no larger than the batch is
-used whole, so its full-shard gradient is reused.  The task's block and
-pool are released before the next task starts, so the estimator's memory is
-one task's block plus temporaries no larger than it, whatever K is.  Every
-norm, squared gap and cosine in the reductions comes from
+uses, once, and runs its minibatch pass over the probe points in probe
+groups: each group reads the streams of all its (probe, client) pairs in
+one :meth:`fdilsim.client.TaskPool.draw` call, the draw rule of local
+training, and its batches go through stacked kernel calls without the loss,
+each gathered from the pool with the rows' own probe points.  A group holds
+as many probes as keep its minibatch gradients and row index within
+:data:`fdilsim.server.PLAN_BYTES`, and at least one.  A shard no larger
+than the batch is used whole, so its full-shard gradient is reused.  The
+task's block and pool are released before the next task starts, so the
+estimator's memory is one task's block, temporaries no larger than it and
+one probe group of at most ``PLAN_BYTES`` (or one probe), whatever K is.
+Every norm, squared gap and cosine in the reductions comes from
 :func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so
 each is exact, and each constant is a plain ``max``/``min`` over them.  The
 estimates therefore equal those of a plain loop over probes, tasks, clients
@@ -51,17 +55,18 @@ from numbers import Real
 import numpy as np
 
 from . import rng as rngmod
-from .client import TaskPool, task_pool
+from .client import task_pool
 from .datagen import ClientShard, TaskSequence
-from .metrics import STACK_ROWS, client_objective_grad
-from .models import Minibatch, ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
-from .server import HyperParams, Rounds, RunStats
+from .metrics import client_objective_grad, stack_rows
+from .models import ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
+from .server import PLAN_BYTES, HyperParams, Rounds, RunStats
 
 class ProbeScaleError(ValueError):
     """A probe setting the estimator cannot carry out; the message names its key.
 
     A random probe point overflowed (``probe.probe_scale``), or the draws of
-    a drawing shard need an array numpy cannot hold (``probe.minibatch_draws``).
+    one probe's drawing shards need an array numpy cannot hold
+    (``probe.minibatch_draws``).
     """
 
 
@@ -149,37 +154,6 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> list[float]:
     return cosines[(nu != 0.0) & (nv != 0.0)].tolist()
 
 
-def _minibatch_grads(
-    spec: ModelSpec,
-    theta: np.ndarray,
-    pool: TaskPool,
-    clients: list[int],
-    probe_cfg: ProbeConfig,
-    seed: int,
-    probe: int,
-    task: int,
-) -> np.ndarray:
-    """Stochastic gradients ``(len(clients), draws, d)`` at one probe and task.
-
-    Each client draws all its batches from its own ``(PROBE_BATCH, probe,
-    task, client)`` stream through :meth:`TaskPool.draw`, the draw rule of
-    local training.  The drawn rows are gathered from the task's ``pool``
-    and go through stacked kernel calls of at most ``STACK_ROWS`` rows,
-    which skip the loss.
-    """
-    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
-    keys = [(rngmod.PROBE_BATCH, probe, task, m) for m in clients]
-    idx = pool.draw(seed, keys, clients, size, draws).reshape(-1, size)
-    batches = pool.data.take(idx)
-
-    grads = np.empty((idx.shape[0], theta.shape[0]))
-    width = max(1, STACK_ROWS // size)
-    for lo in range(0, idx.shape[0], width):
-        batch = Minibatch.of_rows(batches.augmented[lo : lo + width], batches.labels[lo : lo + width])
-        _, grads[lo : lo + width] = loss_and_grad(spec, theta, batch, with_loss=False)
-    return grads.reshape(len(clients), draws, -1)
-
-
 def estimate_constants(
     spec: ModelSpec,
     sequence: TaskSequence,
@@ -197,8 +171,8 @@ def estimate_constants(
     client-to-task / task-to-task gradient gaps (as norms); the epsilons are
     the smallest cosines over the corresponding gradient pairs (1.0 when no
     pair exists).  The probe points and every shard are checked against
-    ``spec`` once, here; a random probe point that overflows, or draws that
-    need an index array numpy cannot hold while some shard draws, raise
+    ``spec`` once, here; a random probe point that overflows, or draws whose
+    one-probe group needs an array numpy cannot hold, raise
     :class:`ProbeScaleError`.
 
     The work is done task by task, in stacked passes:
@@ -208,16 +182,23 @@ def estimate_constants(
       ``(P, M, d)`` block, whose client mean goes into a ``(P, K, d)`` table
       of task gradients;
     * minibatch gradients: a task with a drawing shard builds its
-      :func:`fdilsim.client.task_pool` once, and each probe makes one
-      stacked pass over every client's draws, gathered from that pool.  A
-      shard no larger than the batch is used whole and draws nothing, so its
-      stochastic gradient is its full-shard gradient (deviation exactly 0)
-      and is not computed again;
-    * reductions of the block: B and sigma_L per probe, L per probe against
-      all its later probes, sigma_G over the whole block and, for the last
-      task, eps_bkt against the sum of the earlier task gradients.  The block
-      and the pool are then released, so at most one task's block is held,
-      with temporaries no larger than it;
+      :func:`fdilsim.client.task_pool` once and goes over the probe points
+      in groups.  A group draws the batches of every (probe, client) pair,
+      keyed ``(PROBE_BATCH, probe, task, client)`` in (probe, client) order,
+      in one :meth:`fdilsim.client.TaskPool.draw` call, and gathers them from
+      the pool one kernel chunk of at most :func:`fdilsim.metrics.stack_rows`
+      rows at a time, each batch with its probe point.  Its gradients, a
+      ``(probes, clients, draws, d)`` block, and its row index stay within
+      :data:`fdilsim.server.PLAN_BYTES`, or hold one probe.  B and sigma_L
+      each come from one reduction over the group.  A shard no larger than
+      the batch is used whole and draws nothing, so its stochastic gradient
+      is its full-shard gradient (deviation exactly 0) and is not computed
+      again;
+    * reductions of the block: B, L per probe against all its later probes,
+      sigma_G over the whole block and, for the last task, eps_bkt against
+      the sum of the earlier task gradients.  The block and the pool are
+      then released, so at most one task's block is held, with temporaries
+      no larger than it, plus one probe group;
     * after the last task, sigma_T and eps_corr over the task pairs of the
       table, each first task against all its later ones.
 
@@ -230,15 +211,18 @@ def estimate_constants(
     pairs with a zero gap are skipped, as in a plain loop over probes, tasks,
     clients and draws.
     """
-    size, draws = probe_cfg.batch_size, probe_cfg.minibatch_draws
+    size, draws, d = probe_cfg.batch_size, probe_cfg.minibatch_draws, param_count(spec)
     # A shard no larger than the batch is used whole: its full-shard gradient
     # is its only stochastic gradient.
     whole = np.array([[len(s.data) <= size for s in ts] for ts in shards_by_task])
-    # A drawing shard's (draws, batch) block of int64 row indices.
-    if not whole.all() and draws * size * 8 > np.iinfo(np.intp).max:
+    # Values per drawing shard of one probe: the larger of its (draws, batch)
+    # row index and its (draws, d) minibatch gradients.  A probe group holds at
+    # least one probe's, over every drawing shard of its task.
+    per_shard = draws * max(size, d)
+    block = int((~whole).sum(axis=1).max()) * per_shard
+    if block * 8 > np.iinfo(np.intp).max:
         raise ProbeScaleError(
-            f"probe.minibatch_draws: {draws} needs an array of {draws * size} values, "
-            "more than numpy can hold"
+            f"probe.minibatch_draws: {draws} needs an array of {block} values, more than numpy can hold"
         )
     points = _probe_points(spec, probe_cfg, seed, checkpoints)
     if len(points) < 2:
@@ -259,28 +243,38 @@ def estimate_constants(
     for p in range(len(points) - 1):
         gap = np.sqrt(row_dots(thetas[p] - thetas[p + 1 :]))[:, None]
         gaps.append(np.where(gap != 0.0, gap, np.inf))
-    task_grads = np.empty((len(points), k, thetas.shape[1]))
+    task_grads = np.empty((len(points), k, d))
+    width = max(1, stack_rows(spec) // size)  # minibatches per kernel call
 
     b_max = l_max = sigma_l_sq = sigma_g_sq = 0.0
     eps_bkt = 1.0
     for i, task_shards in enumerate(shards_by_task):
         # The task's (P, M, d) block: the estimator holds no more than one.
-        grads = np.empty((len(thetas), len(task_shards), thetas.shape[1]))
+        grads = np.empty((len(thetas), len(task_shards), d))
         for m, shard in enumerate(task_shards):
             _, grads[:, m] = client_objective_grad(spec, thetas, shard, with_loss=False)
         task_grads[:, i] = grads.mean(axis=1)
         b_max = max([b_max, *np.sqrt(row_dots(grads))[:, whole[i]].ravel().tolist()])
 
-        drawn = np.flatnonzero(~whole[i]).tolist()
-        if drawn:
+        drawn = np.flatnonzero(~whole[i])
+        if drawn.size:
             pool = task_pool(task_shards)
-            for p, theta in enumerate(thetas):
-                g = _minibatch_grads(spec, theta, pool, drawn, probe_cfg, seed, p, i)
+            group = max(1, PLAN_BYTES // (8 * drawn.size * per_shard))  # probes
+            for lo in range(0, len(thetas), group):
+                hi = min(lo + group, len(thetas))
+                keys = [(rngmod.PROBE_BATCH, p, i, m) for p in range(lo, hi) for m in drawn.tolist()]
+                idx = pool.draw(seed, keys, np.tile(drawn, hi - lo), size, draws).reshape(-1, size)
+                probe = np.repeat(np.arange(lo, hi), drawn.size * draws)
+                g = np.empty((len(idx), d))
+                for at in range(0, len(idx), width):
+                    rows = slice(at, at + width)
+                    _, g[rows] = loss_and_grad(spec, thetas[probe[rows]], pool.data.take(idx[rows]), with_loss=False)
+                g = g.reshape(hi - lo, drawn.size, draws, d)
                 b_max = max([b_max, *np.sqrt(row_dots(g)).ravel().tolist()])
-                deviation_sq = row_dots(g - grads[p, drawn][:, None, :])
+                deviation_sq = row_dots(g - grads[lo:hi, drawn, None, :])
                 # In draw order: np.sum adds 8 or more draws pairwise.
-                totals = np.add.accumulate(deviation_sq, axis=1)[:, -1]
-                sigma_l_sq = max([sigma_l_sq, *(totals / draws).tolist()])
+                totals = np.add.accumulate(deviation_sq, axis=-1)[..., -1]
+                sigma_l_sq = max([sigma_l_sq, *(totals / draws).ravel().tolist()])
             del pool  # released before the next task's pool is built
 
         for p, gap in enumerate(gaps):

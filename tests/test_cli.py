@@ -359,22 +359,32 @@ HUGE = 2**62
             "more than numpy can hold",
         ),
         (
+            # One probe's draws: the task with the most drawing shards has 5,
+            # each drawing draws x 32 rows (the batch is wider than d = 9).
             "minibatch_draws = 4",
             f"minibatch_draws = {HUGE}",
-            f"probe.minibatch_draws: {HUGE} needs an array of {HUGE * 32} values, "
+            f"probe.minibatch_draws: {HUGE} needs an array of {5 * HUGE * 32} values, "
             "more than numpy can hold",
         ),
         (
-            # Above ceil(480 / 8) rows no shard must draw, but some do.
+            # Above ceil(480 / 8) rows no shard must draw, but up to 4 of a task do.
             "minibatch_draws = 4\nbatch_size = 32",
             f"minibatch_draws = {HUGE}\nbatch_size = 64",
-            f"probe.minibatch_draws: {HUGE} needs an array of {HUGE * 64} values, "
+            f"probe.minibatch_draws: {HUGE} needs an array of {4 * HUGE * 64} values, "
+            "more than numpy can hold",
+        ),
+        (
+            # One shard's draws x 32 rows fit numpy's size limit; those of the 5
+            # shards that one probe draws at once do not.
+            "minibatch_draws = 4",
+            f"minibatch_draws = {2**54}",
+            f"probe.minibatch_draws: {2**54} needs an array of {5 * 2**54 * 32} values, "
             "more than numpy can hold",
         ),
     ],
     ids=[
         "train_samples", "test_samples", "hidden_dim", "local_epochs", "num_clients",
-        "random_probes", "minibatch_draws", "minibatch_draws_batch64",
+        "random_probes", "minibatch_draws", "minibatch_draws_batch64", "minibatch_draws_all_shards",
     ],
 )
 def test_sizes_numpy_refuses_exit_1_with_one_line_and_no_run_dir(tmp_path, old, new, message):

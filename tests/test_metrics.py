@@ -15,7 +15,8 @@ from fdilsim import (
     loss_and_grad,
     param_count,
 )
-from fdilsim.metrics import STACK_ROWS, client_objective_grad
+from fdilsim import metrics
+from fdilsim.metrics import client_objective_grad, stack_rows
 from helpers import joint_prefixes
 
 
@@ -206,11 +207,12 @@ def test_joint_grad_averages_clients_within_task():
     ids=["logreg", "mlp1-tanh", "mlp1-relu"],
 )
 def test_stacked_full_shard_equals_plain_calls(spec, num_points):
-    # Shard sizes from one row to past STACK_ROWS cover full, partial and
-    # width-1 stacks; every point equals its plain call bit for bit.
+    # Shard sizes from one row to past the model's stack rows cover full,
+    # partial and width-1 stacks; every point equals its plain call bit for bit.
     rng = np.random.default_rng(4)
     params = rng.standard_normal((num_points, param_count(spec)))
-    for rows in (1, 3, 100, 200, STACK_ROWS, STACK_ROWS + 1, 700):
+    cap = stack_rows(spec)
+    for rows in (1, 3, 100, cap // 3, cap // 2 + 1, cap, cap + 1, cap + 188):
         data = ClientShard(
             1, 0, Minibatch(rng.standard_normal((rows, 2)), rng.integers(0, 3, rows))
         )
@@ -226,16 +228,51 @@ def test_stacked_full_shard_equals_plain_calls(spec, num_points):
             assert no_loss is None and np.array_equal(bare, expected)
 
 
+def test_stack_rows_follow_the_row_width():
+    # One cell budget: mlp1 at hidden 32 keeps 512 rows of its 33-wide hidden
+    # layer, and the desk-scale logreg, whose rows are 9 wide, stacks 1,877.
+    assert stack_rows(ModelSpec("mlp1", 2, 3, hidden_dim=32)) == 512
+    assert stack_rows(ModelSpec("mlp1", 40, 10, hidden_dim=32, activation="relu")) == 512
+    assert stack_rows(ModelSpec("logreg", 2, 3)) == 1877
+    assert stack_rows(ModelSpec("logreg", 32, 16)) == 259
+
+
 def test_stacked_joint_pass_equals_plain_passes():
     # A stack of snapshots over two tasks, then one task alone: the prefix
-    # is +0.0 in every row.  Shard c has more than STACK_ROWS // 2 rows, so
-    # each of its kernel calls covers one point.
+    # is +0.0 in every row.  Shard c has more than half the model's stack
+    # rows, so each of its kernel calls covers one point.
     rng = np.random.default_rng(5)
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
-    rows = STACK_ROWS // 2 + 1
+    rows = stack_rows(SPEC) // 2 + 1
     c = shard(rng.standard_normal((rows, 1)), rng.integers(0, 2, rows), client=2)
     params = rng.standard_normal((3, 4))
     joint_values(SPEC, params, [[a, b], [b, c]])
     prev_loss, prev_grad, _, _ = joint_values(SPEC, params, [[a, c]])
     assert bits(prev_loss) == bits(np.zeros(3)) and bits(prev_grad) == bits(np.zeros((3, 4)))
+
+
+def test_joint_pass_from_a_given_start_row_equals_the_whole_pass(monkeypatch):
+    # The first snapshot's earlier-task values from an earlier pass: the
+    # earlier tasks evaluate only the other rows, and every output keeps its
+    # bits.  Shard c takes one point per kernel call.
+    rng = np.random.default_rng(6)
+    a = shard([[0.5], [-1.0]], [0, 1], client=0)
+    b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
+    rows = stack_rows(SPEC) // 2 + 1
+    c = shard(rng.standard_normal((rows, 1)), rng.integers(0, 2, rows), client=2)
+    tasks = [[a, b], [b, c], [c, a]]
+    params = rng.standard_normal((4, 4))
+    whole = joint_values(SPEC, params, tasks)
+    _, _, loss, grad = joint_objective_grad(SPEC, params[:1], tasks[:2])
+    evaluated = []
+    real = metrics.client_objective_grad
+
+    def recording(spec, points, data, with_loss=True):
+        evaluated.append(len(points))
+        return real(spec, points, data, with_loss)
+
+    monkeypatch.setattr(metrics, "client_objective_grad", recording)
+    started = joint_objective_grad(SPEC, params, tasks, (loss[0], grad[0]))
+    assert [bits(value) for value in started] == [bits(value) for value in whole]
+    assert evaluated == [3, 3, 3, 3, 4, 4]

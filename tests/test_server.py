@@ -27,9 +27,9 @@ from fdilsim import (
 )
 from fdilsim import rng as rngmod
 from fdilsim import client as client_module
-from fdilsim import metrics, server, theory
+from fdilsim import metrics, server
 from fdilsim.client import plan_batches, task_pool
-from fdilsim.metrics import STACK_ROWS, acc, bwt
+from fdilsim.metrics import acc, bwt, stack_rows
 from fdilsim.runio import compare_runlogs, emit_runlog
 from fdilsim.server import run_round, run_task
 from conftest import small_config
@@ -516,16 +516,19 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 def test_joint_passes_per_run(monkeypatch, rounds, every):
     # Counts evaluated (snapshot, task) pairs.  Each tracked round is one
     # snapshot on every task so far.  The last task's anchor is one more
-    # snapshot on all K tasks, and the end of the run is one more unless the
-    # last round was tracked.  One pass per task.
+    # snapshot: on the last task only where the cadence divides T, since task
+    # K-1's pass gave its values on the earlier tasks, and on all K tasks
+    # otherwise.  The end of the run is one more unless the last round was
+    # tracked.  One pass per task.
     k = 3
     sequence, shards, hp = make_problem(num_tasks=k, hp=make_hp(rounds_per_task=rounds))
     calls = []
     real_pass = server.joint_objective_grad
 
     def counting_pass(*args):
-        params, tasks = args[1], args[2]
-        calls.append((params.shape[0] if params.ndim == 2 else 1) * len(tasks))
+        params, tasks, start = args[1:]
+        # A given start row is evaluated on the last task only.
+        calls.append(len(params) * len(tasks) - (0 if start is None else len(tasks) - 1))
         return real_pass(*args)
 
     monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
@@ -533,8 +536,8 @@ def test_joint_passes_per_run(monkeypatch, rounds, every):
     tracked = sum(r.joint_grad_sq is not None for r in records(log.rounds))
     assert tracked == k * (rounds // every)
     per_task = rounds // every
-    end = 0 if rounds % every == 0 else k
-    assert sum(calls) == per_task * sum(range(1, k + 1)) + k + end
+    anchor, end = (1, 0) if rounds % every == 0 else (k, k)
+    assert sum(calls) == per_task * sum(range(1, k + 1)) + anchor + end
     assert len(calls) == k
 
 
@@ -601,11 +604,12 @@ def test_joint_fields_match_per_round_oracle(monkeypatch, model, num_tasks, roun
 def test_joint_fields_match_oracle_with_shards_beyond_stack_rows(
     monkeypatch, model, rounds, every
 ):
-    # Two clients share 1200 rows, so a shard exceeds STACK_ROWS and its
-    # stacked calls take one snapshot each.
+    # Two clients share 400 rows more than twice the model's stack rows, so a
+    # shard exceeds them and its stacked calls take one snapshot each.
     spec = MODEL_VARIANTS[model]
-    log, shards, round_params = _joint_run(spec, 2, rounds, every, 2, 1200, monkeypatch)
-    assert max(len(s.data) for task in shards for s in task) > STACK_ROWS
+    train = 2 * stack_rows(spec) + 400
+    log, shards, round_params = _joint_run(spec, 2, rounds, every, 2, train, monkeypatch)
+    assert max(len(s.data) for task in shards for s in task) > stack_rows(spec)
     _assert_joint_fields_match(log, spec, shards, round_params, rounds, every)
 
 
@@ -754,12 +758,14 @@ STACK_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
 def test_tables_do_not_depend_on_the_stack_rows(tmp_path, monkeypatch, name):
     # Kernel calls of one row up to the whole probe set, in the full-shard
-    # stacks and the estimator's minibatch stacks, write the same four
-    # tables.  ``theory`` binds the cap at import, so both names are patched.
-    caps = (1, 32, 100, metrics.STACK_ROWS, 4096)
+    # stacks, the joint pass and the estimator's minibatch stacks, write the
+    # same four tables.  Both models have rows 9 wide, so a budget of 9 cells
+    # a row gives each cap.
+    spec = parse_config_text(STACK_CONFIGS[name]).model
+    caps = (1, 32, 100, stack_rows(spec), 4096)
     for cap in caps:
-        monkeypatch.setattr(metrics, "STACK_ROWS", cap)
-        monkeypatch.setattr(theory, "STACK_ROWS", cap)
+        monkeypatch.setattr(metrics, "STACK_CELLS", 9 * cap)
+        assert stack_rows(spec) == cap
         emit_runlog(run_experiment(STACK_CONFIGS[name]), tmp_path / str(cap))
     for cap in caps[1:]:
         assert compare_runlogs(tmp_path / str(caps[0]), tmp_path / str(cap)) == []

@@ -28,6 +28,7 @@ from fdilsim import (
     psi_residual,
 )
 from fdilsim import theory
+from fdilsim.client import TaskPool
 from fdilsim.config import parse_config
 from fdilsim.datagen import TaskData
 from fdilsim.runio import BOUND_COLUMNS, _write_rows
@@ -528,6 +529,39 @@ def test_estimator_equals_scalar_loop(seed, spec, cfg):
     checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(2))
     with np.errstate(all="ignore"):
         assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints)
+
+
+@pytest.mark.parametrize("groups", ["one-probe", "uneven"])
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC, ModelSpec("mlp1", 2, 3, hidden_dim=5), MLP_RELU],
+    ids=["logreg", "mlp1-tanh", "mlp1-relu"],
+)
+@pytest.mark.parametrize("seed", [1, 25])
+def test_estimator_equals_scalar_loop_in_small_probe_groups(monkeypatch, seed, spec, groups):
+    # Seven probe points go through each task's minibatch pass one per group,
+    # or, on the task with the most drawing shards, in groups of two and then
+    # one; tasks with fewer drawing shards take larger groups.
+    sequence, shards = probe_problem(seed)
+    rng = np.random.default_rng(seed)
+    checkpoints = tuple(rng.standard_normal(param_count(spec)) for _ in range(2))
+    drawing = max(sum(len(shard.data) > PROBES.batch_size for shard in task) for task in shards)
+    probe_bytes = 8 * drawing * PROBES.minibatch_draws * max(PROBES.batch_size, param_count(spec))
+    monkeypatch.setattr(theory, "PLAN_BYTES", 1 if groups == "one-probe" else 2 * probe_bytes)
+    group_sizes = []
+    real_draw = TaskPool.draw
+
+    def recording_draw(pool, master_seed, keys, *args):
+        group_sizes.append(len({key[1] for key in keys}))
+        return real_draw(pool, master_seed, keys, *args)
+
+    monkeypatch.setattr(TaskPool, "draw", recording_draw)
+    with np.errstate(all="ignore"):
+        assert_matches_loop(spec, sequence, shards, PROBES, seed, checkpoints)
+    if groups == "one-probe":
+        assert set(group_sizes) == {1}
+    else:
+        assert {1, 2} <= set(group_sizes) and max(group_sizes) <= 7
 
 
 def test_estimator_builds_one_pool_per_task_with_a_drawing_shard(monkeypatch):

@@ -64,8 +64,8 @@ def test_every_corpus_entry_parses():
 # algorithm, lambda = 0, N = M, b = 1 and b = 1000000, one-row shards, the
 # overflow entries, lambdas whose square underflows or is subnormal, an eight-task
 # sequence, local rates whose square underflows, protocol-long, whose tasks plan
-# their rounds in several chunks, shards over STACK_ROWS // 2 rows, whose
-# full-shard stacks hold one point, client-side lambdas where 2 lambda or
+# their rounds in several chunks, shards of up to 889 rows, whose
+# full-shard stacks hold two points, client-side lambdas where 2 lambda or
 # 2 lambda anchor overflows, per-round accuracies with a joint-objective
 # cadence that does not divide T, and a Dirichlet alpha whose gamma draws all
 # underflow.  The tool checks the whole corpus.

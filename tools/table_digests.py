@@ -151,7 +151,7 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     # exactly 0 under a small but representable drift cap.
     (DEFAULT, ("federation.local_lr=1e-20",)),
     (DEFAULT, ("federation.local_lr=1e-20", "federation.algorithm=special_c")),
-    # Shards over STACK_ROWS // 2 rows, whose full-shard stacks hold one point.
+    # Shards of up to 889 rows, whose full-shard stacks hold two points.
     (DEFAULT, ("data.train_samples_per_task=2400",)),
     (DEFAULT, ("data.train_samples_per_task=2400",) + TANH),
     # 2 * lambda overflows in the client-side proximal map, whose pull is then
