@@ -197,7 +197,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
+    except configparser.ParsingError as exc:  # its own message lists every bad line, over several lines
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigError(f"malformed config: line {line} is not a [section] or a key = value under one") from exc
+    except configparser.Error as exc:  # a repeated section or key, named in one line with its line number
         raise ConfigError(f"malformed config: {exc}") from exc
 
     values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}

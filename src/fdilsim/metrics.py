@@ -13,15 +13,14 @@ full-shard helper, with one code path: it evaluates a client's losses and
 gradients at a ``(P, d)`` stack of points through stacked kernel calls of
 at most :func:`stack_rows` rows, and of one point each for a shard of more
 than half of them.  The probe estimator uses it for its probe points, and
-:func:`joint_objective_grad` for the parameter snapshots a task tracked:
-the server defers them to the end of the task and evaluates them together
-in one call, one stacked call per (task, client) shard.  That call sums the
-tasks in order and returns the joint objective over the earlier tasks and
-over all of them, each with its gradient, a row per snapshot, so the
-earlier-task loss that the backward-transfer bound reads and the joint
-gradient that the rate bound reads come from one pass.  A snapshot whose
-earlier-task values the caller already has is evaluated on the last task
-only.  This
+:func:`joint_objective_grad` for the parameter snapshots a run tracked:
+the server keeps them to the end of the run and evaluates them together
+in one call, each on its own number of tasks, one stacked call per
+(task, client) shard over the snapshots that reach that task.  That call
+sums the tasks in order and returns, a row per snapshot and a column per
+task, the joint objective after each task and the squared norm of its
+gradient, so the earlier-task loss that the backward-transfer bound reads
+and the joint gradient that the rate bound reads come from one pass.  This
 is simulator-side instrumentation with full data access and is never
 consulted by the client/server update paths.
 """
@@ -33,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .datagen import ClientShard
-from .models import Minibatch, ModelSpec, loss_and_grad
+from .models import Minibatch, ModelSpec, loss_and_grad, row_dots
 
 # Cells (rows x row width) per stacked kernel call.  It bounds the temporaries
 # of one call: mlp1 holds about six rows x hidden_dim float arrays at once, so
@@ -131,30 +130,27 @@ def client_objective_grad(
 
 
 def joint_objective_grad(
-    spec: ModelSpec, params: np.ndarray, shards_by_task: list[list[ClientShard]], start: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The joint objective and its earlier-task prefix at a stack of snapshots ``(P, d)``.
+    spec: ModelSpec, params: np.ndarray, tasks: list[int], shards_by_task: list[list[ClientShard]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The joint objective after each task at a stack of snapshots ``(S, d)``, snapshot s on tasks 1..``tasks[s]``.
 
     Each task's objective (1/M) sum_m f_{task,m} sums one
-    :func:`client_objective_grad` call per shard in shard order and divides
-    by M; the tasks are summed in order from +0.0, and the prefix is the sum
-    before the last task's term (+0.0 for one task).  ``start``, the
-    ``(loss, grad)`` of the first snapshot over the earlier tasks from an
-    earlier call, is taken as that row's prefix, and the earlier tasks
-    evaluate the other rows only: the row's sums are the same additions in
-    the same order.  Returns ``(prefix loss, prefix grad, loss, grad)``, a
-    row per snapshot.
+    :func:`client_objective_grad` call per shard, over the snapshots that
+    reach that task, in shard order and divides by M; the tasks are summed
+    in order from +0.0.  Returns two ``(S, K)`` tables: the joint loss over
+    tasks 1..j+1 in column j, and the squared norm of its gradient
+    (:func:`fdilsim.models.row_dots`).  Columns past a snapshot's horizon
+    are NaN.
     """
+    table = np.full((2, len(params), len(shards_by_task)), np.nan)
     loss, grad = np.zeros(len(params)), np.zeros_like(params)
-    if start is not None:
-        loss[0], grad[0] = start
     for i, task_shards in enumerate(shards_by_task):
-        at = slice(int(start is not None and i < len(shards_by_task) - 1), None)
-        task_loss = task_grad = 0.0
+        at = np.flatnonzero(np.asarray(tasks) > i)
+        points, task_loss, task_grad = params[at], 0.0, 0.0
         for shard in task_shards:
-            shard_loss, shard_grad = client_objective_grad(spec, params[at], shard)
+            shard_loss, shard_grad = client_objective_grad(spec, points, shard)
             task_loss, task_grad = task_loss + shard_loss, task_grad + shard_grad
-        prev_loss, prev_grad = loss.copy(), grad.copy()
         loss[at] += task_loss / len(task_shards)
         grad[at] += task_grad / len(task_shards)
-    return prev_loss, prev_grad, loss, grad
+        table[:, at, i] = loss[at], row_dots(grad[at])
+    return table[0], table[1]

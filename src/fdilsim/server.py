@@ -36,19 +36,17 @@ The trajectory is one :class:`Rounds` table: a list per ``rounds.csv``
 column, plus the per-round accuracies, with one entry per round, tasks in
 order.  A task appends each round's values to the columns as it runs.
 
-The joint-objective instrumentation is deferred: a task keeps the global
-model of every ``joint_grad_every``-th round and, after its last round,
-evaluates all of them in one :func:`fdilsim.metrics.joint_objective_grad`
-call, one stacked kernel call per (task, client) shard.  The call returns
-the joint objective over the earlier tasks and over all tasks so far, each
-with its gradient, a row per snapshot, and the task writes those rounds'
-``joint_grad_sq`` and ``prev_task_loss`` cells from them.  In a run of
-K >= 2 tasks the last task's stack also holds its anchor first and its end
-model last: the anchor gives the start-of-last-task stats, and every row of
-the stack gives the best joint loss.  Where the cadence divides T, task
-K-1's pass already evaluated the anchor, its end model, on tasks 1..K-1;
-those values are carried over, and the anchor is evaluated on task K only.
-Nothing on the update path reads these values.
+The joint-objective instrumentation is deferred to the end of the run: a
+task keeps the global model of every ``joint_grad_every``-th round, and in a
+run of K >= 2 tasks the last task's anchor and the run's end model are kept
+too.  One :func:`fdilsim.metrics.joint_objective_grad` call then evaluates
+them all, each tracked model on the tasks so far at its round and the anchor
+and end model on all K tasks, so each task's shards are visited once.  A
+tracked model that is also the anchor or the end model is one snapshot.  The
+call returns the joint loss and the squared norm of its gradient after each
+task, a row per snapshot; the tracked rounds' ``joint_grad_sq`` and
+``prev_task_loss`` cells, the start-of-last-task stats and the best joint
+loss are read from them.  Nothing on the update path reads these values.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -163,9 +161,6 @@ class RunLog:
     task_params: list[np.ndarray] = field(default_factory=list)
     initial_params: np.ndarray | None = None
     stats: RunStats = field(default_factory=RunStats)
-    # The joint (loss, grad) of the latest task's end model over its tasks so
-    # far, where its pass evaluated it: the next task's anchor starts from it.
-    end_joint: tuple[float, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -272,38 +267,25 @@ def run_task(
     spec: ModelSpec,
     params: np.ndarray,
     sequence: TaskSequence,
-    shards_by_task: list[list[ClientShard]],
+    shards: list[ClientShard],
     hp: HyperParams,
     task_index: int,
     eval_cfg: EvalConfig,
     log: RunLog,
+    tracked: list[tuple[int, np.ndarray]],
 ) -> np.ndarray:
-    """Run the T rounds of one task from ``params``, appending them to ``log.rounds``.
+    """Run the T rounds of task ``task_index`` on its ``shards`` from ``params``, appending them to ``log.rounds``.
 
     ``params``, the previous task's final model, is the task's anchor and
     the start its drift is measured from.  The task's pool and its T
     selections, round t's from the ``(CLIENT_SAMPLING, task_index, t)``
     stream, are made once, and its rounds' batches are planned in chunks of
     at most ``PLAN_BYTES`` of row index (:func:`fdilsim.client.plan_batches`).
-    The parameters of every ``joint_grad_every``-th round are kept.  After
-    the last round one :func:`fdilsim.metrics.joint_objective_grad` call
-    over all of them gives the joint objective over tasks 1..task_index and
-    its earlier-task prefix, and from them those rounds' joint-objective
-    cells.  With K >= 2 tasks, the last task's stack also holds its anchor
-    first and its end parameters last unless its last round was tracked:
-    row 0 gives ``log.stats``, and the best joint loss is the least loss over
-    all rows, start first.  A task whose last round was tracked leaves its
-    end model's values in ``log.end_joint``; the last task takes them as its
-    anchor's earlier-task values and evaluates the anchor on itself only.
-    Returns the task's final model.
+    Every ``joint_grad_every``-th round appends its row of ``log.rounds``
+    and its model to ``tracked``.  Returns the task's final model.
     """
     # No round writes into a model array, so the anchor and snapshots need no copy.
-    anchor = params
-    shards = shards_by_task[task_index - 1]
-    every, T = eval_cfg.joint_grad_every, hp.rounds_per_task
-    last = task_index == len(shards_by_task) >= 2
-    tracked: list[int] = []  # rows of log.rounds
-    snapshots: list[np.ndarray] = [anchor] if last else []
+    anchor, every, T = params, eval_cfg.joint_grad_every, hp.rounds_per_task
 
     pool = task_pool(shards)
     keys = [(rngmod.CLIENT_SAMPLING, task_index, t) for t in range(T)]
@@ -335,25 +317,7 @@ def run_task(
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
             rounds.accuracies[first + t] = tuple(accuracy(spec, params, task.test) for task in sequence.tasks)
         if every and (t + 1) % every == 0:
-            tracked.append(first + t)
-            snapshots.append(params)
-    del pool, index  # not held through the joint pass, the task's largest arrays
-
-    if last and not (every and T % every == 0):
-        snapshots.append(params)
-    if snapshots:
-        prev_loss, prev_grad, loss, grad = joint_objective_grad(
-            spec, np.stack(snapshots), shards_by_task[:task_index], log.end_joint if last else None
-        )
-        log.end_joint = (loss[-1], grad[-1]) if every and T % every == 0 else None
-        for j, row in enumerate(tracked, start=int(last)):
-            rounds.joint_grad_sq[row] = float(grad[j] @ grad[j])
-            if task_index >= 2:
-                rounds.prev_task_loss[row] = float(prev_loss[j])
-        if last:
-            log.stats = RunStats(
-                float(prev_grad[0] @ prev_grad[0]), float(prev_loss[0]), float(loss[0]), min(loss.tolist())
-            )
+            tracked.append((first + t, params))
     return params
 
 
@@ -366,7 +330,15 @@ def run_sequence(
 ) -> RunLog:
     """Run the whole K-task protocol and assemble the trajectory log.
 
-    Every shard and test pool is checked against ``spec`` here, once.
+    Every shard and test pool is checked against ``spec`` here, once.  After
+    the last task one :func:`fdilsim.metrics.joint_objective_grad` call
+    evaluates every tracked model on its own number of tasks and, with
+    K >= 2, the last task's anchor and the run's end model on all K tasks;
+    either is the tracked snapshot it is the same array as, if any.  The
+    tracked rounds' joint-objective cells and ``log.stats`` are read from
+    its tables: the anchor gives the start-of-last-task stats, and the best
+    joint loss is the least over the anchor, task K's tracked rounds and the
+    end model, in that order.  With K = 1 and nothing tracked there is no call.
     """
     if sequence.num_tasks != len(shards_by_task):
         raise ValueError("sequence and shards disagree on the number of tasks")
@@ -379,10 +351,33 @@ def run_sequence(
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
     params = init_params(spec, init_stream)
     log = RunLog(accuracy=AccuracyMatrix(k), initial_params=params.copy())
+    tracked: list[tuple[int, np.ndarray]] = []  # (row of log.rounds, model)
 
     for i in range(1, k + 1):
-        params = run_task(spec, params, sequence, shards_by_task, hp, i, eval_cfg, log)
+        anchor, first = params, len(tracked)
+        params = run_task(spec, params, sequence, shards_by_task[i - 1], hp, i, eval_cfg, log, tracked)
         log.task_params.append(params.copy())
         for j in range(1, i + 1):
             log.accuracy.set(i, j, accuracy(spec, params, sequence.task(j).test))
+
+    snapshots = [model for _, model in tracked]
+    tasks = [log.rounds.task[row] for row, _ in tracked]
+    ends = []  # stack rows of the last task's anchor and the end model, both on all K tasks
+    for model in (anchor, params) if k >= 2 else ():
+        # The tracked snapshot that is the same array, else one more row.
+        j = next((j for j, snapshot in enumerate(snapshots) if snapshot is model), len(snapshots))
+        snapshots[j:j + 1], tasks[j:j + 1] = [model], [k]
+        ends.append(j)
+    if snapshots:
+        loss, grad_sq = joint_objective_grad(spec, np.stack(snapshots), tasks, shards_by_task)
+        for j, (row, _) in enumerate(tracked):
+            task = log.rounds.task[row]
+            log.rounds.joint_grad_sq[row] = float(grad_sq[j, task - 1])
+            if task >= 2:
+                log.rounds.prev_task_loss[row] = float(loss[j, task - 2])
+    if ends:
+        start, end = ends
+        # A tracked end model repeats task K's last row, which leaves the least loss as it is.
+        best = min(loss[[start, *range(first, len(tracked)), end], k - 1].tolist())
+        log.stats = RunStats(float(grad_sq[start, k - 2]), float(loss[start, k - 2]), float(loss[start, k - 1]), best)
     return log

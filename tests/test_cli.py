@@ -79,6 +79,21 @@ def test_verify_corrupted_matrix_exits_2(tmp_path):
     assert main(["verify", str(tmp_path / "out")]) == 2
 
 
+MALFORMED = "is not a [section] or a key = value under one"
+
+
+def test_verify_malformed_config_snapshot_prints_one_violation_line(tmp_path, capsys):
+    # configparser's own message lists the bad lines over several lines.
+    config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(config)]) == 0
+    snapshot = tmp_path / "out" / CONFIG_FILE
+    snapshot.write_text("kind = logreg\n" + snapshot.read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == 2
+    message = f"malformed config: line 1 {MALFORMED}"
+    assert capsys.readouterr().out == f"VIOLATION: run files unreadable as a valid log: {message}\n"
+
+
 def test_compare_equivalence_and_difference(tmp_path):
     cfg_special = write_config(
         tmp_path, "special.ini", algorithm="special", prox_lambda=0.0,
@@ -304,6 +319,14 @@ def test_non_finite_values_exit_1_with_one_line_and_no_run_dir(tmp_path, old, ne
     # parameter check, the others from data generation (the finite 1e308
     # settings overflow the generated data).
     assert_one_line_config_error(tmp_path, old, new, message)
+
+
+@pytest.mark.parametrize(
+    "old, new, line", [("[model]\n", "", 3), ("kind = logreg", "kind", 4)], ids=["no-section-header", "bare-key"]
+)
+def test_malformed_config_exits_1_with_one_line_naming_the_bad_line(tmp_path, old, new, line):
+    # A key above every section header printed 3 lines, a bare key 2.
+    assert_one_line_config_error(tmp_path, old, new, f"malformed config: line {line} {MALFORMED}")
 
 
 def test_oversized_integer_exits_1_with_one_line_and_no_run_dir(tmp_path):

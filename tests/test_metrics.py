@@ -117,41 +117,41 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def joint_values(spec, params, shards_by_task):
-    """``joint_objective_grad`` at a stack ``(P, d)``, checked row by row against the plain oracle.
+def joint_values(spec, params, tasks, shards_by_task):
+    """``joint_objective_grad`` at a stack ``(S, d)``, checked row by row against the plain oracle.
 
-    Every row of the prefix equals ``joint_prefixes``' entry ``[-2]`` (+0.0
-    for one task) and every row of the total its entry ``[-1]``, bit for bit.
+    Entry ``[s, j]`` of each table equals ``joint_prefixes``' entry j, the
+    loss and its gradient's ``g @ g``, bit for bit up to snapshot s's
+    horizon ``tasks[s]``, and NaN past it.
     """
-    prev_loss, prev_grad, loss, grad = joint_objective_grad(spec, params, shards_by_task)
-    assert prev_loss.shape == loss.shape == (len(params),)
-    assert prev_grad.shape == grad.shape == params.shape
+    loss, grad_sq = joint_objective_grad(spec, params, tasks, shards_by_task)
+    assert loss.shape == grad_sq.shape == (len(params), len(shards_by_task))
     for p, point in enumerate(params):
-        prefixes = joint_prefixes(spec, point, shards_by_task)
-        prev = prefixes[-2] if len(prefixes) >= 2 else (0.0, np.zeros_like(point))
-        assert bits(prev_loss[p]) == bits(prev[0]) and bits(prev_grad[p]) == bits(prev[1])
-        assert bits(loss[p]) == bits(prefixes[-1][0]) and bits(grad[p]) == bits(prefixes[-1][1])
-    return prev_loss, prev_grad, loss, grad
+        prefixes = joint_prefixes(spec, point, shards_by_task[: tasks[p]])
+        assert bits(loss[p, : tasks[p]]) == bits([value for value, _ in prefixes])
+        assert bits(grad_sq[p, : tasks[p]]) == bits([grad @ grad for _, grad in prefixes])
+        assert np.isnan(loss[p, tasks[p] :]).all() and np.isnan(grad_sq[p, tasks[p] :]).all()
+    return loss, grad_sq
 
 
 def joint_grad_norm_sq(spec, params, shards_by_task):
     """Squared norm of the joint gradient at one point ``(d,)``."""
-    grad = joint_values(spec, params[None], shards_by_task)[3][0]
-    return float(grad @ grad)
+    return float(joint_values(spec, params[None], [len(shards_by_task)], shards_by_task)[1][0, -1])
 
 
 def test_joint_pass_returns_one_entry_per_task():
-    # The prefix is task 1's client mean and the total adds task 2's.
+    # Column 0 is task 1's client mean and column 1 adds task 2's.
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3]], [1, 0], client=1)
     params = np.array([0.3, -0.2, 0.1, 0.4])
-    prev_loss, prev_grad, loss, grad = joint_values(SPEC, params[None], [[a, b], [b]])
+    loss, grad_sq = joint_values(SPEC, params[None], [2], [[a, b], [b]])
     loss_a, grad_a = loss_and_grad(SPEC, params, a.data)
     loss_b, grad_b = loss_and_grad(SPEC, params, b.data)
-    assert prev_loss[0] == 0.0 + (0.0 + loss_a + loss_b) / 2
-    assert np.array_equal(prev_grad[0], 0.0 + (grad_a + grad_b) / 2)
-    assert loss[0] == prev_loss[0] + loss_b
-    assert np.array_equal(grad[0], prev_grad[0] + grad_b)
+    first = 0.0 + (grad_a + grad_b) / 2
+    assert loss[0, 0] == 0.0 + (0.0 + loss_a + loss_b) / 2
+    assert grad_sq[0, 0] == float(first @ first)
+    assert loss[0, 1] == loss[0, 0] + loss_b
+    assert grad_sq[0, 1] == float((first + grad_b) @ (first + grad_b))
 
 
 def test_joint_grad_single_task_single_client_is_full_batch():
@@ -238,33 +238,33 @@ def test_stack_rows_follow_the_row_width():
 
 
 def test_stacked_joint_pass_equals_plain_passes():
-    # A stack of snapshots over two tasks, then one task alone: the prefix
-    # is +0.0 in every row.  Shard c has more than half the model's stack
-    # rows, so each of its kernel calls covers one point.
+    # A stack of snapshots over two tasks, then one task alone.  Shard c has
+    # more than half the model's stack rows, so each of its kernel calls
+    # covers one point.
     rng = np.random.default_rng(5)
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
     rows = stack_rows(SPEC) // 2 + 1
     c = shard(rng.standard_normal((rows, 1)), rng.integers(0, 2, rows), client=2)
     params = rng.standard_normal((3, 4))
-    joint_values(SPEC, params, [[a, b], [b, c]])
-    prev_loss, prev_grad, _, _ = joint_values(SPEC, params, [[a, c]])
-    assert bits(prev_loss) == bits(np.zeros(3)) and bits(prev_grad) == bits(np.zeros((3, 4)))
+    joint_values(SPEC, params, [2, 2, 2], [[a, b], [b, c]])
+    loss, grad_sq = joint_values(SPEC, params, [1, 1, 1], [[a, c]])
+    assert loss.shape == grad_sq.shape == (3, 1)
 
 
-def test_joint_pass_from_a_given_start_row_equals_the_whole_pass(monkeypatch):
-    # The first snapshot's earlier-task values from an earlier pass: the
-    # earlier tasks evaluate only the other rows, and every output keeps its
-    # bits.  Shard c takes one point per kernel call.
+def test_mixed_horizons_equal_the_whole_pass(monkeypatch):
+    # Unsorted horizons: each snapshot's columns up to its own horizon keep
+    # the bits of a pass that takes every snapshot over all tasks, and each
+    # task's shards evaluate only the snapshots that reach it.  Shard c
+    # takes one point per kernel call.
     rng = np.random.default_rng(6)
     a = shard([[0.5], [-1.0]], [0, 1], client=0)
     b = shard([[2.0], [0.3], [1.1]], [1, 0, 1], client=1)
     rows = stack_rows(SPEC) // 2 + 1
     c = shard(rng.standard_normal((rows, 1)), rng.integers(0, 2, rows), client=2)
     tasks = [[a, b], [b, c], [c, a]]
-    params = rng.standard_normal((4, 4))
-    whole = joint_values(SPEC, params, tasks)
-    _, _, loss, grad = joint_objective_grad(SPEC, params[:1], tasks[:2])
+    params = rng.standard_normal((5, 4))
+    whole = joint_values(SPEC, params, [3] * 5, tasks)
     evaluated = []
     real = metrics.client_objective_grad
 
@@ -273,6 +273,10 @@ def test_joint_pass_from_a_given_start_row_equals_the_whole_pass(monkeypatch):
         return real(spec, points, data, with_loss)
 
     monkeypatch.setattr(metrics, "client_objective_grad", recording)
-    started = joint_objective_grad(SPEC, params, tasks, (loss[0], grad[0]))
-    assert [bits(value) for value in started] == [bits(value) for value in whole]
-    assert evaluated == [3, 3, 3, 3, 4, 4]
+    horizons = [3, 1, 2, 3, 1]
+    mixed = joint_values(SPEC, params, horizons, tasks)
+    for table, full in zip(mixed, whole):
+        for column in range(3):
+            reached = [s for s, horizon in enumerate(horizons) if horizon > column]
+            assert bits(table[reached, column]) == bits(full[reached, column])
+    assert evaluated == [5, 5, 3, 3, 2, 2]

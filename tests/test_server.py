@@ -361,7 +361,7 @@ def test_anchor_chain_is_previous_task_model(monkeypatch):
     params = theta0.copy()
     finals = []
     for i in (1, 2, 3):
-        params = run_task(SPEC, params, sequence, shards, hp, i, EvalConfig(), log)
+        params = run_task(SPEC, params, sequence, shards[i - 1], hp, i, EvalConfig(), log, [])
         finals.append(params.copy())
     monkeypatch.undo()
 
@@ -516,20 +516,18 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 def test_joint_passes_per_run(monkeypatch, rounds, every):
     # Counts evaluated (snapshot, task) pairs.  Each tracked round is one
     # snapshot on every task so far.  The last task's anchor is one more
-    # snapshot: on the last task only where the cadence divides T, since task
-    # K-1's pass gave its values on the earlier tasks, and on all K tasks
-    # otherwise.  The end of the run is one more unless the last round was
-    # tracked.  One pass per task.
+    # snapshot on all K tasks; where the cadence divides T it is task K-1's
+    # last tracked snapshot, which then adds task K only.  The end of the run
+    # is one more unless the last round was tracked.  One pass per run.
     k = 3
     sequence, shards, hp = make_problem(num_tasks=k, hp=make_hp(rounds_per_task=rounds))
     calls = []
     real_pass = server.joint_objective_grad
 
-    def counting_pass(*args):
-        params, tasks, start = args[1:]
-        # A given start row is evaluated on the last task only.
-        calls.append(len(params) * len(tasks) - (0 if start is None else len(tasks) - 1))
-        return real_pass(*args)
+    def counting_pass(spec, params, tasks, shards_by_task):
+        assert len(params) == len(tasks) and shards_by_task is shards
+        calls.append(sum(tasks))
+        return real_pass(spec, params, tasks, shards_by_task)
 
     monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
     log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
@@ -537,8 +535,14 @@ def test_joint_passes_per_run(monkeypatch, rounds, every):
     assert tracked == k * (rounds // every)
     per_task = rounds // every
     anchor, end = (1, 0) if rounds % every == 0 else (k, k)
-    assert sum(calls) == per_task * sum(range(1, k + 1)) + anchor + end
-    assert len(calls) == k
+    assert calls == [per_task * sum(range(1, k + 1)) + anchor + end]
+
+    # One task: its tracked rounds on that task, and no pass if none is tracked.
+    sequence, shards, hp = make_problem(num_tasks=1, hp=make_hp(rounds_per_task=rounds))
+    for cadence, expected in ((every, [per_task]), (0, [])):
+        calls.clear()
+        run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=cadence))
+        assert calls == expected
 
 
 MODEL_VARIANTS = {
