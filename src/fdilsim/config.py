@@ -200,8 +200,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.ParsingError as exc:  # its own message lists every bad line, over several lines
         line = getattr(exc, "lineno", None) or exc.errors[0][0]
         raise ConfigError(f"malformed config: line {line} is not a [section] or a key = value under one") from exc
-    except configparser.Error as exc:  # a repeated section or key, named in one line with its line number
-        raise ConfigError(f"malformed config: {exc}") from exc
+    except configparser.Error as exc:  # a repeated key or section; its message names '<string>'
+        repeated = f"key {exc.section}.{exc.option}" if hasattr(exc, "option") else f"section [{exc.section}]"
+        raise ConfigError(f"malformed config: line {exc.lineno} repeats {repeated}") from exc
 
     values: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section in parser.sections():

@@ -1,9 +1,11 @@
 """End-to-end experiment orchestration.
 
 ``run_experiment`` turns a config text into the complete run artifacts:
-the protocol trajectory, constant estimates probed on the generated data
-(random probe points plus the trajectory checkpoints), and the bound
-reports, which :func:`fdilsim.theory.build_bound_reports` writes.  That
+the protocol trajectory from :func:`fdilsim.server.run_sequence`; one
+full-shard stage, :func:`fdilsim.theory.estimate_constants`, which probes
+the constants on the generated data at random points and the run's
+checkpoints and fills the log's joint-objective cells and stats; and the
+bound reports, which :func:`fdilsim.theory.build_bound_reports` writes.  That
 builder is a pure function of persistable inputs, so a verifier can
 reconstruct the reports from files alone.
 """
@@ -36,11 +38,7 @@ def run_experiment(config_text: str) -> RunArtifacts:
     sequence = generate_sequence(config.shift, seed)
     shards = partition_sequence(sequence, config.partition, seed)
     log = run_sequence(config.model, sequence, shards, config.hyper, config.eval_cfg)
-
-    checkpoints = tuple([log.initial_params] + log.task_params)
-    constants = estimate_constants(
-        config.model, sequence, shards, config.probe, seed, checkpoints
-    )
+    constants = estimate_constants(config.model, sequence, shards, config.probe, seed, log)
     reports = build_bound_reports(
         config.model, config.hyper, sequence.num_tasks, log.rounds, constants, log.stats
     )

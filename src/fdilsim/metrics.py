@@ -12,16 +12,17 @@ full-shard training objective.  :func:`client_objective_grad` is the one
 full-shard helper, with one code path: it evaluates a client's losses and
 gradients at a ``(P, d)`` stack of points through stacked kernel calls of
 at most :func:`stack_rows` rows, and of one point each for a shard of more
-than half of them.  The probe estimator uses it for its probe points, and
-:func:`joint_objective_grad` for the parameter snapshots a run tracked:
-the server keeps them to the end of the run and evaluates them together
-in one call, each on its own number of tasks, one stacked call per
-(task, client) shard over the snapshots that reach that task.  That call
-sums the tasks in order and returns, a row per snapshot and a column per
-task, the joint objective after each task and the squared norm of its
-gradient, so the earlier-task loss that the backward-transfer bound reads
-and the joint gradient that the rate bound reads come from one pass.  This
-is simulator-side instrumentation with full data access and is never
+than half of them.  A run's one full-shard stage,
+:func:`fdilsim.theory.estimate_constants`, calls it once per (task, client)
+shard over its probe points and the tracked models that reach the task,
+and sums the joint objective from its values.  :func:`joint_objective_grad`
+is the same sum for a stack of snapshots, each on its own number of tasks:
+the reference the stage's cells are tested against, which a run does not
+call.  It sums the tasks in order and returns, a row per snapshot and a
+column per task, the joint objective after each task and the squared norm
+of its gradient, so the earlier-task loss that the backward-transfer bound
+reads and the joint gradient that the rate bound reads come from one pass.
+This is simulator-side instrumentation with full data access and is never
 consulted by the client/server update paths.
 """
 
@@ -104,28 +105,24 @@ def bwt(matrix: AccuracyMatrix) -> float:
 
 
 def client_objective_grad(
-    spec: ModelSpec, params: np.ndarray, shard: ClientShard, with_loss: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+    spec: ModelSpec, params: np.ndarray, shard: ClientShard
+) -> tuple[np.ndarray, np.ndarray]:
     """Full-shard losses ``(P,)`` and gradients ``(P, d)`` of one client at points ``(P, d)``.
 
     Each kernel call covers as many points as fit in :func:`stack_rows` rows, at
     least one, over a contiguous repeat of the shard's bias-augmented rows,
-    so every point's values equal the plain call's bit for bit.
-    ``with_loss=False`` skips the kernel's loss terms and returns ``None``
-    for the losses; the gradients' bits do not depend on it.
+    so every point's values equal the plain call's bit for bit, whatever
+    the stack it comes in.
     """
     num_points = params.shape[0]
     width = max(1, min(num_points, stack_rows(spec) // len(shard.data)))
-    losses = np.empty(num_points) if with_loss else None
-    grads = np.empty(params.shape)
+    losses, grads = np.empty(num_points), np.empty(params.shape)
     rows = np.repeat(shard.data.augmented[None], width, axis=0)
     labels = np.repeat(shard.data.labels[None], width, axis=0)
     for lo in range(0, num_points, width):
         hi = min(lo + width, num_points)
         batch = Minibatch.of_rows(rows[: hi - lo], labels[: hi - lo])
-        loss, grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch, with_loss=with_loss)
-        if with_loss:
-            losses[lo:hi] = loss
+        losses[lo:hi], grads[lo:hi] = loss_and_grad(spec, params[lo:hi], batch)
     return losses, grads
 
 

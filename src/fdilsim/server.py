@@ -36,17 +36,14 @@ The trajectory is one :class:`Rounds` table: a list per ``rounds.csv``
 column, plus the per-round accuracies, with one entry per round, tasks in
 order.  A task appends each round's values to the columns as it runs.
 
-The joint-objective instrumentation is deferred to the end of the run: a
-task keeps the global model of every ``joint_grad_every``-th round, and in a
-run of K >= 2 tasks the last task's anchor and the run's end model are kept
-too.  One :func:`fdilsim.metrics.joint_objective_grad` call then evaluates
-them all, each tracked model on the tasks so far at its round and the anchor
-and end model on all K tasks, so each task's shards are visited once.  A
-tracked model that is also the anchor or the end model is one snapshot.  The
-call returns the joint loss and the squared norm of its gradient after each
-task, a row per snapshot; the tracked rounds' ``joint_grad_sq`` and
-``prev_task_loss`` cells, the start-of-last-task stats and the best joint
-loss are read from them.  Nothing on the update path reads these values.
+The engine runs only the protocol.  A task keeps the global model of
+every ``joint_grad_every``-th round in ``RunLog.tracked``, beside its row of
+the trajectory; the log also holds the initial model and each task's end
+model, the arrays themselves, since no round writes into a model array.  The
+joint-objective cells of the tracked rounds and the run stats are filled
+later, by the run's one full-shard stage,
+:func:`fdilsim.theory.estimate_constants`.  Nothing on the update path
+reads them.
 
 Data is checked against the model once, when a run starts; the new global
 model is checked for non-finite values once per round, and a non-finite
@@ -63,7 +60,7 @@ import numpy as np
 from . import rng as rngmod
 from .client import DivergenceError, TaskPool, local_update, plan_batches, task_pool
 from .datagen import ClientShard, TaskSequence
-from .metrics import AccuracyMatrix, joint_objective_grad
+from .metrics import AccuracyMatrix
 from .models import ModelSpec, accuracy, check_data, init_params
 
 ALGORITHMS = ("special", "special_c", "fedavg")
@@ -154,13 +151,19 @@ class RunStats:
 
 @dataclass
 class RunLog:
-    """Complete trajectory output of one protocol run."""
+    """Complete trajectory output of one protocol run.
+
+    ``tracked`` holds ``(row of rounds, model)`` for every tracked round, in
+    order; :func:`fdilsim.theory.estimate_constants` fills those rows'
+    joint-objective cells and ``stats``.
+    """
 
     rounds: Rounds = field(default_factory=Rounds)
     accuracy: AccuracyMatrix | None = None
     task_params: list[np.ndarray] = field(default_factory=list)
     initial_params: np.ndarray | None = None
     stats: RunStats = field(default_factory=RunStats)
+    tracked: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,6 @@ def run_task(
     task_index: int,
     eval_cfg: EvalConfig,
     log: RunLog,
-    tracked: list[tuple[int, np.ndarray]],
 ) -> np.ndarray:
     """Run the T rounds of task ``task_index`` on its ``shards`` from ``params``, appending them to ``log.rounds``.
 
@@ -282,7 +284,7 @@ def run_task(
     stream, are made once, and its rounds' batches are planned in chunks of
     at most ``PLAN_BYTES`` of row index (:func:`fdilsim.client.plan_batches`).
     Every ``joint_grad_every``-th round appends its row of ``log.rounds``
-    and its model to ``tracked``.  Returns the task's final model.
+    and its model to ``log.tracked``.  Returns the task's final model.
     """
     # No round writes into a model array, so the anchor and snapshots need no copy.
     anchor, every, T = params, eval_cfg.joint_grad_every, hp.rounds_per_task
@@ -317,7 +319,7 @@ def run_task(
         if eval_cfg.eval_every and (t + 1) % eval_cfg.eval_every == 0:
             rounds.accuracies[first + t] = tuple(accuracy(spec, params, task.test) for task in sequence.tasks)
         if every and (t + 1) % every == 0:
-            tracked.append((first + t, params))
+            log.tracked.append((first + t, params))
     return params
 
 
@@ -330,15 +332,10 @@ def run_sequence(
 ) -> RunLog:
     """Run the whole K-task protocol and assemble the trajectory log.
 
-    Every shard and test pool is checked against ``spec`` here, once.  After
-    the last task one :func:`fdilsim.metrics.joint_objective_grad` call
-    evaluates every tracked model on its own number of tasks and, with
-    K >= 2, the last task's anchor and the run's end model on all K tasks;
-    either is the tracked snapshot it is the same array as, if any.  The
-    tracked rounds' joint-objective cells and ``log.stats`` are read from
-    its tables: the anchor gives the start-of-last-task stats, and the best
-    joint loss is the least over the anchor, task K's tracked rounds and the
-    end model, in that order.  With K = 1 and nothing tracked there is no call.
+    Every shard and test pool is checked against ``spec`` here, once.  The
+    log holds the tracked models, but their joint-objective cells stay None
+    and ``log.stats`` its defaults until
+    :func:`fdilsim.theory.estimate_constants` is given the log.
     """
     if sequence.num_tasks != len(shards_by_task):
         raise ValueError("sequence and shards disagree on the number of tasks")
@@ -350,34 +347,10 @@ def run_sequence(
 
     init_stream = rngmod.derive_stream(hp.master_seed, (rngmod.INIT_PARAMS,))
     params = init_params(spec, init_stream)
-    log = RunLog(accuracy=AccuracyMatrix(k), initial_params=params.copy())
-    tracked: list[tuple[int, np.ndarray]] = []  # (row of log.rounds, model)
-
+    log = RunLog(accuracy=AccuracyMatrix(k), initial_params=params)
     for i in range(1, k + 1):
-        anchor, first = params, len(tracked)
-        params = run_task(spec, params, sequence, shards_by_task[i - 1], hp, i, eval_cfg, log, tracked)
-        log.task_params.append(params.copy())
+        params = run_task(spec, params, sequence, shards_by_task[i - 1], hp, i, eval_cfg, log)
+        log.task_params.append(params)
         for j in range(1, i + 1):
             log.accuracy.set(i, j, accuracy(spec, params, sequence.task(j).test))
-
-    snapshots = [model for _, model in tracked]
-    tasks = [log.rounds.task[row] for row, _ in tracked]
-    ends = []  # stack rows of the last task's anchor and the end model, both on all K tasks
-    for model in (anchor, params) if k >= 2 else ():
-        # The tracked snapshot that is the same array, else one more row.
-        j = next((j for j, snapshot in enumerate(snapshots) if snapshot is model), len(snapshots))
-        snapshots[j:j + 1], tasks[j:j + 1] = [model], [k]
-        ends.append(j)
-    if snapshots:
-        loss, grad_sq = joint_objective_grad(spec, np.stack(snapshots), tasks, shards_by_task)
-        for j, (row, _) in enumerate(tracked):
-            task = log.rounds.task[row]
-            log.rounds.joint_grad_sq[row] = float(grad_sq[j, task - 1])
-            if task >= 2:
-                log.rounds.prev_task_loss[row] = float(loss[j, task - 2])
-    if ends:
-        start, end = ends
-        # A tracked end model repeats task K's last row, which leaves the least loss as it is.
-        best = min(loss[[start, *range(first, len(tracked)), end], k - 1].tolist())
-        log.stats = RunStats(float(grad_sq[start, k - 2]), float(loss[start, k - 2]), float(loss[start, k - 1]), best)
     return log

@@ -3,16 +3,21 @@
 The constants (gradient bound B, smoothness L, local variance sigma_L,
 intra-task heterogeneity sigma_G, inter-task gap sigma_T, alignment epsilons)
 are estimated as empirical extrema over a set of probe parameter points:
-random draws around the origin plus any trajectory checkpoints the caller
-supplies.  By construction every estimate is a lower bound on the true
-supremum (or an upper bound on the true infimum for the epsilons), and
-enlarging the probe set can only move an estimate toward the truth.
+random draws around the origin plus, given a run's log, its checkpoints.
+By construction every estimate is a lower bound on the true supremum (or
+an upper bound on the true infimum for the epsilons), and enlarging the
+probe set can only move an estimate toward the truth.
 
 The estimator works task by task in stacked passes, and holds one task's
-gradients at a time.  A task's full-shard gradients at every probe point,
-a ``(P, M, d)`` block, take one stacked call per shard through the
-full-shard helper :func:`fdilsim.metrics.client_objective_grad`; only
-their task mean is kept, in a ``(P, K, d)`` table.  A task with a drawing
+gradients at a time.  A task's full-shard values take one stacked call per
+shard through the full-shard helper
+:func:`fdilsim.metrics.client_objective_grad`, over every probe point and
+every tracked model of the log that reaches the task, so it is the run's
+one full-shard stage and evaluates each (point, task) pair once.  The
+probe points' gradients form the task's ``(P, M, d)`` block, of which only
+the task mean is kept, in a ``(P, K, d)`` table; every row's loss and
+gradient go into running joint-objective sums, from which the tracked
+rounds' cells and the run stats are filled.  A task with a drawing
 shard builds its :class:`fdilsim.client.TaskPool`, the pool local training
 uses, once, and runs its minibatch pass over the probe points in probe
 groups: each group reads the streams of all its (probe, client) pairs in
@@ -24,7 +29,9 @@ as many probes as keep its minibatch gradients and row index within
 than the batch is used whole, so its full-shard gradient is reused.  The
 task's block and pool are released before the next task starts, so the
 estimator's memory is one task's block, temporaries no larger than it and
-one probe group of at most ``PLAN_BYTES`` (or one probe), whatever K is.
+one probe group of at most ``PLAN_BYTES`` (or one probe), whatever K is,
+plus the stack of probe points and tracked models and its joint sums, a
+few rows of d values each.
 Every norm, squared gap and cosine in the reductions comes from
 :func:`fdilsim.models.row_dots`, the BLAS dot that ``np.dot`` calls, so
 each is exact, and each constant is a plain ``max``/``min`` over them.  The
@@ -59,7 +66,7 @@ from .client import task_pool
 from .datagen import ClientShard, TaskSequence
 from .metrics import client_objective_grad, stack_rows
 from .models import ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
-from .server import PLAN_BYTES, HyperParams, Rounds, RunStats
+from .server import PLAN_BYTES, HyperParams, Rounds, RunLog, RunStats
 
 class ProbeScaleError(ValueError):
     """A probe setting the estimator cannot carry out; the message names its key.
@@ -127,18 +134,12 @@ class BoundReport:
         return not self.satisfied and self.vacuous != UNDERFLOW
 
 
-def _probe_points(
-    spec: ModelSpec,
-    probe_cfg: ProbeConfig,
-    seed: int,
-    checkpoints: tuple[np.ndarray, ...],
-) -> list[np.ndarray]:
-    """The checkpoints, then random draws around the origin at ``probe_scale``."""
-    d = param_count(spec)
-    points = [np.asarray(c, dtype=np.float64) for c in checkpoints]
+def _probe_points(spec: ModelSpec, probe_cfg: ProbeConfig, seed: int, log: RunLog | None) -> list[np.ndarray]:
+    """The log's checkpoints, its initial model and each task's end model, then random draws around the origin."""
+    points = [] if log is None else [log.initial_params, *log.task_params]
     for p in range(probe_cfg.num_random_probes):
         stream = rngmod.derive_stream(seed, (rngmod.PROBE_POINT, p))
-        points.append(probe_cfg.probe_scale * stream.standard_normal(d))
+        points.append(probe_cfg.probe_scale * stream.standard_normal(param_count(spec)))
         if not np.isfinite(points[-1]).all():
             raise ProbeScaleError(
                 f"probe.probe_scale: {probe_cfg.probe_scale!r} overflows random probe point {p}"
@@ -160,7 +161,7 @@ def estimate_constants(
     shards_by_task: list[list[ClientShard]],
     probe_cfg: ProbeConfig,
     seed: int,
-    checkpoints: tuple[np.ndarray, ...] = (),
+    log: RunLog | None = None,
 ) -> ConstantEstimates:
     """Estimate all assumption constants from probe passes.
 
@@ -177,10 +178,14 @@ def estimate_constants(
 
     The work is done task by task, in stacked passes:
 
-    * full-shard gradients, one stacked :func:`client_objective_grad` call
-      per client over the probe points, without the loss, into the task's
-      ``(P, M, d)`` block, whose client mean goes into a ``(P, K, d)`` table
-      of task gradients;
+    * full-shard values, one stacked :func:`client_objective_grad` call per
+      client over the probe points and then the log's tracked models that
+      reach the task and are not a task's end model (those are probe
+      points).  The probe rows' gradients go into the task's ``(P, M, d)``
+      block, whose client mean goes into a ``(P, K, d)`` table of task
+      gradients.  Every row's loss and gradient are summed in shard order
+      from +0.0, divided by M and added to the row's joint sums, as
+      :func:`fdilsim.metrics.joint_objective_grad` does;
     * minibatch gradients: a task with a drawing shard builds its
       :func:`fdilsim.client.task_pool` once and goes over the probe points
       in groups.  A group draws the batches of every (probe, client) pair,
@@ -200,7 +205,13 @@ def estimate_constants(
       then released, so at most one task's block is held, with temporaries
       no larger than it, plus one probe group;
     * after the last task, sigma_T and eps_corr over the task pairs of the
-      table, each first task against all its later ones.
+      table, each first task against all its later ones, and, given a log,
+      its joint-objective cells and stats from the joint sums
+      (:func:`_log_joint_cells`).
+
+    The probe points are ``log.initial_params``, then ``log.task_params``,
+    then the random draws, point p from the ``(PROBE_POINT, p)`` stream.
+    Without a log there are only the random draws and nothing is filled.
 
     Every norm, squared gap and cosine comes from :func:`row_dots`, the BLAS
     dot of each row pair, so it equals the scalar ``np.linalg.norm``/dot
@@ -224,7 +235,7 @@ def estimate_constants(
         raise ProbeScaleError(
             f"probe.minibatch_draws: {draws} needs an array of {block} values, more than numpy can hold"
         )
-    points = _probe_points(spec, probe_cfg, seed, checkpoints)
+    points = _probe_points(spec, probe_cfg, seed, log)
     if len(points) < 2:
         raise ValueError("smoothness estimation requires at least 2 probe points")
     for theta in points:
@@ -233,9 +244,25 @@ def estimate_constants(
         for shard in task_shards:
             check_data(spec, shard.data)
 
-    k = sequence.num_tasks
-    num_clients = len(shards_by_task[0])
-    thetas = np.stack(points)
+    k, num_points = sequence.num_tasks, len(points)
+    # Each tracked round's row of the stack: a task's end model is its
+    # checkpoint, any other model a row after the probe points, latest task
+    # first, so the rows that reach a task are a prefix of the stack.
+    stack_row, extra, horizons = {}, [], []
+    for row, model in reversed([] if log is None else log.tracked):
+        task = log.rounds.task[row]
+        if model is log.task_params[task - 1]:
+            stack_row[row] = task
+        else:
+            stack_row[row] = num_points + len(extra)
+            extra.append(model)
+            horizons.append(task)
+    stack = np.stack(points + extra)
+    thetas = stack[:num_points]
+    # The joint loss and the squared norm of its gradient after each task,
+    # summed over the tasks a row reaches in order from +0.0 (NaN past them).
+    joint = np.full((2, len(stack), k), np.nan)
+    joint_loss, joint_grad = np.zeros(len(stack)), np.zeros(stack.shape)
     # gaps[p] is the column of |theta_p - theta_q| over the later probes q.  A
     # zero gap is set to inf, so its pairs give 0 or NaN, which set no extreme:
     # the L estimate skips them.
@@ -250,9 +277,16 @@ def estimate_constants(
     eps_bkt = 1.0
     for i, task_shards in enumerate(shards_by_task):
         # The task's (P, M, d) block: the estimator holds no more than one.
-        grads = np.empty((len(thetas), len(task_shards), d))
+        grads = np.empty((num_points, len(task_shards), d))
+        reach, task_loss, task_grad = num_points + sum(horizon > i for horizon in horizons), 0.0, 0.0
         for m, shard in enumerate(task_shards):
-            _, grads[:, m] = client_objective_grad(spec, thetas, shard, with_loss=False)
+            loss, grad = client_objective_grad(spec, stack[:reach], shard)
+            grads[:, m] = grad[:num_points]
+            task_loss, task_grad = task_loss + loss, task_grad + grad
+        joint_loss[:reach] += task_loss / len(task_shards)
+        joint_grad[:reach] += task_grad / len(task_shards)
+        joint[:, :reach, i] = joint_loss[:reach], row_dots(joint_grad[:reach])
+        del loss, grad, task_loss, task_grad  # released before the block's reductions
         task_grads[:, i] = grads.mean(axis=1)
         b_max = max([b_max, *np.sqrt(row_dots(grads))[:, whole[i]].ravel().tolist()])
 
@@ -297,6 +331,8 @@ def estimate_constants(
         sigma_t_sq = max([sigma_t_sq, *row_dots(first - second).ravel().tolist()])
         eps_corr = min([eps_corr, *_cosines(first, second)])
 
+    if log is not None:
+        _log_joint_cells(log, *joint, stack_row)
     return ConstantEstimates(
         B=b_max,
         L=l_max,
@@ -306,8 +342,29 @@ def estimate_constants(
         eps_bkt=eps_bkt,
         eps_corr=eps_corr,
         num_probe_points=len(points),
-        num_minibatch_draws=len(points) * k * num_clients * draws,
+        num_minibatch_draws=num_points * k * len(shards_by_task[0]) * draws,
     )
+
+
+def _log_joint_cells(log: RunLog, loss: np.ndarray, grad_sq: np.ndarray, stack_row: dict[int, int]) -> None:
+    """Fill the tracked rounds' joint-objective cells and, with K >= 2 end models, ``log.stats``.
+
+    ``loss`` and ``grad_sq`` are the estimator's ``(rows, K)`` joint tables,
+    and ``stack_row`` maps each tracked row of ``log.rounds`` to its row of them.
+    The start of the last task is checkpoint K - 1, its anchor, and the end
+    of the run is checkpoint K.  The best joint loss is the least over the
+    anchor, task K's tracked rounds and the end model, in that order.
+    """
+    rounds, k = log.rounds, loss.shape[1]
+    for row, j in stack_row.items():
+        task = rounds.task[row]
+        rounds.joint_grad_sq[row] = float(grad_sq[j, task - 1])
+        if task >= 2:
+            rounds.prev_task_loss[row] = float(loss[j, task - 2])
+    if len(log.task_params) == k >= 2:  # a log with an end model per task
+        last = [j for row, j in sorted(stack_row.items()) if rounds.task[row] == k]
+        best = min(loss[[k - 1, *last, k], k - 1].tolist())
+        log.stats = RunStats(float(grad_sq[k - 1, k - 2]), float(loss[k - 1, k - 2]), float(loss[k - 1, k - 1]), best)
 
 
 class _Unbounded(float):

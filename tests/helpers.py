@@ -17,6 +17,7 @@ from fdilsim import (
     ClientShard,
     ClientUpdate,
     ConstantEstimates,
+    EvalConfig,
     HyperParams,
     Minibatch,
     ModelSpec,
@@ -26,12 +27,14 @@ from fdilsim import (
     TaskSequence,
     accuracy,
     aggregate,
+    estimate_constants,
     generate_sequence,
     init_params,
     loss_and_grad,
     param_count,
     parse_config_text,
     partition_sequence,
+    run_sequence,
 )
 from fdilsim import rng as rngmod
 from fdilsim.client import (
@@ -471,6 +474,24 @@ def joint_prefixes(
     return prefixes
 
 
+def run_with_joint_cells(
+    spec: ModelSpec,
+    sequence: TaskSequence,
+    shards_by_task: list[list[ClientShard]],
+    hp: HyperParams,
+    eval_cfg: EvalConfig = EvalConfig(),
+) -> RunLog:
+    """``run_sequence``, then the full-shard stage that fills its joint-objective cells and stats.
+
+    The stage is ``estimate_constants`` given the log, here with no random
+    probe points; ``run_experiment`` gives it the config's, which move no
+    joint cell.
+    """
+    log = run_sequence(spec, sequence, shards_by_task, hp, eval_cfg)
+    estimate_constants(spec, sequence, shards_by_task, ProbeConfig(num_random_probes=0), hp.master_seed, log)
+    return log
+
+
 def joint_fields_loop(
     spec: ModelSpec,
     shards_by_task: list[list[ClientShard]],
@@ -484,7 +505,8 @@ def joint_fields_loop(
     by task.  Returns each round's ``(joint_grad_sq, prev_task_loss)`` and
     the run stats: the start-of-last-task values at the end of task K-1,
     and the best joint loss over that start, the tracked rounds of task K
-    and the end of the run.  ``run_sequence`` must log exactly these.
+    and the end of the run.  ``run_sequence`` followed by the full-shard stage
+    (:func:`run_with_joint_cells`) must log exactly these.
     """
     k = len(shards_by_task)
     fields = []

@@ -34,7 +34,7 @@ from fdilsim.models import accuracy
 from fdilsim.server import EvalConfig
 from fdilsim.theory import drift_bound
 from conftest import small_config
-from helpers import central_difference_grad, gradient_descent_minimize, psi_full_participation
+from helpers import central_difference_grad, gradient_descent_minimize, psi_full_participation, run_with_joint_cells
 from test_theory import (
     BKT_FROZEN,
     DRIFT_FROZEN,
@@ -221,7 +221,7 @@ def test_criterion_06_rounds_scaling_trend():
             spec, sequence, shards, hp = two_task_problem(
                 seed, rotation=np.pi / 6, lam=0.25, lr=0.02, rounds=rounds, test=120
             )
-            log = run_sequence(
+            log = run_with_joint_cells(
                 spec, sequence, shards, hp, EvalConfig(joint_grad_every=1)
             )
             mins[rounds] = min(log.rounds.of_task(2).joint_grad_sq)

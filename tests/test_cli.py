@@ -94,6 +94,25 @@ def test_verify_malformed_config_snapshot_prints_one_violation_line(tmp_path, ca
     assert capsys.readouterr().out == f"VIOLATION: run files unreadable as a valid log: {message}\n"
 
 
+@pytest.mark.parametrize("repeat", ["key", "section"])
+def test_verify_repeated_key_or_section_in_snapshot_prints_one_violation_line(tmp_path, capsys, repeat):
+    # configparser's message named '<string>' and kept a double space.
+    config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(config)]) == 0
+    snapshot = tmp_path / "out" / CONFIG_FILE
+    text = snapshot.read_text(encoding="utf-8")
+    assert text.startswith("[model]\nkind = ")
+    if repeat == "key":
+        text, message = text.replace("\nkind = ", "\nkind = logreg\nkind = ", 1), "line 3 repeats key model.kind"
+    else:
+        text, message = text + "[model]\n", f"line {len(text.splitlines()) + 1} repeats section [model]"
+    snapshot.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == 2
+    expected = f"VIOLATION: run files unreadable as a valid log: malformed config: {message}\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_compare_equivalence_and_difference(tmp_path):
     cfg_special = write_config(
         tmp_path, "special.ini", algorithm="special", prox_lambda=0.0,
@@ -327,6 +346,19 @@ def test_non_finite_values_exit_1_with_one_line_and_no_run_dir(tmp_path, old, ne
 def test_malformed_config_exits_1_with_one_line_naming_the_bad_line(tmp_path, old, new, line):
     # A key above every section header printed 3 lines, a bare key 2.
     assert_one_line_config_error(tmp_path, old, new, f"malformed config: line {line} {MALFORMED}")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("kind = logreg", "kind = logreg\nkind = mlp1", "line 5 repeats key model.kind"),
+        ("[data]", "[model]\n\n[data]", "line 8 repeats section [model]"),
+    ],
+    ids=["key", "section"],
+)
+def test_repeated_key_or_section_exits_1_with_one_line_naming_it(tmp_path, old, new, message):
+    # configparser's message named '<string>' and kept a double space.
+    assert_one_line_config_error(tmp_path, old, new, f"malformed config: {message}")
 
 
 def test_oversized_integer_exits_1_with_one_line_and_no_run_dir(tmp_path):

@@ -222,10 +222,6 @@ def test_stacked_full_shard_equals_plain_calls(spec, num_points):
             loss, grad = loss_and_grad(spec, params[p], data.data)
             assert losses[p] == loss
             assert np.array_equal(grads[p], grad)
-        # Without the loss the gradients keep their bits, stacked and plain.
-        for points, expected in ((params, grads), (params[:1], grads[:1])):
-            no_loss, bare = client_objective_grad(spec, points, data, with_loss=False)
-            assert no_loss is None and np.array_equal(bare, expected)
 
 
 def test_stack_rows_follow_the_row_width():
@@ -268,9 +264,9 @@ def test_mixed_horizons_equal_the_whole_pass(monkeypatch):
     evaluated = []
     real = metrics.client_objective_grad
 
-    def recording(spec, points, data, with_loss=True):
+    def recording(spec, points, data):
         evaluated.append(len(points))
-        return real(spec, points, data, with_loss)
+        return real(spec, points, data)
 
     monkeypatch.setattr(metrics, "client_objective_grad", recording)
     horizons = [3, 1, 2, 3, 1]

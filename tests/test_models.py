@@ -8,6 +8,7 @@ from fdilsim import (
     ModelSpec,
     PartitionSpec,
     ProbeConfig,
+    RunLog,
     accuracy,
     estimate_constants,
     generate_sequence,
@@ -113,7 +114,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="params length"):
         estimate_constants(
             LOGREG, sequence, shards, ProbeConfig(num_random_probes=2), seed=1,
-            checkpoints=(np.zeros(8),),
+            log=RunLog(initial_params=np.zeros(8)),
         )
 
 

@@ -14,8 +14,10 @@ from fdilsim import (
     Minibatch,
     ModelSpec,
     PartitionSpec,
+    ProbeConfig,
     aggregate,
     derive_stream,
+    estimate_constants,
     generate_sequence,
     partition_sequence,
     parse_config_text,
@@ -27,11 +29,12 @@ from fdilsim import (
 )
 from fdilsim import rng as rngmod
 from fdilsim import client as client_module
-from fdilsim import metrics, server
+from fdilsim import metrics, server, theory
 from fdilsim.client import plan_batches, task_pool
-from fdilsim.metrics import acc, bwt, stack_rows
-from fdilsim.runio import compare_runlogs, emit_runlog
-from fdilsim.server import run_round, run_task
+from fdilsim.metrics import acc, bwt, joint_objective_grad, stack_rows
+from fdilsim.models import init_params, param_count
+from fdilsim.runio import OUTPUT_FILES, _run_files, compare_runlogs, emit_runlog
+from fdilsim.server import RunStats, run_round, run_task
 from conftest import small_config
 from test_datagen import make_shift
 from helpers import (
@@ -43,6 +46,7 @@ from helpers import (
     prox_map_reference,
     proximal_blend_reference,
     records,
+    run_with_joint_cells,
     sample_clients_loop,
 )
 
@@ -361,7 +365,7 @@ def test_anchor_chain_is_previous_task_model(monkeypatch):
     params = theta0.copy()
     finals = []
     for i in (1, 2, 3):
-        params = run_task(SPEC, params, sequence, shards[i - 1], hp, i, EvalConfig(), log, [])
+        params = run_task(SPEC, params, sequence, shards[i - 1], hp, i, EvalConfig(), log)
         finals.append(params.copy())
     monkeypatch.undo()
 
@@ -488,7 +492,7 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
         return result
 
     monkeypatch.setattr(server, "run_round", recording_run_round)
-    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=1))
+    log = run_with_joint_cells(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=1))
     assert len(round_params) == len(records(log.rounds)) == 12
 
     best = None
@@ -514,35 +518,53 @@ def test_joint_pass_matches_per_shard_oracle(monkeypatch):
 
 @pytest.mark.parametrize("rounds, every", [(4, 2), (4, 4), (5, 2), (5, 3)])
 def test_joint_passes_per_run(monkeypatch, rounds, every):
-    # Counts evaluated (snapshot, task) pairs.  Each tracked round is one
-    # snapshot on every task so far.  The last task's anchor is one more
-    # snapshot on all K tasks; where the cadence divides T it is task K-1's
-    # last tracked snapshot, which then adds task K only.  The end of the run
-    # is one more unless the last round was tracked.  One pass per run.
+    # Counts evaluated (point, task) pairs.  The K + 1 checkpoints are probe
+    # points on every task.  Each tracked round is one more point on every
+    # task so far, unless it is its task's end model, which the cadence makes
+    # it where it divides T: that model is a checkpoint already.  One
+    # full-shard call per (task, shard), and none from the protocol.
     k = 3
     sequence, shards, hp = make_problem(num_tasks=k, hp=make_hp(rounds_per_task=rounds))
     calls = []
-    real_pass = server.joint_objective_grad
+    real_call = theory.client_objective_grad
 
-    def counting_pass(spec, params, tasks, shards_by_task):
-        assert len(params) == len(tasks) and shards_by_task is shards
-        calls.append(sum(tasks))
-        return real_pass(spec, params, tasks, shards_by_task)
+    def counting_call(spec, points, shard):
+        calls.append(len(points))
+        return real_call(spec, points, shard)
 
-    monkeypatch.setattr(server, "joint_objective_grad", counting_pass)
-    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    monkeypatch.setattr(theory, "client_objective_grad", counting_call)
+    log = run_with_joint_cells(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
     tracked = sum(r.joint_grad_sq is not None for r in records(log.rounds))
     assert tracked == k * (rounds // every)
-    per_task = rounds // every
-    anchor, end = (1, 0) if rounds % every == 0 else (k, k)
-    assert calls == [per_task * sum(range(1, k + 1)) + anchor + end]
+    per_task = rounds // every - (rounds % every == 0)
+    assert calls == [k + 1 + per_task * (k - i) for i in range(k) for _ in shards[i]]
 
-    # One task: its tracked rounds on that task, and no pass if none is tracked.
+    # One task: its two checkpoints, and its tracked rounds but the last.
     sequence, shards, hp = make_problem(num_tasks=1, hp=make_hp(rounds_per_task=rounds))
-    for cadence, expected in ((every, [per_task]), (0, [])):
+    for cadence, extra in ((every, per_task), (0, 0)):
         calls.clear()
-        run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=cadence))
-        assert calls == expected
+        run_with_joint_cells(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=cadence))
+        assert calls == [2 + extra] * len(shards[0])
+
+
+def test_run_sequence_makes_no_full_shard_call(monkeypatch):
+    # The protocol engine leaves the joint cells and stats to the full-shard
+    # stage, and keeps the tracked models for it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-shard evaluation inside run_sequence")
+
+    full_shard = ((metrics, "client_objective_grad"), (metrics, "joint_objective_grad"), (theory, "client_objective_grad"))
+    for module, name in full_shard:
+        monkeypatch.setattr(module, name, refuse)
+    sequence, shards, hp = make_problem(num_tasks=3, hp=make_hp(rounds_per_task=4))
+    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=1))
+    assert not hasattr(server, "joint_objective_grad") and not hasattr(server, "client_objective_grad")
+    assert [row for row, _ in log.tracked] == list(range(12))
+    assert log.rounds.joint_grad_sq == [None] * 12 and log.rounds.prev_task_loss == [None] * 12
+    assert log.stats == RunStats()
+    # The log holds the models themselves: each task's end model is its last tracked one.
+    models = [model for _, model in log.tracked]
+    assert all(models[4 * i + 3] is log.task_params[i] for i in range(3))
 
 
 MODEL_VARIANTS = {
@@ -575,7 +597,7 @@ def _joint_run(spec, num_tasks, rounds, every, num_clients, train, monkeypatch):
         return result
 
     monkeypatch.setattr(server, "run_round", recording_run_round)
-    log = run_sequence(spec, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    log = run_with_joint_cells(spec, sequence, shards, hp, EvalConfig(joint_grad_every=every))
     return log, shards, round_params
 
 
@@ -594,9 +616,9 @@ def _assert_joint_fields_match(log, spec, shards, round_params, rounds, every):
 @pytest.mark.parametrize("num_tasks", [1, 2, 3, 4])
 @pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
 def test_joint_fields_match_per_round_oracle(monkeypatch, model, num_tasks, rounds, every):
-    # The deferred stacked pass logs, bit for bit, what one plain pass per
-    # tracked round gives.  At K = 4 the last task's start stack spans three
-    # earlier tasks, and the middle tasks keep passes of their own.
+    # The full-shard stage logs, bit for bit, what one plain pass per tracked
+    # round gives.  At K = 4 a task-1 snapshot reaches one task and a task-4
+    # snapshot all four, beside the checkpoints on every task.
     spec = MODEL_VARIANTS[model]
     log, shards, round_params = _joint_run(spec, num_tasks, rounds, every, 8, 240, monkeypatch)
     assert min(len(s.data) for task in shards for s in task) >= 1
@@ -615,6 +637,81 @@ def test_joint_fields_match_oracle_with_shards_beyond_stack_rows(
     log, shards, round_params = _joint_run(spec, 2, rounds, every, 2, train, monkeypatch)
     assert max(len(s.data) for task in shards for s in task) > stack_rows(spec)
     _assert_joint_fields_match(log, spec, shards, round_params, rounds, every)
+
+
+@pytest.mark.parametrize("every", [1, 3, 5])
+@pytest.mark.parametrize("num_tasks", [1, 2, 3])
+@pytest.mark.parametrize("model", sorted(MODEL_VARIANTS))
+def test_stage_cells_equal_the_joint_objective_reference(model, num_tasks, every):
+    # T = 10: cadences 1 and 5 track each task's end model, which the stage
+    # evaluates as a checkpoint; cadence 3 does not.  The random probe points
+    # share the stage's stacks and move no cell.
+    spec, k = MODEL_VARIANTS[model], num_tasks
+    sequence, shards, hp = make_problem(num_tasks=k)
+    log = run_sequence(spec, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    estimate_constants(spec, sequence, shards, ProbeConfig(num_random_probes=3), hp.master_seed, log)
+    rows = [row for row, _ in log.tracked]
+    tasks = [log.rounds.task[row] for row in rows]
+    assert len(rows) == k * (hp.rounds_per_task // every)
+    loss, grad_sq = joint_objective_grad(spec, np.stack([model for _, model in log.tracked]), tasks, shards)
+    expected_sq, expected_prev = [None] * len(log.rounds.task), [None] * len(log.rounds.task)
+    for j, (row, task) in enumerate(zip(rows, tasks)):
+        expected_sq[row] = float(grad_sq[j, task - 1])
+        expected_prev[row] = float(loss[j, task - 2]) if task >= 2 else None
+    assert repr(log.rounds.joint_grad_sq) == repr(expected_sq)
+    assert repr(log.rounds.prev_task_loss) == repr(expected_prev)
+
+    expected = RunStats()
+    if k >= 2:
+        # The anchor of task K and the end model, each on all K tasks.
+        ends, ends_sq = joint_objective_grad(spec, np.stack(log.task_params[-2:]), [k, k], shards)
+        last = [loss[j, k - 1] for j, task in enumerate(tasks) if task == k]
+        best = min([ends[0, k - 1], *last, ends[1, k - 1]])
+        expected = RunStats(float(ends_sq[0, k - 2]), float(ends[0, k - 2]), float(ends[0, k - 1]), float(best))
+    assert repr(log.stats) == repr(expected)
+
+
+# --- stream keys and the lambda = 0 reduction, under any numpy/BLAS build ----
+#
+# These compare the run with draws made here from the documented streams, or
+# with another run, never with digests, so no build skips them.
+
+
+@pytest.mark.parametrize("seed", [0, 25, 1234])
+def test_initial_model_is_drawn_from_the_init_stream(seed):
+    sequence, shards, hp = make_problem(hp=make_hp(rounds_per_task=1, master_seed=seed))
+    log = run_sequence(SPEC, sequence, shards, hp)
+    assert rngmod.INIT_PARAMS == 0
+    expected = 0.01 * derive_stream(seed, (0,)).standard_normal(param_count(SPEC))
+    assert np.array_equal(log.initial_params, expected)
+    assert np.array_equal(log.initial_params, init_params(SPEC, derive_stream(seed, (rngmod.INIT_PARAMS,))))
+
+
+@pytest.mark.parametrize("seed", [3, 25])
+def test_selections_are_the_plain_loop_on_each_rounds_stream(seed):
+    sequence, shards, hp = make_problem(num_tasks=3, hp=make_hp(rounds_per_task=6, master_seed=seed))
+    log = run_sequence(SPEC, sequence, shards, hp)
+    assert rngmod.CLIENT_SAMPLING == 3
+    expected = [
+        sample_clients_loop(hp.num_clients, hp.participants_per_round, derive_stream(seed, (3, task, t)))
+        for task in (1, 2, 3)
+        for t in range(hp.rounds_per_task)
+    ]
+    assert log.rounds.selected == expected
+
+
+def test_fedavg_tables_do_not_depend_on_lambda():
+    # fedavg never blends, so its four tables at lambda = 0.25 are those at 0.
+    text = (ROOT / "profiles" / "default.ini").read_text(encoding="utf-8")
+    text = text.replace("algorithm = special\n", "algorithm = fedavg\n")
+    assert "algorithm = fedavg\n" in text and "prox_lambda = 0.25\n" in text
+    tables = []
+    for lam in ("0.25", "0.0"):
+        artifacts = run_experiment(text.replace("prox_lambda = 0.25\n", f"prox_lambda = {lam}\n"))
+        assert artifacts.config.hyper.prox_lambda == float(lam)
+        tables.append({name: body for name, body in _run_files(artifacts, "").items() if name in OUTPUT_FILES})
+    assert sorted(tables[0]) == sorted(OUTPUT_FILES)
+    assert tables[0] == tables[1]
 
 
 def test_huge_lambda_pins_model_to_anchor():

@@ -21,18 +21,20 @@ from fdilsim import (
     TaskSequence,
     bkt_bound,
     build_bound_reports,
+    derive_stream,
     drift_bound,
     estimate_constants,
     generate_sequence,
     partition_sequence,
     psi_residual,
 )
-from fdilsim import theory
+from fdilsim import rng as rngmod
+from fdilsim import run_experiment, theory
 from fdilsim.client import TaskPool
 from fdilsim.config import parse_config
 from fdilsim.datagen import TaskData
 from fdilsim.runio import BOUND_COLUMNS, _write_rows
-from fdilsim.server import ALGORITHMS, SCHEDULES, RunStats
+from fdilsim.server import ALGORITHMS, SCHEDULES, RunLog, RunStats
 from fdilsim.theory import OVERFLOW, UNDERFLOW, ProbeScaleError, _bkt_gamma_l_cap, _cosines, evaluate
 from fdilsim.models import param_count
 from test_datagen import make_shift
@@ -421,7 +423,7 @@ def test_minimum_probe_count_enforced():
         estimate_constants(SPEC, sequence, shards, cfg, seed=1)
     # A single random probe plus one checkpoint is enough.
     consts = estimate_constants(
-        SPEC, sequence, shards, cfg, seed=1, checkpoints=(np.zeros(9),)
+        SPEC, sequence, shards, cfg, seed=1, log=RunLog(initial_params=np.zeros(9))
     )
     assert consts.num_probe_points == 2
 
@@ -496,7 +498,9 @@ def probe_problem(seed, num_tasks=3, num_clients=6, min_samples=2, train=150, al
 
 
 def assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints=()):
-    stacked = estimate_constants(spec, sequence, shards, cfg, seed, checkpoints)
+    # The estimator takes checkpoints as a log's initial model and task end models.
+    log = RunLog(initial_params=checkpoints[0], task_params=list(checkpoints[1:])) if checkpoints else None
+    stacked = estimate_constants(spec, sequence, shards, cfg, seed, log)
     loop = estimate_constants_loop(spec, sequence, shards, cfg, seed, checkpoints)
     assert stacked == loop
     assert repr(stacked) == repr(loop)
@@ -599,6 +603,31 @@ def test_cosines_equal_the_loop_on_edge_rows():
         assert repr(_cosines(rows[3], rows)) == repr(
             [c for b in rows if (c := _cosine(rows[3], b)) is not None]
         )
+
+
+def test_probe_points_are_the_checkpoints_then_the_probe_point_streams(monkeypatch):
+    # Under any numpy/BLAS build: the stage's first stack is the run's K + 1
+    # checkpoints, then random point p from the (PROBE_POINT, p) stream of
+    # the master seed, then the tracked models that are not a task's end model.
+    stacks = []
+    real = theory.client_objective_grad
+
+    def recording(spec, points, shard):
+        stacks.append(points.copy())
+        return real(spec, points, shard)
+
+    monkeypatch.setattr(theory, "client_objective_grad", recording)
+    text = (ROOT / "profiles" / "default.ini").read_text(encoding="utf-8")
+    artifacts = run_experiment(text.replace("probe_scale = 1.0", "probe_scale = 0.5"))
+    config, log = artifacts.config, artifacts.log
+    probe, seed, d = config.probe, config.hyper.master_seed, param_count(config.model)
+    assert rngmod.PROBE_POINT == 5 and probe.probe_scale == 0.5 and seed == 25
+    draws = [0.5 * derive_stream(25, (5, p)).standard_normal(d) for p in range(probe.num_random_probes)]
+    tracked = [model for row, model in log.tracked if model is not log.task_params[log.rounds.task[row] - 1]]
+    expected = np.stack([log.initial_params, *log.task_params, *draws, *tracked[::-1]])
+    assert len(stacks) == 3 * config.partition.num_clients  # one call per (task, shard)
+    assert np.array_equal(stacks[0], expected)
+    assert artifacts.constants.num_probe_points == 4 + probe.num_random_probes
 
 
 def test_overflowing_probe_point_names_the_probe_scale():

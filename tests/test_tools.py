@@ -67,8 +67,10 @@ def test_every_corpus_entry_parses():
 # their rounds in several chunks, shards of up to 889 rows, whose
 # full-shard stacks hold two points, client-side lambdas where 2 lambda or
 # 2 lambda anchor overflows, per-round accuracies with a joint-objective
-# cadence that does not divide T, and a Dirichlet alpha whose gamma draws all
-# underflow.  The tool checks the whole corpus.
+# cadence that does not divide T, a Dirichlet alpha whose gamma draws all
+# underflow, and every round tracked, so each task's end model is both a
+# tracked round and a probe point of the full-shard stage.  The tool checks
+# the whole corpus.
 GATE_SUBSET = (
     "benchmarks/workloads/protocol-long.ini",
     "profiles/default.ini",
@@ -104,6 +106,7 @@ GATE_SUBSET = (
     "profiles/default.ini federation.algorithm=special_c federation.prox_lambda=8.9e307 "
     "federation.local_lr=0.2",
     "profiles/default.ini partition.dirichlet_alpha=1e-300",
+    "profiles/default.ini io.joint_grad_every=1",
 )
 
 

@@ -169,6 +169,14 @@ CORPUS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     # Every gamma draw of a class underflows to 0: the class goes to one client.
     (DEFAULT, ("partition.dirichlet_alpha=1e-300",)),
+    # The full-shard stage's edge cases: every round tracked, so each task's end
+    # model is both a tracked round and a checkpoint; nothing tracked; only the
+    # checkpoints as probe points, with a cadence that does not divide T; and
+    # every round tracked on shards whose stacks hold few points.
+    (DEFAULT, ("io.joint_grad_every=1",)),
+    (DEFAULT, ("io.joint_grad_every=0",)),
+    (DEFAULT, ("probe.num_random_probes=0", "io.joint_grad_every=3")),
+    (DEFAULT, TANH + ("io.joint_grad_every=1", "data.train_samples_per_task=2400")),
 )
 
 
