@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

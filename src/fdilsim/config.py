@@ -167,8 +167,9 @@ def _check_array_sizes(
     parameter vector, the ``(E, N, P, input_dim + 1)`` round tensor of
     local training, whose pad width P is at least ``min(batch_size,
     ceil(train pool / num_clients))``, since some shard holds that many rows,
-    and the estimator's stack of probe points, the random ones and the K + 1
-    trajectory checkpoints.
+    and the probe part of the estimator's stack: the random probe points and
+    the K + 1 trajectory checkpoints.  The stack's tracked models, which
+    follow them, are not sized here.
     """
     width = model.input_dim + 1
     pad_rows = min(hyper.batch_size, -(-shift.train_samples_per_task // hyper.num_clients))

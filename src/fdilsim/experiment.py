@@ -38,7 +38,7 @@ def run_experiment(config_text: str) -> RunArtifacts:
     sequence = generate_sequence(config.shift, seed)
     shards = partition_sequence(sequence, config.partition, seed)
     log = run_sequence(config.model, sequence, shards, config.hyper, config.eval_cfg)
-    constants = estimate_constants(config.model, sequence, shards, config.probe, seed, log)
+    constants = estimate_constants(config.model, shards, config.probe, seed, log)
     reports = build_bound_reports(
         config.model, config.hyper, sequence.num_tasks, log.rounds, constants, log.stats
     )

@@ -39,9 +39,10 @@ order.  A task appends each round's values to the columns as it runs.
 The engine runs only the protocol.  A task keeps the global model of
 every ``joint_grad_every``-th round in ``RunLog.tracked``, beside its row of
 the trajectory; the log also holds the initial model and each task's end
-model, the arrays themselves, since no round writes into a model array.  The
-joint-objective cells of the tracked rounds and the run stats are filled
-later, by the run's one full-shard stage,
+model.  It holds the arrays themselves, not copies, to save memory, which is
+safe because no round writes into a model array; nothing matches a model by
+its identity.  The joint-objective cells of the tracked rounds and the run
+stats are filled later, by the run's one full-shard stage,
 :func:`fdilsim.theory.estimate_constants`.  Nothing on the update path
 reads them.
 
@@ -286,7 +287,8 @@ def run_task(
     Every ``joint_grad_every``-th round appends its row of ``log.rounds``
     and its model to ``log.tracked``.  Returns the task's final model.
     """
-    # No round writes into a model array, so the anchor and snapshots need no copy.
+    # No round writes into a model array, so the anchor and snapshots need no
+    # copy, which saves memory.  Nothing downstream relies on the sharing.
     anchor, every, T = params, eval_cfg.joint_grad_every, hp.rounds_per_task
 
     pool = task_pool(shards)

@@ -13,11 +13,16 @@ gradients at a time.  A task's full-shard values take one stacked call per
 shard through the full-shard helper
 :func:`fdilsim.metrics.client_objective_grad`, over every probe point and
 every tracked model of the log that reaches the task, so it is the run's
-one full-shard stage and evaluates each (point, task) pair once.  The
-probe points' gradients form the task's ``(P, M, d)`` block, of which only
-the task mean is kept, in a ``(P, K, d)`` table; every row's loss and
-gradient go into running joint-objective sums, from which the tracked
-rounds' cells and the run stats are filled.  A task with a drawing
+one full-shard stage and evaluates each (point, task) pair once.  A
+tracked round is found by its row of the log: the last round of a task is
+that task's end model, a probe point, and is not stacked again.  The
+probe points' gradients form the task's ``(P, M, d)`` block.  Each stack
+row's task mean is taken once, from its shard sums: the probe rows' means
+go into a ``(P, K, d)`` table, and every row's mean and loss into running
+joint-objective sums, from which the tracked rounds' cells and the run
+stats are filled.  Before the last task's means join them, the probe
+rows' joint sums are the earlier tasks' joint gradient that eps_bkt is
+measured against.  A task with a drawing
 shard builds its :class:`fdilsim.client.TaskPool`, the pool local training
 uses, once, and runs its minibatch pass over the probe points in probe
 groups: each group reads the streams of all its (probe, client) pairs in
@@ -63,7 +68,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .client import task_pool
-from .datagen import ClientShard, TaskSequence
+from .datagen import ClientShard
 from .metrics import client_objective_grad, stack_rows
 from .models import ModelSpec, check_data, check_params, loss_and_grad, param_count, row_dots
 from .server import PLAN_BYTES, HyperParams, Rounds, RunLog, RunStats
@@ -157,7 +162,6 @@ def _cosines(u: np.ndarray, v: np.ndarray) -> list[float]:
 
 def estimate_constants(
     spec: ModelSpec,
-    sequence: TaskSequence,
     shards_by_task: list[list[ClientShard]],
     probe_cfg: ProbeConfig,
     seed: int,
@@ -180,12 +184,16 @@ def estimate_constants(
 
     * full-shard values, one stacked :func:`client_objective_grad` call per
       client over the probe points and then the log's tracked models that
-      reach the task and are not a task's end model (those are probe
-      points).  The probe rows' gradients go into the task's ``(P, M, d)``
-      block, whose client mean goes into a ``(P, K, d)`` table of task
-      gradients.  Every row's loss and gradient are summed in shard order
-      from +0.0, divided by M and added to the row's joint sums, as
-      :func:`fdilsim.metrics.joint_objective_grad` does;
+      reach the task and are not the last round of their task (that round's
+      model is its task's end model, a probe point).  The probe rows'
+      gradients go into the task's ``(P, M, d)`` block.  Every row's loss
+      and gradient are summed in shard order from +0.0 and divided by M
+      once; that task mean is added to the row's joint sums, as
+      :func:`fdilsim.metrics.joint_objective_grad` does, and the probe
+      rows' means go into a ``(P, K, d)`` table of task gradients.  For the
+      last task, eps_bkt is taken first, against the probe rows' joint
+      gradient of the earlier tasks, the joint sums before its mean joins
+      them;
     * minibatch gradients: a task with a drawing shard builds its
       :func:`fdilsim.client.task_pool` once and goes over the probe points
       in groups.  A group draws the batches of every (probe, client) pair,
@@ -200,8 +208,7 @@ def estimate_constants(
       is its full-shard gradient (deviation exactly 0) and is not computed
       again;
     * reductions of the block: B, L per probe against all its later probes,
-      sigma_G over the whole block and, for the last task, eps_bkt against
-      the sum of the earlier task gradients.  The block and the pool are
+      and sigma_G over the whole block.  The block and the pool are
       then released, so at most one task's block is held, with temporaries
       no larger than it, plus one probe group;
     * after the last task, sigma_T and eps_corr over the task pairs of the
@@ -211,7 +218,11 @@ def estimate_constants(
 
     The probe points are ``log.initial_params``, then ``log.task_params``,
     then the random draws, point p from the ``(PROBE_POINT, p)`` stream.
-    Without a log there are only the random draws and nothing is filled.
+    A tracked round is its task's checkpoint by position: it is the last row
+    of its task in ``log.rounds``, the log's last row or one the next task
+    follows, so its model is that task's entry of ``log.task_params``, whether
+    or not it is the same array.  Without a log there are only the random
+    draws and nothing is filled.
 
     Every norm, squared gap and cosine comes from :func:`row_dots`, the BLAS
     dot of each row pair, so it equals the scalar ``np.linalg.norm``/dot
@@ -244,14 +255,15 @@ def estimate_constants(
         for shard in task_shards:
             check_data(spec, shard.data)
 
-    k, num_points = sequence.num_tasks, len(points)
-    # Each tracked round's row of the stack: a task's end model is its
-    # checkpoint, any other model a row after the probe points, latest task
-    # first, so the rows that reach a task are a prefix of the stack.
+    k, num_points = len(shards_by_task), len(points)
+    # Each tracked round's row of the stack: a task's last round, the log's
+    # last row or one the next task follows, is its checkpoint; any other a
+    # row after the probe points, latest task first, so the rows that reach
+    # a task are a prefix of the stack.
     stack_row, extra, horizons = {}, [], []
     for row, model in reversed([] if log is None else log.tracked):
         task = log.rounds.task[row]
-        if model is log.task_params[task - 1]:
+        if log.rounds.task[row + 1 : row + 2] != [task]:
             stack_row[row] = task
         else:
             stack_row[row] = num_points + len(extra)
@@ -283,11 +295,14 @@ def estimate_constants(
             loss, grad = client_objective_grad(spec, stack[:reach], shard)
             grads[:, m] = grad[:num_points]
             task_loss, task_grad = task_loss + loss, task_grad + grad
+        if i == k - 1 >= 1:  # the earlier tasks' joint gradient, before task K's mean joins it
+            eps_bkt = min([eps_bkt, *_cosines(joint_grad[:num_points, None, :], grads)])
+        task_grad /= len(task_shards)  # the task mean of every stack row
         joint_loss[:reach] += task_loss / len(task_shards)
-        joint_grad[:reach] += task_grad / len(task_shards)
+        joint_grad[:reach] += task_grad
         joint[:, :reach, i] = joint_loss[:reach], row_dots(joint_grad[:reach])
+        task_grads[:, i] = task_grad[:num_points]
         del loss, grad, task_loss, task_grad  # released before the block's reductions
-        task_grads[:, i] = grads.mean(axis=1)
         b_max = max([b_max, *np.sqrt(row_dots(grads))[:, whole[i]].ravel().tolist()])
 
         drawn = np.flatnonzero(~whole[i])
@@ -314,10 +329,6 @@ def estimate_constants(
         for p, gap in enumerate(gaps):
             ratios = np.sqrt(row_dots(grads[p] - grads[p + 1 :])) / gap
             l_max = max([l_max, *ratios.ravel().tolist()])
-
-        if i == k - 1 and k >= 2:
-            prev_grads = task_grads[:, : k - 1].sum(axis=1)
-            eps_bkt = min([eps_bkt, *_cosines(prev_grads[:, None, :], grads)])
 
         # Last use of the block: each client's gap to its task mean, in place.
         grads -= task_grads[:, i, None, :]

@@ -488,7 +488,7 @@ def run_with_joint_cells(
     joint cell.
     """
     log = run_sequence(spec, sequence, shards_by_task, hp, eval_cfg)
-    estimate_constants(spec, sequence, shards_by_task, ProbeConfig(num_random_probes=0), hp.master_seed, log)
+    estimate_constants(spec, shards_by_task, ProbeConfig(num_random_probes=0), hp.master_seed, log)
     return log
 
 

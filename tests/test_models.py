@@ -110,10 +110,10 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="input dimension"):
         run_sequence(wide, sequence, shards, make_hp(num_clients=2, participants_per_round=2))
     with pytest.raises(ValueError, match="input dimension"):
-        estimate_constants(wide, sequence, shards, ProbeConfig(num_random_probes=2), seed=1)
+        estimate_constants(wide, shards, ProbeConfig(num_random_probes=2), seed=1)
     with pytest.raises(ValueError, match="params length"):
         estimate_constants(
-            LOGREG, sequence, shards, ProbeConfig(num_random_probes=2), seed=1,
+            LOGREG, shards, ProbeConfig(num_random_probes=2), seed=1,
             log=RunLog(initial_params=np.zeros(8)),
         )
 
@@ -138,7 +138,7 @@ def test_label_out_of_range_rejected():
     with pytest.raises(ValueError, match="label out of range"):
         run_sequence(two_class, sequence, shards, make_hp(num_clients=2, participants_per_round=2))
     with pytest.raises(ValueError, match="label out of range"):
-        estimate_constants(two_class, sequence, shards, ProbeConfig(num_random_probes=2), seed=1)
+        estimate_constants(two_class, shards, ProbeConfig(num_random_probes=2), seed=1)
 
 
 def test_take_returns_rows_without_revalidating():

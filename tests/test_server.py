@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from fdilsim.client import plan_batches, task_pool
 from fdilsim.metrics import acc, bwt, joint_objective_grad, stack_rows
 from fdilsim.models import init_params, param_count
 from fdilsim.runio import OUTPUT_FILES, _run_files, compare_runlogs, emit_runlog
-from fdilsim.server import RunStats, run_round, run_task
+from fdilsim.server import Rounds, RunLog, RunStats, run_round, run_task
 from conftest import small_config
 from test_datagen import make_shift
 from helpers import (
@@ -547,6 +547,40 @@ def test_joint_passes_per_run(monkeypatch, rounds, every):
         assert calls == [2 + extra] * len(shards[0])
 
 
+@pytest.mark.parametrize("every", [1, 5])
+@pytest.mark.parametrize("num_tasks", [2, 3])
+def test_stage_on_a_log_of_copied_models(monkeypatch, num_tasks, every):
+    # The stage finds a task's checkpoint by its row, the last of its task,
+    # not by the identity of its model.  A log whose models are copies, each
+    # made alone (a deepcopy's memo would keep a shared array shared), stacks
+    # as many points and gives the same estimates, cells and stats.  T = 10,
+    # so both cadences track each task's end model.
+    sequence, shards, hp = make_problem(num_tasks=num_tasks)
+    log = run_sequence(SPEC, sequence, shards, hp, EvalConfig(joint_grad_every=every))
+    copied = RunLog(
+        rounds=Rounds(*[list(getattr(log.rounds, f.name)) for f in fields(Rounds)]),
+        task_params=[model.copy() for model in log.task_params],
+        initial_params=log.initial_params.copy(),
+        tracked=[(row, model.copy()) for row, model in log.tracked],
+    )
+    calls = []
+    real_call = theory.client_objective_grad
+
+    def counting_call(spec, points, shard):
+        calls.append(len(points))
+        return real_call(spec, points, shard)
+
+    monkeypatch.setattr(theory, "client_objective_grad", counting_call)
+    results = []
+    for run_log in (log, copied):
+        calls.clear()
+        consts = estimate_constants(SPEC, shards, ProbeConfig(num_random_probes=2), hp.master_seed, run_log)
+        rounds = run_log.rounds
+        results.append((repr((consts, rounds.joint_grad_sq, rounds.prev_task_loss, run_log.stats)), list(calls)))
+    assert results[1] == results[0]
+    assert log.rounds.joint_grad_sq.count(None) == len(log.rounds.task) - len(log.tracked)
+
+
 def test_run_sequence_makes_no_full_shard_call(monkeypatch):
     # The protocol engine leaves the joint cells and stats to the full-shard
     # stage, and keeps the tracked models for it.
@@ -649,7 +683,7 @@ def test_stage_cells_equal_the_joint_objective_reference(model, num_tasks, every
     spec, k = MODEL_VARIANTS[model], num_tasks
     sequence, shards, hp = make_problem(num_tasks=k)
     log = run_sequence(spec, sequence, shards, hp, EvalConfig(joint_grad_every=every))
-    estimate_constants(spec, sequence, shards, ProbeConfig(num_random_probes=3), hp.master_seed, log)
+    estimate_constants(spec, shards, ProbeConfig(num_random_probes=3), hp.master_seed, log)
     rows = [row for row, _ in log.tracked]
     tasks = [log.rounds.task[row] for row in rows]
     assert len(rows) == k * (hp.rounds_per_task // every)

@@ -396,7 +396,7 @@ def single_client_sequence():
 def test_single_client_full_batch_probes_have_no_noise():
     sequence, shards = single_client_sequence()
     cfg = ProbeConfig(num_random_probes=4, minibatch_draws=3, batch_size=100)
-    consts = estimate_constants(SPEC, sequence, shards, cfg, seed=1)
+    consts = estimate_constants(SPEC, shards, cfg, seed=1)
     assert consts.sigma_l == 0.0
     assert consts.sigma_g == 0.0
     assert consts.sigma_t == 0.0
@@ -411,7 +411,7 @@ def test_identical_tasks_have_zero_task_gap():
     sequence = TaskSequence([task1, task2])
     shards = [[ClientShard(1, 0, data)], [ClientShard(2, 0, data)]]
     cfg = ProbeConfig(num_random_probes=5, minibatch_draws=2, batch_size=100)
-    consts = estimate_constants(SPEC, sequence, shards, cfg, seed=2)
+    consts = estimate_constants(SPEC, shards, cfg, seed=2)
     assert consts.sigma_t <= 1e-10
     assert consts.eps_corr >= 1.0 - 1e-12
 
@@ -420,10 +420,10 @@ def test_minimum_probe_count_enforced():
     sequence, shards = single_client_sequence()
     cfg = ProbeConfig(num_random_probes=1, minibatch_draws=1)
     with pytest.raises(ValueError):
-        estimate_constants(SPEC, sequence, shards, cfg, seed=1)
+        estimate_constants(SPEC, shards, cfg, seed=1)
     # A single random probe plus one checkpoint is enough.
     consts = estimate_constants(
-        SPEC, sequence, shards, cfg, seed=1, log=RunLog(initial_params=np.zeros(9))
+        SPEC, shards, cfg, seed=1, log=RunLog(initial_params=np.zeros(9))
     )
     assert consts.num_probe_points == 2
 
@@ -435,10 +435,10 @@ def test_probe_growth_never_shrinks_suprema():
         sequence, PartitionSpec(num_clients=3, dirichlet_alpha=0.5), seed=5
     )
     small = estimate_constants(
-        SPEC, sequence, shards, ProbeConfig(num_random_probes=5, minibatch_draws=2), seed=9
+        SPEC, shards, ProbeConfig(num_random_probes=5, minibatch_draws=2), seed=9
     )
     large = estimate_constants(
-        SPEC, sequence, shards, ProbeConfig(num_random_probes=10, minibatch_draws=2), seed=9
+        SPEC, shards, ProbeConfig(num_random_probes=10, minibatch_draws=2), seed=9
     )
     assert large.B >= small.B
     assert large.L >= small.L
@@ -461,10 +461,10 @@ def test_zero_shift_task_gap_is_sampling_noise_only():
         make_shift(num_tasks=2, rotation=np.pi / 2, train=400), seed=3
     )
     gap_aligned = estimate_constants(
-        SPEC, aligned, partition_sequence(aligned, part, seed=3), cfg, seed=3
+        SPEC, partition_sequence(aligned, part, seed=3), cfg, seed=3
     ).sigma_t
     gap_shifted = estimate_constants(
-        SPEC, shifted, partition_sequence(shifted, part, seed=3), cfg, seed=3
+        SPEC, partition_sequence(shifted, part, seed=3), cfg, seed=3
     ).sigma_t
     assert gap_aligned <= gap_shifted / 3.0
 
@@ -474,12 +474,12 @@ def test_smoothness_estimate_stable_near_quadratic_region():
     # neighborhood should give a stable curvature estimate.
     sequence, shards = single_client_sequence()
     small = estimate_constants(
-        SPEC, sequence, shards,
+        SPEC, shards,
         ProbeConfig(num_random_probes=10, minibatch_draws=1, probe_scale=0.05),
         seed=11,
     )
     large = estimate_constants(
-        SPEC, sequence, shards,
+        SPEC, shards,
         ProbeConfig(num_random_probes=100, minibatch_draws=1, probe_scale=0.05),
         seed=11,
     )
@@ -500,7 +500,7 @@ def probe_problem(seed, num_tasks=3, num_clients=6, min_samples=2, train=150, al
 def assert_matches_loop(spec, sequence, shards, cfg, seed, checkpoints=()):
     # The estimator takes checkpoints as a log's initial model and task end models.
     log = RunLog(initial_params=checkpoints[0], task_params=list(checkpoints[1:])) if checkpoints else None
-    stacked = estimate_constants(spec, sequence, shards, cfg, seed, log)
+    stacked = estimate_constants(spec, shards, cfg, seed, log)
     loop = estimate_constants_loop(spec, sequence, shards, cfg, seed, checkpoints)
     assert stacked == loop
     assert repr(stacked) == repr(loop)
@@ -634,7 +634,7 @@ def test_overflowing_probe_point_names_the_probe_scale():
     sequence, shards = probe_problem(1)
     message = r"^probe\.probe_scale: 1e\+308 overflows random probe point \d+$"
     with np.errstate(over="ignore"), pytest.raises(ProbeScaleError, match=message):
-        estimate_constants(SPEC, sequence, shards, ProbeConfig(probe_scale=1e308), 1)
+        estimate_constants(SPEC, shards, ProbeConfig(probe_scale=1e308), 1)
 
 
 @pytest.mark.parametrize("spec", [SPEC, MLP_RELU])
@@ -690,7 +690,7 @@ def test_estimator_memory_does_not_grow_with_the_task_count():
         shards = partition_sequence(sequence, part, 25)
         tracemalloc.start()
         try:
-            estimate_constants(spec, sequence, shards, cfg, 25)
+            estimate_constants(spec, shards, cfg, 25)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

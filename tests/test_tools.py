@@ -290,6 +290,12 @@ def test_every_docstring_role_in_src_resolves():
     assert stale == []
 
 
+def test_the_readme_states_the_corpus_size():
+    # README's account of tools/table_digests.py counts its built-in corpus.
+    stated = re.findall(r"built-in corpus of (\d+) configs", (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert stated == [str(len(load_table_digests().CORPUS))]
+
+
 def test_every_dotted_program_name_in_the_readme_resolves():
     # Only spans that start with a fdilsim module or class are program names;
     # file names (``config.ini``) and config keys (``io.eval_every``) are not.
